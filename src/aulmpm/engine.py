@@ -43,14 +43,11 @@ from .transfers import (
     explicit_update,
     finalize_grid,
     g2p,
-    g2p_kernel,
     grid_collisions,
     grid_internal_forces,
-    grid_internal_forces_kernel,
     implicit_update,
     mass_epsilon,
     p2g,
-    p2g_kernel,
     stress_pass,
 )
 
@@ -115,7 +112,8 @@ class Simulation:
                 V0=np.full(n, vol),
                 C=C,
                 state=DeformationState.identity(n, d),
-                cmap=ConfigurationMap.build(pts, self.grid, scene.solver.order),
+                cmap=ConfigurationMap.build(pts, self.grid, scene.solver.order,
+                                            transfer=scene.solver.transfer),
                 policy=_policy_for(obj, scene.solver.mode),
                 F_plastic=(np.tile(np.eye(d), (n, 1, 1))
                            if obj.material.kind == SNOW else None),
@@ -125,7 +123,9 @@ class Simulation:
         self.time = 0.0
         self.steps_done = 0
         self.records: list[StepRecord] = []
-        self.cg_info: dict | None = None
+        self.cg_info: dict | None = None   # the last step's implicit solve
+        self.cg_unconverged = 0   # solves that stopped at the iteration cap
+        self.cg_fallbacks = 0     # solves that kept the explicit velocities
 
     @property
     def n_particles(self) -> int:
@@ -159,20 +159,21 @@ class Simulation:
         if dt is None:
             dt = self.stable_dt()
         sol = self.scene.solver
-        kernel = sol.transfer == "kernel"
         grid = self.grid
         t0 = time.perf_counter()
 
         grid.zero_fields()
         for b in self.bodies:
-            (p2g_kernel if kernel else p2g)(b, grid)
+            p2g(b, grid)
         finalize_grid(grid, self.mass_eps)
         for b in self.bodies:
             stress_pass(b)
-            (grid_internal_forces_kernel if kernel else grid_internal_forces)(b, grid)
+            grid_internal_forces(b, grid)
         if sol.integrator == "implicit":
-            self.cg_info = implicit_update(self.bodies, grid, dt, self.gravity,
-                                           self.mass_eps)
+            info = implicit_update(self.bodies, grid, dt, self.gravity, self.mass_eps)
+            self.cg_info = info
+            self.cg_fallbacks += info["fallback"]
+            self.cg_unconverged += not (info["converged"] or info["fallback"])
         else:
             explicit_update(grid, dt, self.gravity, self.mass_eps)
         grid_collisions(grid, self.colliders, dt, self.mass_eps)
@@ -180,10 +181,7 @@ class Simulation:
         rebound = False
         total_marked = 0
         for b in self.bodies:
-            if kernel:
-                g2p_kernel(b, grid, dt, sol.flip_blend)
-            else:
-                g2p(b, grid, dt)
+            g2p(b, grid, dt, sol.flip_blend)
             if not (np.isfinite(b.x).all() and np.isfinite(b.v).all()):
                 raise NumericalError(
                     f"non-finite particle state at step {self.steps_done}")
@@ -292,6 +290,8 @@ class Simulation:
             "transfer": sol.transfer,
             "mode": sol.mode,
             "updates_total": sum(b.updates for b in self.bodies),
+            "cg_unconverged": self.cg_unconverged,
+            "cg_fallbacks": self.cg_fallbacks,
             "objects": [
                 {"name": obj.name, "particles": b.n, "updates": b.updates,
                  "epoch": b.cmap.epoch, "inverted": b.inverted}

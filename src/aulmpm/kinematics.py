@@ -17,6 +17,10 @@ import numpy as np
 from .errors import OrphanParticleError
 from .mls import QUADRATIC, Stencil, build_stencil, gradient_weights, moment_matrix
 
+# transfer flavors: which gradient weights a binding carries
+LEAST_SQUARES = "least_squares"
+KERNEL = "kernel"
+
 
 @dataclass
 class UpdatePolicy:
@@ -59,20 +63,26 @@ class ConfigurationMap:
     """Grid binding of one object at its reference configuration.
 
     Holds the reference particle positions, the interpolation stencils built
-    there, their moment matrices K, the cached gradient weights
-    G_j = W_j K r_j and the storage slots of the bound grid nodes.
+    there, the storage slots of the bound grid nodes and the gradient weights
+    G that every transfer phase contracts against.  The transfer flavor
+    decides G: `least_squares` (MLS-MPM / APIC) uses G_j = W_j K r_j with the
+    moment matrices K; `kernel` (PIC/FLIP MPM) uses the window gradients
+    grad W_j and builds no K.
     """
 
     epoch: int
     ref_positions: np.ndarray
     stencil: Stencil
-    K: np.ndarray
+    K: np.ndarray | None
     G: np.ndarray
     slots: np.ndarray
+    transfer: str = LEAST_SQUARES
 
     @classmethod
     def build(cls, positions: np.ndarray, grid, order: str = QUADRATIC,
-              epoch: int = 0) -> "ConfigurationMap":
+              epoch: int = 0, transfer: str = LEAST_SQUARES) -> "ConfigurationMap":
+        if transfer not in (LEAST_SQUARES, KERNEL):
+            raise ValueError(f"unknown transfer {transfer!r}")
         positions = np.asarray(positions, dtype=np.float64)
         st = build_stencil(positions, grid.origin, grid.dx, grid.n_nodes, order)
         coverage = st.w.sum(axis=1)
@@ -81,12 +91,15 @@ class ConfigurationMap:
             raise OrphanParticleError(
                 f"{idx.size} particle(s) with zero grid coverage, first {idx[:8].tolist()}"
             )
-        K = moment_matrix(st)
-        G = gradient_weights(st, K)
+        if transfer == KERNEL:
+            K, G = None, st.dw
+        else:
+            K = moment_matrix(st)
+            G = gradient_weights(st, K)
         n, S = st.w.shape
         slots = grid.activate(st.coords.reshape(-1, st.coords.shape[-1])).reshape(n, S)
         return cls(epoch=epoch, ref_positions=positions.copy(), stencil=st,
-                   K=K, G=G, slots=slots)
+                   K=K, G=G, slots=slots, transfer=transfer)
 
     @property
     def node_ref_positions(self) -> np.ndarray:
@@ -136,10 +149,11 @@ def apply_update(state: DeformationState, positions: np.ndarray, grid,
     """Rebind at the current positions and fold F_sn into F_0s.
 
     Afterwards F_0s holds the old product F_sn F_0s, F_sn is the identity,
-    and the returned map carries fresh stencils, moment matrices and slots
-    with the epoch counter advanced by one.
+    and the returned map carries fresh stencils, gradient weights and slots
+    of the same transfer flavor, with the epoch counter advanced by one.
     """
     state.F_0s = compose_total(state)
     dim = state.F_sn.shape[-1]
     state.F_sn = np.broadcast_to(np.eye(dim), state.F_sn.shape).copy()
-    return ConfigurationMap.build(positions, grid, cmap.stencil.order, cmap.epoch + 1)
+    return ConfigurationMap.build(positions, grid, cmap.stencil.order, cmap.epoch + 1,
+                                  cmap.transfer)

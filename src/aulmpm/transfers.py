@@ -6,14 +6,13 @@ its current grid binding.  Every step runs:
     p2g -> grid velocities -> internal forces -> explicit or implicit
     momentum update -> collision projection -> g2p
 
-Transfers use the binding's cached gradient weights G_j = W_j K r_j, so the
-affine scatter, the internal force and the measured velocity gradient all
-share one set of coefficients.  Scatter-adds are bincount-based and run in
-particle order, which keeps runs bit-reproducible.
-
-A second transfer path (`p2g_kernel` / `g2p_kernel` / kernel forces) uses
-plain window gradients instead of least-squares gradients, with a PIC/FLIP
-velocity blend; it shares the binding, bookkeeping and grid update.
+Every phase contracts against the binding's one gradient-weight array G, so
+the scatter, the internal force, its Hessian and the measured velocity
+gradient share one set of coefficients.  On a least-squares binding
+G_j = W_j K r_j and p2g scatters affine momentum (MLS-MPM / APIC); on a
+kernel binding G_j = grad W_j, p2g scatters plain momentum and g2p blends
+PIC with FLIP velocities (standard MPM).  Scatter-adds are bincount-based
+and run in particle order, which keeps runs bit-reproducible.
 """
 
 from __future__ import annotations
@@ -29,7 +28,8 @@ from .constitutive import (
     energy_and_piola,
     hessian_action,
 )
-from .kinematics import ConfigurationMap, DeformationState, UpdatePolicy, compose_total, velocity_gradient_s
+from .kinematics import (KERNEL, LEAST_SQUARES, ConfigurationMap, DeformationState,
+                         UpdatePolicy, compose_total, velocity_gradient_s)
 
 # relative CG residual and iteration cap for the implicit velocity solve
 CG_TOL = 1e-7
@@ -85,29 +85,18 @@ def _scatter(slots_flat: np.ndarray, values: np.ndarray, out: np.ndarray) -> Non
 
 
 def p2g(body: Body, grid) -> None:
-    """Scatter mass, affine momentum and current positions to the grid."""
+    """Scatter mass, momentum and current positions to the grid; the
+    momentum carries the affine term C r only on a least-squares binding."""
     st = body.cmap.stencil
     slots = body.cmap.slots.ravel()
     w = st.w
     mw = body.m[:, None] * w
 
-    aff = np.einsum("nab,nsb->nsa", body.C, st.r)
-    mom = mw[:, :, None] * (body.v[:, None, :] + aff)
+    vel = body.v[:, None, :]
+    if body.cmap.transfer == LEAST_SQUARES:
+        vel = vel + np.einsum("nab,nsb->nsa", body.C, st.r)
+    mom = mw[:, :, None] * vel
 
-    _scatter(slots, mw.ravel(), grid.mass)
-    _scatter(slots, mom.reshape(-1, body.dim), grid.momentum)
-    _scatter(slots, (w[:, :, None] * body.x[:, None, :]).reshape(-1, body.dim),
-             grid.pos_accum)
-    _scatter(slots, w.ravel(), grid.w_accum)
-
-
-def p2g_kernel(body: Body, grid) -> None:
-    """Non-affine scatter used by the kernel-weight transfer path."""
-    st = body.cmap.stencil
-    slots = body.cmap.slots.ravel()
-    w = st.w
-    mw = body.m[:, None] * w
-    mom = mw[:, :, None] * body.v[:, None, :]
     _scatter(slots, mw.ravel(), grid.mass)
     _scatter(slots, mom.reshape(-1, body.dim), grid.momentum)
     _scatter(slots, (w[:, :, None] * body.x[:, None, :]).reshape(-1, body.dim),
@@ -164,16 +153,9 @@ def piola_differential(body: Body, dF_total: np.ndarray) -> np.ndarray:
 
 
 def grid_internal_forces(body: Body, grid) -> None:
-    """f_i -= V0 P0 F_0s^T K r W per bound node (least-squares path)."""
+    """f_i -= V0 P0 F_0s^T G_i per bound node."""
     PF = np.einsum("nab,ncb->nac", body._cache["P0"], body.state.F_0s)
     contrib = -body.V0[:, None, None] * np.einsum("nac,nsc->nsa", PF, body.cmap.G)
-    _scatter(body.cmap.slots.ravel(), contrib.reshape(-1, body.dim), grid.force)
-
-
-def grid_internal_forces_kernel(body: Body, grid) -> None:
-    """f_i -= V0 P0 F_0s^T grad W per bound node (kernel path)."""
-    PF = np.einsum("nab,ncb->nac", body._cache["P0"], body.state.F_0s)
-    contrib = -body.V0[:, None, None] * np.einsum("nac,nsc->nsa", PF, body.cmap.stencil.dw)
     _scatter(body.cmap.slots.ravel(), contrib.reshape(-1, body.dim), grid.force)
 
 
@@ -301,23 +283,21 @@ def grid_collisions(grid, colliders, dt: float, mass_eps: float) -> int:
 # -------------------------------------------------------------------- g2p
 
 
-def g2p(body: Body, grid, dt: float) -> None:
-    """Gather velocities, advect, and measure the new velocity gradient."""
+def g2p(body: Body, grid, dt: float, flip_blend: float = 0.0) -> None:
+    """Gather velocities, advect, and measure the new velocity gradient.
+
+    Positions advance with the gathered (PIC) velocity.  On a kernel binding
+    the particle velocity blends PIC with weight 1 - flip_blend and FLIP (old
+    particle velocity plus the gathered grid change) with weight flip_blend;
+    elsewhere it is the PIC velocity.
+    """
     st = body.cmap.stencil
     vn = grid.velocity[body.cmap.slots]
-    v_new = np.einsum("ns,nsa->na", st.w, vn)
-    body.C = velocity_gradient_s(v_new, vn, body.cmap)
-    body.v = v_new
-    body.x = body.x + dt * v_new
-
-
-def g2p_kernel(body: Body, grid, dt: float, flip_blend: float) -> None:
-    """PIC/FLIP blended gather for the kernel-weight path."""
-    st = body.cmap.stencil
-    vn = grid.velocity[body.cmap.slots]
-    vo = grid.velocity0[body.cmap.slots]
     v_pic = np.einsum("ns,nsa->na", st.w, vn)
-    delta = np.einsum("ns,nsa->na", st.w, vn - vo)
-    body.C = np.einsum("nsa,nsb->nab", vn, st.dw)
-    body.v = (1.0 - flip_blend) * v_pic + flip_blend * (body.v + delta)
+    body.C = velocity_gradient_s(v_pic, vn, body.cmap)
+    if body.cmap.transfer == KERNEL:
+        delta = np.einsum("ns,nsa->na", st.w, vn - grid.velocity0[body.cmap.slots])
+        body.v = (1.0 - flip_blend) * v_pic + flip_blend * (body.v + delta)
+    else:
+        body.v = v_pic
     body.x = body.x + dt * v_pic

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from aulmpm import engine, transfers
 from aulmpm.engine import Simulation
 from aulmpm.errors import NumericalError
 from aulmpm.kinematics import compose_total
@@ -24,6 +25,12 @@ def _scene(**solver):
             "velocity": [0.1, -0.3],
         }],
     })
+
+
+def _spin_scene(**solver):
+    scene = _scene(**solver)
+    scene.objects[0].angular_velocity = 4.0
+    return scene
 
 
 def test_free_fall_velocity_is_exact():
@@ -120,6 +127,47 @@ def test_implicit_run_matches_explicit_closely():
     gap = np.abs(ex.bodies[0].x - im.bodies[0].x).max()
     assert gap < 1e-6  # free-ish fall: stiffness barely acts
     assert im.cg_info is not None and im.cg_info["converged"]
+
+
+@pytest.mark.parametrize("transfer", ["least_squares", "kernel"])
+def test_implicit_spin_solves_and_matches_explicit(transfer):
+    ex = Simulation(_spin_scene(steps=20, transfer=transfer))
+    ex.run()
+    im = Simulation(_spin_scene(steps=20, integrator="implicit", transfer=transfer))
+    iters = 0
+    for _ in range(20):
+        im.step()
+        assert im.cg_info["converged"] and not im.cg_info["fallback"]
+        iters += im.cg_info["iterations"]
+    assert iters > 0  # measured 203 (least_squares) and 407 (kernel)
+    assert im.summary()["cg_unconverged"] == im.summary()["cg_fallbacks"] == 0
+    gap = np.abs(ex.bodies[0].x - im.bodies[0].x).max()
+    assert gap < 1.5e-5  # measured 1.05e-5 (least_squares) and 7.9e-6 (kernel)
+
+
+def test_summary_counts_cg_trouble(tmp_path, monkeypatch):
+    # an iteration cap of 1 leaves the spinning disk's solves unconverged
+    infos = []
+
+    def capped(*args):
+        infos.append(transfers.implicit_update(*args, max_iters=1))
+        return infos[-1]
+
+    monkeypatch.setattr(engine, "implicit_update", capped)
+    sim = Simulation(_spin_scene(steps=3, integrator="implicit"))
+    sim.run(out_dir=tmp_path)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["cg_unconverged"] == sum(not i["converged"] for i in infos) > 0
+    assert summary["cg_fallbacks"] == 0
+    monkeypatch.undo()
+
+    # a body crushed to 5% over a 10 s step loses positive definiteness
+    sim = Simulation(_scene(steps=1, integrator="implicit", mode="total_lagrangian"))
+    sim.bodies[0].state.F_sn[:] = 0.05 * np.eye(2)
+    sim.step(dt=10.0)
+    assert sim.cg_info["fallback"]
+    assert sim.summary()["cg_fallbacks"] == 1
+    assert sim.summary()["cg_unconverged"] == 0
 
 
 def test_output_files(tmp_path):

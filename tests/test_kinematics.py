@@ -10,6 +10,7 @@ import pytest
 
 from aulmpm.grid import SparseGrid
 from aulmpm.kinematics import (
+    KERNEL,
     ConfigurationMap,
     DeformationState,
     UpdatePolicy,
@@ -20,6 +21,7 @@ from aulmpm.kinematics import (
     should_update,
     velocity_gradient_s,
 )
+from aulmpm.mls import gradient_weights
 
 COMPOSE_RTOL = 1e-12
 ACCUM_RTOL = 1e-12
@@ -131,6 +133,26 @@ def test_velocity_gradient_recovers_affine_grid_fields():
     v_p = pos @ B.T + c
     grad = velocity_gradient_s(v_p, v_nodes, cmap)
     np.testing.assert_allclose(grad, np.broadcast_to(B, grad.shape), atol=AFFINE_ATOL)
+
+
+def test_binding_carries_the_gradient_weights_of_its_transfer():
+    grid = _grid()
+    rng = np.random.default_rng(14)
+    pos = rng.uniform(0.3, 0.7, size=(25, 2))
+    mls = ConfigurationMap.build(pos, grid)
+    np.testing.assert_array_equal(mls.G, gradient_weights(mls.stencil, mls.K))
+    kernel = ConfigurationMap.build(pos, grid, transfer=KERNEL)
+    assert kernel.K is None
+    np.testing.assert_array_equal(kernel.G, kernel.stencil.dw)
+    # spline gradients reproduce affine velocity fields too
+    B = np.array([[0.4, -1.1], [0.9, 0.2]])
+    grad = velocity_gradient_s(pos @ B.T, kernel.node_ref_positions @ B.T, kernel)
+    np.testing.assert_allclose(grad, np.broadcast_to(B, grad.shape), atol=AFFINE_ATOL)
+    rebound = apply_update(DeformationState.identity(25, 2), pos + 0.05, grid, kernel)
+    assert rebound.transfer == KERNEL and rebound.K is None
+    np.testing.assert_array_equal(rebound.G, rebound.stencil.dw)
+    with pytest.raises(ValueError, match="unknown transfer"):
+        ConfigurationMap.build(pos, grid, transfer="pic")
 
 
 def test_apply_update_folds_and_rebinds():

@@ -3,21 +3,18 @@ import pytest
 
 from aulmpm.constitutive import MaterialModel, energy_and_piola
 from aulmpm.grid import HalfSpace, SparseGrid
-from aulmpm.kinematics import ConfigurationMap, DeformationState
+from aulmpm.kinematics import KERNEL, LEAST_SQUARES, ConfigurationMap, DeformationState
 from aulmpm.transfers import (
     Body,
     explicit_update,
     finalize_grid,
     g2p,
-    g2p_kernel,
     grid_collisions,
     grid_internal_forces,
-    grid_internal_forces_kernel,
     hessian_apply,
     implicit_update,
     mass_epsilon,
     p2g,
-    p2g_kernel,
     stress_pass,
 )
 
@@ -28,7 +25,8 @@ def _grid(dx=0.1, n=10):
     return SparseGrid(origin=(0.0, 0.0), dx=dx, n_cells=(n, n))
 
 
-def _body(positions, grid, material=SOLID, velocity=None, F_plastic=False):
+def _body(positions, grid, material=SOLID, velocity=None, F_plastic=False,
+          transfer=LEAST_SQUARES):
     positions = np.asarray(positions, dtype=np.float64)
     n, d = positions.shape
     V0 = np.full(n, (grid.dx / 2.0) ** d)
@@ -40,7 +38,7 @@ def _body(positions, grid, material=SOLID, velocity=None, F_plastic=False):
         V0=V0,
         C=np.zeros((n, d, d)),
         state=DeformationState.identity(n, d),
-        cmap=ConfigurationMap.build(positions, grid),
+        cmap=ConfigurationMap.build(positions, grid, transfer=transfer),
         F_plastic=np.tile(np.eye(d), (n, 1, 1)) if F_plastic else None,
     )
     return body
@@ -134,22 +132,28 @@ def _forces(body, grid):
     return grid.force.copy()
 
 
-@pytest.mark.parametrize("kind", ["solid", "solid_mid_epoch", "fluid", "snow"])
-def test_forces_are_energy_gradient(kind):
+_KINDS = ["solid", "solid_mid_epoch", "fluid", "snow"]
+
+
+@pytest.mark.parametrize(
+    "kind, transfer",
+    [(k, LEAST_SQUARES) for k in _KINDS] + [(k, KERNEL) for k in _KINDS],
+    ids=_KINDS + [f"{k}-{KERNEL}" for k in _KINDS])
+def test_forces_are_energy_gradient(kind, transfer):
     rng = np.random.default_rng(hash(kind) % 2**31)
     grid = _grid()
     if kind == "fluid":
         mat = MaterialModel.fluid(density=1000.0, bulk=100.0)
-        body = _body(_cloud(rng), grid, material=mat)
+        body = _body(_cloud(rng), grid, material=mat, transfer=transfer)
         body.state.F_sn += 0.1 * rng.normal(size=body.state.F_sn.shape)
     elif kind == "snow":
         mat = MaterialModel.from_youngs("snow", density=400.0, youngs=1e4, poisson=0.2)
-        body = _body(_cloud(rng), grid, material=mat, F_plastic=True)
+        body = _body(_cloud(rng), grid, material=mat, F_plastic=True, transfer=transfer)
         body.F_plastic += np.einsum(
             "ab,n->nab", np.eye(2), 0.02 * rng.standard_normal(body.n))
         body.state.F_sn += 0.05 * rng.normal(size=body.state.F_sn.shape)
     else:
-        body = _body(_cloud(rng), grid, material=SOLID)
+        body = _body(_cloud(rng), grid, material=SOLID, transfer=transfer)
         body.state.F_sn += 0.1 * rng.normal(size=body.state.F_sn.shape)
         if kind == "solid_mid_epoch":
             body.state.F_0s += 0.2 * rng.normal(size=body.state.F_0s.shape)
@@ -163,10 +167,11 @@ def test_forces_are_energy_gradient(kind):
     assert np.isclose(work, -dU, rtol=1e-6, atol=1e-12)
 
 
-def test_internal_forces_sum_to_zero():
+@pytest.mark.parametrize("transfer", [LEAST_SQUARES, KERNEL])
+def test_internal_forces_sum_to_zero(transfer):
     rng = np.random.default_rng(11)
     grid = _grid()
-    body = _body(_cloud(rng), grid)
+    body = _body(_cloud(rng), grid, transfer=transfer)
     body.state.F_sn += 0.2 * rng.normal(size=body.state.F_sn.shape)
     f = _forces(body, grid)
     scale = np.abs(f).max()
@@ -183,10 +188,11 @@ def test_rotation_produces_no_force():
     assert np.abs(f).max() < 1e-9
 
 
-def test_hessian_matches_force_differences():
+@pytest.mark.parametrize("transfer", [LEAST_SQUARES, KERNEL])
+def test_hessian_matches_force_differences(transfer):
     rng = np.random.default_rng(12)
     grid = _grid()
-    body = _body(_cloud(rng, n=15), grid)
+    body = _body(_cloud(rng, n=15), grid, transfer=transfer)
     body.state.F_sn += 0.1 * rng.normal(size=body.state.F_sn.shape)
     body.state.F_0s += 0.1 * rng.normal(size=body.state.F_0s.shape)
     stress_pass(body)
@@ -339,23 +345,13 @@ def test_separating_nodes_are_left_alone():
 def test_kernel_path_translates_exactly():
     rng = np.random.default_rng(16)
     grid = _grid()
-    body = _body(_cloud(rng), grid, velocity=np.tile([0.3, -0.2], (40, 1)))
+    body = _body(_cloud(rng), grid, velocity=np.tile([0.3, -0.2], (40, 1)), transfer=KERNEL)
+    body.C = rng.normal(size=(40, 2, 2))  # a kernel binding scatters no affine momentum
     eps = mass_epsilon([body])
     x0 = body.x.copy()
-    p2g_kernel(body, grid)
+    p2g(body, grid)
     finalize_grid(grid, eps)
-    g2p_kernel(body, grid, dt=0.01, flip_blend=0.95)
+    g2p(body, grid, dt=0.01, flip_blend=0.95)
     np.testing.assert_allclose(body.v, np.tile([0.3, -0.2], (40, 1)), atol=1e-12)
     np.testing.assert_allclose(body.x, x0 + 0.01 * np.array([0.3, -0.2]), atol=1e-12)
     np.testing.assert_allclose(body.C, 0.0, atol=1e-10)
-
-
-def test_kernel_forces_sum_to_zero():
-    rng = np.random.default_rng(17)
-    grid = _grid()
-    body = _body(_cloud(rng), grid)
-    body.state.F_sn += 0.2 * rng.normal(size=body.state.F_sn.shape)
-    stress_pass(body)
-    grid_internal_forces_kernel(body, grid)
-    scale = np.abs(grid.force).max()
-    np.testing.assert_allclose(grid.force.sum(axis=0), 0.0, atol=1e-12 * max(scale, 1.0))
