@@ -80,138 +80,128 @@ class StressState:
 
 
 # ------------------------------------------------------------ linear algebra
+#
+# Batches of 2x2 matrices are (n, 2, 2) arrays of any memory layout; the
+# helpers below read them entry by entry and return (n, 2, 2) views of
+# component-major (2, 2, n) buffers, so every entry downstream is one
+# contiguous (n,) array.
 
 
-def signed_svd(F: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched SVD with rotations for U, V; sign of det F on the last sigma."""
-    F = np.asarray(F, dtype=np.float64)
-    if F.shape[-1] == 2:
-        a = F[..., 0, 0]
-        b = F[..., 0, 1]
-        c = F[..., 1, 0]
-        d = F[..., 1, 1]
-        x1 = a + d
-        y1 = c - b
-        x2 = a - d
-        y2 = b + c
-        h1 = np.hypot(x1, y1)
-        h2 = np.hypot(x2, y2)
-        t1 = np.arctan2(y1, x1)
-        t2 = np.arctan2(y2, x2)
-        # t1 = theta_u - theta_v, t2 = theta_u + theta_v
-        sig = np.stack([(h1 + h2) * 0.5, (h1 - h2) * 0.5], axis=-1)
-        tu = (t1 + t2) * 0.5
-        tv = (t2 - t1) * 0.5
-        U = _rot2(tu)
-        Vt = np.swapaxes(_rot2(tv), -1, -2)
-        return U, sig, Vt
-    U, sig, Vt = np.linalg.svd(F)
-    neg = np.linalg.det(U) < 0.0
-    U[neg, :, -1] *= -1.0
-    sig[neg, -1] *= -1.0
-    neg = np.linalg.det(Vt) < 0.0
-    Vt[neg, -1, :] *= -1.0
-    sig[neg, -1] *= -1.0
-    return U, sig, Vt
+def entries(F: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The entries F00, F01, F10, F11 of a batch of 2x2 matrices."""
+    return F[..., 0, 0], F[..., 0, 1], F[..., 1, 0], F[..., 1, 1]
 
 
-def _rot2(theta: np.ndarray) -> np.ndarray:
-    ct = np.cos(theta)
-    st = np.sin(theta)
-    out = np.empty(theta.shape + (2, 2))
-    out[..., 0, 0] = ct
-    out[..., 0, 1] = -st
-    out[..., 1, 0] = st
-    out[..., 1, 1] = ct
-    return out
+def pack(a, b, c, d) -> np.ndarray:
+    """Batch [[a, b], [c, d]] as an (n, 2, 2) view of a (2, 2, n) buffer."""
+    out = np.empty((2, 2) + np.shape(a))
+    out[0, 0] = a
+    out[0, 1] = b
+    out[1, 0] = c
+    out[1, 1] = d
+    return np.moveaxis(out, (0, 1), (-2, -1))
 
 
-def polar_rotation(F: np.ndarray) -> np.ndarray:
-    """Rotation factor R = U V^T of the signed SVD."""
-    if F.shape[-1] == 2:
-        theta = np.arctan2(F[..., 1, 0] - F[..., 0, 1], F[..., 0, 0] + F[..., 1, 1])
-        return _rot2(theta)
-    U, _, Vt = signed_svd(F)
-    return U @ Vt
+def det(F: np.ndarray) -> np.ndarray:
+    a, b, c, d = entries(F)
+    return a * d - b * c
+
+
+def inverse(F: np.ndarray) -> np.ndarray:
+    a, b, c, d = entries(F)
+    j = a * d - b * c
+    return pack(d / j, -b / j, -c / j, a / j)
+
+
+def matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A B per matrix of the batch."""
+    a, b, c, d = entries(A)
+    e, f, g, h = entries(B)
+    return pack(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def matmul_t(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A B^T per matrix of the batch."""
+    a, b, c, d = entries(A)
+    e, f, g, h = entries(B)
+    return pack(a * e + b * f, a * g + b * h, c * e + d * f, c * g + d * h)
 
 
 def cofactor(F: np.ndarray) -> np.ndarray:
     """Cofactor matrix (equals det(F) F^-T for invertible F), any det."""
-    d = F.shape[-1]
-    if d == 2:
-        out = np.empty_like(F)
-        out[..., 0, 0] = F[..., 1, 1]
-        out[..., 0, 1] = -F[..., 1, 0]
-        out[..., 1, 0] = -F[..., 0, 1]
-        out[..., 1, 1] = F[..., 0, 0]
-        return out
-    if d == 3:
-        c0 = np.cross(F[..., :, 1], F[..., :, 2])
-        c1 = np.cross(F[..., :, 2], F[..., :, 0])
-        c2 = np.cross(F[..., :, 0], F[..., :, 1])
-        return np.stack([c0, c1, c2], axis=-1)
-    raise ValueError("only 2x2 and 3x3 supported")
+    a, b, c, d = entries(F)
+    return pack(d, -c, -b, a)
 
 
-def _d_cofactor(F: np.ndarray, dF: np.ndarray) -> np.ndarray:
-    d = F.shape[-1]
-    if d == 2:
-        return cofactor(dF)  # the 2x2 cofactor map is linear
-    c0 = np.cross(dF[..., :, 1], F[..., :, 2]) + np.cross(F[..., :, 1], dF[..., :, 2])
-    c1 = np.cross(dF[..., :, 2], F[..., :, 0]) + np.cross(F[..., :, 2], dF[..., :, 0])
-    c2 = np.cross(dF[..., :, 0], F[..., :, 1]) + np.cross(F[..., :, 0], dF[..., :, 1])
-    return np.stack([c0, c1, c2], axis=-1)
+def _svd_angles(F: np.ndarray):
+    """Signed SVD F = U(tu) diag(s1, s2) U(tv)^T with rotations U(t).
+
+    The smallest singular value s2 carries the sign of det F."""
+    a, b, c, d = entries(np.asarray(F, dtype=np.float64))
+    x1, y1 = a + d, c - b
+    x2, y2 = a - d, b + c
+    h1 = np.hypot(x1, y1)
+    h2 = np.hypot(x2, y2)
+    t1 = np.arctan2(y1, x1)   # tu - tv
+    t2 = np.arctan2(y2, x2)   # tu + tv
+    return (t1 + t2) * 0.5, (t2 - t1) * 0.5, (h1 + h2) * 0.5, (h1 - h2) * 0.5
 
 
-def _d_polar_rotation(F: np.ndarray, R: np.ndarray, dF: np.ndarray) -> np.ndarray:
-    """Differential of the rotation factor along dF."""
-    d = F.shape[-1]
-    A = np.einsum("nba,nbc->nac", R, dF)  # R^T dF
-    S = np.einsum("nba,nbc->nac", R, F)   # symmetric stretch
-    if d == 2:
-        tr = S[:, 0, 0] + S[:, 1, 1]
-        tr = np.where(np.abs(tr) > 1e-10, tr, np.where(tr >= 0.0, 1e-10, -1e-10))
-        w = (A[:, 1, 0] - A[:, 0, 1]) / tr
-        # dR = R @ [[0, -w], [w, 0]]
-        dR = np.empty_like(R)
-        dR[:, 0, 0] = R[:, 0, 1] * w
-        dR[:, 0, 1] = -R[:, 0, 0] * w
-        dR[:, 1, 0] = R[:, 1, 1] * w
-        dR[:, 1, 1] = -R[:, 1, 0] * w
-        return dR
-    # 3d: solve (tr(S) I - S) omega = 2 axial(skew(A)), dR = R [omega]_x
-    G = np.trace(S, axis1=-2, axis2=-1)[:, None, None] * np.eye(3) - S
-    G = 0.5 * (G + np.swapaxes(G, -1, -2))
-    G += 1e-14 * np.eye(3)
-    rhs = np.stack([A[:, 2, 1] - A[:, 1, 2],
-                    A[:, 0, 2] - A[:, 2, 0],
-                    A[:, 1, 0] - A[:, 0, 1]], axis=-1)
-    omega = np.linalg.solve(G, rhs[..., None])[..., 0]
-    W = np.zeros_like(R)
-    W[:, 0, 1] = -omega[:, 2]
-    W[:, 0, 2] = omega[:, 1]
-    W[:, 1, 0] = omega[:, 2]
-    W[:, 1, 2] = -omega[:, 0]
-    W[:, 2, 0] = -omega[:, 1]
-    W[:, 2, 1] = omega[:, 0]
-    return R @ W
+def signed_svd(F: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Batched SVD with rotations for U, V; sign of det F on the last sigma."""
+    tu, tv, s1, s2 = _svd_angles(F)
+    U = _rot2(np.cos(tu), np.sin(tu))
+    Vt = _rot2(np.cos(tv), -np.sin(tv))
+    return U, np.stack([s1, s2], axis=-1), Vt
+
+
+def _rot2(cs, sn) -> np.ndarray:
+    return pack(cs, -sn, sn, cs)
+
+
+def _rotation(x1, y1):
+    """cos and sin of the polar rotation angle atan2(y1, x1) of F, with
+    x1 = F00 + F11 and y1 = F10 - F01; the identity where both vanish.
+    Also returns h1 = hypot(x1, y1) = tr(R^T F)."""
+    h1 = np.hypot(x1, y1)
+    safe = np.where(h1 > 0.0, h1, 1.0)
+    return np.where(h1 > 0.0, x1 / safe, 1.0), y1 / safe, h1
+
+
+def polar_rotation(F: np.ndarray) -> np.ndarray:
+    """Rotation factor R = U V^T of the signed SVD."""
+    a, b, c, d = entries(F)
+    cs, sn, _ = _rotation(a + d, c - b)
+    return _rot2(cs, sn)
 
 
 # ------------------------------------------------------------------- stress
 
 
 def _corotated(F, mu, lam):
-    U, sig, Vt = signed_svd(F)
-    R = U @ Vt
-    J = np.prod(sig, axis=-1)
-    psi = mu * np.sum((sig - 1.0) ** 2, axis=-1) + 0.5 * lam * (J - 1.0) ** 2
-    P = (2.0 * mu)[:, None, None] * (F - R) \
-        + (lam * (J - 1.0))[:, None, None] * cofactor(F)
+    a, b, c, d = entries(F)
+    x1, y1 = a + d, c - b
+    cs, sn, h1 = _rotation(x1, y1)
+    h2 = np.hypot(a - d, b + c)
+    s1 = (h1 + h2) * 0.5
+    s2 = (h1 - h2) * 0.5
+    J = a * d - b * c
+    psi = mu * ((s1 - 1.0) ** 2 + (s2 - 1.0) ** 2) + 0.5 * lam * (J - 1.0) ** 2
+    # P = 2 mu (F - R) + lam (J - 1) cof(F)
+    m2 = 2.0 * mu
+    k = lam * (J - 1.0)
+    P = pack(m2 * (a - cs) + k * d, m2 * (b + sn) - k * c,
+             m2 * (c - sn) - k * b, m2 * (d - cs) + k * a)
     return psi, P
 
 
-def _snow_moduli(model: MaterialModel, J_plastic):
-    h = np.exp(np.clip(model.hardening * (1.0 - J_plastic), -HARDENING_CAP, HARDENING_CAP))
+def _moduli(model: MaterialModel, J_plastic):
+    """Lame parameters of a corotated material: scalars, or per particle
+    for snow (hardened by J_plastic, 1 when absent)."""
+    if model.kind != SNOW or J_plastic is None:
+        return model.mu, model.lam
+    jp = np.asarray(J_plastic, dtype=np.float64)
+    h = np.exp(np.clip(model.hardening * (1.0 - jp), -HARDENING_CAP, HARDENING_CAP))
     return model.mu * h, model.lam * h
 
 
@@ -223,23 +213,17 @@ def energy_and_piola(F: np.ndarray, model: MaterialModel,
     multiplier; for the fluid only det F matters.
     """
     F = np.asarray(F, dtype=np.float64)
-    n = F.shape[0]
-    if model.kind == FIXED_COROTATED:
-        mu = np.full(n, model.mu)
-        lam = np.full(n, model.lam)
-        psi, P = _corotated(F, mu, lam)
-        return StressState(energy=psi, P=P)
-    if model.kind == SNOW:
-        jp = np.ones(n) if J_plastic is None else np.asarray(J_plastic, dtype=np.float64)
-        mu, lam = _snow_moduli(model, jp)
-        psi, P = _corotated(F, mu, lam)
-        return StressState(energy=psi, P=P)
     if model.kind == FLUID:
-        J = np.maximum(np.linalg.det(F), J_FLOOR)
+        a, b, c, d = entries(F)
+        J = np.maximum(a * d - b * c, J_FLOOR)
         k = model.bulk
         g = model.gamma
         psi = k * (J + J ** (1.0 - g) / (g - 1.0) - g / (g - 1.0))
-        P = (k * (1.0 - J ** (-g)))[:, None, None] * cofactor(F)
+        p = k * (1.0 - J ** (-g))
+        return StressState(energy=psi, P=pack(p * d, -p * c, -p * b, p * a))
+    if model.kind in (FIXED_COROTATED, SNOW):
+        mu, lam = _moduli(model, J_plastic)
+        psi, P = _corotated(F, mu, lam)
         return StressState(energy=psi, P=P)
     raise SceneError(f"unknown material kind {model.kind!r}")
 
@@ -253,31 +237,28 @@ def pressure(J: np.ndarray, model: MaterialModel) -> np.ndarray:
 def hessian_action(F: np.ndarray, dF: np.ndarray, model: MaterialModel,
                    J_plastic: np.ndarray | None = None) -> np.ndarray:
     """Directional derivative dP = (d2 psi / dF dF) : dF at F."""
-    F = np.asarray(F, dtype=np.float64)
-    dF = np.asarray(dF, dtype=np.float64)
-    n = F.shape[0]
+    a, b, c, d = entries(np.asarray(F, dtype=np.float64))
+    e, f, g, h = entries(np.asarray(dF, dtype=np.float64))
+    dJ = d * e - c * f - b * g + a * h   # cof(F) : dF
     if model.kind == FLUID:
-        J = np.maximum(np.linalg.det(F), J_FLOOR)
-        cof = cofactor(F)
-        dJ = np.einsum("nab,nab->n", cof, dF)
-        k = model.bulk
-        g = model.gamma
-        return (k * g * J ** (-g - 1.0) * dJ)[:, None, None] * cof \
-            + (k * (1.0 - J ** (-g)))[:, None, None] * _d_cofactor(F, dF)
-    if model.kind == SNOW:
-        jp = np.ones(n) if J_plastic is None else np.asarray(J_plastic, dtype=np.float64)
-        mu, lam = _snow_moduli(model, jp)
-    else:
-        mu = np.full(n, model.mu)
-        lam = np.full(n, model.lam)
-    R = polar_rotation(F)
-    dR = _d_polar_rotation(F, R, dF)
-    cof = cofactor(F)
-    J = np.linalg.det(F)
-    dJ = np.einsum("nab,nab->n", cof, dF)
-    return (2.0 * mu)[:, None, None] * (dF - dR) \
-        + (lam * dJ)[:, None, None] * cof \
-        + (lam * (J - 1.0))[:, None, None] * _d_cofactor(F, dF)
+        J = np.maximum(a * d - b * c, J_FLOOR)
+        gam = model.gamma
+        # dP = p'(J) dJ cof(F) + p(J) cof(dF), p(J) = bulk (1 - J^-gamma)
+        k1 = model.bulk * gam * J ** (-gam - 1.0) * dJ
+        k2 = model.bulk * (1.0 - J ** (-gam))
+        return pack(k1 * d + k2 * h, -k1 * c - k2 * g, -k1 * b - k2 * f, k1 * a + k2 * e)
+    mu, lam = _moduli(model, J_plastic)
+    # dR = R [[0, -w], [w, 0]] with w = skew(R^T dF) / tr(R^T F)
+    cs, sn, tr = _rotation(a + d, c - b)
+    w = (cs * (g - f) - sn * (e + h)) / np.maximum(tr, 1e-10)
+    m2 = 2.0 * mu
+    k1 = lam * dJ
+    k2 = lam * (a * d - b * c - 1.0)
+    # dP = 2 mu (dF - dR) + lam dJ cof(F) + lam (J - 1) cof(dF)
+    return pack(m2 * (e + sn * w) + k1 * d + k2 * h,
+                m2 * (f + cs * w) - k1 * c - k2 * g,
+                m2 * (g - cs * w) - k1 * b - k2 * f,
+                m2 * (h + sn * w) + k1 * a + k2 * e)
 
 
 def mapped_stress(P0: np.ndarray, F_0s: np.ndarray,
@@ -285,8 +266,8 @@ def mapped_stress(P0: np.ndarray, F_0s: np.ndarray,
     """Push the initial-configuration stress to the reference configuration:
     P_s = P_0 F_0s^T / det(F_0s)."""
     if J_0s is None:
-        J_0s = np.linalg.det(F_0s)
-    return np.einsum("nab,ncb->nac", P0, F_0s) / J_0s[:, None, None]
+        J_0s = det(F_0s)
+    return matmul_t(P0, F_0s) / np.asarray(J_0s)[..., None, None]
 
 
 def plastic_project(F_elastic: np.ndarray, F_plastic: np.ndarray,
@@ -295,14 +276,21 @@ def plastic_project(F_elastic: np.ndarray, F_plastic: np.ndarray,
     plastic factor; the product F_elastic F_plastic is preserved."""
     if model.kind != SNOW:
         return F_elastic, F_plastic
-    U, sig, Vt = signed_svd(F_elastic)
-    clamped = np.clip(sig, 1.0 - model.theta_c, 1.0 + model.theta_s)
-    Fe = np.einsum("nab,nb,nbc->nac", U, clamped, Vt)
-    # F_p' = V diag(sig / clamped) V^T F_p keeps the total product fixed
-    V = np.swapaxes(Vt, -1, -2)
-    scale = sig / clamped
-    Fp = np.einsum("nab,nb,nbc,ncd->nad", V, scale, Vt, F_plastic)
-    return Fe, Fp
+    tu, tv, s1, s2 = _svd_angles(F_elastic)
+    lo, hi = 1.0 - model.theta_c, 1.0 + model.theta_s
+    c1 = np.clip(s1, lo, hi)
+    c2 = np.clip(s2, lo, hi)
+    cu, su = np.cos(tu), np.sin(tu)
+    cv, sv = np.cos(tv), np.sin(tv)
+    # F_e' = U diag(c1, c2) V^T
+    Fe = pack(cu * c1 * cv + su * c2 * sv, cu * c1 * sv - su * c2 * cv,
+              su * c1 * cv - cu * c2 * sv, su * c1 * sv + cu * c2 * cv)
+    # F_p' = V diag(s1 / c1, s2 / c2) V^T F_p keeps the total product fixed
+    k1 = s1 / c1
+    k2 = s2 / c2
+    m01 = (k1 - k2) * cv * sv
+    M = pack(k1 * cv * cv + k2 * sv * sv, m01, m01, k1 * sv * sv + k2 * cv * cv)
+    return Fe, matmul(M, F_plastic)
 
 
 def wave_speed(model: MaterialModel, J: float = 1.0) -> float:

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .constitutive import FLUID, SNOW, wave_speed
+from .constitutive import FLUID, SNOW, det, inverse, matmul, plastic_project, wave_speed
 from .errors import NumericalError
 from .kinematics import (
     ConfigurationMap,
@@ -35,7 +35,6 @@ from .kinematics import (
     deformation_delta,
     should_update,
 )
-from .constitutive import plastic_project
 from .grid import SparseGrid
 from .scene import Scene, sample_shape
 from .transfers import (
@@ -50,6 +49,10 @@ from .transfers import (
     p2g,
     stress_pass,
 )
+
+
+# particle rows formatted per write in frame output
+FRAME_CHUNK = 256
 
 
 @dataclass
@@ -93,13 +96,12 @@ class Simulation:
         self.gravity = scene.gravity
         self.bodies: list[Body] = []
         rng = np.random.default_rng(scene.solver.seed)
-        d = scene.dim
         for obj in scene.objects:
-            pts = sample_shape(obj.shape, obj.spacing, d, obj.jitter, rng)
+            pts = sample_shape(obj.shape, obj.spacing, 2, obj.jitter, rng)
             n = pts.shape[0]
-            vol = obj.spacing ** d
+            vol = obj.spacing ** 2
             vel = np.tile(obj.velocity, (n, 1))
-            C = np.zeros((n, d, d))
+            C = np.zeros((n, 2, 2))
             if obj.angular_velocity != 0.0:
                 c = np.asarray(obj.shape["center"], dtype=np.float64)
                 spin = _spin_matrix(obj.angular_velocity)
@@ -111,11 +113,11 @@ class Simulation:
                 m=np.full(n, obj.material.density * vol),
                 V0=np.full(n, vol),
                 C=C,
-                state=DeformationState.identity(n, d),
+                state=DeformationState.identity(n),
                 cmap=ConfigurationMap.build(pts, self.grid, scene.solver.order,
                                             transfer=scene.solver.transfer),
                 policy=_policy_for(obj, scene.solver.mode),
-                F_plastic=(np.tile(np.eye(d), (n, 1, 1))
+                F_plastic=(np.tile(np.eye(2), (n, 1, 1))
                            if obj.material.kind == SNOW else None),
             )
             self.bodies.append(body)
@@ -145,7 +147,7 @@ class Simulation:
         for b in self.bodies:
             vmax = float(np.sqrt((b.v * b.v).sum(axis=1).max()))
             if b.material.kind == FLUID:
-                jmin = float(np.linalg.det(compose_total(b.state)).min())
+                jmin = float(det(compose_total(b.state)).min())
                 c = wave_speed(b.material, max(jmin, 1e-3))
             else:
                 c = wave_speed(b.material)
@@ -162,6 +164,10 @@ class Simulation:
         grid = self.grid
         t0 = time.perf_counter()
 
+        for b in self.bodies:
+            if b.cmap.G is None:  # released at the end of a run
+                b.cmap = ConfigurationMap.build(b.cmap.ref_positions, grid, sol.order,
+                                                b.cmap.epoch, b.cmap.transfer)
         grid.zero_fields()
         for b in self.bodies:
             p2g(b, grid)
@@ -188,7 +194,7 @@ class Simulation:
             b.inverted += advance_F_sn(b.state, b.C, dt)
             if b.material.kind == SNOW:
                 F_total = compose_total(b.state)
-                Fe = np.einsum("nab,nbc->nac", F_total, np.linalg.inv(b.F_plastic))
+                Fe = matmul(F_total, inverse(b.F_plastic))
                 _, b.F_plastic = plastic_project(Fe, b.F_plastic, b.material)
             if b.policy is not None:
                 marked, fire = should_update(deformation_delta(b.state), b.policy)
@@ -200,6 +206,7 @@ class Simulation:
                     rebound = True
             else:
                 b.marked = 0
+            b._cache.clear()   # step scratch: stresses and their factors
 
         self.time += dt
         self.steps_done += 1
@@ -208,7 +215,7 @@ class Simulation:
 
     def _record(self, total_marked: int, rebound: bool, wall_ms: float) -> None:
         mass = 0.0
-        mom = np.zeros(self.scene.dim)
+        mom = np.zeros(2)
         ang = 0.0
         kin = 0.0
         center = self.scene.origin + 0.5 * self.scene.size
@@ -216,12 +223,9 @@ class Simulation:
             mass += float(b.m.sum())
             mv = b.m[:, None] * b.v
             mom += mv.sum(axis=0)
-            r = b.x - center
-            if self.scene.dim == 2:
-                ang += float((r[:, 0] * mv[:, 1] - r[:, 1] * mv[:, 0]).sum())
-            else:
-                ang += float(np.linalg.norm(np.cross(r, mv).sum(axis=0)))
-            kin += 0.5 * float((b.m * (b.v * b.v).sum(axis=1)).sum())
+            mvx, mvy = mv[:, 0], mv[:, 1]
+            ang += float(((b.x[:, 0] - center[0]) * mvy - (b.x[:, 1] - center[1]) * mvx).sum())
+            kin += 0.5 * float((mvx * b.v[:, 0] + mvy * b.v[:, 1]).sum())
         self.records.append(StepRecord(
             step=self.steps_done, time=self.time, mass=mass, momentum=mom,
             angular_momentum=ang, kinetic_energy=kin,
@@ -233,19 +237,16 @@ class Simulation:
 
     def particle_table(self) -> np.ndarray:
         """Structured snapshot: id, position, velocity, total J, epoch."""
-        d = self.scene.dim
-        names = ["id"] + list("xyz"[:d]) + ["v" + a for a in "xyz"[:d]]
-        names += ["J", "epoch"]
+        names = ["id", "x", "y", "vx", "vy", "J", "epoch"]
         rows = []
         offset = 0
         for b in self.bodies:
-            J = np.linalg.det(compose_total(b.state))
             tab = np.zeros(b.n, dtype=[(nm, np.float64) for nm in names])
             tab["id"] = offset + np.arange(b.n)
-            for k, a in enumerate("xyz"[:d]):
+            for k, a in enumerate("xy"):
                 tab[a] = b.x[:, k]
                 tab["v" + a] = b.v[:, k]
-            tab["J"] = J
+            tab["J"] = det(compose_total(b.state))
             tab["epoch"] = b.cmap.epoch
             rows.append(tab)
             offset += b.n
@@ -255,20 +256,18 @@ class Simulation:
         tab = self.particle_table()
         names = tab.dtype.names
         path = out / "frames" / f"frame_{index:06d}.csv"
+        # id and epoch as integers, every other column at full precision
+        row = "%d," + "%.17g," * (len(names) - 2) + "%d\n"
         with path.open("w") as fh:
             fh.write(",".join(names) + "\n")
-            for row in tab:
-                vals = [f"{int(row['id'])}"]
-                vals += [f"{float(row[nm]):.17g}" for nm in names[1:-1]]
-                vals.append(f"{int(row['epoch'])}")
-                fh.write(",".join(vals) + "\n")
+            # a few hundred row tuples at a time: a whole frame's worth would
+            # trip the cycle collector several times per frame
+            for start in range(0, tab.shape[0], FRAME_CHUNK):
+                fh.write("".join(row % vals for vals in tab[start:start + FRAME_CHUNK].tolist()))
 
     def _write_stats(self, out: Path) -> None:
-        d = self.scene.dim
-        cols = ["step", "time", "mass"]
-        cols += [f"momentum_{a}" for a in "xyz"[:d]]
-        cols += ["angular_momentum", "kinetic_energy", "updates",
-                 "marked_fraction", "wall_ms"]
+        cols = ["step", "time", "mass", "momentum_x", "momentum_y", "angular_momentum",
+                "kinetic_energy", "updates", "marked_fraction", "wall_ms"]
         with (out / "stats.csv").open("w") as fh:
             fh.write(",".join(cols) + "\n")
             for r in self.records:
@@ -338,6 +337,11 @@ class Simulation:
             if progress is not None and (last or (k + 1) % 50 == 0):
                 progress(k + 1, total)
         wall = time.perf_counter() - t0
+        # A finished run keeps the particle state but not the per-entry
+        # binding arrays: they derive from the reference positions alone, and
+        # `step` rebuilds them bit for bit if stepping continues.
+        for b in self.bodies:
+            b.cmap = replace(b.cmap, stencil=None, K=None, G=None, slots=None)
         info = self.summary()
         info["wall_s"] = wall
         info["frames"] = frame

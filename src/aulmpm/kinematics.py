@@ -6,6 +6,13 @@ is currently bound against, and F_sn accumulates motion measured since that
 binding.  Keeping the binding fixed gives a total-Lagrangian scheme;
 rebinding every step gives the usual Eulerian scheme; rebinding when enough
 particles exceed a volume-change threshold interpolates between the two.
+
+A binding stores each per-stencil-entry array once, component-major: the
+offsets r and the gradient weights G are (n, S, 2) views of (2, n, S)
+buffers, so every phase reads r[..., k] and G[..., k] as contiguous (n, S)
+arrays and contracts them entry by entry.  Deformation gradients are
+batches of 2x2 matrices, multiplied and reduced in closed form by the
+helpers in `constitutive`.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constitutive import det, matmul, pack
 from .errors import OrphanParticleError
 from .mls import QUADRATIC, Stencil, build_stencil, gradient_weights, moment_matrix
 
@@ -47,15 +55,20 @@ class UpdatePolicy:
 
 @dataclass
 class DeformationState:
-    """Per-particle deformation factors, both (n, d, d)."""
+    """Per-particle deformation factors, both (n, 2, 2)."""
 
     F_0s: np.ndarray
     F_sn: np.ndarray
 
     @classmethod
-    def identity(cls, n: int, dim: int) -> "DeformationState":
-        eye = np.broadcast_to(np.eye(dim), (n, dim, dim)).copy()
-        return cls(F_0s=eye, F_sn=eye.copy())
+    def identity(cls, n: int, dim: int = 2) -> "DeformationState":
+        if dim != 2:
+            raise ValueError("deformation gradients are 2x2")
+        return cls(F_0s=_identity(n), F_sn=_identity(n))
+
+
+def _identity(n: int) -> np.ndarray:
+    return pack(np.ones(n), np.zeros(n), np.zeros(n), np.ones(n))
 
 
 @dataclass
@@ -84,7 +97,8 @@ class ConfigurationMap:
         if transfer not in (LEAST_SQUARES, KERNEL):
             raise ValueError(f"unknown transfer {transfer!r}")
         positions = np.asarray(positions, dtype=np.float64)
-        st = build_stencil(positions, grid.origin, grid.dx, grid.n_nodes, order)
+        st = build_stencil(positions, grid.origin, grid.dx, grid.n_nodes, order,
+                           gradients=transfer == KERNEL)
         coverage = st.w.sum(axis=1)
         if np.any(coverage <= 0.0):
             idx = np.flatnonzero(coverage <= 0.0)
@@ -97,42 +111,51 @@ class ConfigurationMap:
             K = moment_matrix(st)
             G = gradient_weights(st, K)
         n, S = st.w.shape
-        slots = grid.activate(st.coords.reshape(-1, st.coords.shape[-1])).reshape(n, S)
+        slots = grid.activate(st.coords.reshape(-1, 2)).reshape(n, S)
         return cls(epoch=epoch, ref_positions=positions.copy(), stencil=st,
                    K=K, G=G, slots=slots, transfer=transfer)
 
     @property
     def node_ref_positions(self) -> np.ndarray:
-        """Reference positions of the bound nodes, (n, S, d)."""
+        """Reference positions of the bound nodes, (n, S, 2)."""
         return self.ref_positions[:, None, :] + self.stencil.r
+
+
+def contract(px: np.ndarray, py: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """sum_j p_j (x) G_j per particle, (n, 2, 2), from the node samples of a
+    vector field split by component, px and py (n, S)."""
+    gx, gy = G[..., 0], G[..., 1]
+    return pack(np.einsum("ns,ns->n", px, gx), np.einsum("ns,ns->n", px, gy),
+                np.einsum("ns,ns->n", py, gx), np.einsum("ns,ns->n", py, gy))
 
 
 def velocity_gradient_s(v_center: np.ndarray, v_nodes: np.ndarray,
                         cmap: ConfigurationMap) -> np.ndarray:
-    """Velocity gradient wrt the reference configuration, (n, d, d).
+    """Velocity gradient wrt the reference configuration, (n, 2, 2).
 
-    v_center is the particle velocity (n, d), v_nodes the grid velocities
-    gathered at the stencil nodes (n, S, d).
+    v_center is the particle velocity (n, 2), v_nodes the grid velocities
+    gathered at the stencil nodes (n, S, 2), best as a view of a (2, n, S)
+    buffer.
     """
-    delta = v_nodes - v_center[:, None, :]
-    return np.einsum("nsa,nsb->nab", delta, cmap.G)
+    return contract(v_nodes[..., 0] - v_center[:, 0, None],
+                    v_nodes[..., 1] - v_center[:, 1, None], cmap.G)
 
 
 def advance_F_sn(state: DeformationState, grad_v: np.ndarray, dt: float) -> int:
     """F_sn <- F_sn + dt grad_v in place; returns the count of non-positive
     determinants afterwards (inverted elements, reported as a diagnostic)."""
     state.F_sn += dt * grad_v
-    return int(np.count_nonzero(np.linalg.det(state.F_sn) <= 0.0))
+    return int(np.count_nonzero(det(state.F_sn) <= 0.0))
 
 
 def compose_total(state: DeformationState) -> np.ndarray:
-    """Total deformation gradient F_sn F_0s, (n, d, d)."""
-    return np.einsum("nab,nbc->nac", state.F_sn, state.F_0s)
+    """Total deformation gradient F_sn F_0s, (n, 2, 2)."""
+    return matmul(state.F_sn, state.F_0s)
 
 
 def deformation_delta(state: DeformationState) -> np.ndarray:
     """Volume-change measure |det F_sn - 1| per particle."""
-    return np.abs(np.linalg.det(state.F_sn) - 1.0)
+    return np.abs(det(state.F_sn) - 1.0)
 
 
 def should_update(delta: np.ndarray, policy: UpdatePolicy) -> tuple[int, bool]:
@@ -153,7 +176,6 @@ def apply_update(state: DeformationState, positions: np.ndarray, grid,
     of the same transfer flavor, with the epoch counter advanced by one.
     """
     state.F_0s = compose_total(state)
-    dim = state.F_sn.shape[-1]
-    state.F_sn = np.broadcast_to(np.eye(dim), state.F_sn.shape).copy()
+    state.F_sn = _identity(state.F_sn.shape[0])
     return ConfigurationMap.build(positions, grid, cmap.stencil.order, cmap.epoch + 1,
                                   cmap.transfer)

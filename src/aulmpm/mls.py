@@ -1,9 +1,9 @@
 """Moving least squares gradient operators on a uniform background grid.
 
-Interpolation uses tensor-product B-spline windows (quadratic or cubic).
-All routines are batched: positions are (n, d) arrays and a stencil table
-holds the bound neighborhood of every center at once.  Offsets follow the
-convention r = neighbor - center throughout.
+Interpolation uses tensor-product B-spline windows (quadratic or cubic) on
+a 2-D grid.  All routines are batched: positions are (n, 2) arrays and a
+stencil table holds the bound neighborhood of every center at once.
+Offsets follow the convention r = neighbor - center throughout.
 
 The least-squares gradient of a field phi sampled at the stencil nodes is
 
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constitutive import pack
 from .errors import DegenerateNeighborhoodError, OutOfDomainError
 
 QUADRATIC = "quadratic"
@@ -84,16 +85,21 @@ def bspline_weight(offset: np.ndarray, order: str = QUADRATIC) -> tuple[np.ndarr
 class Stencil:
     """Bound neighborhoods of n centers against one uniform grid.
 
-    coords  (n, S, d) integer lattice coordinates of the nodes
-    r       (n, S, d) physical offsets node - center
+    coords  (n, S, 2) integer lattice coordinates of the nodes
+    r       (n, S, 2) physical offsets node - center
     w       (n, S)    window weights (each row sums to 1)
-    dw      (n, S, d) window gradients wrt the center position, per length
+    dw      (n, S, 2) window gradients wrt the center position, per length,
+            or None when they were not asked for
+
+    `build_stencil` stores r and dw component-major: both are views of
+    (2, n, S) buffers, so r[..., k] and dw[..., k] are contiguous (n, S)
+    arrays.
     """
 
     coords: np.ndarray
     r: np.ndarray
     w: np.ndarray
-    dw: np.ndarray
+    dw: np.ndarray | None
     order: str
     dx: float
 
@@ -103,16 +109,18 @@ class Stencil:
 
 
 def build_stencil(centers: np.ndarray, origin: np.ndarray, dx: float,
-                  n_nodes: np.ndarray, order: str = QUADRATIC) -> Stencil:
+                  n_nodes: np.ndarray, order: str = QUADRATIC,
+                  gradients: bool = True) -> Stencil:
     """Bind each center to the grid nodes inside its window support.
 
     n_nodes gives the node count per axis; a center whose support sticks out
-    of the node box raises OutOfDomainError (no one-sided stencils).
+    of the node box raises OutOfDomainError (no one-sided stencils).  With
+    `gradients=False` the window gradients are skipped (dw is None).
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
     origin = np.asarray(origin, dtype=np.float64)
     n_nodes = np.asarray(n_nodes, dtype=np.int64)
-    n, dim = centers.shape
+    n = centers.shape[0]
     count = _SUPPORT[order]
 
     u = (centers - origin) / dx
@@ -129,31 +137,44 @@ def build_stencil(centers: np.ndarray, origin: np.ndarray, dx: float,
             f"first indices {idx[:8].tolist()}"
         )
 
-    offs = _offsets(count, dim)                       # (S, dim)
-    frac = u[:, None, :] - base[:, None, :]           # offset of center from base, cells
-    args = frac - offs[None, :, :]                    # center - node per axis, cells
-    w1, dw1 = _bspline_1d(args, order)                # (n, S, dim)
+    # per axis: node lattice index, center - node (cells), window and slope
+    steps = np.arange(count)
+    node = base[:, :, None] + steps                       # (n, 2, count)
+    w1, dw1 = _bspline_1d((u - base)[:, :, None] - steps, order)
+    r1 = (node - u[:, :, None]) * dx
 
-    w = np.prod(w1, axis=-1)
-    dw = np.empty((n, offs.shape[0], dim))
-    for k in range(dim):
-        prod = np.ones_like(w)
-        for j in range(dim):
-            if j != k:
-                prod = prod * w1[..., j]
-        dw[..., k] = dw1[..., k] * prod / dx
+    # tensor product over the lexicographic (x-major) node order
+    S = count * count
+    w = (w1[:, 0, :, None] * w1[:, 1, None, :]).reshape(n, S)
+    r = np.empty((2, n, count, count))
+    r[0] = r1[:, 0, :, None]
+    r[1] = r1[:, 1, None, :]
+    dw = None
+    if gradients:
+        dw = np.empty((2, n, count, count))
+        np.multiply(dw1[:, 0, :, None], w1[:, 1, None, :], out=dw[0])
+        np.multiply(w1[:, 0, :, None], dw1[:, 1, None, :], out=dw[1])
+        dw /= dx
+        dw = np.moveaxis(dw.reshape(2, n, S), 0, -1)
 
-    coords = base[:, None, :] + offs[None, :, :]
-    r = (coords - u[:, None, :]) * dx
-    return Stencil(coords=coords, r=r, w=w, dw=dw, order=order, dx=float(dx))
+    coords = base[:, None, :] + _offsets(count, 2)[None, :, :]
+    return Stencil(coords=coords, r=np.moveaxis(r.reshape(2, n, S), 0, -1), w=w,
+                   dw=dw, order=order, dx=float(dx))
 
 
 def moment_matrix(stencil: Stencil) -> np.ndarray:
-    """Inverse second-moment matrix K_p = (sum_j r_j (x) r_j W_j)^-1, (n, d, d)."""
-    m = np.einsum("nsa,nsb,ns->nab", stencil.r, stencil.r, stencil.w)
-    eig = np.linalg.eigvalsh(m)
-    lo = np.min(np.abs(eig), axis=1)
-    hi = np.max(np.abs(eig), axis=1)
+    """Inverse second-moment matrix K_p = (sum_j r_j (x) r_j W_j)^-1, (n, 2, 2)."""
+    w = stencil.w
+    rx, ry = stencil.r[..., 0], stencil.r[..., 1]
+    wrx = w * rx
+    a = np.einsum("ns,ns->n", wrx, rx)
+    b = np.einsum("ns,ns->n", wrx, ry)
+    c = np.einsum("ns,ns->n", w * ry, ry)
+    # eigenvalues of the symmetric [[a, b], [b, c]] are mid +- rad
+    mid = 0.5 * (a + c)
+    rad = np.hypot(0.5 * (a - c), b)
+    hi = np.abs(mid) + rad
+    lo = np.abs(np.abs(mid) - rad)
     cond = np.where(lo > 0.0, hi / np.maximum(lo, 1e-300), np.inf)
     if np.any(cond > COND_LIMIT):
         worst = int(np.argmax(cond))
@@ -161,15 +182,24 @@ def moment_matrix(stencil: Stencil) -> np.ndarray:
             f"moment matrix condition {cond[worst]:.3e} exceeds {COND_LIMIT:.1e} "
             f"at center {worst}"
         )
-    return np.linalg.inv(m)
+    det = a * c - b * b
+    return pack(c / det, -b / det, -b / det, a / det)
 
 
 def gradient_weights(stencil: Stencil, K: np.ndarray) -> np.ndarray:
-    """Per-node gradient vectors g_j = W_j K r_j, shape (n, S, d).
+    """Per-node gradient vectors g_j = W_j K r_j, shape (n, S, 2).
 
     The least-squares gradient of any field is then sum_j (phi_j - phi_c) (x) g_j.
+    Stored component-major like the stencil offsets.
     """
-    return stencil.w[:, :, None] * np.einsum("nab,nsb->nsa", K, stencil.r)
+    w = stencil.w
+    rx, ry = stencil.r[..., 0], stencil.r[..., 1]
+    G = np.empty((2,) + w.shape)
+    for a in range(2):
+        np.multiply(K[:, a, 0, None], rx, out=G[a])
+        G[a] += K[:, a, 1, None] * ry
+        G[a] *= w
+    return np.moveaxis(G, 0, -1)
 
 
 def mls_gradient(phi_center: np.ndarray, phi_nodes: np.ndarray,

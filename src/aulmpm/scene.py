@@ -1,8 +1,9 @@
 """Scene description: loading, validation and particle sampling.
 
-Scenes are JSON documents with a grid box, a solver block, a list of
+Scenes are JSON documents with a 2-D grid box, a solver block, a list of
 objects (shape + material + initial motion) and optional collision
-geometry.  `load_scene` accepts a path or an already-parsed dict,
+geometry.  Every vector has exactly two components; the schema rejects
+3-D scenes.  `load_scene` accepts a path or an already-parsed dict,
 validates it against the bundled schema plus a handful of semantic
 checks, and returns a `Scene`.
 """
@@ -64,10 +65,6 @@ class Scene:
     solver: SolverConfig
     objects: list[ObjectSpec]
     colliders: list
-
-    @property
-    def dim(self) -> int:
-        return self.origin.shape[0]
 
     @property
     def dx(self) -> float:
@@ -175,8 +172,6 @@ def _object_from(raw: dict, index: int, dim: int) -> ObjectSpec:
     if upd is not None:
         upd = UpdatePolicy(epsilon=upd["epsilon"], eta=upd["eta"])
     ang = float(raw.get("angular_velocity", 0.0))
-    if ang != 0.0 and dim != 2:
-        raise SceneError("scalar angular_velocity is a 2d feature")
     return ObjectSpec(name=raw.get("name", f"object{index}"),
                       shape=raw["shape"], spacing=float(raw["spacing"]),
                       material=mat, jitter=float(raw.get("jitter", 0.0)),
@@ -218,9 +213,7 @@ def load_scene(source) -> Scene:
     origin = np.asarray(grid["origin"], dtype=np.float64)
     size = np.asarray(grid["size"], dtype=np.float64)
     cells = np.asarray(grid["cells"], dtype=np.int64)
-    dim = origin.shape[0]
-    if size.shape != (dim,) or cells.shape != (dim,):
-        raise SceneError("grid origin, size and cells must share one dimension")
+    dim = 2  # the schema admits 2-component vectors only
     if np.any(size <= 0):
         raise SceneError("grid size must be positive")
     dx = size / cells

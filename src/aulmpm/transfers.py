@@ -13,6 +13,16 @@ G_j = W_j K r_j and p2g scatters affine momentum (MLS-MPM / APIC); on a
 kernel binding G_j = grad W_j, p2g scatters plain momentum and g2p blends
 PIC with FLIP velocities (standard MPM).  Scatter-adds are bincount-based
 and run in particle order, which keeps runs bit-reproducible.
+
+The arithmetic is written out for 2x2 blocks, entry by entry.  The binding
+stores its per-stencil-entry arrays once, component-major: w is (n, S), and
+the offsets r and gradient weights G are (n, S, 2) views of (2, n, S)
+buffers, so r[..., k] and G[..., k] are contiguous (n, S) arrays.  Each
+phase makes a few elementwise passes over them: p2g forms m w (v_k + C_k r)
+per component, the forces scatter (P0 F_0s^T)_k0 G_x + (P0 F_0s^T)_k1 G_y,
+and g2p gathers node velocities into a (2, n, S) buffer and contracts it
+against w and G.  Per-particle 2x2 matrices are (n, 2, 2) views of
+component-major (2, 2, n) buffers (see `constitutive.pack`).
 """
 
 from __future__ import annotations
@@ -22,14 +32,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constitutive import (
-    FLUID,
     SNOW,
     MaterialModel,
+    det,
     energy_and_piola,
     hessian_action,
+    inverse,
+    matmul,
+    matmul_t,
 )
 from .kinematics import (KERNEL, LEAST_SQUARES, ConfigurationMap, DeformationState,
-                         UpdatePolicy, compose_total, velocity_gradient_s)
+                         UpdatePolicy, compose_total, contract, velocity_gradient_s)
 
 # relative CG residual and iteration cap for the implicit velocity solve
 CG_TOL = 1e-7
@@ -44,11 +57,11 @@ class Body:
     """Simulation state of one object."""
 
     material: MaterialModel
-    x: np.ndarray             # (n, d) positions
-    v: np.ndarray             # (n, d) velocities
+    x: np.ndarray             # (n, 2) positions
+    v: np.ndarray             # (n, 2) velocities
     m: np.ndarray             # (n,) masses
     V0: np.ndarray            # (n,) initial volumes
-    C: np.ndarray             # (n, d, d) velocity gradient wrt the binding
+    C: np.ndarray             # (n, 2, 2) velocity gradient wrt the binding
     state: DeformationState
     cmap: ConfigurationMap
     policy: UpdatePolicy | None = None   # None: never rebind
@@ -62,10 +75,6 @@ class Body:
     def n(self) -> int:
         return self.x.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.x.shape[1]
-
 
 def mass_epsilon(bodies) -> float:
     top = max(float(b.m.max()) for b in bodies)
@@ -73,12 +82,31 @@ def mass_epsilon(bodies) -> float:
 
 
 def _scatter(slots_flat: np.ndarray, values: np.ndarray, out: np.ndarray) -> None:
-    """Accumulate per-stencil-entry values (n*S,) or (n*S, d) into node arrays."""
-    if values.ndim == 1:
-        out += np.bincount(slots_flat, weights=values, minlength=out.shape[0])
-        return
-    for k in range(values.shape[1]):
-        out[:, k] += np.bincount(slots_flat, weights=values[:, k], minlength=out.shape[0])
+    """Accumulate per-stencil-entry values (n, S) into a node array (slots,)."""
+    out += np.bincount(slots_flat, weights=values.ravel(), minlength=out.shape[0])
+
+
+def _gather(field: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """Node vectors (slots, 2) at the stencil entries, as an (n, S, 2) view
+    of a component-major (2, n, S) array."""
+    return np.moveaxis(np.take(np.ascontiguousarray(field.T), slots, axis=1), 0, -1)
+
+
+def _interpolate(w: np.ndarray, vn: np.ndarray) -> np.ndarray:
+    """sum_j w_j v_j per particle, (n, 2), from gathered node vectors (n, S, 2)."""
+    return np.stack([np.einsum("ns,ns->n", w, vn[..., k]) for k in range(2)], axis=1)
+
+
+def _scatter_action(body: Body, A: np.ndarray, out: np.ndarray) -> None:
+    """out[slot_j] += A_p G_j for every stencil entry j of every particle p."""
+    gx, gy = body.cmap.G[..., 0], body.cmap.G[..., 1]
+    slots = body.cmap.slots.ravel()
+    f = np.empty_like(gx)
+    tmp = np.empty_like(gx)
+    for k in range(2):
+        np.multiply(A[:, k, 0, None], gx, out=f)
+        f += np.multiply(A[:, k, 1, None], gy, out=tmp)
+        _scatter(slots, f, out[:, k])
 
 
 # -------------------------------------------------------------------- p2g
@@ -87,32 +115,37 @@ def _scatter(slots_flat: np.ndarray, values: np.ndarray, out: np.ndarray) -> Non
 def p2g(body: Body, grid) -> None:
     """Scatter mass, momentum and current positions to the grid; the
     momentum carries the affine term C r only on a least-squares binding."""
-    st = body.cmap.stencil
-    slots = body.cmap.slots.ravel()
-    w = st.w
+    cmap = body.cmap
+    slots = cmap.slots.ravel()
+    w = cmap.stencil.w
     mw = body.m[:, None] * w
-
-    vel = body.v[:, None, :]
-    if body.cmap.transfer == LEAST_SQUARES:
-        vel = vel + np.einsum("nab,nsb->nsa", body.C, st.r)
-    mom = mw[:, :, None] * vel
-
-    _scatter(slots, mw.ravel(), grid.mass)
-    _scatter(slots, mom.reshape(-1, body.dim), grid.momentum)
-    _scatter(slots, (w[:, :, None] * body.x[:, None, :]).reshape(-1, body.dim),
-             grid.pos_accum)
-    _scatter(slots, w.ravel(), grid.w_accum)
+    _scatter(slots, mw, grid.mass)
+    _scatter(slots, w, grid.w_accum)
+    r, C = cmap.stencil.r, body.C
+    mom = np.empty_like(w)
+    tmp = np.empty_like(w)
+    for k in range(2):
+        if cmap.transfer == LEAST_SQUARES:
+            # m w (v + C r), entry by entry
+            np.multiply(C[:, k, 0, None], r[..., 0], out=mom)
+            mom += np.multiply(C[:, k, 1, None], r[..., 1], out=tmp)
+            mom += body.v[:, k, None]
+            mom *= mw
+        else:
+            np.multiply(mw, body.v[:, k, None], out=mom)
+        _scatter(slots, mom, grid.momentum[:, k])
+        _scatter(slots, np.multiply(w, body.x[:, k, None], out=tmp), grid.pos_accum[:, k])
 
 
 def finalize_grid(grid, mass_eps: float) -> None:
     """Momentum to velocity, and weighted current node positions."""
-    act = grid.mass > mass_eps
+    act = (grid.mass > mass_eps)[:, None]
     grid.velocity[:] = 0.0
-    grid.velocity[act] = grid.momentum[act] / grid.mass[act, None]
+    np.divide(grid.momentum, grid.mass[:, None], out=grid.velocity, where=act)
     grid.velocity0[:] = grid.velocity
-    covered = grid.w_accum > 1e-12
     grid.current = grid.position.copy()
-    grid.current[covered] = grid.pos_accum[covered] / grid.w_accum[covered, None]
+    np.divide(grid.pos_accum, grid.w_accum[:, None], out=grid.current,
+              where=(grid.w_accum > 1e-12)[:, None])
 
 
 # ------------------------------------------------------------------ stress
@@ -128,14 +161,14 @@ def stress_pass(body: Body) -> None:
     F_total = compose_total(body.state)
     cache["F_total"] = F_total
     if body.material.kind == SNOW:
-        Fp_inv = np.linalg.inv(body.F_plastic)
-        Jp = np.linalg.det(body.F_plastic)
-        Fe = np.einsum("nab,nbc->nac", F_total, Fp_inv)
+        Fp_inv = inverse(body.F_plastic)
+        Jp = det(body.F_plastic)
+        Fe = matmul(F_total, Fp_inv)
         ss = energy_and_piola(Fe, body.material, Jp)
         cache["Fe"] = Fe
         cache["Fp_inv"] = Fp_inv
         cache["Jp"] = Jp
-        cache["P0"] = np.einsum("nac,nbc->nab", ss.P, Fp_inv)
+        cache["P0"] = matmul_t(ss.P, Fp_inv)
     else:
         ss = energy_and_piola(F_total, body.material)
         cache["P0"] = ss.P
@@ -146,17 +179,16 @@ def piola_differential(body: Body, dF_total: np.ndarray) -> np.ndarray:
     """Directional stress derivative at the cached state, dP0 along dF_total."""
     cache = body._cache
     if body.material.kind == SNOW:
-        dFe = np.einsum("nab,nbc->nac", dF_total, cache["Fp_inv"])
+        dFe = matmul(dF_total, cache["Fp_inv"])
         dPe = hessian_action(cache["Fe"], dFe, body.material, cache["Jp"])
-        return np.einsum("nac,nbc->nab", dPe, cache["Fp_inv"])
+        return matmul_t(dPe, cache["Fp_inv"])
     return hessian_action(cache["F_total"], dF_total, body.material)
 
 
 def grid_internal_forces(body: Body, grid) -> None:
     """f_i -= V0 P0 F_0s^T G_i per bound node."""
-    PF = np.einsum("nab,ncb->nac", body._cache["P0"], body.state.F_0s)
-    contrib = -body.V0[:, None, None] * np.einsum("nac,nsc->nsa", PF, body.cmap.G)
-    _scatter(body.cmap.slots.ravel(), contrib.reshape(-1, body.dim), grid.force)
+    PF = matmul_t(body._cache["P0"], body.state.F_0s)
+    _scatter_action(body, -body.V0[:, None, None] * PF, grid.force)
 
 
 # ----------------------------------------------------------- grid dynamics
@@ -179,13 +211,11 @@ def hessian_apply(bodies, u: np.ndarray, act: np.ndarray | None = None) -> np.nd
         u = np.where(act[:, None], u, 0.0)
     out = np.zeros_like(u)
     for body in bodies:
-        un = u[body.cmap.slots]
-        dFsn = np.einsum("nsa,nsb->nab", un, body.cmap.G)
-        dF_total = np.einsum("nab,nbc->nac", dFsn, body.state.F_0s)
-        dP0 = piola_differential(body, dF_total)
-        dPF = np.einsum("nab,ncb->nac", dP0, body.state.F_0s)
-        contrib = body.V0[:, None, None] * np.einsum("nac,nsc->nsa", dPF, body.cmap.G)
-        _scatter(body.cmap.slots.ravel(), contrib.reshape(-1, u.shape[1]), out)
+        un = _gather(u, body.cmap.slots)
+        dFsn = contract(un[..., 0], un[..., 1], body.cmap.G)
+        F_0s = body.state.F_0s
+        dP0 = piola_differential(body, matmul(dFsn, F_0s))
+        _scatter_action(body, body.V0[:, None, None] * matmul_t(dP0, F_0s), out)
     if act is not None:
         out[~act] = 0.0
     return out
@@ -291,12 +321,14 @@ def g2p(body: Body, grid, dt: float, flip_blend: float = 0.0) -> None:
     particle velocity plus the gathered grid change) with weight flip_blend;
     elsewhere it is the PIC velocity.
     """
-    st = body.cmap.stencil
-    vn = grid.velocity[body.cmap.slots]
-    v_pic = np.einsum("ns,nsa->na", st.w, vn)
-    body.C = velocity_gradient_s(v_pic, vn, body.cmap)
-    if body.cmap.transfer == KERNEL:
-        delta = np.einsum("ns,nsa->na", st.w, vn - grid.velocity0[body.cmap.slots])
+    cmap = body.cmap
+    w = cmap.stencil.w
+    vn = _gather(grid.velocity, cmap.slots)
+    v_pic = _interpolate(w, vn)
+    body.C = velocity_gradient_s(v_pic, vn, cmap)
+    if cmap.transfer == KERNEL:
+        vn -= _gather(grid.velocity0, cmap.slots)
+        delta = _interpolate(w, vn)
         body.v = (1.0 - flip_blend) * v_pic + flip_blend * (body.v + delta)
     else:
         body.v = v_pic

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .constitutive import det
 from .engine import Simulation, StepRecord
 from .errors import SimulationError
 from .kinematics import compose_total
@@ -86,12 +87,11 @@ def convergence_study(scene: Scene, levels, bench: int) -> ConvergenceReport:
     levels = sorted(int(lv) for lv in levels)
     if bench <= levels[-1]:
         raise SimulationError("benchmark resolution must exceed every level")
-    dim = scene.dim
-    bx, bv = _final_state(scene.with_cells([bench] * dim))
+    bx, bv = _final_state(scene.with_cells([bench, bench]))
 
     cells, dxs, e_disp, e_vel, failures = [], [], [], [], []
     for lv in levels:
-        sub = scene.with_cells([lv] * dim)
+        sub = scene.with_cells([lv, lv])
         try:
             x, v = _final_state(sub)
         except SimulationError as exc:
@@ -385,7 +385,7 @@ def _spin_run(scene) -> dict:
     try:
         for _ in range(scene.solver.steps):
             sim.step()
-            J = np.linalg.det(compose_total(sim.bodies[0].state))
+            J = det(compose_total(sim.bodies[0].state))
             jlo = min(jlo, float(J.min()))
             jhi = max(jhi, float(J.max()))
     except SimulationError:

@@ -71,6 +71,17 @@ def test_invalid_scene_is_exit_2(tmp_path, capsys):
     assert "solver" in capsys.readouterr().err
 
 
+def test_three_dimensional_scene_is_exit_2(tmp_path, capsys):
+    solid = json.loads(json.dumps(SCENE))
+    solid["grid"] = {"origin": [0.0, 0.0, 0.0], "size": [1.0, 1.0, 1.0],
+                     "cells": [20, 20, 20]}
+    p = tmp_path / "solid.json"
+    p.write_text(json.dumps(solid))
+    rc = main(["sim", str(p)])
+    assert rc == 2
+    assert "grid" in capsys.readouterr().err
+
+
 def test_runtime_blowup_is_exit_3(tmp_path, capsys):
     wild = json.loads(json.dumps(SCENE))
     # extreme stiffness with a huge step makes the explicit update blow up

@@ -197,18 +197,17 @@ def test_mls_gradient_reproduces_affine_fields_exactly():
 
 
 def test_gradient_derivative_on_two_point_line_stencil():
-    # two nodes at +-h with unit weights: d(grad)/d(phi_j) = +-1/(2h)
+    # two nodes at +-h per axis with unit weights: d(grad)/d(phi_j) = +-1/(2h)
     h = 0.25
-    r = np.array([[[-h], [h]]])
-    st = Stencil(coords=np.zeros((1, 2, 1), dtype=np.int64), r=r,
-                 w=np.ones((1, 2)), dw=np.zeros((1, 2, 1)),
+    r = np.array([[[-h, 0.0], [h, 0.0], [0.0, -h], [0.0, h]]])
+    st = Stencil(coords=np.zeros((1, 4, 2), dtype=np.int64), r=r,
+                 w=np.ones((1, 4)), dw=np.zeros((1, 4, 2)),
                  order=QUADRATIC, dx=h)
     K = moment_matrix(st)
-    np.testing.assert_allclose(K, [[[1.0 / (2 * h * h)]]], rtol=1e-14)
+    np.testing.assert_allclose(K, [np.eye(2) / (2 * h * h)], rtol=1e-14)
     g_nodes, g_center = mls_gradient_derivative(st, K)
-    np.testing.assert_allclose(g_nodes[0, :, 0], [-1.0 / (2 * h), 1.0 / (2 * h)],
-                               rtol=1e-14)
-    np.testing.assert_allclose(g_center[0, 0], 0.0, atol=1e-15)
+    np.testing.assert_allclose(g_nodes[0], r[0] / (2 * h * h), rtol=1e-14)
+    np.testing.assert_allclose(g_center[0], 0.0, atol=1e-15)
 
 
 def test_gradient_derivative_matches_finite_differences():

@@ -107,6 +107,24 @@ def test_non_square_cells_rejected():
         load_scene(raw)
 
 
+@pytest.mark.parametrize("key", ["origin", "size", "cells"])
+def test_three_component_grid_vectors_rejected(key):
+    raw = _minimal()
+    raw["grid"][key] = raw["grid"][key] + raw["grid"][key][:1]
+    with pytest.raises(SceneError, match=f"grid/{key}"):
+        load_scene(raw)
+
+
+def test_three_dimensional_scene_rejected():
+    raw = _minimal(gravity=[0.0, -9.81, 0.0])
+    raw["grid"] = {"origin": [0.0, 0.0, 0.0], "size": [1.0, 1.0, 1.0],
+                   "cells": [16, 16, 16]}
+    raw["objects"][0]["shape"] = {"type": "box", "min": [0.3, 0.3, 0.3],
+                                  "max": [0.7, 0.7, 0.7]}
+    with pytest.raises(SceneError):
+        load_scene(raw)
+
+
 def test_missing_file_is_scene_error(tmp_path):
     with pytest.raises(SceneError, match="cannot read"):
         load_scene(tmp_path / "nope.json")

@@ -133,6 +133,8 @@ def _forces(body, grid):
 
 
 _KINDS = ["solid", "solid_mid_epoch", "fluid", "snow"]
+# one fixed seed per kind, so every run draws the same clouds and deformations
+_SEEDS = {"solid": 101, "solid_mid_epoch": 102, "fluid": 103, "snow": 104}
 
 
 @pytest.mark.parametrize(
@@ -140,7 +142,7 @@ _KINDS = ["solid", "solid_mid_epoch", "fluid", "snow"]
     [(k, LEAST_SQUARES) for k in _KINDS] + [(k, KERNEL) for k in _KINDS],
     ids=_KINDS + [f"{k}-{KERNEL}" for k in _KINDS])
 def test_forces_are_energy_gradient(kind, transfer):
-    rng = np.random.default_rng(hash(kind) % 2**31)
+    rng = np.random.default_rng(_SEEDS[kind])
     grid = _grid()
     if kind == "fluid":
         mat = MaterialModel.fluid(density=1000.0, bulk=100.0)
