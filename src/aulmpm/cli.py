@@ -3,10 +3,12 @@
 Subcommands:
   sim       run one scene and write frames/stats/summary
   converge  grid refinement study against a fine benchmark
-  verify    run the built-in property checks
+  verify    run the acceptance criteria (all, or those named by --only)
+            and print one scorecard line each, as the test suite does
 
-Exit codes: 0 success, 2 scene/argument validation error, 3 runtime
-failure (including failed verify checks).
+Exit codes: 0 success, 2 scene/argument validation error (including an
+unknown check name), 3 runtime failure (including a failed or overrun
+check).
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="benchmark exponent k, grid 2^k per axis")
     conv.add_argument("--out", help="error table CSV path")
 
-    ver = sub.add_parser("verify", help="run the property checks")
+    ver = sub.add_parser("verify", help="run the acceptance criteria")
     ver.add_argument("--only", action="append", default=None,
                      help="run just this named check (repeatable)")
     return top
@@ -115,12 +117,9 @@ def _cmd_verify(args) -> int:
     from .verify import run_property_checks
 
     results = run_property_checks(args.only)
-    failed = 0
-    for name, res in results.items():
-        status = "pass" if res["passed"] else "FAIL"
-        metrics = {k: v for k, v in res.items() if k != "passed"}
-        print(f"{status}  {name}  {json.dumps(metrics)}")
-        failed += 0 if res["passed"] else 1
+    for res in results.values():
+        print(res["line"])
+    failed = sum(not res["passed"] for res in results.values())
     if failed:
         print(f"{failed} check(s) failed", file=sys.stderr)
         return 3

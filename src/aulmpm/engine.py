@@ -97,7 +97,7 @@ class Simulation:
         self.bodies: list[Body] = []
         rng = np.random.default_rng(scene.solver.seed)
         for obj in scene.objects:
-            pts = sample_shape(obj.shape, obj.spacing, 2, obj.jitter, rng)
+            pts = sample_shape(obj.shape, obj.spacing, obj.jitter, rng)
             n = pts.shape[0]
             vol = obj.spacing ** 2
             vel = np.tile(obj.velocity, (n, 1))

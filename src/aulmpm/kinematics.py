@@ -61,9 +61,7 @@ class DeformationState:
     F_sn: np.ndarray
 
     @classmethod
-    def identity(cls, n: int, dim: int = 2) -> "DeformationState":
-        if dim != 2:
-            raise ValueError("deformation gradients are 2x2")
+    def identity(cls, n: int) -> "DeformationState":
         return cls(F_0s=_identity(n), F_sn=_identity(n))
 
 

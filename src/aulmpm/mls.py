@@ -32,16 +32,15 @@ _SUPPORT = {QUADRATIC: 3, CUBIC: 4}
 # condition number above which a neighborhood counts as degenerate
 COND_LIMIT = 1.0e8
 
-_offset_cache: dict[tuple[int, int], np.ndarray] = {}
+_offset_cache: dict[int, np.ndarray] = {}
 
 
-def _offsets(count: int, dim: int) -> np.ndarray:
-    """Lexicographic (S, dim) table of node offsets 0..count-1 per axis."""
-    key = (count, dim)
-    if key not in _offset_cache:
-        grids = np.meshgrid(*([np.arange(count)] * dim), indexing="ij")
-        _offset_cache[key] = np.stack(grids, axis=-1).reshape(-1, dim)
-    return _offset_cache[key]
+def _offsets(count: int) -> np.ndarray:
+    """Lexicographic (S, 2) table of node offsets 0..count-1 per axis."""
+    if count not in _offset_cache:
+        grids = np.meshgrid(np.arange(count), np.arange(count), indexing="ij")
+        _offset_cache[count] = np.stack(grids, axis=-1).reshape(-1, 2)
+    return _offset_cache[count]
 
 
 def _bspline_1d(x: np.ndarray, order: str) -> tuple[np.ndarray, np.ndarray]:
@@ -157,7 +156,7 @@ def build_stencil(centers: np.ndarray, origin: np.ndarray, dx: float,
         dw /= dx
         dw = np.moveaxis(dw.reshape(2, n, S), 0, -1)
 
-    coords = base[:, None, :] + _offsets(count, 2)[None, :, :]
+    coords = base[:, None, :] + _offsets(count)[None, :, :]
     return Stencil(coords=coords, r=np.moveaxis(r.reshape(2, n, S), 0, -1), w=w,
                    dw=dw, order=order, dx=float(dx))
 

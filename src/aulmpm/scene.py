@@ -75,10 +75,10 @@ class Scene:
         return replace(self, cells=np.asarray(cells, dtype=np.int64))
 
 
-def _vec(raw, dim: int, what: str) -> np.ndarray:
+def _vec(raw, what: str) -> np.ndarray:
     v = np.asarray(raw, dtype=np.float64)
-    if v.shape != (dim,):
-        raise SceneError(f"{what} must have {dim} components, got {list(raw)}")
+    if v.shape != (2,):
+        raise SceneError(f"{what} must have 2 components, got {list(raw)}")
     return v
 
 
@@ -101,53 +101,53 @@ def _material_from(raw: dict) -> MaterialModel:
                                      poisson=raw["poisson"], **extra)
 
 
-def _collider_from(raw: dict, dim: int):
+def _collider_from(raw: dict):
     mode = raw.get("mode", "slip")
     vel = raw.get("velocity")
     if vel is not None:
-        vel = _vec(vel, dim, "collider velocity")
+        vel = _vec(vel, "collider velocity")
     if raw["type"] == "half_space":
         if "point" not in raw or "normal" not in raw:
             raise SceneError("half_space collider needs point and normal")
-        normal = _vec(raw["normal"], dim, "collider normal")
+        normal = _vec(raw["normal"], "collider normal")
         if np.linalg.norm(normal) == 0.0:
             raise SceneError("collider normal must be nonzero")
-        return HalfSpace(point=_vec(raw["point"], dim, "collider point"),
+        return HalfSpace(point=_vec(raw["point"], "collider point"),
                          normal=normal, mode=mode, velocity=vel)
     if "center" not in raw or "radius" not in raw:
         raise SceneError("sphere collider needs center and radius")
-    return SphereObstacle(center=_vec(raw["center"], dim, "collider center"),
+    return SphereObstacle(center=_vec(raw["center"], "collider center"),
                           radius=float(raw["radius"]), mode=mode, velocity=vel)
 
 
-def _shape_bounds(shape: dict, dim: int) -> tuple[np.ndarray, np.ndarray]:
+def _shape_bounds(shape: dict) -> tuple[np.ndarray, np.ndarray]:
     if shape["type"] == "disk":
-        c = _vec(shape["center"], dim, "disk center")
+        c = _vec(shape["center"], "disk center")
         r = float(shape["radius"])
         return c - r, c + r
-    lo = _vec(shape["min"], dim, "box min")
-    hi = _vec(shape["max"], dim, "box max")
+    lo = _vec(shape["min"], "box min")
+    hi = _vec(shape["max"], "box max")
     if np.any(hi <= lo):
         raise SceneError("box max must exceed box min on every axis")
     return lo, hi
 
 
-def sample_shape(shape: dict, spacing: float, dim: int,
-                 jitter: float = 0.0, rng=None) -> np.ndarray:
+def sample_shape(shape: dict, spacing: float, jitter: float = 0.0,
+                 rng=None) -> np.ndarray:
     """Cell-centered lattice of pitch `spacing` clipped to the shape.
 
     The lattice is anchored at the shape's lower bound, so the point count
     depends only on the shape and the spacing, never on the grid.
     """
-    lo, hi = _shape_bounds(shape, dim)
+    lo, hi = _shape_bounds(shape)
     axes = []
-    for k in range(dim):
+    for k in range(2):
         # relative nudge so exact multiples are not lost to rounding
         count = int(math.floor((hi[k] - lo[k]) / spacing * (1.0 + 1e-12)))
         axes.append(lo[k] + (np.arange(count) + 0.5) * spacing)
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
     if shape["type"] == "disk":
-        c = _vec(shape["center"], dim, "disk center")
+        c = _vec(shape["center"], "disk center")
         keep = np.einsum("nd,nd->n", pts - c, pts - c) <= float(shape["radius"]) ** 2
         pts = pts[keep]
     if pts.shape[0] == 0:
@@ -159,15 +159,15 @@ def sample_shape(shape: dict, spacing: float, dim: int,
     return pts
 
 
-def particle_count(shape: dict, spacing: float, dim: int) -> int:
+def particle_count(shape: dict, spacing: float) -> int:
     """Lattice point count for a shape without building jittered samples."""
-    return sample_shape(shape, spacing, dim).shape[0]
+    return sample_shape(shape, spacing).shape[0]
 
 
-def _object_from(raw: dict, index: int, dim: int) -> ObjectSpec:
+def _object_from(raw: dict, index: int) -> ObjectSpec:
     mat = _material_from(raw["material"])
     vel = raw.get("velocity")
-    vel = np.zeros(dim) if vel is None else _vec(vel, dim, "object velocity")
+    vel = np.zeros(2) if vel is None else _vec(vel, "object velocity")
     upd = raw.get("update")
     if upd is not None:
         upd = UpdatePolicy(epsilon=upd["epsilon"], eta=upd["eta"])
@@ -213,7 +213,6 @@ def load_scene(source) -> Scene:
     origin = np.asarray(grid["origin"], dtype=np.float64)
     size = np.asarray(grid["size"], dtype=np.float64)
     cells = np.asarray(grid["cells"], dtype=np.int64)
-    dim = 2  # the schema admits 2-component vectors only
     if np.any(size <= 0):
         raise SceneError("grid size must be positive")
     dx = size / cells
@@ -235,17 +234,17 @@ def load_scene(source) -> Scene:
         seed=int(sol.get("seed", 0)))
 
     gravity = raw.get("gravity")
-    gravity = np.zeros(dim) if gravity is None else _vec(gravity, dim, "gravity")
+    gravity = np.zeros(2) if gravity is None else _vec(gravity, "gravity")
 
-    objects = [_object_from(o, i, dim) for i, o in enumerate(raw["objects"])]
+    objects = [_object_from(o, i) for i, o in enumerate(raw["objects"])]
     margin = 2.0 * float(dx[0])
     for obj in objects:
-        lo, hi = _shape_bounds(obj.shape, dim)
+        lo, hi = _shape_bounds(obj.shape)
         if np.any(lo < origin + margin) or np.any(hi > origin + size - margin):
             raise SceneError(
                 f"object {obj.name!r} must stay {margin:g} away from the domain edge")
 
-    colliders = [_collider_from(c, dim) for c in raw.get("colliders", [])]
+    colliders = [_collider_from(c) for c in raw.get("colliders", [])]
     return Scene(name=raw.get("name", "scene"), origin=origin, size=size,
                  cells=cells, gravity=gravity, solver=solver,
                  objects=objects, colliders=colliders)

@@ -36,7 +36,7 @@ def _grid(n_cells=32, dx=1.0 / 32.0):
 
 
 def test_compose_total_multiplies_in_map_order():
-    state = DeformationState.identity(1, 2)
+    state = DeformationState.identity(1)
     state.F_0s[0] = [[2.0, 0.0], [0.0, 1.0]]   # applied first
     state.F_sn[0] = [[1.0, 0.5], [0.0, 1.0]]   # applied second
     expect = np.array([[1.0, 0.5], [0.0, 1.0]]) @ np.array([[2.0, 0.0], [0.0, 1.0]])
@@ -44,7 +44,7 @@ def test_compose_total_multiplies_in_map_order():
 
 
 def test_deformation_delta_measures_volume_change_since_binding():
-    state = DeformationState.identity(3, 2)
+    state = DeformationState.identity(3)
     state.F_sn[1] = [[1.2, 0.0], [0.0, 1.0]]
     state.F_sn[2] = [[0.0, 1.0], [-1.0, 0.0]]  # rotation, det = 1
     np.testing.assert_allclose(deformation_delta(state), [0.0, 0.2, 0.0], atol=1e-14)
@@ -82,8 +82,8 @@ def test_accumulation_is_independent_of_rebinding_schedule():
     for L in Ls:
         ref = (np.eye(2) + dt * L) @ ref
 
-    folding = DeformationState.identity(1, 2)
-    plain = DeformationState.identity(1, 2)
+    folding = DeformationState.identity(1)
+    plain = DeformationState.identity(1)
     for k, L in enumerate(Ls):
         for state in (folding, plain):
             grad = np.einsum("ab,nbc->nac", L, state.F_sn)
@@ -99,7 +99,7 @@ def test_accumulation_is_independent_of_rebinding_schedule():
 
 
 def test_advance_reports_inverted_elements():
-    state = DeformationState.identity(2, 2)
+    state = DeformationState.identity(2)
     grad = np.zeros((2, 2, 2))
     grad[0] = [[-3.0, 0.0], [0.0, 0.0]]  # drives det negative at dt = 1
     assert advance_F_sn(state, grad, 1.0) == 1
@@ -148,7 +148,7 @@ def test_binding_carries_the_gradient_weights_of_its_transfer():
     B = np.array([[0.4, -1.1], [0.9, 0.2]])
     grad = velocity_gradient_s(pos @ B.T, kernel.node_ref_positions @ B.T, kernel)
     np.testing.assert_allclose(grad, np.broadcast_to(B, grad.shape), atol=AFFINE_ATOL)
-    rebound = apply_update(DeformationState.identity(25, 2), pos + 0.05, grid, kernel)
+    rebound = apply_update(DeformationState.identity(25), pos + 0.05, grid, kernel)
     assert rebound.transfer == KERNEL and rebound.K is None
     np.testing.assert_array_equal(rebound.G, rebound.stencil.dw)
     with pytest.raises(ValueError, match="unknown transfer"):
@@ -160,7 +160,7 @@ def test_apply_update_folds_and_rebinds():
     rng = np.random.default_rng(13)
     pos = rng.uniform(0.3, 0.7, size=(25, 2))
     cmap = ConfigurationMap.build(pos, grid)
-    state = DeformationState.identity(25, 2)
+    state = DeformationState.identity(25)
     state.F_sn = np.broadcast_to(np.array([[1.1, 0.2], [0.0, 0.9]]), (25, 2, 2)).copy()
     total_before = compose_total(state)
 

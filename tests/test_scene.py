@@ -24,24 +24,24 @@ def _minimal(**overrides):
 
 def test_box_lattice_count():
     scene = load_scene(_minimal())
-    pts = sample_shape(scene.objects[0].shape, 0.05, 2)
+    pts = sample_shape(scene.objects[0].shape, 0.05)
     assert pts.shape == (64, 2)  # (0.4 / 0.05)^2
     assert pts.min() >= 0.3 and pts.max() <= 0.7
 
 
 def test_disk_count_independent_of_grid():
     shape = {"type": "disk", "center": [0.5, 0.5], "radius": 0.2}
-    n = particle_count(shape, 0.01, 2)
+    n = particle_count(shape, 0.01)
     assert abs(n - np.pi * 0.04 / 1e-4) / n < 0.02
     # count must not depend on any grid quantity, only shape and spacing
-    assert particle_count(shape, 0.01, 2) == n
+    assert particle_count(shape, 0.01) == n
 
 
 def test_jitter_stays_bounded_and_reproducible():
     shape = {"type": "box", "min": [0.3, 0.3], "max": [0.6, 0.6]}
-    a = sample_shape(shape, 0.05, 2, jitter=0.8, rng=np.random.default_rng(9))
-    b = sample_shape(shape, 0.05, 2, jitter=0.8, rng=np.random.default_rng(9))
-    plain = sample_shape(shape, 0.05, 2)
+    a = sample_shape(shape, 0.05, jitter=0.8, rng=np.random.default_rng(9))
+    b = sample_shape(shape, 0.05, jitter=0.8, rng=np.random.default_rng(9))
+    plain = sample_shape(shape, 0.05)
     np.testing.assert_array_equal(a, b)
     assert np.abs(a - plain).max() <= 0.4 * 0.05 + 1e-15
 
@@ -155,7 +155,7 @@ def test_bundled_scenes_load():
 def test_pinned_plate_particle_count():
     scene = bundled_scene("rotating_plate")
     obj = scene.objects[0]
-    assert particle_count(obj.shape, obj.spacing, 2) == 41943
+    assert particle_count(obj.shape, obj.spacing) == 41943
 
 
 def test_with_cells_changes_resolution_only():

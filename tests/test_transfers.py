@@ -37,7 +37,7 @@ def _body(positions, grid, material=SOLID, velocity=None, F_plastic=False,
         m=material.density * V0,
         V0=V0,
         C=np.zeros((n, d, d)),
-        state=DeformationState.identity(n, d),
+        state=DeformationState.identity(n),
         cmap=ConfigurationMap.build(positions, grid, transfer=transfer),
         F_plastic=np.tile(np.eye(d), (n, 1, 1)) if F_plastic else None,
     )

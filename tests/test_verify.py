@@ -1,6 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from aulmpm import verify
+from aulmpm.cli import main
 from aulmpm.engine import Simulation, StepRecord
 from aulmpm.errors import SimulationError
 from aulmpm.scene import load_scene
@@ -155,3 +159,23 @@ def test_property_checks_all_pass_and_unknown_name():
     assert all(v["passed"] for v in res.values())
     with pytest.raises(SimulationError, match="unknown check"):
         run_property_checks(["nope"])
+
+
+def test_failed_spin_run_is_a_fail_line(monkeypatch):
+    lost = {"completed": False, "failed_step": 3, "j_lo": np.inf, "j_hi": -np.inf}
+    monkeypatch.setattr(verify, "_spin_run", lambda scene: dict(lost))
+    res = run_property_checks(["fracture_proxy"])["fracture_proxy"]
+    assert res["passed"] is False
+    assert res["adaptive_drift"] is None
+    assert " FAIL " in res["line"] and "drift=n/a" in res["line"]
+
+
+def test_overrun_budget_fails_the_check(monkeypatch, capsys):
+    name = "transfer_identity"
+    monkeypatch.setitem(verify.CHECKS, name,
+                        dataclasses.replace(verify.CHECKS[name], budget=0.0))
+    res = run_property_checks([name])[name]
+    assert res["passed"] is False
+    assert " FAIL " in res["line"] and res["line"].endswith("s < 0s")
+    assert main(["verify", "--only", name]) == 3
+    capsys.readouterr()
