@@ -114,12 +114,12 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .verify import run_property_checks
+    from .verify import iter_property_checks
 
-    results = run_property_checks(args.only)
-    for res in results.values():
-        print(res["line"])
-    failed = sum(not res["passed"] for res in results.values())
+    failed = 0
+    for _, res in iter_property_checks(args.only):
+        print(res["line"], flush=True)
+        failed += not res["passed"]
     if failed:
         print(f"{failed} check(s) failed", file=sys.stderr)
         return 3

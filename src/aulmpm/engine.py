@@ -67,6 +67,7 @@ class StepRecord:
     marked_fraction: float
     wall_ms: float
     rebound: bool
+    rebind_ms: float = 0.0   # wall time of this step's rebinds, 0 without one
 
 
 def _policy_for(obj, mode: str) -> UpdatePolicy | None:
@@ -185,6 +186,7 @@ class Simulation:
         grid_collisions(grid, self.colliders, dt, self.mass_eps)
 
         rebound = False
+        rebind_ms = 0.0
         total_marked = 0
         for b in self.bodies:
             g2p(b, grid, dt, sol.flip_blend)
@@ -201,7 +203,9 @@ class Simulation:
                 b.marked = marked
                 total_marked += marked
                 if fire:
+                    t_bind = time.perf_counter()
                     b.cmap = apply_update(b.state, b.x, grid, b.cmap)
+                    rebind_ms += (time.perf_counter() - t_bind) * 1e3
                     b.updates += 1
                     rebound = True
             else:
@@ -210,10 +214,11 @@ class Simulation:
 
         self.time += dt
         self.steps_done += 1
-        self._record(total_marked, rebound, (time.perf_counter() - t0) * 1e3)
+        self._record(total_marked, rebound, (time.perf_counter() - t0) * 1e3, rebind_ms)
         return rebound
 
-    def _record(self, total_marked: int, rebound: bool, wall_ms: float) -> None:
+    def _record(self, total_marked: int, rebound: bool, wall_ms: float,
+                rebind_ms: float) -> None:
         mass = 0.0
         mom = np.zeros(2)
         ang = 0.0
@@ -231,7 +236,7 @@ class Simulation:
             angular_momentum=ang, kinetic_energy=kin,
             updates=sum(b.updates for b in self.bodies),
             marked_fraction=total_marked / self.n_particles,
-            wall_ms=wall_ms, rebound=rebound))
+            wall_ms=wall_ms, rebound=rebound, rebind_ms=rebind_ms))
 
     # ------------------------------------------------------------- output
 
@@ -267,7 +272,7 @@ class Simulation:
 
     def _write_stats(self, out: Path) -> None:
         cols = ["step", "time", "mass", "momentum_x", "momentum_y", "angular_momentum",
-                "kinetic_energy", "updates", "marked_fraction", "wall_ms"]
+                "kinetic_energy", "updates", "marked_fraction", "wall_ms", "rebind_ms"]
         with (out / "stats.csv").open("w") as fh:
             fh.write(",".join(cols) + "\n")
             for r in self.records:
@@ -275,7 +280,7 @@ class Simulation:
                 vals += [f"{v:.17g}" for v in r.momentum]
                 vals += [f"{r.angular_momentum:.17g}", f"{r.kinetic_energy:.17g}",
                          str(r.updates), f"{r.marked_fraction:.17g}",
-                         f"{r.wall_ms:.6g}"]
+                         f"{r.wall_ms:.6g}", f"{r.rebind_ms:.6g}"]
                 fh.write(",".join(vals) + "\n")
 
     def summary(self) -> dict:

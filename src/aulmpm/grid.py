@@ -1,8 +1,9 @@
 """Tile-based sparse background grid and static collision geometry.
 
-Nodes live on a uniform lattice; storage is allocated in fixed-size tiles
-(tile^d nodes each) the first time any node of a tile is bound.  Activation
-is idempotent and lookups of nodes in untouched tiles report zero mass.
+Nodes live on a uniform 2-D lattice; storage is allocated in fixed-size
+tiles (tile x tile nodes each) the first time any node of a tile is bound.
+Activation is idempotent and lookups of nodes in untouched tiles report
+zero mass.
 """
 
 from __future__ import annotations
@@ -15,32 +16,28 @@ from .errors import OutOfDomainError
 
 
 class SparseGrid:
-    """Uniform grid over a box, with tiled on-demand node storage."""
+    """Uniform 2-D grid over a box, with tiled on-demand node storage.
+
+    Node (x, y) lies in tile (x // tile, y // tile), whose code is
+    (x // tile) * (tiles along y) + y // tile.  Its slot is its tile's slot
+    times tile^2 plus its x-major offset inside the tile; tiles get slots
+    in the order they were first bound.
+    """
 
     def __init__(self, origin, dx: float, n_cells, tile: int = 4):
         self.origin = np.asarray(origin, dtype=np.float64)
         self.dx = float(dx)
         self.n_cells = np.asarray(n_cells, dtype=np.int64)
         self.n_nodes = self.n_cells + 1
-        self.dim = len(self.n_cells)
         self.tile = int(tile)
+        self.tile_nodes = self.tile * self.tile
 
-        n_tiles_axis = -(-self.n_nodes // self.tile)  # ceil division
-        self._n_tiles_axis = n_tiles_axis
-        strides = np.ones(self.dim, dtype=np.int64)
-        for k in range(self.dim - 2, -1, -1):
-            strides[k] = strides[k + 1] * n_tiles_axis[k + 1]
-        self._tile_strides = strides
-        self._tile_lut = np.full(int(np.prod(n_tiles_axis)), -1, dtype=np.int64)
-        self._within_strides = self.tile ** np.arange(self.dim - 1, -1, -1)
-        self.tile_nodes = self.tile**self.dim
-
-        offs = np.stack(np.meshgrid(*([np.arange(self.tile)] * self.dim),
-                                    indexing="ij"), axis=-1).reshape(-1, self.dim)
-        self._tile_offsets = offs
+        # tiles per axis (ceil division) and the tile slot of each tile code
+        self._n_tiles_axis = -(-self.n_nodes // self.tile)
+        self._tile_lut = np.full(int(np.prod(self._n_tiles_axis)), -1, dtype=np.int64)
 
         self.n_tiles = 0
-        self.coords = np.empty((0, self.dim), dtype=np.int64)
+        self.coords = np.empty((0, 2), dtype=np.int64)
         self._alloc(0)
 
     @property
@@ -48,64 +45,83 @@ class SparseGrid:
         return self.n_tiles * self.tile_nodes
 
     def _alloc(self, n_slots: int) -> None:
-        d = self.dim
         self.mass = np.zeros(n_slots)
-        self.momentum = np.zeros((n_slots, d))
-        self.velocity = np.zeros((n_slots, d))
-        self.velocity0 = np.zeros((n_slots, d))
-        self.force = np.zeros((n_slots, d))
-        self.pos_accum = np.zeros((n_slots, d))
+        self.momentum = np.zeros((n_slots, 2))
+        self.velocity = np.zeros((n_slots, 2))
+        self.velocity0 = np.zeros((n_slots, 2))
+        self.force = np.zeros((n_slots, 2))
+        self.pos_accum = np.zeros((n_slots, 2))
         self.w_accum = np.zeros(n_slots)
-        self.position = np.zeros((n_slots, d))
+        self.position = np.zeros((n_slots, 2))
 
-    def _grow(self, new_tiles: np.ndarray) -> None:
-        """Append storage for tiles given by their lattice-tile coordinates."""
-        add = new_tiles.shape[0]
+    def _grow(self, new_codes: np.ndarray) -> None:
+        """Append storage for the tiles with the given tile codes, in order."""
+        add = new_codes.shape[0]
         if add == 0:
             return
-        node_coords = (new_tiles[:, None, :] * self.tile
-                       + self._tile_offsets[None, :, :]).reshape(-1, self.dim)
+        tx, ty = np.divmod(new_codes, self._n_tiles_axis[1])
+        ox, oy = np.divmod(np.arange(self.tile_nodes), self.tile)
+        node_coords = np.stack(((tx[:, None] * self.tile + ox).ravel(),
+                                (ty[:, None] * self.tile + oy).ravel()), axis=-1)
         self.coords = np.concatenate([self.coords, node_coords], axis=0)
         self.n_tiles += add
-        old = self.mass.shape[0]
         pad = add * self.tile_nodes
-        d = self.dim
         self.mass = np.concatenate([self.mass, np.zeros(pad)])
         for name in ("momentum", "velocity", "velocity0", "force", "pos_accum", "position"):
-            setattr(self, name, np.concatenate([getattr(self, name), np.zeros((pad, d))]))
+            setattr(self, name, np.concatenate([getattr(self, name), np.zeros((pad, 2))]))
         self.w_accum = np.concatenate([self.w_accum, np.zeros(pad)])
-        del old
+        self.position[-pad:] = self.origin + node_coords * self.dx
+
+    def _locate(self, cx: np.ndarray, cy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Tile codes and within-tile offsets of in-range lattice columns.
+
+        A rebind passes one row per stencil entry, and each fresh temporary
+        of that size costs page faults, so the offsets are formed in place.
+        """
+        t = self.tile
+        tx = cx // t
+        ty = cy // t
+        code = tx * self._n_tiles_axis[1]
+        code += ty
+        # within = (cx - t tx) t + (cy - t ty), in the storage of tx and ty
+        tx *= -t
+        tx += cx
+        tx *= t
+        ty *= -t
+        ty += cy
+        tx += ty
+        return code, tx
 
     def activate(self, coords: np.ndarray) -> np.ndarray:
-        """Bind lattice coordinates (m, d) and return their storage slots."""
+        """Bind lattice coordinates (m, 2) and return their storage slots.
+
+        Works on the two coordinate columns; they need not be contiguous.
+        """
         coords = np.asarray(coords, dtype=np.int64)
-        if coords.size and (np.any(coords < 0) or np.any(coords >= self.n_nodes[None, :])):
-            bad = np.flatnonzero(np.any((coords < 0) | (coords >= self.n_nodes[None, :]), axis=1))
+        cx, cy = coords[:, 0], coords[:, 1]
+        nx, ny = self.n_nodes
+        if cx.size and (min(cx.min(), cy.min()) < 0 or cx.max() >= nx or cy.max() >= ny):
+            bad = np.flatnonzero((cx < 0) | (cx >= nx) | (cy < 0) | (cy >= ny))
             raise OutOfDomainError(
                 f"{bad.size} node coordinate(s) outside the grid, first {coords[bad[0]].tolist()}"
             )
-        tc = coords // self.tile
-        enc = tc @ self._tile_strides
-        tslot = self._tile_lut[enc]
+        code, within = self._locate(cx, cy)
+        tslot = self._tile_lut[code]
         missing = tslot < 0
-        if np.any(missing):
-            new_enc = np.unique(enc[missing])
-            self._tile_lut[new_enc] = self.n_tiles + np.arange(new_enc.size)
-            new_tiles = np.stack(np.unravel_index(
-                new_enc, tuple(self._n_tiles_axis.tolist())), axis=-1)
-            self._grow(new_tiles)
-            self.position[-new_enc.size * self.tile_nodes:] = (
-                self.origin + self.coords[-new_enc.size * self.tile_nodes:] * self.dx)
-            tslot = self._tile_lut[enc]
-        within = coords - tc * self.tile
-        return tslot * self.tile_nodes + within @ self._within_strides
+        if missing.any():
+            new_codes = np.unique(code[missing])
+            self._tile_lut[new_codes] = self.n_tiles + np.arange(new_codes.size)
+            self._grow(new_codes)
+            tslot = self._tile_lut[code]
+        tslot *= self.tile_nodes
+        tslot += within
+        return tslot
 
     def slot_of(self, coords) -> np.ndarray:
         """Slots for lattice coordinates, -1 where the tile was never bound."""
         coords = np.atleast_2d(np.asarray(coords, dtype=np.int64))
-        tc = coords // self.tile
-        tslot = self._tile_lut[tc @ self._tile_strides]
-        within = (coords - tc * self.tile) @ self._within_strides
+        code, within = self._locate(coords[:, 0], coords[:, 1])
+        tslot = self._tile_lut[code]
         return np.where(tslot >= 0, tslot * self.tile_nodes + within, -1)
 
     def mass_at(self, coords) -> np.ndarray:

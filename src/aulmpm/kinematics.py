@@ -97,7 +97,7 @@ class ConfigurationMap:
         positions = np.asarray(positions, dtype=np.float64)
         st = build_stencil(positions, grid.origin, grid.dx, grid.n_nodes, order,
                            gradients=transfer == KERNEL)
-        coverage = st.w.sum(axis=1)
+        coverage = np.einsum("ns->n", st.w)
         if np.any(coverage <= 0.0):
             idx = np.flatnonzero(coverage <= 0.0)
             raise OrphanParticleError(

@@ -5,6 +5,14 @@ a 2-D grid.  All routines are batched: positions are (n, 2) arrays and a
 stencil table holds the bound neighborhood of every center at once.
 Offsets follow the convention r = neighbor - center throughout.
 
+`build_stencil` works per axis over the particle axis: each node of a
+center's support sits on one fixed polynomial piece of the spline (three
+per axis for quadratic windows, four for cubic), so the windows and their
+slopes come in closed form without branching.  The per-axis tables are then
+multiplied and laid out over the S = count^2 stencil entries, one entry at
+a time.  `bspline_weight` evaluates the same splines piecewise in |x| and
+serves as the independent formula the stencils are tested against.
+
 The least-squares gradient of a field phi sampled at the stencil nodes is
 
     grad phi = (sum_j (phi_j - phi_c) (x) r_j W_j) K,   K = (sum_j r_j (x) r_j W_j)^-1
@@ -17,6 +25,7 @@ ones; `moment_matrix` computes it numerically regardless.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -31,16 +40,6 @@ _SUPPORT = {QUADRATIC: 3, CUBIC: 4}
 
 # condition number above which a neighborhood counts as degenerate
 COND_LIMIT = 1.0e8
-
-_offset_cache: dict[int, np.ndarray] = {}
-
-
-def _offsets(count: int) -> np.ndarray:
-    """Lexicographic (S, 2) table of node offsets 0..count-1 per axis."""
-    if count not in _offset_cache:
-        grids = np.meshgrid(np.arange(count), np.arange(count), indexing="ij")
-        _offset_cache[count] = np.stack(grids, axis=-1).reshape(-1, 2)
-    return _offset_cache[count]
 
 
 def _bspline_1d(x: np.ndarray, order: str) -> tuple[np.ndarray, np.ndarray]:
@@ -80,6 +79,60 @@ def bspline_weight(offset: np.ndarray, order: str = QUADRATIC) -> tuple[np.ndarr
     return w, dw
 
 
+def _windows(f: np.ndarray, order: str) -> tuple[np.ndarray, np.ndarray]:
+    """Per-axis window values and slopes over each center's support.
+
+    f (2, n) is the center's offset from the first node of its support, in
+    cells: in [0.5, 1.5) for quadratic windows, [1, 2) for cubic ones.
+    Returns w1 and dw1, both (2, count, n), where entry [k, s] belongs to
+    node s of the support along axis k and dw1 is the slope wrt the center.
+    """
+    if order == QUADRATIC:
+        # node offsets f, f - 1, f - 2 land on the pieces 0.5 (1.5 - |x|)^2,
+        # 0.75 - x^2 and 0.5 (1.5 - |x|)^2 (Hu et al. 2018); the last is
+        # taken at 1.5 + (f - 2), not f - 0.5, to round as `bspline_weight` does
+        x1 = f - 1.0
+        x2 = f - 2.0
+        w1 = np.stack((0.5 * (1.5 - f) ** 2, 0.75 - x1 * x1, 0.5 * (1.5 + x2) ** 2), axis=1)
+        dw1 = np.stack((f - 1.5, -2.0 * x1, 1.5 + x2), axis=1)
+    elif order == CUBIC:
+        # with t = f - 1 in [0, 1) and s = 1 - t the four nodes see
+        # s^3/6, t^3/2 - t^2 + 2/3, s^3/2 - s^2 + 2/3 and t^3/6
+        t = f - 1.0
+        s = 1.0 - t
+        t2, s2 = t * t, s * s
+        w1 = np.stack((s2 * s / 6.0, 0.5 * t2 * t - t2 + 2.0 / 3.0,
+                       0.5 * s2 * s - s2 + 2.0 / 3.0, t2 * t / 6.0), axis=1)
+        dw1 = np.stack((-0.5 * s2, (1.5 * t - 2.0) * t, (2.0 - 1.5 * s) * s, 0.5 * t2),
+                       axis=1)
+    else:
+        raise ValueError(f"unknown spline order {order!r}")
+    return w1, dw1
+
+
+def _outer(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[:, i count + j] = a[i] b[j] for per-axis node values a, b (count, n).
+
+    One product per stencil entry, each over the long particle axis.
+    """
+    for s, (i, j) in enumerate(product(range(len(a)), repeat=2)):
+        np.multiply(a[i], b[j], out=out[:, s])
+    return out
+
+
+def _spread(per_axis: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Lay per-axis node values (2, count, n) over the lexicographic stencil.
+
+    out (2, n, S) receives out[0, :, i count + j] = per_axis[0, i] and
+    out[1, :, i count + j] = per_axis[1, j], one plane at a time.
+    """
+    count = per_axis.shape[1]
+    for k in range(2):
+        for s, ij in enumerate(product(range(count), repeat=2)):
+            out[k, :, s] = per_axis[k, ij[k]]
+    return out
+
+
 @dataclass
 class Stencil:
     """Bound neighborhoods of n centers against one uniform grid.
@@ -90,9 +143,12 @@ class Stencil:
     dw      (n, S, 2) window gradients wrt the center position, per length,
             or None when they were not asked for
 
-    `build_stencil` stores r and dw component-major: both are views of
-    (2, n, S) buffers, so r[..., k] and dw[..., k] are contiguous (n, S)
-    arrays.
+    Nodes are numbered lexicographically, x-major: entry s = i count + j is
+    node (base_x + i, base_y + j) of a support of `count` nodes per axis.
+    `build_stencil` stores coords, r and dw component-major: each is a view
+    of a (2, n, S) buffer, so coords[..., k], r[..., k] and dw[..., k] are
+    contiguous (n, S) arrays and coords.reshape(-1, 2) has contiguous
+    columns.  w is C-contiguous.
     """
 
     coords: np.ndarray
@@ -115,6 +171,10 @@ def build_stencil(centers: np.ndarray, origin: np.ndarray, dx: float,
     n_nodes gives the node count per axis; a center whose support sticks out
     of the node box raises OutOfDomainError (no one-sided stencils).  With
     `gradients=False` the window gradients are skipped (dw is None).
+
+    Everything up to the tensor products runs per axis on (2, n) and
+    (2, count, n) arrays, whose long axis is the particle axis; the
+    products then fill the (2, n, S) buffers plane by plane.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
     origin = np.asarray(origin, dtype=np.float64)
@@ -122,42 +182,38 @@ def build_stencil(centers: np.ndarray, origin: np.ndarray, dx: float,
     n = centers.shape[0]
     count = _SUPPORT[order]
 
-    u = (centers - origin) / dx
+    u = (np.ascontiguousarray(centers.T) - origin[:, None]) / dx    # (2, n)
     if order == QUADRATIC:
         base = np.floor(u - 0.5).astype(np.int64)
     else:
         base = np.floor(u).astype(np.int64) - 1
 
-    bad = np.any(base < 0, axis=1) | np.any(base + count > n_nodes[None, :], axis=1)
-    if np.any(bad):
+    if n and ((base.min(axis=1) < 0).any() or (base.max(axis=1) + count > n_nodes).any()):
+        bad = np.any(base < 0, axis=0) | np.any(base + count > n_nodes[:, None], axis=0)
         idx = np.flatnonzero(bad)
         raise OutOfDomainError(
             f"{idx.size} stencil center(s) outside the valid domain, "
             f"first indices {idx[:8].tolist()}"
         )
 
-    # per axis: node lattice index, center - node (cells), window and slope
-    steps = np.arange(count)
-    node = base[:, :, None] + steps                       # (n, 2, count)
-    w1, dw1 = _bspline_1d((u - base)[:, :, None] - steps, order)
-    r1 = (node - u[:, :, None]) * dx
+    # per axis: node lattice index, window and slope, node - center
+    node = base[:, None, :] + np.arange(count)[:, None]  # (2, count, n)
+    w1, dw1 = _windows(u - base, order)
+    r1 = (node - u[:, None, :]) * dx
 
-    # tensor product over the lexicographic (x-major) node order
+    # tensor products over the lexicographic (x-major) node order
     S = count * count
-    w = (w1[:, 0, :, None] * w1[:, 1, None, :]).reshape(n, S)
-    r = np.empty((2, n, count, count))
-    r[0] = r1[:, 0, :, None]
-    r[1] = r1[:, 1, None, :]
+    w = _outer(w1[0], w1[1], np.empty((n, S)))
+    r = _spread(r1, np.empty((2, n, S)))
+    coords = _spread(node, np.empty((2, n, S), dtype=np.int64))
     dw = None
     if gradients:
-        dw = np.empty((2, n, count, count))
-        np.multiply(dw1[:, 0, :, None], w1[:, 1, None, :], out=dw[0])
-        np.multiply(w1[:, 0, :, None], dw1[:, 1, None, :], out=dw[1])
+        dw = np.empty((2, n, S))
+        _outer(dw1[0], w1[1], dw[0])
+        _outer(w1[0], dw1[1], dw[1])
         dw /= dx
-        dw = np.moveaxis(dw.reshape(2, n, S), 0, -1)
-
-    coords = base[:, None, :] + _offsets(count)[None, :, :]
-    return Stencil(coords=coords, r=np.moveaxis(r.reshape(2, n, S), 0, -1), w=w,
+        dw = np.moveaxis(dw, 0, -1)
+    return Stencil(coords=np.moveaxis(coords, 0, -1), r=np.moveaxis(r, 0, -1), w=w,
                    dw=dw, order=order, dx=float(dx))
 
 

@@ -4,16 +4,16 @@ and update counts.
 `convergence_study` reruns one scene across grid resolutions against a
 fine-grid benchmark with the particle set held fixed, and fits error
 slopes in log2-log2 space.  `update_stats` condenses a run's per-step
-records into a rebind rate and a rebind cost.
+records into a rebind rate and the mean recorded cost of a rebind step.
 
 `CHECKS` is the ordered registry of the acceptance criteria and the one
 place each is defined: its number, its name (as `aulmpm verify --only`
 and `pytest -k` take it), its scorecard label, its wall-clock budget and
 its oracle.  An oracle returns `(passed, metrics, detail)`, where
 `detail` shows the measured values next to their pinned tolerances.
-`run_property_checks` times each one, fails it when it overruns its
-budget, and builds the scorecard line that both the test suite and
-`aulmpm verify` print.
+`iter_property_checks` runs them one at a time, fails a check when it
+overruns its budget, and builds the scorecard line that both the test
+suite and `aulmpm verify` print.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import csv
 import dataclasses
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -133,17 +133,15 @@ def convergence_study(scene: Scene, levels, bench: int) -> ConvergenceReport:
 
 
 def update_stats(records: list[StepRecord]) -> dict:
-    """Rebind rate per UPDATE_WINDOW steps and mean extra cost of a rebind step."""
+    """Rebind rate per UPDATE_WINDOW steps and `update_cost_ms`, the mean
+    recorded rebind time (`rebind_ms`) over the steps that rebound."""
     if not records:
         raise SimulationError("no step records")
     steps = len(records)
     updates = records[-1].updates
     tau = updates * UPDATE_WINDOW / steps
-    update_walls = [r.wall_ms for r in records if r.rebound]
-    plain_walls = [r.wall_ms for r in records if not r.rebound]
-    cost = 0.0
-    if update_walls and plain_walls:
-        cost = float(np.mean(update_walls) - np.mean(plain_walls))
+    rebind_times = [r.rebind_ms for r in records if r.rebound]
+    cost = float(np.mean(rebind_times)) if rebind_times else 0.0
     return {"steps": steps, "updates": updates, "tau": tau,
             "update_cost_ms": cost}
 
@@ -169,7 +167,8 @@ def read_stats_csv(path) -> list[StepRecord]:
                 updates=updates,
                 marked_fraction=float(row["marked_fraction"]),
                 wall_ms=float(row["wall_ms"]),
-                rebound=updates > prev_updates)
+                rebound=updates > prev_updates,
+                rebind_ms=float(row["rebind_ms"]))
         except (KeyError, ValueError) as exc:
             raise SimulationError(f"malformed stats file {path}: {exc}") from None
         prev_updates = updates
@@ -588,30 +587,37 @@ CHECKS = {c.name: c for c in (
 )}
 
 
-def run_property_checks(names=None) -> dict:
-    """Run registered checks in the order given (default: all, by number).
+def _run_check(check: Check) -> dict:
+    """Run and time one check; its result, failed if it overran its budget,
+    with its scorecard line."""
+    t0 = time.perf_counter()
+    passed, metrics, detail = check.run()
+    seconds = time.perf_counter() - t0
+    passed = bool(passed) and seconds < check.budget
+    took = f"{seconds:.{0 if check.budget >= 100 else 1}f}"
+    line = (f"criterion {check.number:>2} {check.label:<26} "
+            f"{'PASS' if passed else 'FAIL'}  {detail}, "
+            f"{took}s < {check.budget:g}s")
+    return {"passed": passed, **metrics, "seconds": seconds, "line": line}
 
-    Returns {name: {"passed", **metrics, "seconds", "line"}}.  A check
-    fails when its oracle fails or when it overruns its budget; `line` is
-    its scorecard verdict.  An unknown name raises `SceneError` before any
-    check runs.
+
+def iter_property_checks(names=None) -> Iterator[tuple[str, dict]]:
+    """Registered checks in the order given (default: all, by number), each
+    run as the iterator reaches it.
+
+    Yields (name, {"passed", **metrics, "seconds", "line"}).  A check fails
+    when its oracle fails or when it overruns its budget; `line` is its
+    scorecard verdict.  An unknown name raises `SceneError` here, before
+    any check runs.
     """
     names = list(CHECKS) if names is None else list(names)
     unknown = [n for n in names if n not in CHECKS]
     if unknown:
         raise SceneError(f"unknown check {unknown[0]!r}; known checks: "
                          + ", ".join(CHECKS))
-    out = {}
-    for name in names:
-        check = CHECKS[name]
-        t0 = time.perf_counter()
-        passed, metrics, detail = check.run()
-        seconds = time.perf_counter() - t0
-        passed = bool(passed) and seconds < check.budget
-        took = f"{seconds:.{0 if check.budget >= 100 else 1}f}"
-        line = (f"criterion {check.number:>2} {check.label:<26} "
-                f"{'PASS' if passed else 'FAIL'}  {detail}, "
-                f"{took}s < {check.budget:g}s")
-        out[name] = {"passed": passed, **metrics, "seconds": seconds,
-                     "line": line}
-    return out
+    return ((name, _run_check(CHECKS[name])) for name in names)
+
+
+def run_property_checks(names=None) -> dict:
+    """All results of `iter_property_checks` at once, as {name: result}."""
+    return dict(iter_property_checks(names))

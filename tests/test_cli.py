@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from aulmpm import verify
 from aulmpm.cli import _parse_levels, main
 from aulmpm.errors import SceneError
 
@@ -134,6 +135,23 @@ def test_verify_command(capsys):
     assert len(lines) == 2
     assert all(line.startswith("criterion") and " PASS " in line
                for line in lines)
+
+
+def test_verify_prints_each_line_as_its_check_finishes(monkeypatch, capsys):
+    seen = []
+
+    def probe():
+        seen.append(capsys.readouterr().out)
+        return True, {}, "probe"
+
+    monkeypatch.setitem(verify.CHECKS, "probe",
+                        verify.Check(12, "probe", "probe", 5.0, probe))
+    assert main(["verify", "--only", "transfer_identity", "--only", "probe"]) == 0
+    assert seen[0].startswith("criterion 10 ") and " PASS " in seen[0]
+    assert capsys.readouterr().out.startswith("criterion 12 probe")
+    # an unknown name is refused before any check runs
+    assert main(["verify", "--only", "probe", "--only", "nope"]) == 2
+    assert len(seen) == 1 and capsys.readouterr().out == ""
 
 
 def test_verify_unknown_check_is_exit_2(capsys):

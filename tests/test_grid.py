@@ -43,6 +43,26 @@ def test_out_of_range_coordinates_are_rejected():
         g.activate(np.array([[11, 0]]))
     with pytest.raises(OutOfDomainError):
         g.activate(np.array([[0, -1]]))
+    with pytest.raises(OutOfDomainError):
+        g.activate(np.array([[0, 11]]))
+    with pytest.raises(OutOfDomainError):
+        g.activate(np.array([[-1, 0]]))
+    assert g.n_tiles == 0
+
+
+def test_activate_empty_input_binds_nothing():
+    g = SparseGrid(origin=(0.0, 0.0), dx=0.1, n_cells=(10, 10), tile=4)
+    slots = g.activate(np.empty((0, 2), dtype=np.int64))
+    assert slots.shape == (0,)
+    assert g.n_tiles == 0
+
+
+def test_activate_slots_do_not_depend_on_dtype_or_layout():
+    coords = np.random.default_rng(2).integers(0, 11, size=(200, 2))
+    slots = SparseGrid(origin=(0.0, 0.0), dx=0.1, n_cells=(10, 10), tile=4).activate(coords)
+    for variant in (coords.astype(np.int32), np.ascontiguousarray(coords.T).T):
+        g = SparseGrid(origin=(0.0, 0.0), dx=0.1, n_cells=(10, 10), tile=4)
+        np.testing.assert_array_equal(g.activate(variant), slots)
 
 
 def test_zero_fields_resets_accumulators():

@@ -7,6 +7,8 @@ compared with an explicit weighted lstsq solve of the same normal
 equations.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,80 @@ def test_stencil_rejects_centers_near_the_boundary():
         build_stencil(np.array([[0.4 * dx, 0.5]]), origin, dx, n_nodes, QUADRATIC)
     with pytest.raises(OutOfDomainError):
         build_stencil(np.array([[0.5, 1.0 - 0.1 * dx]]), origin, dx, n_nodes, CUBIC)
+
+
+# The cubic pieces are evaluated as polynomials in the node offset rather
+# than in |x|, so they may differ from the oracle in the last few bits; the
+# bound is a few ulps of the largest value, fixed from the dtype.
+CUBIC_RTOL = 1e-14
+
+
+def _domain(order, n_nodes, dx):
+    """Valid center range [lo, hi) on each axis for origin 0."""
+    if order == QUADRATIC:
+        return 0.5 * dx, (n_nodes[0] - 1.5) * dx
+    return dx, (n_nodes[0] - 2.0) * dx
+
+
+def _oracle_stencil(centers, dx, order):
+    """Stencil assembled node by node from `bspline_weight` (origin 0)."""
+    count = 3 if order == QUADRATIC else 4
+    u = centers / dx
+    base = np.floor(u - 0.5) if order == QUADRATIC else np.floor(u) - 1
+    i, j = np.meshgrid(np.arange(count), np.arange(count), indexing="ij")
+    coords = base.astype(np.int64)[:, None, :] + np.stack([i.ravel(), j.ravel()], axis=-1)
+    w, dw = bspline_weight(u[:, None, :] - coords, order)
+    return coords, (coords - u[:, None, :]) * dx, w, dw / dx
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _edge_centers(lo, hi, dx):
+    """Centers on nodes, at cell midpoints, and at and one ulp inside each
+    domain limit, on either axis with the other coordinate mid-domain."""
+    nodes = np.arange(np.ceil(lo / dx), np.ceil(hi / dx)) * dx
+    mids = np.arange(np.ceil(lo / dx - 0.5), np.ceil(hi / dx - 0.5)) * dx + 0.5 * dx
+    limits = [lo, np.nextafter(lo, np.inf), np.nextafter(hi, -np.inf)]
+    vals = np.concatenate([nodes, mids, limits])
+    vals = vals[(vals >= lo) & (vals < hi)]
+    mid = np.full_like(vals, 0.5)
+    return np.concatenate([np.stack([vals, mid], axis=1), np.stack([mid, vals], axis=1)])
+
+
+@pytest.mark.parametrize("order", [QUADRATIC, CUBIC])
+def test_stencil_matches_spline_oracle(order):
+    origin, dx, n_nodes = _grid2d()
+    lo, hi = _domain(order, n_nodes, dx)
+    rng = np.random.default_rng(5)
+    centers = np.concatenate([rng.uniform(lo, hi, size=(20000, 2)),
+                              _edge_centers(lo, hi, dx)])
+    st = build_stencil(centers, origin, dx, n_nodes, order)
+    coords, r, w, dw = _oracle_stencil(centers, dx, order)
+    np.testing.assert_array_equal(st.coords, coords)
+    np.testing.assert_array_equal(_bits(st.r), _bits(r))
+    if order == QUADRATIC:
+        np.testing.assert_array_equal(_bits(st.w), _bits(w))
+        np.testing.assert_array_equal(_bits(st.dw), _bits(dw))
+    else:
+        for got, want in ((st.w, w), (st.dw, dw)):
+            np.testing.assert_allclose(got, want, rtol=0.0,
+                                       atol=CUBIC_RTOL * np.abs(want).max())
+
+
+@pytest.mark.parametrize("order", [QUADRATIC, CUBIC])
+def test_one_ulp_outside_the_domain_is_rejected(order):
+    origin, dx, n_nodes = _grid2d()
+    lo, hi = _domain(order, n_nodes, dx)
+    inside = np.array([[0.5, 0.5], [np.nextafter(hi, -np.inf), lo]])
+    msg = "1 stencil center(s) outside the valid domain, first indices [2]"
+    for outside in (np.nextafter(lo, -np.inf), hi):
+        for axis in range(2):
+            bad = np.array([0.5, 0.5])
+            bad[axis] = outside
+            with pytest.raises(OutOfDomainError, match=f"^{re.escape(msg)}$"):
+                build_stencil(np.vstack([inside, bad]), origin, dx, n_nodes, order)
 
 
 # ------------------------------------------------------------ moment matrix

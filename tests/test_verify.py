@@ -48,25 +48,29 @@ def test_slope_fit_recovers_known_order():
     assert _fit_slope(dx, 100.0 * err) == pytest.approx(2.0, abs=1e-12)
 
 
-def _record(step, updates, wall, rebound):
+def _record(step, updates, wall, rebound, rebind_ms=0.0):
     return StepRecord(step=step, time=step * 1e-3, mass=1.0,
                       momentum=np.zeros(2), angular_momentum=0.0,
                       kinetic_energy=0.0, updates=updates,
-                      marked_fraction=0.0, wall_ms=wall, rebound=rebound)
+                      marked_fraction=0.0, wall_ms=wall, rebound=rebound,
+                      rebind_ms=rebind_ms)
 
 
 def test_update_stats_forced_arithmetic():
-    # 52 rebinds in 208 steps -> 26 per 104-step window
+    # 52 rebinds in 208 steps -> 26 per 104-step window; the rebind steps
+    # record 1.0 or 2.0 ms of rebinding inside 3 ms steps, so the cost is
+    # their mean 1.5 ms, not the 2 ms whole-step difference
     recs = []
     ups = 0
     for k in range(1, 209):
         hit = k % 4 == 0
         ups += hit
-        recs.append(_record(k, ups, 3.0 if hit else 1.0, hit))
+        recs.append(_record(k, ups, 3.0 if hit else 1.0, hit,
+                            (1.0 if k % 8 else 2.0) if hit else 0.0))
     st = update_stats(recs)
     assert st["updates"] == 52
     assert st["tau"] == pytest.approx(26.0)
-    assert st["update_cost_ms"] == pytest.approx(2.0)
+    assert st["update_cost_ms"] == pytest.approx(1.5)
 
 
 def test_update_stats_zero_updates():
@@ -97,6 +101,37 @@ def test_stats_csv_roundtrip(tmp_path):
     st_a = update_stats(back)
     st_b = update_stats(sim.records)
     assert st_a["tau"] == st_b["tau"]
+
+
+def test_rebind_time_is_recorded_on_rebind_steps(tmp_path):
+    # a fluid drop that reaches the floor after 16 steps and then rebinds
+    scene = load_scene({
+        "grid": {"origin": [0.0, 0.0], "size": [1.0, 1.0], "cells": [32, 32]},
+        "gravity": [0.0, -9.81],
+        "solver": {"dt": 5e-4, "steps": 20, "mode": "adaptive"},
+        "objects": [{
+            "shape": {"type": "disk", "center": [0.5, 0.27], "radius": 0.06},
+            "spacing": 0.01,
+            "material": {"type": "weakly_compressible_fluid", "density": 1000.0,
+                         "bulk": 1e4},
+            "velocity": [0.0, -2.0],
+            "update": {"epsilon": 0.001, "eta": 0.05},
+        }],
+        "colliders": [{"type": "half_space", "point": [0.0, 0.2],
+                       "normal": [0.0, 1.0], "mode": "slip"}],
+    })
+    sim = Simulation(scene)
+    sim.run(out_dir=tmp_path)
+    rebound = [r.rebound for r in sim.records]
+    assert any(rebound) and not all(rebound)
+    for r in sim.records:
+        assert r.rebind_ms > 0.0 if r.rebound else r.rebind_ms == 0.0
+    back = read_stats_csv(tmp_path / "stats.csv")
+    assert [r.rebound for r in back] == rebound
+    for got, want in zip(back, sim.records):
+        assert got.rebind_ms == pytest.approx(want.rebind_ms, rel=1e-5)
+    cost = np.mean([r.rebind_ms for r in sim.records if r.rebound])
+    assert update_stats(back)["update_cost_ms"] == pytest.approx(cost, rel=1e-5)
 
 
 def test_stats_csv_malformed(tmp_path):
