@@ -40,8 +40,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="override the scene's integrator")
     sim.add_argument("--transfer", choices=sorted(_TRANSFERS),
                      help="override the scene's transfer flavor")
-    sim.add_argument("--strict-determinism", action="store_true",
-                     help="bit-reproducible output (always on in this build)")
 
     conv = sub.add_parser("converge", help="grid refinement study")
     conv.add_argument("scene", help="scene JSON path")

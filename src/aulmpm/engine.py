@@ -11,7 +11,13 @@ integrator:
 Rebinding (when an object's update policy fires) folds the accumulated
 deformation into the stored reference map and rebuilds stencils at the
 current particle positions; total deformation gradients are unchanged
-by it.
+by it.  The grid's per-epoch terms (node mass, summed weights, active
+nodes) are set at construction and again after any binding changes, not
+on every step.
+
+A step raises NumericalError naming the field and the step when the
+particle state (x, v), F_sn, F_0s after a rebind or F_plastic after the
+plastic projection turns non-finite.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ import numpy as np
 from .constitutive import FLUID, SNOW, det, inverse, matmul, plastic_project, wave_speed
 from .errors import NumericalError
 from .kinematics import (
+    KERNEL,
     ConfigurationMap,
     DeformationState,
     UpdatePolicy,
@@ -39,6 +46,7 @@ from .grid import SparseGrid
 from .scene import Scene, sample_shape
 from .transfers import (
     Body,
+    epoch_grid_terms,
     explicit_update,
     finalize_grid,
     g2p,
@@ -92,8 +100,10 @@ def _spin_matrix(omega: float) -> np.ndarray:
 class Simulation:
     def __init__(self, scene: Scene):
         self.scene = scene
-        self.grid = SparseGrid(scene.origin, scene.dx, scene.cells)
         self.colliders = list(scene.colliders)
+        self.grid = SparseGrid(scene.origin, scene.dx, scene.cells,
+                               track_positions=bool(self.colliders),
+                               keep_velocity0=scene.solver.transfer == KERNEL)
         self.gravity = scene.gravity
         self.bodies: list[Body] = []
         rng = np.random.default_rng(scene.solver.seed)
@@ -123,6 +133,7 @@ class Simulation:
             )
             self.bodies.append(body)
         self.mass_eps = mass_epsilon(self.bodies)
+        epoch_grid_terms(self.bodies, self.grid, self.mass_eps)
         self.time = 0.0
         self.steps_done = 0
         self.records: list[StepRecord] = []
@@ -165,39 +176,44 @@ class Simulation:
         grid = self.grid
         t0 = time.perf_counter()
 
-        for b in self.bodies:
-            if b.cmap.G is None:  # released at the end of a run
-                b.cmap = ConfigurationMap.build(b.cmap.ref_positions, grid, sol.order,
-                                                b.cmap.epoch, b.cmap.transfer)
+        released = [b for b in self.bodies if b.cmap.G is None]  # by the end of a run
+        for b in released:
+            b.cmap = ConfigurationMap.build(b.cmap.ref_positions, grid, sol.order,
+                                            b.cmap.epoch, b.cmap.transfer)
+        if released:
+            epoch_grid_terms(self.bodies, grid, self.mass_eps)
         grid.zero_fields()
         for b in self.bodies:
             p2g(b, grid)
-        finalize_grid(grid, self.mass_eps)
+        finalize_grid(grid)
         for b in self.bodies:
             stress_pass(b)
             grid_internal_forces(b, grid)
         if sol.integrator == "implicit":
-            info = implicit_update(self.bodies, grid, dt, self.gravity, self.mass_eps)
+            info = implicit_update(self.bodies, grid, dt, self.gravity)
             self.cg_info = info
             self.cg_fallbacks += info["fallback"]
             self.cg_unconverged += not (info["converged"] or info["fallback"])
         else:
-            explicit_update(grid, dt, self.gravity, self.mass_eps)
-        grid_collisions(grid, self.colliders, dt, self.mass_eps)
+            explicit_update(grid, dt, self.gravity)
+        grid_collisions(grid, self.colliders, dt)
 
         rebound = False
         rebind_ms = 0.0
         total_marked = 0
         for b in self.bodies:
             g2p(b, grid, dt, sol.flip_blend)
-            if not (np.isfinite(b.x).all() and np.isfinite(b.v).all()):
-                raise NumericalError(
-                    f"non-finite particle state at step {self.steps_done}")
-            b.inverted += advance_F_sn(b.state, b.C, dt)
+            self._require_finite("particle state",
+                                 np.isfinite(b.x).all() and np.isfinite(b.v).all())
+            try:
+                b.inverted += advance_F_sn(b.state, b.C, dt)
+            except NumericalError as err:
+                raise NumericalError(f"{err} at step {self.steps_done}") from None
             if b.material.kind == SNOW:
                 F_total = compose_total(b.state)
                 Fe = matmul(F_total, inverse(b.F_plastic))
                 _, b.F_plastic = plastic_project(Fe, b.F_plastic, b.material)
+                self._require_finite("F_plastic", np.isfinite(b.F_plastic).all())
             if b.policy is not None:
                 marked, fire = should_update(deformation_delta(b.state), b.policy)
                 b.marked = marked
@@ -206,16 +222,23 @@ class Simulation:
                     t_bind = time.perf_counter()
                     b.cmap = apply_update(b.state, b.x, grid, b.cmap)
                     rebind_ms += (time.perf_counter() - t_bind) * 1e3
+                    self._require_finite("F_0s", np.isfinite(b.state.F_0s).all())
                     b.updates += 1
                     rebound = True
             else:
                 b.marked = 0
             b._cache.clear()   # step scratch: stresses and their factors
+        if rebound:
+            epoch_grid_terms(self.bodies, grid, self.mass_eps)
 
         self.time += dt
         self.steps_done += 1
         self._record(total_marked, rebound, (time.perf_counter() - t0) * 1e3, rebind_ms)
         return rebound
+
+    def _require_finite(self, name: str, finite: bool) -> None:
+        if not finite:
+            raise NumericalError(f"non-finite {name} at step {self.steps_done}")
 
     def _record(self, total_marked: int, rebound: bool, wall_ms: float,
                 rebind_ms: float) -> None:
@@ -343,10 +366,12 @@ class Simulation:
                 progress(k + 1, total)
         wall = time.perf_counter() - t0
         # A finished run keeps the particle state but not the per-entry
-        # binding arrays: they derive from the reference positions alone, and
-        # `step` rebuilds them bit for bit if stepping continues.
+        # binding arrays, its workspace or its grid shares: they derive from
+        # the reference positions alone, and `step` rebuilds them bit for
+        # bit if stepping continues.
         for b in self.bodies:
-            b.cmap = replace(b.cmap, stencil=None, K=None, G=None, slots=None)
+            b.cmap = replace(b.cmap, stencil=None, K=None, G=None, slots=None,
+                             work=None, node_mass=None, node_weight=None)
         info = self.summary()
         info["wall_s"] = wall
         info["frames"] = frame

@@ -4,6 +4,16 @@ Nodes live on a uniform 2-D lattice; storage is allocated in fixed-size
 tiles (tile x tile nodes each) the first time any node of a tile is bound.
 Activation is idempotent and lookups of nodes in untouched tiles report
 zero mass.
+
+The node arrays fall in two groups.  `mass`, `w_accum` and the `active`
+mask (nodes carrying mass) are per-epoch terms: `transfers.epoch_grid_terms`
+sets them when a binding changes, and `zero_fields` leaves them alone.  The
+per-step arrays are reset by `zero_fields` (the accumulators) or rewritten
+whole by `transfers.finalize_grid`.  Two of them exist only where something
+reads them: `pos_accum` and `current` (rasterized material positions) on a
+grid that tracks positions for collisions, and `velocity0` (the velocities
+before the momentum update) on a grid that keeps them for the FLIP blend;
+elsewhere they are None.
 """
 
 from __future__ import annotations
@@ -24,7 +34,8 @@ class SparseGrid:
     in the order they were first bound.
     """
 
-    def __init__(self, origin, dx: float, n_cells, tile: int = 4):
+    def __init__(self, origin, dx: float, n_cells, tile: int = 4,
+                 track_positions: bool = False, keep_velocity0: bool = False):
         self.origin = np.asarray(origin, dtype=np.float64)
         self.dx = float(dx)
         self.n_cells = np.asarray(n_cells, dtype=np.int64)
@@ -36,23 +47,25 @@ class SparseGrid:
         self._n_tiles_axis = -(-self.n_nodes // self.tile)
         self._tile_lut = np.full(int(np.prod(self._n_tiles_axis)), -1, dtype=np.int64)
 
+        # per-node arrays: (name, trailing shape, dtype)
+        self._fields = [("mass", (), np.float64), ("w_accum", (), np.float64),
+                        ("active", (), bool)]
+        self._fields += [(name, (2,), np.float64) for name in
+                         ("momentum", "velocity", "force", "position")]
+        self.pos_accum = self.current = self.velocity0 = None
+        if track_positions:
+            self._fields += [("pos_accum", (2,), np.float64), ("current", (2,), np.float64)]
+        if keep_velocity0:
+            self._fields.append(("velocity0", (2,), np.float64))
+
         self.n_tiles = 0
         self.coords = np.empty((0, 2), dtype=np.int64)
-        self._alloc(0)
+        for name, shape, dtype in self._fields:
+            setattr(self, name, np.zeros((0,) + shape, dtype=dtype))
 
     @property
     def n_slots(self) -> int:
         return self.n_tiles * self.tile_nodes
-
-    def _alloc(self, n_slots: int) -> None:
-        self.mass = np.zeros(n_slots)
-        self.momentum = np.zeros((n_slots, 2))
-        self.velocity = np.zeros((n_slots, 2))
-        self.velocity0 = np.zeros((n_slots, 2))
-        self.force = np.zeros((n_slots, 2))
-        self.pos_accum = np.zeros((n_slots, 2))
-        self.w_accum = np.zeros(n_slots)
-        self.position = np.zeros((n_slots, 2))
 
     def _grow(self, new_codes: np.ndarray) -> None:
         """Append storage for the tiles with the given tile codes, in order."""
@@ -66,10 +79,9 @@ class SparseGrid:
         self.coords = np.concatenate([self.coords, node_coords], axis=0)
         self.n_tiles += add
         pad = add * self.tile_nodes
-        self.mass = np.concatenate([self.mass, np.zeros(pad)])
-        for name in ("momentum", "velocity", "velocity0", "force", "pos_accum", "position"):
-            setattr(self, name, np.concatenate([getattr(self, name), np.zeros((pad, 2))]))
-        self.w_accum = np.concatenate([self.w_accum, np.zeros(pad)])
+        for name, shape, dtype in self._fields:
+            setattr(self, name, np.concatenate(
+                [getattr(self, name), np.zeros((pad,) + shape, dtype=dtype)]))
         self.position[-pad:] = self.origin + node_coords * self.dx
 
     def _locate(self, cx: np.ndarray, cy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -132,13 +144,11 @@ class SparseGrid:
         return out
 
     def zero_fields(self) -> None:
-        self.mass[:] = 0.0
+        """Reset the per-step accumulators; the per-epoch terms are kept."""
         self.momentum[:] = 0.0
-        self.velocity[:] = 0.0
-        self.velocity0[:] = 0.0
         self.force[:] = 0.0
-        self.pos_accum[:] = 0.0
-        self.w_accum[:] = 0.0
+        if self.pos_accum is not None:
+            self.pos_accum[:] = 0.0
 
 
 @dataclass

@@ -17,12 +17,12 @@ helpers in `constitutive`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .constitutive import det, matmul, pack
-from .errors import OrphanParticleError
+from .errors import NumericalError, OrphanParticleError
 from .mls import QUADRATIC, Stencil, build_stencil, gradient_weights, moment_matrix
 
 # transfer flavors: which gradient weights a binding carries
@@ -79,6 +79,14 @@ class ConfigurationMap:
     decides G: `least_squares` (MLS-MPM / APIC) uses G_j = W_j K r_j with the
     moment matrices K; `kernel` (PIC/FLIP MPM) uses the window gradients
     grad W_j and builds no K.
+
+    The last three fields are per-binding caches that the transfer phases
+    fill on first use (see `transfers`): the workspace they write their
+    per-entry temporaries into, and the body's share of the node mass and
+    of the summed weights.  Slots are checked against the grid here, at
+    bind time, so the gathers need not check them again; they stay valid
+    because the grid only grows.  Once the slots are bound no phase reads
+    the stencil's lattice coordinates, so the binding does not keep them.
     """
 
     epoch: int
@@ -88,6 +96,9 @@ class ConfigurationMap:
     G: np.ndarray
     slots: np.ndarray
     transfer: str = LEAST_SQUARES
+    work: tuple[np.ndarray, np.ndarray] | None = None
+    node_mass: np.ndarray | None = None
+    node_weight: np.ndarray | None = None
 
     @classmethod
     def build(cls, positions: np.ndarray, grid, order: str = QUADRATIC,
@@ -110,8 +121,11 @@ class ConfigurationMap:
             G = gradient_weights(st, K)
         n, S = st.w.shape
         slots = grid.activate(st.coords.reshape(-1, 2)).reshape(n, S)
-        return cls(epoch=epoch, ref_positions=positions.copy(), stencil=st,
-                   K=K, G=G, slots=slots, transfer=transfer)
+        if slots.size and (slots.min() < 0 or slots.max() >= grid.n_slots):
+            raise IndexError("grid slots out of range")
+        return cls(epoch=epoch, ref_positions=positions.copy(),
+                   stencil=replace(st, coords=None), K=K, G=G, slots=slots,
+                   transfer=transfer)
 
     @property
     def node_ref_positions(self) -> np.ndarray:
@@ -128,22 +142,36 @@ def contract(px: np.ndarray, py: np.ndarray, G: np.ndarray) -> np.ndarray:
 
 
 def velocity_gradient_s(v_center: np.ndarray, v_nodes: np.ndarray,
-                        cmap: ConfigurationMap) -> np.ndarray:
+                        cmap: ConfigurationMap, scratch: np.ndarray | None = None) -> np.ndarray:
     """Velocity gradient wrt the reference configuration, (n, 2, 2).
 
     v_center is the particle velocity (n, 2), v_nodes the grid velocities
     gathered at the stencil nodes (n, S, 2), best as a view of a (2, n, S)
-    buffer.
+    buffer.  The x and then the y differences v_j - v_center are formed in
+    one (n, S) buffer, `scratch` when given.
     """
-    return contract(v_nodes[..., 0] - v_center[:, 0, None],
-                    v_nodes[..., 1] - v_center[:, 1, None], cmap.G)
+    gx, gy = cmap.G[..., 0], cmap.G[..., 1]
+    d = np.empty_like(gx) if scratch is None else scratch
+    out = np.empty((2, 2, gx.shape[0]))
+    for k in range(2):
+        np.subtract(v_nodes[..., k], v_center[:, k, None], out=d)
+        np.einsum("ns,ns->n", d, gx, out=out[k, 0])
+        np.einsum("ns,ns->n", d, gy, out=out[k, 1])
+    return np.moveaxis(out, (0, 1), (-2, -1))
 
 
 def advance_F_sn(state: DeformationState, grad_v: np.ndarray, dt: float) -> int:
     """F_sn <- F_sn + dt grad_v in place; returns the count of non-positive
-    determinants afterwards (inverted elements, reported as a diagnostic)."""
+    determinants afterwards (inverted elements, reported as a diagnostic).
+
+    Raises NumericalError when F_sn has a non-finite entry, which shows in
+    its determinant.
+    """
     state.F_sn += dt * grad_v
-    return int(np.count_nonzero(det(state.F_sn) <= 0.0))
+    J = det(state.F_sn)
+    if not np.isfinite(J).all():
+        raise NumericalError("non-finite F_sn")
+    return int(np.count_nonzero(J <= 0.0))
 
 
 def compose_total(state: DeformationState) -> np.ndarray:
@@ -172,8 +200,11 @@ def apply_update(state: DeformationState, positions: np.ndarray, grid,
     Afterwards F_0s holds the old product F_sn F_0s, F_sn is the identity,
     and the returned map carries fresh stencils, gradient weights and slots
     of the same transfer flavor, with the epoch counter advanced by one.
+    The old map's workspace is released first, so that it and the new
+    stencils are never held at once.
     """
     state.F_0s = compose_total(state)
     state.F_sn = _identity(state.F_sn.shape[0])
+    cmap.work = None
     return ConfigurationMap.build(positions, grid, cmap.stencil.order, cmap.epoch + 1,
                                   cmap.transfer)

@@ -137,7 +137,8 @@ def _spread(per_axis: np.ndarray, out: np.ndarray) -> np.ndarray:
 class Stencil:
     """Bound neighborhoods of n centers against one uniform grid.
 
-    coords  (n, S, 2) integer lattice coordinates of the nodes
+    coords  (n, S, 2) integer lattice coordinates of the nodes, or None
+            once a `ConfigurationMap` has bound them to grid slots
     r       (n, S, 2) physical offsets node - center
     w       (n, S)    window weights (each row sums to 1)
     dw      (n, S, 2) window gradients wrt the center position, per length,

@@ -1,10 +1,20 @@
 """Particle/grid transfer operators and the grid momentum update.
 
 A `Body` bundles the particle arrays of one object with its material and
-its current grid binding.  Every step runs:
+its current grid binding.  What depends only on the binding is paid once
+per epoch, when a body binds or rebinds:
 
-    p2g -> grid velocities -> internal forces -> explicit or implicit
-    momentum update -> collision projection -> g2p
+    epoch_grid_terms: each body's share of the node mass and of the summed
+    weights (scattered once, kept on its binding), their sum over bodies,
+    and the mask of active nodes (mass above mass_eps)
+
+Every step then runs only what the particle state changes:
+
+    p2g (momentum, plus rasterized positions where colliders need them)
+    -> grid velocities -> internal forces -> explicit or implicit momentum
+    update -> collision projection -> g2p
+
+The grid phases read the active mask instead of re-deriving it.
 
 Every phase contracts against the binding's one gradient-weight array G, so
 the scatter, the internal force, its Hessian and the measured velocity
@@ -12,7 +22,9 @@ gradient share one set of coefficients.  On a least-squares binding
 G_j = W_j K r_j and p2g scatters affine momentum (MLS-MPM / APIC); on a
 kernel binding G_j = grad W_j, p2g scatters plain momentum and g2p blends
 PIC with FLIP velocities (standard MPM).  Scatter-adds are bincount-based
-and run in particle order, which keeps runs bit-reproducible.
+and run in particle order, which keeps runs bit-reproducible; the per-epoch
+totals add the shares in body order into zeros, 0 + share_1 + share_2 + ...,
+which is the sum that scattering every body on every step would form.
 
 The arithmetic is written out for 2x2 blocks, entry by entry.  The binding
 stores its per-stencil-entry arrays once, component-major: w is (n, S), and
@@ -23,6 +35,13 @@ per component, the forces scatter (P0 F_0s^T)_k0 G_x + (P0 F_0s^T)_k1 G_y,
 and g2p gathers node velocities into a (2, n, S) buffer and contracts it
 against w and G.  Per-particle 2x2 matrices are (n, 2, 2) views of
 component-major (2, 2, n) buffers (see `constitutive.pack`).
+
+The per-entry temporaries go into the binding's workspace, allocated on
+first use and kept for the epoch: a (2, n, S) pair, which the gathers
+fill, and one (n, S) buffer, shared by the phases and written with `out=`.
+A step between rebinds therefore allocates nothing of per-entry size.
+Gathers index with mode="clip" because `ConfigurationMap.build` checks
+the slots when it binds.
 """
 
 from __future__ import annotations
@@ -81,15 +100,25 @@ def mass_epsilon(bodies) -> float:
     return MASS_EPS_FACTOR * top
 
 
+def _workspace(cmap) -> tuple[np.ndarray, np.ndarray]:
+    """The binding's scratch buffers, allocated on first use: a (2, n, S)
+    pair, which the gathers fill, and one more (n, S) buffer."""
+    if cmap.work is None:
+        cmap.work = (np.empty((2,) + cmap.slots.shape), np.empty(cmap.slots.shape))
+    return cmap.work
+
+
 def _scatter(slots_flat: np.ndarray, values: np.ndarray, out: np.ndarray) -> None:
     """Accumulate per-stencil-entry values (n, S) into a node array (slots,)."""
     out += np.bincount(slots_flat, weights=values.ravel(), minlength=out.shape[0])
 
 
-def _gather(field: np.ndarray, slots: np.ndarray) -> np.ndarray:
+def _gather(field: np.ndarray, cmap) -> np.ndarray:
     """Node vectors (slots, 2) at the stencil entries, as an (n, S, 2) view
-    of a component-major (2, n, S) array."""
-    return np.moveaxis(np.take(np.ascontiguousarray(field.T), slots, axis=1), 0, -1)
+    of the workspace pair."""
+    out = _workspace(cmap)[0]
+    np.take(np.ascontiguousarray(field.T), cmap.slots, axis=1, out=out, mode="clip")
+    return np.moveaxis(out, 0, -1)
 
 
 def _interpolate(w: np.ndarray, vn: np.ndarray) -> np.ndarray:
@@ -101,29 +130,54 @@ def _scatter_action(body: Body, A: np.ndarray, out: np.ndarray) -> None:
     """out[slot_j] += A_p G_j for every stencil entry j of every particle p."""
     gx, gy = body.cmap.G[..., 0], body.cmap.G[..., 1]
     slots = body.cmap.slots.ravel()
-    f = np.empty_like(gx)
-    tmp = np.empty_like(gx)
+    f, tmp = _workspace(body.cmap)[0]
     for k in range(2):
         np.multiply(A[:, k, 0, None], gx, out=f)
         f += np.multiply(A[:, k, 1, None], gy, out=tmp)
         _scatter(slots, f, out[:, k])
 
 
+# ------------------------------------------------------------ per epoch
+
+
+def epoch_grid_terms(bodies, grid, mass_eps: float) -> None:
+    """Set grid.mass, grid.w_accum and the active mask grid.active.
+
+    A binding scatters its body's share of the mass and of the summed
+    weights the first time it is seen here, in particle order, and keeps
+    them.  The totals add the shares in body order into zeros.  Call after
+    any body binds or rebinds.  A share kept from before the grid grew is
+    shorter than the node arrays; the nodes added since carry none of it.
+    """
+    grid.mass[:] = 0.0
+    grid.w_accum[:] = 0.0
+    for body in bodies:
+        cmap = body.cmap
+        if cmap.node_mass is None:
+            slots = cmap.slots.ravel()
+            w = cmap.stencil.w
+            mw = np.multiply(body.m[:, None], w, out=_workspace(cmap)[1])
+            cmap.node_mass = np.bincount(slots, weights=mw.ravel(), minlength=grid.n_slots)
+            cmap.node_weight = np.bincount(slots, weights=w.ravel(), minlength=grid.n_slots)
+        grid.mass[:cmap.node_mass.size] += cmap.node_mass
+        grid.w_accum[:cmap.node_weight.size] += cmap.node_weight
+    np.greater(grid.mass, mass_eps, out=grid.active)
+
+
 # -------------------------------------------------------------------- p2g
 
 
 def p2g(body: Body, grid) -> None:
-    """Scatter mass, momentum and current positions to the grid; the
-    momentum carries the affine term C r only on a least-squares binding."""
+    """Scatter momentum to the grid, and current positions to a grid that
+    tracks them; the momentum carries the affine term C r only on a
+    least-squares binding.  The node mass is per epoch (`epoch_grid_terms`).
+    """
     cmap = body.cmap
     slots = cmap.slots.ravel()
     w = cmap.stencil.w
-    mw = body.m[:, None] * w
-    _scatter(slots, mw, grid.mass)
-    _scatter(slots, w, grid.w_accum)
+    (mom, tmp), mw = _workspace(cmap)
+    np.multiply(body.m[:, None], w, out=mw)
     r, C = cmap.stencil.r, body.C
-    mom = np.empty_like(w)
-    tmp = np.empty_like(w)
     for k in range(2):
         if cmap.transfer == LEAST_SQUARES:
             # m w (v + C r), entry by entry
@@ -134,18 +188,23 @@ def p2g(body: Body, grid) -> None:
         else:
             np.multiply(mw, body.v[:, k, None], out=mom)
         _scatter(slots, mom, grid.momentum[:, k])
-        _scatter(slots, np.multiply(w, body.x[:, k, None], out=tmp), grid.pos_accum[:, k])
+        if grid.pos_accum is not None:
+            _scatter(slots, np.multiply(w, body.x[:, k, None], out=tmp), grid.pos_accum[:, k])
 
 
-def finalize_grid(grid, mass_eps: float) -> None:
-    """Momentum to velocity, and weighted current node positions."""
-    act = (grid.mass > mass_eps)[:, None]
+def finalize_grid(grid) -> None:
+    """Momentum to velocity on the active nodes (zero elsewhere); a copy of
+    it where the grid keeps the pre-update velocities, and the weighted
+    current node positions where it tracks them."""
     grid.velocity[:] = 0.0
-    np.divide(grid.momentum, grid.mass[:, None], out=grid.velocity, where=act)
-    grid.velocity0[:] = grid.velocity
-    grid.current = grid.position.copy()
-    np.divide(grid.pos_accum, grid.w_accum[:, None], out=grid.current,
-              where=(grid.w_accum > 1e-12)[:, None])
+    np.divide(grid.momentum, grid.mass[:, None], out=grid.velocity,
+              where=grid.active[:, None])
+    if grid.velocity0 is not None:
+        grid.velocity0[:] = grid.velocity
+    if grid.current is not None:
+        grid.current[:] = grid.position
+        np.divide(grid.pos_accum, grid.w_accum[:, None], out=grid.current,
+                  where=(grid.w_accum > 1e-12)[:, None])
 
 
 # ------------------------------------------------------------------ stress
@@ -188,16 +247,20 @@ def piola_differential(body: Body, dF_total: np.ndarray) -> np.ndarray:
 def grid_internal_forces(body: Body, grid) -> None:
     """f_i -= V0 P0 F_0s^T G_i per bound node."""
     PF = matmul_t(body._cache["P0"], body.state.F_0s)
-    _scatter_action(body, -body.V0[:, None, None] * PF, grid.force)
+    PF *= -body.V0[:, None, None]
+    _scatter_action(body, PF, grid.force)
 
 
 # ----------------------------------------------------------- grid dynamics
 
 
-def explicit_update(grid, dt: float, gravity: np.ndarray, mass_eps: float) -> None:
-    """Symplectic Euler velocity update on nodes that carry mass."""
-    act = grid.mass > mass_eps
-    grid.velocity[act] += dt * (grid.force[act] / grid.mass[act, None] + gravity)
+def explicit_update(grid, dt: float, gravity: np.ndarray) -> None:
+    """Symplectic Euler velocity update on the active nodes."""
+    act = grid.active[:, None]
+    acc = np.divide(grid.force, grid.mass[:, None], out=np.zeros_like(grid.force), where=act)
+    acc += gravity
+    acc *= dt
+    np.add(grid.velocity, acc, out=grid.velocity, where=act)
 
 
 def hessian_apply(bodies, u: np.ndarray, act: np.ndarray | None = None) -> np.ndarray:
@@ -211,7 +274,7 @@ def hessian_apply(bodies, u: np.ndarray, act: np.ndarray | None = None) -> np.nd
         u = np.where(act[:, None], u, 0.0)
     out = np.zeros_like(u)
     for body in bodies:
-        un = _gather(u, body.cmap.slots)
+        un = _gather(u, body.cmap)   # workspace, free again once contracted
         dFsn = contract(un[..., 0], un[..., 1], body.cmap.G)
         F_0s = body.state.F_0s
         dP0 = piola_differential(body, matmul(dFsn, F_0s))
@@ -222,8 +285,7 @@ def hessian_apply(bodies, u: np.ndarray, act: np.ndarray | None = None) -> np.nd
 
 
 def implicit_update(bodies, grid, dt: float, gravity: np.ndarray,
-                    mass_eps: float, tol: float = CG_TOL,
-                    max_iters: int = CG_MAX_ITERS) -> dict:
+                    tol: float = CG_TOL, max_iters: int = CG_MAX_ITERS) -> dict:
     """One-Newton-step backward Euler velocity solve.
 
     Solves (M + dt^2 H) v = M v_hat with H the energy Hessian in the grid
@@ -231,8 +293,8 @@ def implicit_update(bodies, grid, dt: float, gravity: np.ndarray,
     Falls back to the explicit update if the operator loses positive
     definiteness.
     """
-    explicit_update(grid, dt, gravity, mass_eps)
-    act = grid.mass > mass_eps
+    explicit_update(grid, dt, gravity)
+    act = grid.active
     v_hat = grid.velocity.copy()
 
     def a_mul(u: np.ndarray) -> np.ndarray:
@@ -273,17 +335,17 @@ def implicit_update(bodies, grid, dt: float, gravity: np.ndarray,
     return info
 
 
-def grid_collisions(grid, colliders, dt: float, mass_eps: float) -> int:
+def grid_collisions(grid, colliders, dt: float) -> int:
     """Project velocities of penetrating, approaching nodes.
 
     Contact is tested at the predicted current node positions (the material
     positions rasterized in p2g, advanced by dt), so long-lived bindings see
-    collisions where the material actually is.
+    collisions where the material actually is.  Needs a grid that tracks
+    positions.
     """
     if not colliders:
         return 0
-    act = grid.mass > mass_eps
-    idx = np.flatnonzero(act)
+    idx = np.flatnonzero(grid.active)
     if idx.size == 0:
         return 0
     x_pred = grid.current[idx] + dt * grid.velocity[idx]
@@ -319,15 +381,19 @@ def g2p(body: Body, grid, dt: float, flip_blend: float = 0.0) -> None:
     Positions advance with the gathered (PIC) velocity.  On a kernel binding
     the particle velocity blends PIC with weight 1 - flip_blend and FLIP (old
     particle velocity plus the gathered grid change) with weight flip_blend;
-    elsewhere it is the PIC velocity.
+    elsewhere it is the PIC velocity.  The FLIP blend needs a grid that
+    keeps the pre-update velocities.
     """
     cmap = body.cmap
     w = cmap.stencil.w
-    vn = _gather(grid.velocity, cmap.slots)
+    scratch = _workspace(cmap)[1]
+    vn = _gather(grid.velocity, cmap)
     v_pic = _interpolate(w, vn)
-    body.C = velocity_gradient_s(v_pic, vn, cmap)
+    body.C = velocity_gradient_s(v_pic, vn, cmap, scratch)
     if cmap.transfer == KERNEL:
-        vn -= _gather(grid.velocity0, cmap.slots)
+        v0 = np.ascontiguousarray(grid.velocity0.T)
+        for k in range(2):
+            vn[..., k] -= np.take(v0[k], cmap.slots, out=scratch, mode="clip")
         delta = _interpolate(w, vn)
         body.v = (1.0 - flip_blend) * v_pic + flip_blend * (body.v + delta)
     else:

@@ -35,7 +35,7 @@ from .kinematics import (ConfigurationMap, DeformationState, UpdatePolicy,
                          advance_F_sn, apply_update, compose_total,
                          deformation_delta, should_update, velocity_gradient_s)
 from .scene import Scene, bundled_scene, load_scene
-from .transfers import (Body, grid_internal_forces, hessian_apply, p2g,
+from .transfers import (Body, epoch_grid_terms, grid_internal_forces, hessian_apply,
                         stress_pass)
 
 UPDATE_WINDOW = 104  # update counts are reported per this many steps
@@ -355,8 +355,7 @@ def check_conservation():
     whose affine velocity fields are nonzero, over 300."""
     sim = Simulation(bundled_scene("falling_ball"))
     body = sim.bodies[0]
-    sim.grid.zero_fields()
-    p2g(body, sim.grid)
+    epoch_grid_terms([body], sim.grid, sim.mass_eps)
     mass_gap = float(abs(sim.grid.mass.sum() - body.m.sum()) / body.m.sum())
 
     scene = _with_solver(bundled_scene("falling_ball"), steps=1000)

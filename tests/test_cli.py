@@ -40,8 +40,7 @@ def test_sim_writes_outputs(scene_path, tmp_path, capsys):
 
 
 def test_sim_mode_and_transfer_aliases(scene_path, capsys):
-    rc = main(["sim", str(scene_path), "--mode", "euler", "--transfer",
-               "kernel", "--strict-determinism"])
+    rc = main(["sim", str(scene_path), "--mode", "euler", "--transfer", "kernel"])
     assert rc == 0
     printed = json.loads(capsys.readouterr().out)
     assert printed["mode"] == "eulerian"

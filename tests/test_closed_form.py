@@ -31,6 +31,7 @@ from aulmpm.kinematics import (
 from aulmpm.mls import COND_LIMIT, QUADRATIC, Stencil, gradient_weights, moment_matrix
 from aulmpm.transfers import (
     Body,
+    epoch_grid_terms,
     finalize_grid,
     g2p,
     grid_internal_forces,
@@ -180,7 +181,8 @@ def _gradients(rng, n, spread, inverted):
 
 def _body(kind, transfer, seed=0, n=60):
     rng = np.random.default_rng(seed)
-    grid = SparseGrid(origin=(0.0, 0.0), dx=0.1, n_cells=(10, 10))
+    grid = SparseGrid(origin=(0.0, 0.0), dx=0.1, n_cells=(10, 10),
+                      track_positions=True, keep_velocity0=True)
     x = 0.25 + 0.5 * rng.random((n, 2))
     mat = MATERIALS[kind]
     body = Body(material=mat, x=x, v=rng.normal(size=(n, 2)),
@@ -203,6 +205,7 @@ IDS = [f"{k}-{t}" for k, t in CASES]
 @pytest.mark.parametrize("kind, transfer", CASES, ids=IDS)
 def test_p2g_matches_reference(kind, transfer):
     body, grid, _ = _body(kind, transfer)
+    epoch_grid_terms([body], grid, mass_epsilon([body]))
     p2g(body, grid)
     st, slots, size = body.cmap.stencil, body.cmap.slots, grid.n_slots
     mw = body.m[:, None] * st.w
@@ -253,8 +256,9 @@ def test_hessian_apply_matches_reference(kind, transfer):
 @pytest.mark.parametrize("transfer", [LEAST_SQUARES, KERNEL])
 def test_g2p_matches_reference(transfer):
     body, grid, rng = _body("solid", transfer)
+    epoch_grid_terms([body], grid, mass_epsilon([body]))
     p2g(body, grid)
-    finalize_grid(grid, mass_epsilon([body]))
+    finalize_grid(grid)
     grid.velocity[:] = rng.normal(size=grid.velocity.shape)
     x0, v0 = body.x.copy(), body.v.copy()
     g2p(body, grid, dt=0.01, flip_blend=0.9)

@@ -1,9 +1,11 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from aulmpm import engine, transfers
+from aulmpm.constitutive import MaterialModel
 from aulmpm.engine import Simulation
 from aulmpm.errors import NumericalError
 from aulmpm.kinematics import compose_total
@@ -31,6 +33,24 @@ def _spin_scene(**solver):
     scene = _scene(**solver)
     scene.objects[0].angular_velocity = 4.0
     return scene
+
+
+def _fresh_grid_terms(sim):
+    """Node mass, summed weights and active mask from a particle-order
+    scatter of every body at its current binding."""
+    size = sim.grid.n_slots
+    mass, w_accum = np.zeros(size), np.zeros(size)
+    for b in sim.bodies:
+        slots, w = b.cmap.slots.ravel(), b.cmap.stencil.w
+        mass += np.bincount(slots, (b.m[:, None] * w).ravel(), size)
+        w_accum += np.bincount(slots, w.ravel(), size)
+    return mass, w_accum, mass > sim.mass_eps
+
+
+def _assert_grid_terms_fresh(sim):
+    for got, want in zip((sim.grid.mass, sim.grid.w_accum, sim.grid.active),
+                         _fresh_grid_terms(sim)):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_free_fall_velocity_is_exact():
@@ -82,6 +102,94 @@ def test_stepping_on_after_run_is_bitwise_unchanged(mode):
         np.testing.assert_array_equal(getattr(a.bodies[0], name), getattr(b.bodies[0], name))
     assert a.bodies[0].cmap.epoch == b.bodies[0].cmap.epoch
     np.testing.assert_array_equal(a.bodies[0].cmap.G, b.bodies[0].cmap.G)
+    # the rebuilt per-epoch grid terms and shares match too
+    _assert_grid_terms_fresh(a)
+    for name in ("mass", "w_accum", "active"):
+        np.testing.assert_array_equal(getattr(a.grid, name), getattr(b.grid, name))
+    for name in ("node_mass", "node_weight"):
+        np.testing.assert_array_equal(getattr(a.bodies[0].cmap, name),
+                                      getattr(b.bodies[0].cmap, name))
+
+
+def test_epoch_grid_terms_follow_rebinds_and_grid_growth():
+    # "mover" rebinds on every step (eta = 0) and slides into tiles no
+    # binding has touched; "still" never rebinds, so its share was scattered
+    # on a grid with fewer slots than the grid has later
+    fluid = {"type": "weakly_compressible_fluid", "density": 1000.0, "bulk": 100.0}
+    scene = load_scene({
+        "grid": {"origin": [0.0, 0.0], "size": [1.0, 1.0], "cells": [40, 40]},
+        "gravity": [0.0, 0.0],
+        "solver": {"dt": 1e-3, "steps": 12},
+        "objects": [
+            {"name": "mover", "shape": {"type": "disk", "center": [0.3, 0.5], "radius": 0.06},
+             "spacing": 0.0125, "material": fluid, "velocity": [4.0, 0.0],
+             "update": {"epsilon": 0.5, "eta": 0.0}},
+            {"name": "still", "shape": {"type": "disk", "center": [0.7, 0.3], "radius": 0.06},
+             "spacing": 0.0125, "material": fluid,
+             "update": {"epsilon": 1e9, "eta": 1.0}},
+        ],
+        "colliders": [{"type": "half_space", "point": [0.0, 0.1], "normal": [0.0, 1.0],
+                       "mode": "slip"}],
+    })
+    sim = Simulation(scene)
+    _assert_grid_terms_fresh(sim)
+    slots0 = sim.grid.n_slots
+    still = sim.bodies[1].cmap
+    for _ in range(scene.solver.steps):
+        sim.step()
+        _assert_grid_terms_fresh(sim)
+    assert sim.bodies[0].cmap.epoch == scene.solver.steps
+    assert sim.bodies[1].cmap is still
+    assert sim.grid.n_slots > slots0 == still.node_mass.size
+
+
+def test_steady_steps_allocate_no_per_entry_arrays(monkeypatch):
+    # Between rebinds the transfer phases write their per-entry temporaries
+    # into the binding's workspace: at its peak, each of p2g, the internal
+    # forces and g2p allocates less than one (n, S) float64 array.
+    scene = load_scene({
+        "grid": {"origin": [0.0, 0.0], "size": [1.0, 1.0], "cells": [128, 128]},
+        "gravity": [0.0, -10.0],
+        "solver": {"dt": 1e-4, "steps": 3, "mode": "total_lagrangian"},
+        "objects": [{
+            "shape": {"type": "disk", "center": [0.5, 0.5], "radius": 0.25},
+            "spacing": 1 / 256, "jitter": 0.3,
+            "material": {"type": "fixed_corotated", "density": 1000.0,
+                         "youngs": 1e4, "poisson": 0.3},
+            "velocity": [0.1, -0.2],
+        }],
+    })
+    sim = Simulation(scene)
+    peaks = {}
+
+    def traced(fn):
+        def call(*args, **kwargs):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            out = fn(*args, **kwargs)
+            peaks[fn.__name__] = tracemalloc.get_traced_memory()[1] - start
+            return out
+        return call
+
+    for name in ("p2g", "grid_internal_forces", "g2p"):
+        monkeypatch.setattr(engine, name, traced(getattr(engine, name)))
+    tracemalloc.start()
+    try:
+        # the last step is steady: the arrays it replaces were allocated
+        # while tracing
+        for _ in range(3):
+            sim.step()
+    finally:
+        tracemalloc.stop()
+    entry_bytes = sim.bodies[0].cmap.slots.size * 8
+    assert set(peaks) == {"p2g", "grid_internal_forces", "g2p"}
+    for name, peak in peaks.items():
+        assert peak < entry_bytes, (name, peak, entry_bytes)
+
+    # a finished run holds no workspace and no grid shares
+    sim.run()
+    cmap = sim.bodies[0].cmap
+    assert cmap.work is None and cmap.node_mass is None and cmap.node_weight is None
 
 
 def test_records_accumulate_monotone_counters():
@@ -133,6 +241,48 @@ def test_nan_guard_raises():
     sim = Simulation(_scene(steps=1))
     sim.bodies[0].v[0, 0] = np.nan
     with pytest.raises(NumericalError, match="non-finite"):
+        sim.step()
+
+
+def _poison_F_sn(real):
+    def call(state, grad_v, dt):
+        state.F_sn[0, 0, 0] = np.nan
+        return real(state, grad_v, dt)
+    return call
+
+
+def _poison_F_0s(real):
+    def call(state, positions, grid, cmap):
+        out = real(state, positions, grid, cmap)
+        state.F_0s[0, 1, 1] = np.nan
+        return out
+    return call
+
+
+def _poison_F_plastic(real):
+    def call(Fe, Fp, material):
+        Fe, Fp = real(Fe, Fp, material)
+        Fp[0, 1, 0] = np.inf
+        return Fe, Fp
+    return call
+
+
+@pytest.mark.parametrize("field, phase, poison", [
+    ("F_sn", "advance_F_sn", _poison_F_sn),
+    ("F_0s", "apply_update", _poison_F_0s),
+    ("F_plastic", "plastic_project", _poison_F_plastic),
+])
+def test_nan_guard_names_the_deformation_field(field, phase, poison, monkeypatch):
+    # a non-finite entry appears in one deformation field during step 2; x
+    # and v are still finite, so only the new guard can stop the step
+    scene = _scene(steps=4, mode="eulerian")
+    scene.objects[0].material = MaterialModel.from_youngs(
+        "snow", density=400.0, youngs=1.4e4, poisson=0.2)
+    sim = Simulation(scene)
+    sim.step()
+    sim.step()
+    monkeypatch.setattr(engine, phase, poison(getattr(engine, phase)))
+    with pytest.raises(NumericalError, match=f"^non-finite {field} at step 2$"):
         sim.step()
 
 

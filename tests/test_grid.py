@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from aulmpm.constitutive import MaterialModel
 from aulmpm.errors import OutOfDomainError
 from aulmpm.grid import HalfSpace, SparseGrid, SphereObstacle
+from aulmpm.kinematics import ConfigurationMap, DeformationState
+from aulmpm.transfers import Body, epoch_grid_terms, mass_epsilon
 
 
 def test_activation_is_idempotent_and_returns_stable_slots():
@@ -67,11 +70,19 @@ def test_activate_slots_do_not_depend_on_dtype_or_layout():
 
 def test_zero_fields_resets_accumulators():
     g = SparseGrid(origin=(0.0, 0.0), dx=0.1, n_cells=(10, 10), tile=4)
+    x = np.array([[0.52, 0.47], [0.31, 0.66]])
+    body = Body(material=MaterialModel.fluid(density=1000.0, bulk=10.0), x=x,
+                v=np.zeros((2, 2)), m=np.array([2.0, 3.0]), V0=np.ones(2),
+                C=np.zeros((2, 2, 2)), state=DeformationState.identity(2),
+                cmap=ConfigurationMap.build(x, g))
+    epoch_grid_terms([body], g, mass_epsilon([body]))
     s = g.activate(np.array([[5, 5]]))
-    g.mass[s] = 3.0
     g.momentum[s] = [1.0, 2.0]
     g.zero_fields()
-    assert g.mass[s[0]] == 0.0
+    # the per-epoch mass survives and still equals a fresh scatter
+    fresh = np.bincount(body.cmap.slots.ravel(),
+                        (body.m[:, None] * body.cmap.stencil.w).ravel(), g.n_slots)
+    np.testing.assert_array_equal(g.mass, fresh)
     np.testing.assert_array_equal(g.momentum[s[0]], [0.0, 0.0])
 
 

@@ -21,7 +21,7 @@ from aulmpm.kinematics import (
     should_update,
     velocity_gradient_s,
 )
-from aulmpm.mls import gradient_weights
+from aulmpm.mls import build_stencil, gradient_weights
 
 COMPOSE_RTOL = 1e-12
 ACCUM_RTOL = 1e-12
@@ -115,9 +115,10 @@ def test_configuration_map_binds_reference_geometry():
     cmap = ConfigurationMap.build(pos, grid)
     assert cmap.epoch == 0
     np.testing.assert_allclose(cmap.ref_positions, pos)
-    # bound slots agree with the grid's own lookup
+    # bound slots agree with the grid's own lookup of the stencil's nodes
+    coords = build_stencil(pos, grid.origin, grid.dx, grid.n_nodes).coords
     np.testing.assert_array_equal(
-        cmap.slots, grid.slot_of(cmap.stencil.coords.reshape(-1, 2)).reshape(cmap.slots.shape))
+        cmap.slots, grid.slot_of(coords.reshape(-1, 2)).reshape(cmap.slots.shape))
     np.testing.assert_allclose(cmap.node_ref_positions,
                                grid.position[cmap.slots], atol=1e-14)
 

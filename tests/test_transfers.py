@@ -6,6 +6,7 @@ from aulmpm.grid import HalfSpace, SparseGrid
 from aulmpm.kinematics import KERNEL, LEAST_SQUARES, ConfigurationMap, DeformationState
 from aulmpm.transfers import (
     Body,
+    epoch_grid_terms,
     explicit_update,
     finalize_grid,
     g2p,
@@ -22,7 +23,9 @@ SOLID = MaterialModel.from_youngs("fixed_corotated", density=1000.0, youngs=1e4,
 
 
 def _grid(dx=0.1, n=10):
-    return SparseGrid(origin=(0.0, 0.0), dx=dx, n_cells=(n, n))
+    # tracks positions and keeps pre-update velocities: the tests read both
+    return SparseGrid(origin=(0.0, 0.0), dx=dx, n_cells=(n, n),
+                      track_positions=True, keep_velocity0=True)
 
 
 def _body(positions, grid, material=SOLID, velocity=None, F_plastic=False,
@@ -51,6 +54,7 @@ def _cloud(rng, n=40, lo=0.25, hi=0.75):
 def test_single_particle_mass_pattern():
     grid = _grid()
     body = _body([[0.5, 0.5]], grid)
+    epoch_grid_terms([body], grid, mass_epsilon([body]))
     p2g(body, grid)
     center = grid.mass[grid.slot_of([[5, 5]])[0]]
     edge = grid.mass[grid.slot_of([[6, 5]])[0]]
@@ -67,6 +71,7 @@ def test_p2g_conserves_mass_and_momentum():
     grid = _grid()
     body = _body(_cloud(rng), grid, velocity=rng.normal(size=(40, 2)))
     body.C = rng.normal(size=(40, 2, 2))
+    epoch_grid_terms([body], grid, mass_epsilon([body]))
     p2g(body, grid)
     assert np.isclose(grid.mass.sum(), body.m.sum(), rtol=1e-13)
     # the affine term has zero first moment, so it adds no net momentum
@@ -80,8 +85,9 @@ def test_p2g_g2p_roundtrip_conserves_momentum():
     grid = _grid()
     body = _body(_cloud(rng), grid, velocity=rng.normal(size=(40, 2)))
     before = (body.m[:, None] * body.v).sum(axis=0)
+    epoch_grid_terms([body], grid, mass_epsilon([body]))
     p2g(body, grid)
-    finalize_grid(grid, mass_epsilon([body]))
+    finalize_grid(grid)
     g2p(body, grid, dt=0.0)
     after = (body.m[:, None] * body.v).sum(axis=0)
     np.testing.assert_allclose(after, before, rtol=1e-12, atol=1e-15)
@@ -90,8 +96,9 @@ def test_p2g_g2p_roundtrip_conserves_momentum():
 def test_rasterized_positions_single_particle():
     grid = _grid()
     body = _body([[0.52, 0.47]], grid)
+    epoch_grid_terms([body], grid, mass_epsilon([body]))
     p2g(body, grid)
-    finalize_grid(grid, mass_epsilon([body]))
+    finalize_grid(grid)
     covered = grid.w_accum > 1e-12
     assert covered.sum() == 9
     np.testing.assert_allclose(
@@ -102,8 +109,9 @@ def test_g2p_recovers_affine_field():
     rng = np.random.default_rng(5)
     grid = _grid()
     body = _body(_cloud(rng), grid)
+    epoch_grid_terms([body], grid, mass_epsilon([body]))
     p2g(body, grid)
-    finalize_grid(grid, mass_epsilon([body]))
+    finalize_grid(grid)
     B = np.array([[0.3, -1.1], [0.7, 0.2]])
     c = np.array([0.4, -0.9])
     grid.velocity[:] = grid.position @ B.T + c
@@ -231,16 +239,17 @@ def _one_velocity_update(positions, velocities, dt, implicit):
     grid = _grid()
     body = _body(positions, grid, velocity=velocities)
     eps = mass_epsilon([body])
+    epoch_grid_terms([body], grid, eps)
     p2g(body, grid)
-    finalize_grid(grid, eps)
+    finalize_grid(grid)
     stress_pass(body)
     grid_internal_forces(body, grid)
     g = np.zeros(2)
     if implicit:
-        info = implicit_update([body], grid, dt, g, eps, tol=1e-12)
+        info = implicit_update([body], grid, dt, g, tol=1e-12)
         assert info["converged"]
     else:
-        explicit_update(grid, dt, g, eps)
+        explicit_update(grid, dt, g)
     return grid.velocity.copy()
 
 
@@ -264,12 +273,13 @@ def test_implicit_zero_stiffness_is_free():
     soft = MaterialModel.from_youngs("fixed_corotated", density=1000.0, youngs=0.0, poisson=0.3)
     body = _body(_cloud(rng), grid, material=soft, velocity=rng.normal(size=(40, 2)))
     eps = mass_epsilon([body])
+    epoch_grid_terms([body], grid, eps)
     p2g(body, grid)
-    finalize_grid(grid, eps)
+    finalize_grid(grid)
     stress_pass(body)
     grid_internal_forces(body, grid)
     before = grid.velocity.copy()
-    info = implicit_update([body], grid, 1e-3, np.zeros(2), eps)
+    info = implicit_update([body], grid, 1e-3, np.zeros(2))
     assert info["iterations"] <= 2
     np.testing.assert_allclose(grid.velocity, before, atol=1e-13)
 
@@ -281,11 +291,12 @@ def test_implicit_falls_back_when_indefinite():
                  velocity=[[1.0, 0.0], [-1.0, 0.0]])
     body.state.F_sn[:] = 0.05 * np.eye(2)
     eps = mass_epsilon([body])
+    epoch_grid_terms([body], grid, eps)
     p2g(body, grid)
-    finalize_grid(grid, eps)
+    finalize_grid(grid)
     stress_pass(body)
     grid_internal_forces(body, grid)
-    info = implicit_update([body], grid, 10.0, np.zeros(2), eps)
+    info = implicit_update([body], grid, 10.0, np.zeros(2))
     assert info["fallback"]
 
 
@@ -293,9 +304,10 @@ def test_explicit_update_applies_gravity_only_to_massive_nodes():
     grid = _grid()
     body = _body([[0.5, 0.5]], grid)
     eps = mass_epsilon([body])
+    epoch_grid_terms([body], grid, eps)
     p2g(body, grid)
-    finalize_grid(grid, eps)
-    explicit_update(grid, 0.1, np.array([0.0, -10.0]), eps)
+    finalize_grid(grid)
+    explicit_update(grid, 0.1, np.array([0.0, -10.0]))
     act = grid.mass > eps
     np.testing.assert_allclose(grid.velocity[act, 1], -1.0, atol=1e-13)
     np.testing.assert_allclose(grid.velocity[~act], 0.0, atol=0.0)
@@ -305,10 +317,11 @@ def test_slip_collision_removes_normal_component():
     grid = _grid()
     body = _body([[0.5, 0.12]], grid, velocity=[[0.4, -2.0]])
     eps = mass_epsilon([body])
+    epoch_grid_terms([body], grid, eps)
     p2g(body, grid)
-    finalize_grid(grid, eps)
+    finalize_grid(grid)
     floor = HalfSpace(point=[0.0, 0.15], normal=[0.0, 1.0], mode="slip")
-    touched = grid_collisions(grid, [floor], dt=0.05, mass_eps=eps)
+    touched = grid_collisions(grid, [floor], dt=0.05)
     assert touched > 0
     act = grid.mass > eps
     assert grid.velocity[act, 1].min() >= -1e-14
@@ -319,10 +332,11 @@ def test_sticky_collision_pins_to_collider_velocity():
     grid = _grid()
     body = _body([[0.5, 0.12]], grid, velocity=[[0.4, -2.0]])
     eps = mass_epsilon([body])
+    epoch_grid_terms([body], grid, eps)
     p2g(body, grid)
-    finalize_grid(grid, eps)
+    finalize_grid(grid)
     floor = HalfSpace(point=[0.0, 0.15], normal=[0.0, 1.0], mode="sticky")
-    grid_collisions(grid, [floor], dt=0.05, mass_eps=eps)
+    grid_collisions(grid, [floor], dt=0.05)
     act = grid.mass > eps
     pred = grid.current[act] + 0.0  # all nodes share the particle velocity
     inside = (grid.current[act, 1] + 0.05 * grid.velocity0[act, 1]) < 0.15
@@ -335,11 +349,12 @@ def test_separating_nodes_are_left_alone():
     grid = _grid()
     body = _body([[0.5, 0.12]], grid, velocity=[[0.0, 3.0]])
     eps = mass_epsilon([body])
+    epoch_grid_terms([body], grid, eps)
     p2g(body, grid)
-    finalize_grid(grid, eps)
+    finalize_grid(grid)
     before = grid.velocity.copy()
     floor = HalfSpace(point=[0.0, 0.5], normal=[0.0, 1.0], mode="slip")
-    touched = grid_collisions(grid, [floor], dt=0.01, mass_eps=eps)
+    touched = grid_collisions(grid, [floor], dt=0.01)
     assert touched == 0
     np.testing.assert_allclose(grid.velocity, before, atol=0.0)
 
@@ -351,8 +366,9 @@ def test_kernel_path_translates_exactly():
     body.C = rng.normal(size=(40, 2, 2))  # a kernel binding scatters no affine momentum
     eps = mass_epsilon([body])
     x0 = body.x.copy()
+    epoch_grid_terms([body], grid, eps)
     p2g(body, grid)
-    finalize_grid(grid, eps)
+    finalize_grid(grid)
     g2p(body, grid, dt=0.01, flip_blend=0.95)
     np.testing.assert_allclose(body.v, np.tile([0.3, -0.2], (40, 1)), atol=1e-12)
     np.testing.assert_allclose(body.x, x0 + 0.01 * np.array([0.3, -0.2]), atol=1e-12)
