@@ -9,7 +9,7 @@ rebind).
 """
 
 from .constitutive import MaterialModel, energy_and_piola, plastic_project
-from .engine import Simulation, run_scene
+from .engine import Simulation
 from .errors import (
     DegenerateNeighborhoodError,
     NumericalError,
@@ -50,7 +50,6 @@ __all__ = [
     "load_scene",
     "plastic_project",
     "run_property_checks",
-    "run_scene",
     "sample_shape",
     "update_stats",
 ]

@@ -24,6 +24,16 @@ _MODES = {"tl": "total_lagrangian", "euler": "eulerian", "adaptive": "adaptive"}
 _TRANSFERS = {"mls": "least_squares", "kernel": "kernel"}
 
 
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="aulmpm", description=__doc__,
                                   formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -32,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("sim", help="run a scene")
     sim.add_argument("scene", help="scene JSON path")
     sim.add_argument("--out", help="output directory")
-    sim.add_argument("--frames", type=int, default=None,
+    sim.add_argument("--frames", type=_non_negative_int, default=None,
                      help="number of snapshots to emit after the initial one")
     sim.add_argument("--mode", choices=sorted(_MODES),
                      help="override the scene's reference-update mode")
@@ -44,9 +54,9 @@ def _build_parser() -> argparse.ArgumentParser:
     conv = sub.add_parser("converge", help="grid refinement study")
     conv.add_argument("scene", help="scene JSON path")
     conv.add_argument("--levels", required=True,
-                      help="exponent range i..j, grids 2^i .. 2^j per axis")
+                      help="exponent range i..j, grids of 2^i .. 2^j cells along x")
     conv.add_argument("--bench-level", type=int, required=True,
-                      help="benchmark exponent k, grid 2^k per axis")
+                      help="benchmark exponent k, grid of 2^k cells along x")
     conv.add_argument("--out", help="error table CSV path")
 
     ver = sub.add_parser("verify", help="run the acceptance criteria")

@@ -10,15 +10,14 @@ Three kinds are supported:
                        p(J) = bulk ((1/J)^gamma - 1)
 
 All stresses are measured per unit initial volume (first Piola wrt the
-initial configuration); `mapped_stress` pushes them to an intermediate
-reference configuration.  Inverted elements are handled through a signed
+initial configuration).  Inverted elements are handled through a signed
 SVD convention: U and V are proper rotations and the smallest singular
 value carries the sign of det F.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,6 +54,8 @@ class MaterialModel:
             raise SceneError("density must be positive")
         if self.mu < 0.0 or self.lam < 0.0 or self.bulk < 0.0:
             raise SceneError("moduli must be non-negative")
+        if self.kind == FLUID and self.gamma <= 1.0:
+            raise SceneError(f"fluid gamma must exceed 1, got {self.gamma:g}")
 
     @classmethod
     def from_youngs(cls, kind: str, density: float, youngs: float, poisson: float,
@@ -66,9 +67,6 @@ class MaterialModel:
     @classmethod
     def fluid(cls, density: float, bulk: float, gamma: float = 7.0) -> "MaterialModel":
         return cls(kind=FLUID, density=density, bulk=bulk, gamma=gamma)
-
-    def with_moduli(self, mu, lam) -> "MaterialModel":
-        return replace(self, mu=mu, lam=lam)
 
 
 @dataclass
@@ -127,12 +125,6 @@ def matmul_t(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return pack(a * e + b * f, a * g + b * h, c * e + d * f, c * g + d * h)
 
 
-def cofactor(F: np.ndarray) -> np.ndarray:
-    """Cofactor matrix (equals det(F) F^-T for invertible F), any det."""
-    a, b, c, d = entries(F)
-    return pack(d, -c, -b, a)
-
-
 def _svd_angles(F: np.ndarray):
     """Signed SVD F = U(tu) diag(s1, s2) U(tv)^T with rotations U(t).
 
@@ -147,18 +139,6 @@ def _svd_angles(F: np.ndarray):
     return (t1 + t2) * 0.5, (t2 - t1) * 0.5, (h1 + h2) * 0.5, (h1 - h2) * 0.5
 
 
-def signed_svd(F: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched SVD with rotations for U, V; sign of det F on the last sigma."""
-    tu, tv, s1, s2 = _svd_angles(F)
-    U = _rot2(np.cos(tu), np.sin(tu))
-    Vt = _rot2(np.cos(tv), -np.sin(tv))
-    return U, np.stack([s1, s2], axis=-1), Vt
-
-
-def _rot2(cs, sn) -> np.ndarray:
-    return pack(cs, -sn, sn, cs)
-
-
 def _rotation(x1, y1):
     """cos and sin of the polar rotation angle atan2(y1, x1) of F, with
     x1 = F00 + F11 and y1 = F10 - F01; the identity where both vanish.
@@ -166,13 +146,6 @@ def _rotation(x1, y1):
     h1 = np.hypot(x1, y1)
     safe = np.where(h1 > 0.0, h1, 1.0)
     return np.where(h1 > 0.0, x1 / safe, 1.0), y1 / safe, h1
-
-
-def polar_rotation(F: np.ndarray) -> np.ndarray:
-    """Rotation factor R = U V^T of the signed SVD."""
-    a, b, c, d = entries(F)
-    cs, sn, _ = _rotation(a + d, c - b)
-    return _rot2(cs, sn)
 
 
 # ------------------------------------------------------------------- stress
@@ -228,12 +201,6 @@ def energy_and_piola(F: np.ndarray, model: MaterialModel,
     raise SceneError(f"unknown material kind {model.kind!r}")
 
 
-def pressure(J: np.ndarray, model: MaterialModel) -> np.ndarray:
-    """Fluid equation of state p(J) = bulk ((1/J)^gamma - 1)."""
-    J = np.maximum(np.asarray(J, dtype=np.float64), J_FLOOR)
-    return model.bulk * (J ** (-model.gamma) - 1.0)
-
-
 def hessian_action(F: np.ndarray, dF: np.ndarray, model: MaterialModel,
                    J_plastic: np.ndarray | None = None) -> np.ndarray:
     """Directional derivative dP = (d2 psi / dF dF) : dF at F."""
@@ -259,15 +226,6 @@ def hessian_action(F: np.ndarray, dF: np.ndarray, model: MaterialModel,
                 m2 * (f + cs * w) - k1 * c - k2 * g,
                 m2 * (g - cs * w) - k1 * b - k2 * f,
                 m2 * (h + sn * w) + k1 * a + k2 * e)
-
-
-def mapped_stress(P0: np.ndarray, F_0s: np.ndarray,
-                  J_0s: np.ndarray | None = None) -> np.ndarray:
-    """Push the initial-configuration stress to the reference configuration:
-    P_s = P_0 F_0s^T / det(F_0s)."""
-    if J_0s is None:
-        J_0s = det(F_0s)
-    return matmul_t(P0, F_0s) / np.asarray(J_0s)[..., None, None]
 
 
 def plastic_project(F_elastic: np.ndarray, F_plastic: np.ndarray,

@@ -379,7 +379,3 @@ class Simulation:
             self._write_stats(out)
             (out / "summary.json").write_text(json.dumps(info, indent=2) + "\n")
         return info
-
-
-def run_scene(scene: Scene, out_dir=None, progress=None) -> dict:
-    return Simulation(scene).run(out_dir=out_dir, progress=progress)

@@ -1,9 +1,8 @@
 """Tile-based sparse background grid and static collision geometry.
 
-Nodes live on a uniform 2-D lattice; storage is allocated in fixed-size
-tiles (tile x tile nodes each) the first time any node of a tile is bound.
-Activation is idempotent and lookups of nodes in untouched tiles report
-zero mass.
+Nodes live on a uniform 2-D lattice; storage is allocated in tiles of
+TILE x TILE nodes the first time any node of a tile is bound.  Activation
+is idempotent, and `slot_of` reports -1 for nodes in untouched tiles.
 
 The node arrays fall in two groups.  `mass`, `w_accum` and the `active`
 mask (nodes carrying mass) are per-epoch terms: `transfers.epoch_grid_terms`
@@ -24,27 +23,29 @@ import numpy as np
 
 from .errors import OutOfDomainError
 
+# nodes per tile edge
+TILE = 4
+TILE_NODES = TILE * TILE
+
 
 class SparseGrid:
     """Uniform 2-D grid over a box, with tiled on-demand node storage.
 
-    Node (x, y) lies in tile (x // tile, y // tile), whose code is
-    (x // tile) * (tiles along y) + y // tile.  Its slot is its tile's slot
-    times tile^2 plus its x-major offset inside the tile; tiles get slots
+    Node (x, y) lies in tile (x // TILE, y // TILE), whose code is
+    (x // TILE) * (tiles along y) + y // TILE.  Its slot is its tile's slot
+    times TILE^2 plus its x-major offset inside the tile; tiles get slots
     in the order they were first bound.
     """
 
-    def __init__(self, origin, dx: float, n_cells, tile: int = 4,
+    def __init__(self, origin, dx: float, n_cells,
                  track_positions: bool = False, keep_velocity0: bool = False):
         self.origin = np.asarray(origin, dtype=np.float64)
         self.dx = float(dx)
         self.n_cells = np.asarray(n_cells, dtype=np.int64)
         self.n_nodes = self.n_cells + 1
-        self.tile = int(tile)
-        self.tile_nodes = self.tile * self.tile
 
         # tiles per axis (ceil division) and the tile slot of each tile code
-        self._n_tiles_axis = -(-self.n_nodes // self.tile)
+        self._n_tiles_axis = -(-self.n_nodes // TILE)
         self._tile_lut = np.full(int(np.prod(self._n_tiles_axis)), -1, dtype=np.int64)
 
         # per-node arrays: (name, trailing shape, dtype)
@@ -59,13 +60,12 @@ class SparseGrid:
             self._fields.append(("velocity0", (2,), np.float64))
 
         self.n_tiles = 0
-        self.coords = np.empty((0, 2), dtype=np.int64)
         for name, shape, dtype in self._fields:
             setattr(self, name, np.zeros((0,) + shape, dtype=dtype))
 
     @property
     def n_slots(self) -> int:
-        return self.n_tiles * self.tile_nodes
+        return self.n_tiles * TILE_NODES
 
     def _grow(self, new_codes: np.ndarray) -> None:
         """Append storage for the tiles with the given tile codes, in order."""
@@ -73,12 +73,11 @@ class SparseGrid:
         if add == 0:
             return
         tx, ty = np.divmod(new_codes, self._n_tiles_axis[1])
-        ox, oy = np.divmod(np.arange(self.tile_nodes), self.tile)
-        node_coords = np.stack(((tx[:, None] * self.tile + ox).ravel(),
-                                (ty[:, None] * self.tile + oy).ravel()), axis=-1)
-        self.coords = np.concatenate([self.coords, node_coords], axis=0)
+        ox, oy = np.divmod(np.arange(TILE_NODES), TILE)
+        node_coords = np.stack(((tx[:, None] * TILE + ox).ravel(),
+                                (ty[:, None] * TILE + oy).ravel()), axis=-1)
         self.n_tiles += add
-        pad = add * self.tile_nodes
+        pad = add * TILE_NODES
         for name, shape, dtype in self._fields:
             setattr(self, name, np.concatenate(
                 [getattr(self, name), np.zeros((pad,) + shape, dtype=dtype)]))
@@ -90,16 +89,15 @@ class SparseGrid:
         A rebind passes one row per stencil entry, and each fresh temporary
         of that size costs page faults, so the offsets are formed in place.
         """
-        t = self.tile
-        tx = cx // t
-        ty = cy // t
+        tx = cx // TILE
+        ty = cy // TILE
         code = tx * self._n_tiles_axis[1]
         code += ty
-        # within = (cx - t tx) t + (cy - t ty), in the storage of tx and ty
-        tx *= -t
+        # within = (cx - TILE tx) TILE + (cy - TILE ty), in the storage of tx and ty
+        tx *= -TILE
         tx += cx
-        tx *= t
-        ty *= -t
+        tx *= TILE
+        ty *= -TILE
         ty += cy
         tx += ty
         return code, tx
@@ -125,7 +123,7 @@ class SparseGrid:
             self._tile_lut[new_codes] = self.n_tiles + np.arange(new_codes.size)
             self._grow(new_codes)
             tslot = self._tile_lut[code]
-        tslot *= self.tile_nodes
+        tslot *= TILE_NODES
         tslot += within
         return tslot
 
@@ -134,14 +132,7 @@ class SparseGrid:
         coords = np.atleast_2d(np.asarray(coords, dtype=np.int64))
         code, within = self._locate(coords[:, 0], coords[:, 1])
         tslot = self._tile_lut[code]
-        return np.where(tslot >= 0, tslot * self.tile_nodes + within, -1)
-
-    def mass_at(self, coords) -> np.ndarray:
-        slots = self.slot_of(coords)
-        out = np.zeros(slots.shape)
-        hit = slots >= 0
-        out[hit] = self.mass[slots[hit]]
-        return out
+        return np.where(tslot >= 0, tslot * TILE_NODES + within, -1)
 
     def zero_fields(self) -> None:
         """Reset the per-step accumulators; the per-epoch terms are kept."""

@@ -127,11 +127,6 @@ class ConfigurationMap:
                    stencil=replace(st, coords=None), K=K, G=G, slots=slots,
                    transfer=transfer)
 
-    @property
-    def node_ref_positions(self) -> np.ndarray:
-        """Reference positions of the bound nodes, (n, S, 2)."""
-        return self.ref_positions[:, None, :] + self.stencil.r
-
 
 def contract(px: np.ndarray, py: np.ndarray, G: np.ndarray) -> np.ndarray:
     """sum_j p_j (x) G_j per particle, (n, 2, 2), from the node samples of a

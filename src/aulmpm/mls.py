@@ -10,8 +10,8 @@ center's support sits on one fixed polynomial piece of the spline (three
 per axis for quadratic windows, four for cubic), so the windows and their
 slopes come in closed form without branching.  The per-axis tables are then
 multiplied and laid out over the S = count^2 stencil entries, one entry at
-a time.  `bspline_weight` evaluates the same splines piecewise in |x| and
-serves as the independent formula the stencils are tested against.
+a time.  The tests check the stencils against an independent formula that
+evaluates the same splines piecewise in |x| (`tests/oracles.py`).
 
 The least-squares gradient of a field phi sampled at the stencil nodes is
 
@@ -42,43 +42,6 @@ _SUPPORT = {QUADRATIC: 3, CUBIC: 4}
 COND_LIMIT = 1.0e8
 
 
-def _bspline_1d(x: np.ndarray, order: str) -> tuple[np.ndarray, np.ndarray]:
-    """Window value and derivative at offset x (in cell units)."""
-    ax = np.abs(x)
-    sg = np.sign(x)
-    if order == QUADRATIC:
-        w = np.where(ax < 0.5, 0.75 - ax * ax, np.where(ax < 1.5, 0.5 * (1.5 - ax) ** 2, 0.0))
-        dw = np.where(ax < 0.5, -2.0 * x, np.where(ax < 1.5, (ax - 1.5) * sg, 0.0))
-    elif order == CUBIC:
-        w = np.where(ax < 1.0, 0.5 * ax**3 - ax * ax + 2.0 / 3.0,
-                     np.where(ax < 2.0, (2.0 - ax) ** 3 / 6.0, 0.0))
-        dw = np.where(ax < 1.0, (1.5 * ax - 2.0) * ax * sg,
-                      np.where(ax < 2.0, -0.5 * (2.0 - ax) ** 2 * sg, 0.0))
-    else:
-        raise ValueError(f"unknown spline order {order!r}")
-    return w, dw
-
-
-def bspline_weight(offset: np.ndarray, order: str = QUADRATIC) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor-product window weight and gradient for offsets in cell units.
-
-    offset has shape (..., d); returns W with shape (...) and dW with shape
-    (..., d), both per cell (divide the gradient by dx for physical units).
-    """
-    offset = np.asarray(offset, dtype=np.float64)
-    w1, dw1 = _bspline_1d(offset, order)
-    w = np.prod(w1, axis=-1)
-    dim = offset.shape[-1]
-    dw = np.empty_like(offset)
-    for k in range(dim):
-        others = [w1[..., j] for j in range(dim) if j != k]
-        prod = np.ones_like(w)
-        for o in others:
-            prod = prod * o
-        dw[..., k] = dw1[..., k] * prod
-    return w, dw
-
-
 def _windows(f: np.ndarray, order: str) -> tuple[np.ndarray, np.ndarray]:
     """Per-axis window values and slopes over each center's support.
 
@@ -90,7 +53,7 @@ def _windows(f: np.ndarray, order: str) -> tuple[np.ndarray, np.ndarray]:
     if order == QUADRATIC:
         # node offsets f, f - 1, f - 2 land on the pieces 0.5 (1.5 - |x|)^2,
         # 0.75 - x^2 and 0.5 (1.5 - |x|)^2 (Hu et al. 2018); the last is
-        # taken at 1.5 + (f - 2), not f - 0.5, to round as `bspline_weight` does
+        # taken at 1.5 + (f - 2), not f - 0.5, to round as the |x| form does
         x1 = f - 1.0
         x2 = f - 2.0
         w1 = np.stack((0.5 * (1.5 - f) ** 2, 0.75 - x1 * x1, 0.5 * (1.5 + x2) ** 2), axis=1)
@@ -157,11 +120,6 @@ class Stencil:
     w: np.ndarray
     dw: np.ndarray | None
     order: str
-    dx: float
-
-    @property
-    def size(self) -> int:
-        return self.w.shape[1]
 
 
 def build_stencil(centers: np.ndarray, origin: np.ndarray, dx: float,
@@ -215,7 +173,7 @@ def build_stencil(centers: np.ndarray, origin: np.ndarray, dx: float,
         dw /= dx
         dw = np.moveaxis(dw, 0, -1)
     return Stencil(coords=np.moveaxis(coords, 0, -1), r=np.moveaxis(r, 0, -1), w=w,
-                   dw=dw, order=order, dx=float(dx))
+                   dw=dw, order=order)
 
 
 def moment_matrix(stencil: Stencil) -> np.ndarray:
@@ -257,32 +215,3 @@ def gradient_weights(stencil: Stencil, K: np.ndarray) -> np.ndarray:
         G[a] *= w
     return np.moveaxis(G, 0, -1)
 
-
-def mls_gradient(phi_center: np.ndarray, phi_nodes: np.ndarray,
-                 stencil: Stencil, K: np.ndarray) -> np.ndarray:
-    """Least-squares gradient of a sampled field.
-
-    Scalar fields: phi_center (n,), phi_nodes (n, S) -> (n, d).
-    Vector fields: phi_center (n, m), phi_nodes (n, S, m) -> (n, m, d) with
-    entry [a, b] = d phi_a / d x_b.
-    """
-    g = gradient_weights(stencil, K)
-    phi_center = np.asarray(phi_center, dtype=np.float64)
-    phi_nodes = np.asarray(phi_nodes, dtype=np.float64)
-    if phi_center.ndim == 1:
-        delta = phi_nodes - phi_center[:, None]
-        return np.einsum("ns,nsb->nb", delta, g)
-    delta = phi_nodes - phi_center[:, None, :]
-    return np.einsum("nsa,nsb->nab", delta, g)
-
-
-def mls_gradient_derivative(stencil: Stencil, K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Derivative of the gradient operator wrt its samples.
-
-    Returns (g_nodes, g_center) with g_nodes (n, S, d) and g_center (n, d) =
-    -sum_j g_nodes[j].  The full derivative has Kronecker structure:
-    d(grad phi)_[a, b] / d(phi_j)_c = delta_ac * g_nodes[n, j, b], and the
-    center sample contributes delta_ac * g_center[n, b].
-    """
-    g = gradient_weights(stencil, K)
-    return g, -np.sum(g, axis=1)

@@ -70,9 +70,14 @@ class Scene:
     def dx(self) -> float:
         return float(self.size[0] / self.cells[0])
 
-    def with_cells(self, cells) -> "Scene":
-        """Same scene on a different grid resolution (same aspect ratio)."""
-        return replace(self, cells=np.asarray(cells, dtype=np.int64))
+    def with_cells(self, level: int) -> "Scene":
+        """Same scene on a grid of `level` cells along x; the cell count
+        along y keeps the domain's aspect ratio and must come out whole."""
+        nx, ny = (int(c) for c in self.cells)
+        if level * ny % nx:
+            raise SceneError(f"level {level} gives {level * ny / nx:g} cells along y "
+                             f"on a {nx}x{ny} grid; pick a level that gives a whole count")
+        return replace(self, cells=np.array([level, level * ny // nx], dtype=np.int64))
 
 
 def _vec(raw, what: str) -> np.ndarray:
@@ -121,6 +126,11 @@ def _collider_from(raw: dict):
 
 
 def _shape_bounds(shape: dict) -> tuple[np.ndarray, np.ndarray]:
+    need = ("center", "radius") if shape["type"] == "disk" else ("min", "max")
+    missing = [key for key in need if key not in shape]
+    if missing:
+        raise SceneError(f"{shape['type']} shape needs {' and '.join(need)}; "
+                         f"missing {', '.join(missing)}")
     if shape["type"] == "disk":
         c = _vec(shape["center"], "disk center")
         r = float(shape["radius"])
@@ -157,11 +167,6 @@ def sample_shape(shape: dict, spacing: float, jitter: float = 0.0,
             rng = np.random.default_rng(0)
         pts = pts + jitter * spacing * rng.uniform(-0.5, 0.5, size=pts.shape)
     return pts
-
-
-def particle_count(shape: dict, spacing: float) -> int:
-    """Lattice point count for a shape without building jittered samples."""
-    return sample_shape(shape, spacing).shape[0]
 
 
 def _object_from(raw: dict, index: int) -> ObjectSpec:

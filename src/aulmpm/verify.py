@@ -97,18 +97,20 @@ def _final_state(scene: Scene) -> tuple[np.ndarray, np.ndarray]:
 def convergence_study(scene: Scene, levels, bench: int) -> ConvergenceReport:
     """Grid refinement study with a shared particle set.
 
-    `levels` and `bench` are cell counts per axis; every run keeps the
+    `levels` and `bench` are cell counts along x; the count along y keeps
+    the domain's aspect ratio (`Scene.with_cells` raises SceneError, before
+    anything runs, for a level where it is not whole).  Every run keeps the
     scene's sampler seed and spacing, so particles align one-to-one and
     fields compare pointwise against the benchmark resolution.
     """
     levels = sorted(int(lv) for lv in levels)
     if bench <= levels[-1]:
         raise SimulationError("benchmark resolution must exceed every level")
-    bx, bv = _final_state(scene.with_cells([bench, bench]))
+    subs = [scene.with_cells(lv) for lv in levels]
+    bx, bv = _final_state(scene.with_cells(bench))
 
     cells, dxs, e_disp, e_vel, failures = [], [], [], [], []
-    for lv in levels:
-        sub = scene.with_cells([lv, lv])
+    for lv, sub in zip(levels, subs):
         try:
             x, v = _final_state(sub)
         except SimulationError as exc:
@@ -362,7 +364,7 @@ def check_conservation():
     scene.gravity = np.zeros(2)
     sim = Simulation(scene)
     for b in sim.bodies:
-        b.material = b.material.with_moduli(0.0, 0.0)
+        b.material = dataclasses.replace(b.material, mu=0.0, lam=0.0)
     p_init = sum((b.m[:, None] * b.v).sum(axis=0) for b in sim.bodies)
     scale = float(np.linalg.norm(p_init))
     sim.run()
@@ -373,7 +375,7 @@ def check_conservation():
 
     spin = _ball_scene(steps=300)
     spin.gravity = np.zeros(2)
-    spin.objects[0].material = spin.objects[0].material.with_moduli(0.0, 0.0)
+    spin.objects[0].material = dataclasses.replace(spin.objects[0].material, mu=0.0, lam=0.0)
     spin.objects[0].angular_velocity = 3.0
     sim = Simulation(spin)
     for _ in range(spin.solver.steps):

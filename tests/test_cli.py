@@ -82,6 +82,51 @@ def test_three_dimensional_scene_is_exit_2(tmp_path, capsys):
     assert "grid" in capsys.readouterr().err
 
 
+def _variant(path, edit):
+    raw = json.loads(json.dumps(SCENE))
+    edit(raw)
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+def _fluid_gamma_one(raw):
+    raw["objects"][0]["material"] = {"type": "weakly_compressible_fluid",
+                                     "density": 1000.0, "bulk": 1e4, "gamma": 1.0}
+
+
+def _wide_grid(raw):
+    # 1.5 x 1 domain: a level of 8 cells along x would need 16/3 along y
+    raw["grid"] = {"origin": [0.0, 0.0], "size": [1.5, 1.0], "cells": [24, 16]}
+
+
+# each malformed input with the arguments that reach it
+MALFORMED = {
+    "fluid_gamma_one": (_fluid_gamma_one, ["sim"]),
+    "disk_without_radius": (lambda raw: raw["objects"][0]["shape"].pop("radius"), ["sim"]),
+    "box_without_max": (lambda raw: raw["objects"][0].update(
+        shape={"type": "box", "min": [0.4, 0.4]}), ["sim"]),
+    "negative_frames": (lambda raw: None, ["sim", "--frames", "-2"]),
+    "converge_level_off_aspect": (_wide_grid, ["converge", "--levels", "3..4",
+                                               "--bench-level", "5"]),
+    "missing_scene_file": (None, ["sim"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_is_exit_2_with_an_error_line(case, tmp_path, capsys):
+    edit, args = MALFORMED[case]
+    path = tmp_path / "scene.json"
+    scene = str(path) if edit is None else _variant(path, edit)
+    try:
+        rc = main([args[0], scene] + args[1:])
+    except SystemExit as exc:  # argparse rejects bad arguments this way
+        rc = exc.code
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "error:" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
 def test_runtime_blowup_is_exit_3(tmp_path, capsys):
     wild = json.loads(json.dumps(SCENE))
     # extreme stiffness with a huge step makes the explicit update blow up

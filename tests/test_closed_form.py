@@ -1,8 +1,9 @@
 """Oracle tests for the closed-form 2x2 arithmetic.
 
-The references below are the batched `einsum` / `np.linalg` formulas the
-library used before its hot loop was written entry by entry.  They live
-here only as test oracles.  Every comparison uses one relative tolerance,
+The references below, with the SVD, rotation and cofactor ones they share
+with other test modules (`oracles.py`), are the batched `einsum` /
+`np.linalg` formulas the library used before its hot loop was written
+entry by entry.  They live only in the tests, as oracles.  Every comparison uses one relative tolerance,
 fixed before measuring: the new code reorders float64 sums and products,
 so it may differ from the references by a few units of roundoff and by
 nothing more.
@@ -40,6 +41,7 @@ from aulmpm.transfers import (
     p2g,
     stress_pass,
 )
+from oracles import _ref_cofactor, _ref_rot, _ref_signed_svd
 
 RTOL = 1e-12
 
@@ -55,26 +57,6 @@ def _assert_close(new, ref):
 
 
 # ------------------------------------------------------------ references
-
-
-def _ref_signed_svd(F):
-    a, b, c, d = F[:, 0, 0], F[:, 0, 1], F[:, 1, 0], F[:, 1, 1]
-    t1 = np.arctan2(c - b, a + d)
-    t2 = np.arctan2(b + c, a - d)
-    h1 = np.hypot(a + d, c - b)
-    h2 = np.hypot(a - d, b + c)
-    sig = np.stack([(h1 + h2) * 0.5, (h1 - h2) * 0.5], axis=-1)
-    return _ref_rot((t1 + t2) * 0.5), sig, _ref_rot((t2 - t1) * 0.5).swapaxes(-1, -2)
-
-
-def _ref_rot(theta):
-    ct, st = np.cos(theta), np.sin(theta)
-    return np.stack([np.stack([ct, -st], -1), np.stack([st, ct], -1)], -2)
-
-
-def _ref_cofactor(F):
-    return np.stack([np.stack([F[:, 1, 1], -F[:, 1, 0]], -1),
-                     np.stack([-F[:, 0, 1], F[:, 0, 0]], -1)], -2)
 
 
 def _ref_moduli(model, jp):
@@ -339,7 +321,7 @@ def _line_stencil(spread):
     rng = np.random.default_rng(4)
     r = np.stack([np.linspace(-1.0, 1.0, 9), spread * rng.uniform(-1, 1, 9)], -1)[None]
     return Stencil(coords=np.zeros((1, 9, 2), dtype=np.int64), r=r,
-                   w=np.full((1, 9), 1.0 / 9.0), dw=None, order=QUADRATIC, dx=1.0)
+                   w=np.full((1, 9), 1.0 / 9.0), dw=None, order=QUADRATIC)
 
 
 @pytest.mark.parametrize("spread", [0.0, 1e-6, 1e-5, 1e-3, 1.0])

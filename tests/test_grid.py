@@ -11,7 +11,7 @@ from aulmpm.transfers import Body, epoch_grid_terms, mass_epsilon
 
 
 def test_activation_is_idempotent_and_returns_stable_slots():
-    g = SparseGrid(origin=(0.0, 0.0), dx=0.1, n_cells=(10, 10), tile=4)
+    g = SparseGrid(origin=(0.0, 0.0), dx=0.1, n_cells=(10, 10))
     coords = np.array([[0, 0], [10, 10], [3, 7], [3, 7]])
     s1 = g.activate(coords)
     tiles_after = g.n_tiles
@@ -23,17 +23,16 @@ def test_activation_is_idempotent_and_returns_stable_slots():
 
 
 def test_inactive_nodes_read_as_zero_mass():
-    g = SparseGrid(origin=(0.0, 0.0), dx=0.1, n_cells=(12, 12), tile=4)
+    g = SparseGrid(origin=(0.0, 0.0), dx=0.1, n_cells=(12, 12))
     g.activate(np.array([[1, 1]]))
     assert g.slot_of([[9, 9]])[0] == -1
-    assert g.mass_at([[9, 9]])[0] == 0.0
     # same tile as the bound node: slot exists but mass is still zero
     assert g.slot_of([[2, 2]])[0] >= 0
-    assert g.mass_at([[2, 2]])[0] == 0.0
+    assert g.mass[g.slot_of([[2, 2]])[0]] == 0.0
 
 
 def test_node_positions_follow_the_lattice():
-    g = SparseGrid(origin=(-0.5, 0.25), dx=0.05, n_cells=(20, 20), tile=4)
+    g = SparseGrid(origin=(-0.5, 0.25), dx=0.05, n_cells=(20, 20))
     coords = np.array([[4, 9], [17, 2]])
     slots = g.activate(coords)
     np.testing.assert_allclose(g.position[slots],
@@ -41,7 +40,7 @@ def test_node_positions_follow_the_lattice():
 
 
 def test_out_of_range_coordinates_are_rejected():
-    g = SparseGrid(origin=(0.0, 0.0), dx=0.1, n_cells=(10, 10), tile=4)
+    g = SparseGrid(origin=(0.0, 0.0), dx=0.1, n_cells=(10, 10))
     with pytest.raises(OutOfDomainError):
         g.activate(np.array([[11, 0]]))
     with pytest.raises(OutOfDomainError):
@@ -54,7 +53,7 @@ def test_out_of_range_coordinates_are_rejected():
 
 
 def test_activate_empty_input_binds_nothing():
-    g = SparseGrid(origin=(0.0, 0.0), dx=0.1, n_cells=(10, 10), tile=4)
+    g = SparseGrid(origin=(0.0, 0.0), dx=0.1, n_cells=(10, 10))
     slots = g.activate(np.empty((0, 2), dtype=np.int64))
     assert slots.shape == (0,)
     assert g.n_tiles == 0
@@ -62,14 +61,14 @@ def test_activate_empty_input_binds_nothing():
 
 def test_activate_slots_do_not_depend_on_dtype_or_layout():
     coords = np.random.default_rng(2).integers(0, 11, size=(200, 2))
-    slots = SparseGrid(origin=(0.0, 0.0), dx=0.1, n_cells=(10, 10), tile=4).activate(coords)
+    slots = SparseGrid(origin=(0.0, 0.0), dx=0.1, n_cells=(10, 10)).activate(coords)
     for variant in (coords.astype(np.int32), np.ascontiguousarray(coords.T).T):
-        g = SparseGrid(origin=(0.0, 0.0), dx=0.1, n_cells=(10, 10), tile=4)
+        g = SparseGrid(origin=(0.0, 0.0), dx=0.1, n_cells=(10, 10))
         np.testing.assert_array_equal(g.activate(variant), slots)
 
 
 def test_zero_fields_resets_accumulators():
-    g = SparseGrid(origin=(0.0, 0.0), dx=0.1, n_cells=(10, 10), tile=4)
+    g = SparseGrid(origin=(0.0, 0.0), dx=0.1, n_cells=(10, 10))
     x = np.array([[0.52, 0.47], [0.31, 0.66]])
     body = Body(material=MaterialModel.fluid(density=1000.0, bulk=10.0), x=x,
                 v=np.zeros((2, 2)), m=np.array([2.0, 3.0]), V0=np.ones(2),

@@ -119,7 +119,7 @@ def test_configuration_map_binds_reference_geometry():
     coords = build_stencil(pos, grid.origin, grid.dx, grid.n_nodes).coords
     np.testing.assert_array_equal(
         cmap.slots, grid.slot_of(coords.reshape(-1, 2)).reshape(cmap.slots.shape))
-    np.testing.assert_allclose(cmap.node_ref_positions,
+    np.testing.assert_allclose(cmap.ref_positions[:, None] + cmap.stencil.r,
                                grid.position[cmap.slots], atol=1e-14)
 
 
@@ -130,7 +130,7 @@ def test_velocity_gradient_recovers_affine_grid_fields():
     cmap = ConfigurationMap.build(pos, grid)
     B = np.array([[0.4, -1.1], [0.9, 0.2]])
     c = np.array([0.3, -0.2])
-    v_nodes = cmap.node_ref_positions @ B.T + c
+    v_nodes = (cmap.ref_positions[:, None] + cmap.stencil.r) @ B.T + c
     v_p = pos @ B.T + c
     grad = velocity_gradient_s(v_p, v_nodes, cmap)
     np.testing.assert_allclose(grad, np.broadcast_to(B, grad.shape), atol=AFFINE_ATOL)
@@ -147,7 +147,8 @@ def test_binding_carries_the_gradient_weights_of_its_transfer():
     np.testing.assert_array_equal(kernel.G, kernel.stencil.dw)
     # spline gradients reproduce affine velocity fields too
     B = np.array([[0.4, -1.1], [0.9, 0.2]])
-    grad = velocity_gradient_s(pos @ B.T, kernel.node_ref_positions @ B.T, kernel)
+    nodes = kernel.ref_positions[:, None] + kernel.stencil.r
+    grad = velocity_gradient_s(pos @ B.T, nodes @ B.T, kernel)
     np.testing.assert_allclose(grad, np.broadcast_to(B, grad.shape), atol=AFFINE_ATOL)
     rebound = apply_update(DeformationState.identity(25), pos + 0.05, grid, kernel)
     assert rebound.transfer == KERNEL and rebound.K is None

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from aulmpm.errors import SceneError
-from aulmpm.scene import bundled_scene, load_scene, particle_count, sample_shape
+from aulmpm.scene import bundled_scene, load_scene, sample_shape
 
 
 def _minimal(**overrides):
@@ -31,10 +31,10 @@ def test_box_lattice_count():
 
 def test_disk_count_independent_of_grid():
     shape = {"type": "disk", "center": [0.5, 0.5], "radius": 0.2}
-    n = particle_count(shape, 0.01)
+    n = sample_shape(shape, 0.01).shape[0]
     assert abs(n - np.pi * 0.04 / 1e-4) / n < 0.02
     # count must not depend on any grid quantity, only shape and spacing
-    assert particle_count(shape, 0.01) == n
+    assert sample_shape(shape, 0.01).shape[0] == n
 
 
 def test_jitter_stays_bounded_and_reproducible():
@@ -155,11 +155,19 @@ def test_bundled_scenes_load():
 def test_pinned_plate_particle_count():
     scene = bundled_scene("rotating_plate")
     obj = scene.objects[0]
-    assert particle_count(obj.shape, obj.spacing) == 41943
+    assert sample_shape(obj.shape, obj.spacing).shape[0] == 41943
 
 
 def test_with_cells_changes_resolution_only():
     scene = bundled_scene("rotating_plate")
-    coarse = scene.with_cells([16, 16])
+    coarse = scene.with_cells(16)
     assert coarse.dx == pytest.approx(1.0 / 16.0)
     assert coarse.objects is scene.objects
+    # a 2x1 domain keeps its shape: the level counts cells along x
+    wide = load_scene(_minimal(grid={"origin": [0.0, 0.0], "size": [2.0, 1.0],
+                                     "cells": [32, 16]}))
+    coarse = wide.with_cells(16)
+    np.testing.assert_array_equal(coarse.cells, [16, 8])
+    np.testing.assert_allclose(coarse.cells * coarse.dx, wide.size, rtol=1e-15)
+    with pytest.raises(SceneError, match="7.5 cells along y"):
+        wide.with_cells(15)
