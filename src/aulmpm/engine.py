@@ -114,7 +114,9 @@ class Simulation:
             vel = np.tile(obj.velocity, (n, 1))
             C = np.zeros((n, 2, 2))
             if obj.angular_velocity != 0.0:
-                c = np.asarray(obj.shape["center"], dtype=np.float64)
+                shape = obj.shape   # a disk spins about its center, a box about its midpoint
+                c = np.asarray(shape["center"] if shape["type"] == "disk"
+                               else 0.5 * np.add(shape["min"], shape["max"]), dtype=np.float64)
                 spin = _spin_matrix(obj.angular_velocity)
                 vel = vel + (pts - c) @ spin.T
                 C[:] = spin
@@ -125,8 +127,7 @@ class Simulation:
                 V0=np.full(n, vol),
                 C=C,
                 state=DeformationState.identity(n),
-                cmap=ConfigurationMap.build(pts, self.grid, scene.solver.order,
-                                            transfer=scene.solver.transfer),
+                cmap=ConfigurationMap.build(pts, self.grid, transfer=scene.solver.transfer),
                 policy=_policy_for(obj, scene.solver.mode),
                 F_plastic=(np.tile(np.eye(2), (n, 1, 1))
                            if obj.material.kind == SNOW else None),
@@ -148,8 +149,10 @@ class Simulation:
     def stable_dt(self) -> float:
         """CFL-limited step, capped by the frame interval.
 
-        dt = cfl dx / (max particle speed + stiffness wave speed); with no
-        cfl factor configured the fixed dt is returned unchanged.
+        dt = cfl dx / (max particle speed + stiffness wave speed), the wave
+        speed taken at the current volume ratio for fluids and at the
+        hardened moduli for snow; with no cfl factor configured the fixed dt
+        is returned unchanged.
         """
         sol = self.scene.solver
         if sol.cfl is None:
@@ -162,7 +165,8 @@ class Simulation:
                 jmin = float(det(compose_total(b.state)).min())
                 c = wave_speed(b.material, max(jmin, 1e-3))
             else:
-                c = wave_speed(b.material)
+                jp = None if b.F_plastic is None else det(b.F_plastic)
+                c = wave_speed(b.material, J_plastic=jp)
             top = max(top, vmax + c)
         if top == 0.0:
             return cap
@@ -178,8 +182,8 @@ class Simulation:
 
         released = [b for b in self.bodies if b.cmap.G is None]  # by the end of a run
         for b in released:
-            b.cmap = ConfigurationMap.build(b.cmap.ref_positions, grid, sol.order,
-                                            b.cmap.epoch, b.cmap.transfer)
+            b.cmap = ConfigurationMap.build(b.cmap.ref_positions, grid, b.cmap.epoch,
+                                            b.cmap.transfer)
         if released:
             epoch_grid_terms(self.bodies, grid, self.mass_eps)
         grid.zero_fields()
@@ -366,12 +370,11 @@ class Simulation:
                 progress(k + 1, total)
         wall = time.perf_counter() - t0
         # A finished run keeps the particle state but not the per-entry
-        # binding arrays, its workspace or its grid shares: they derive from
-        # the reference positions alone, and `step` rebuilds them bit for
-        # bit if stepping continues.
+        # binding arrays or their workspace: they derive from the reference
+        # positions alone, and `step` rebuilds them bit for bit if stepping
+        # continues.
         for b in self.bodies:
-            b.cmap = replace(b.cmap, stencil=None, K=None, G=None, slots=None,
-                             work=None, node_mass=None, node_weight=None)
+            b.cmap = replace(b.cmap, stencil=None, K=None, G=None, slots=None, work=None)
         info = self.summary()
         info["wall_s"] = wall
         info["frames"] = frame

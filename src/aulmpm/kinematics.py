@@ -23,7 +23,7 @@ import numpy as np
 
 from .constitutive import det, matmul, pack
 from .errors import NumericalError, OrphanParticleError
-from .mls import QUADRATIC, Stencil, build_stencil, gradient_weights, moment_matrix
+from .mls import Stencil, build_stencil, gradient_weights, moment_matrix
 
 # transfer flavors: which gradient weights a binding carries
 LEAST_SQUARES = "least_squares"
@@ -80,13 +80,12 @@ class ConfigurationMap:
     moment matrices K; `kernel` (PIC/FLIP MPM) uses the window gradients
     grad W_j and builds no K.
 
-    The last three fields are per-binding caches that the transfer phases
-    fill on first use (see `transfers`): the workspace they write their
-    per-entry temporaries into, and the body's share of the node mass and
-    of the summed weights.  Slots are checked against the grid here, at
-    bind time, so the gathers need not check them again; they stay valid
-    because the grid only grows.  Once the slots are bound no phase reads
-    the stencil's lattice coordinates, so the binding does not keep them.
+    `work` is the workspace the transfer phases write their per-entry
+    temporaries into, allocated on first use (see `transfers`).  Slots are
+    checked against the grid here, at bind time, so the gathers need not
+    check them again; they stay valid because the grid only grows.  Once
+    the slots are bound no phase reads the stencil's lattice coordinates,
+    so the binding does not keep them.
     """
 
     epoch: int
@@ -97,16 +96,14 @@ class ConfigurationMap:
     slots: np.ndarray
     transfer: str = LEAST_SQUARES
     work: tuple[np.ndarray, np.ndarray] | None = None
-    node_mass: np.ndarray | None = None
-    node_weight: np.ndarray | None = None
 
     @classmethod
-    def build(cls, positions: np.ndarray, grid, order: str = QUADRATIC,
-              epoch: int = 0, transfer: str = LEAST_SQUARES) -> "ConfigurationMap":
+    def build(cls, positions: np.ndarray, grid, epoch: int = 0,
+              transfer: str = LEAST_SQUARES) -> "ConfigurationMap":
         if transfer not in (LEAST_SQUARES, KERNEL):
             raise ValueError(f"unknown transfer {transfer!r}")
         positions = np.asarray(positions, dtype=np.float64)
-        st = build_stencil(positions, grid.origin, grid.dx, grid.n_nodes, order,
+        st = build_stencil(positions, grid.origin, grid.dx, grid.n_nodes,
                            gradients=transfer == KERNEL)
         coverage = np.einsum("ns->n", st.w)
         if np.any(coverage <= 0.0):
@@ -201,5 +198,4 @@ def apply_update(state: DeformationState, positions: np.ndarray, grid,
     state.F_0s = compose_total(state)
     state.F_sn = _identity(state.F_sn.shape[0])
     cmap.work = None
-    return ConfigurationMap.build(positions, grid, cmap.stencil.order, cmap.epoch + 1,
-                                  cmap.transfer)
+    return ConfigurationMap.build(positions, grid, cmap.epoch + 1, cmap.transfer)

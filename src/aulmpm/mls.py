@@ -1,25 +1,26 @@
 """Moving least squares gradient operators on a uniform background grid.
 
-Interpolation uses tensor-product B-spline windows (quadratic or cubic) on
-a 2-D grid.  All routines are batched: positions are (n, 2) arrays and a
-stencil table holds the bound neighborhood of every center at once.
-Offsets follow the convention r = neighbor - center throughout.
+Interpolation uses tensor-product quadratic B-spline windows on a 2-D grid,
+as MLS-MPM and APIC do (Hu et al. 2018).  All routines are batched:
+positions are (n, 2) arrays and a stencil table holds the bound
+neighborhood of every center at once.  Offsets follow the convention
+r = neighbor - center throughout.
 
-`build_stencil` works per axis over the particle axis: each node of a
-center's support sits on one fixed polynomial piece of the spline (three
-per axis for quadratic windows, four for cubic), so the windows and their
-slopes come in closed form without branching.  The per-axis tables are then
-multiplied and laid out over the S = count^2 stencil entries, one entry at
-a time.  The tests check the stencils against an independent formula that
-evaluates the same splines piecewise in |x| (`tests/oracles.py`).
+`build_stencil` works per axis over the particle axis: each of the three
+nodes of a center's support per axis sits on one fixed polynomial piece of
+the spline, so the windows and their slopes come in closed form without
+branching.  The per-axis tables are then multiplied and laid out over the
+S = 9 stencil entries, one entry at a time.  The tests check the stencils
+against an independent formula that evaluates the same spline piecewise in
+|x| (`tests/oracles.py`).
 
 The least-squares gradient of a field phi sampled at the stencil nodes is
 
     grad phi = (sum_j (phi_j - phi_c) (x) r_j W_j) K,   K = (sum_j r_j (x) r_j W_j)^-1
 
 which reproduces affine fields exactly.  On an unclipped uniform stencil K
-collapses to (4 / dx^2) I for quadratic windows and (3 / dx^2) I for cubic
-ones; `moment_matrix` computes it numerically regardless.
+collapses to (4 / dx^2) I; `moment_matrix` computes it numerically
+regardless.
 """
 
 from __future__ import annotations
@@ -32,66 +33,49 @@ import numpy as np
 from .constitutive import pack
 from .errors import DegenerateNeighborhoodError, OutOfDomainError
 
-QUADRATIC = "quadratic"
-CUBIC = "cubic"
-
-# nodes per axis covered by each window
-_SUPPORT = {QUADRATIC: 3, CUBIC: 4}
+# nodes per axis covered by a window
+_SUPPORT = 3
 
 # condition number above which a neighborhood counts as degenerate
 COND_LIMIT = 1.0e8
 
 
-def _windows(f: np.ndarray, order: str) -> tuple[np.ndarray, np.ndarray]:
+def _windows(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-axis window values and slopes over each center's support.
 
     f (2, n) is the center's offset from the first node of its support, in
-    cells: in [0.5, 1.5) for quadratic windows, [1, 2) for cubic ones.
-    Returns w1 and dw1, both (2, count, n), where entry [k, s] belongs to
-    node s of the support along axis k and dw1 is the slope wrt the center.
+    cells, in [0.5, 1.5).  Returns w1 and dw1, both (2, 3, n), where entry
+    [k, s] belongs to node s of the support along axis k and dw1 is the
+    slope wrt the center.
     """
-    if order == QUADRATIC:
-        # node offsets f, f - 1, f - 2 land on the pieces 0.5 (1.5 - |x|)^2,
-        # 0.75 - x^2 and 0.5 (1.5 - |x|)^2 (Hu et al. 2018); the last is
-        # taken at 1.5 + (f - 2), not f - 0.5, to round as the |x| form does
-        x1 = f - 1.0
-        x2 = f - 2.0
-        w1 = np.stack((0.5 * (1.5 - f) ** 2, 0.75 - x1 * x1, 0.5 * (1.5 + x2) ** 2), axis=1)
-        dw1 = np.stack((f - 1.5, -2.0 * x1, 1.5 + x2), axis=1)
-    elif order == CUBIC:
-        # with t = f - 1 in [0, 1) and s = 1 - t the four nodes see
-        # s^3/6, t^3/2 - t^2 + 2/3, s^3/2 - s^2 + 2/3 and t^3/6
-        t = f - 1.0
-        s = 1.0 - t
-        t2, s2 = t * t, s * s
-        w1 = np.stack((s2 * s / 6.0, 0.5 * t2 * t - t2 + 2.0 / 3.0,
-                       0.5 * s2 * s - s2 + 2.0 / 3.0, t2 * t / 6.0), axis=1)
-        dw1 = np.stack((-0.5 * s2, (1.5 * t - 2.0) * t, (2.0 - 1.5 * s) * s, 0.5 * t2),
-                       axis=1)
-    else:
-        raise ValueError(f"unknown spline order {order!r}")
+    # node offsets f, f - 1, f - 2 land on the pieces 0.5 (1.5 - |x|)^2,
+    # 0.75 - x^2 and 0.5 (1.5 - |x|)^2 (Hu et al. 2018); the last is taken
+    # at 1.5 + (f - 2), not f - 0.5, to round as the |x| form does
+    x1 = f - 1.0
+    x2 = f - 2.0
+    w1 = np.stack((0.5 * (1.5 - f) ** 2, 0.75 - x1 * x1, 0.5 * (1.5 + x2) ** 2), axis=1)
+    dw1 = np.stack((f - 1.5, -2.0 * x1, 1.5 + x2), axis=1)
     return w1, dw1
 
 
 def _outer(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out[:, i count + j] = a[i] b[j] for per-axis node values a, b (count, n).
+    """out[:, 3 i + j] = a[i] b[j] for per-axis node values a, b (3, n).
 
     One product per stencil entry, each over the long particle axis.
     """
-    for s, (i, j) in enumerate(product(range(len(a)), repeat=2)):
+    for s, (i, j) in enumerate(product(range(_SUPPORT), repeat=2)):
         np.multiply(a[i], b[j], out=out[:, s])
     return out
 
 
 def _spread(per_axis: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Lay per-axis node values (2, count, n) over the lexicographic stencil.
+    """Lay per-axis node values (2, 3, n) over the lexicographic stencil.
 
-    out (2, n, S) receives out[0, :, i count + j] = per_axis[0, i] and
-    out[1, :, i count + j] = per_axis[1, j], one plane at a time.
+    out (2, n, S) receives out[0, :, 3 i + j] = per_axis[0, i] and
+    out[1, :, 3 i + j] = per_axis[1, j], one plane at a time.
     """
-    count = per_axis.shape[1]
     for k in range(2):
-        for s, ij in enumerate(product(range(count), repeat=2)):
+        for s, ij in enumerate(product(range(_SUPPORT), repeat=2)):
             out[k, :, s] = per_axis[k, ij[k]]
     return out
 
@@ -107,8 +91,8 @@ class Stencil:
     dw      (n, S, 2) window gradients wrt the center position, per length,
             or None when they were not asked for
 
-    Nodes are numbered lexicographically, x-major: entry s = i count + j is
-    node (base_x + i, base_y + j) of a support of `count` nodes per axis.
+    Nodes are numbered lexicographically, x-major: entry s = 3 i + j is
+    node (base_x + i, base_y + j) of the 3 x 3 support, so S = 9.
     `build_stencil` stores coords, r and dw component-major: each is a view
     of a (2, n, S) buffer, so coords[..., k], r[..., k] and dw[..., k] are
     contiguous (n, S) arrays and coords.reshape(-1, 2) has contiguous
@@ -119,12 +103,10 @@ class Stencil:
     r: np.ndarray
     w: np.ndarray
     dw: np.ndarray | None
-    order: str
 
 
 def build_stencil(centers: np.ndarray, origin: np.ndarray, dx: float,
-                  n_nodes: np.ndarray, order: str = QUADRATIC,
-                  gradients: bool = True) -> Stencil:
+                  n_nodes: np.ndarray, gradients: bool = True) -> Stencil:
     """Bind each center to the grid nodes inside its window support.
 
     n_nodes gives the node count per axis; a center whose support sticks out
@@ -132,23 +114,19 @@ def build_stencil(centers: np.ndarray, origin: np.ndarray, dx: float,
     `gradients=False` the window gradients are skipped (dw is None).
 
     Everything up to the tensor products runs per axis on (2, n) and
-    (2, count, n) arrays, whose long axis is the particle axis; the
-    products then fill the (2, n, S) buffers plane by plane.
+    (2, 3, n) arrays, whose long axis is the particle axis; the products
+    then fill the (2, n, S) buffers plane by plane.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
     origin = np.asarray(origin, dtype=np.float64)
     n_nodes = np.asarray(n_nodes, dtype=np.int64)
     n = centers.shape[0]
-    count = _SUPPORT[order]
 
     u = (np.ascontiguousarray(centers.T) - origin[:, None]) / dx    # (2, n)
-    if order == QUADRATIC:
-        base = np.floor(u - 0.5).astype(np.int64)
-    else:
-        base = np.floor(u).astype(np.int64) - 1
+    base = np.floor(u - 0.5).astype(np.int64)
 
-    if n and ((base.min(axis=1) < 0).any() or (base.max(axis=1) + count > n_nodes).any()):
-        bad = np.any(base < 0, axis=0) | np.any(base + count > n_nodes[:, None], axis=0)
+    if n and ((base.min(axis=1) < 0).any() or (base.max(axis=1) + _SUPPORT > n_nodes).any()):
+        bad = np.any(base < 0, axis=0) | np.any(base + _SUPPORT > n_nodes[:, None], axis=0)
         idx = np.flatnonzero(bad)
         raise OutOfDomainError(
             f"{idx.size} stencil center(s) outside the valid domain, "
@@ -156,12 +134,12 @@ def build_stencil(centers: np.ndarray, origin: np.ndarray, dx: float,
         )
 
     # per axis: node lattice index, window and slope, node - center
-    node = base[:, None, :] + np.arange(count)[:, None]  # (2, count, n)
-    w1, dw1 = _windows(u - base, order)
+    node = base[:, None, :] + np.arange(_SUPPORT)[:, None]  # (2, 3, n)
+    w1, dw1 = _windows(u - base)
     r1 = (node - u[:, None, :]) * dx
 
     # tensor products over the lexicographic (x-major) node order
-    S = count * count
+    S = _SUPPORT * _SUPPORT
     w = _outer(w1[0], w1[1], np.empty((n, S)))
     r = _spread(r1, np.empty((2, n, S)))
     coords = _spread(node, np.empty((2, n, S), dtype=np.int64))
@@ -172,8 +150,7 @@ def build_stencil(centers: np.ndarray, origin: np.ndarray, dx: float,
         _outer(w1[0], dw1[1], dw[1])
         dw /= dx
         dw = np.moveaxis(dw, 0, -1)
-    return Stencil(coords=np.moveaxis(coords, 0, -1), r=np.moveaxis(r, 0, -1), w=w,
-                   dw=dw, order=order)
+    return Stencil(coords=np.moveaxis(coords, 0, -1), r=np.moveaxis(r, 0, -1), w=w, dw=dw)
 
 
 def moment_matrix(stencil: Stencil) -> np.ndarray:

@@ -23,7 +23,6 @@ from .constitutive import FLUID, SNOW, MaterialModel
 from .errors import SceneError
 from .grid import HalfSpace, SphereObstacle
 from .kinematics import UpdatePolicy
-from .mls import QUADRATIC
 
 _SCHEMA = json.loads(
     resources.files("aulmpm").joinpath("data/scene.schema.json").read_text())
@@ -39,7 +38,6 @@ class SolverConfig:
     mode: str = "adaptive"
     flip_blend: float = 0.95
     cfl: float | None = None
-    order: str = QUADRATIC
     seed: int = 0
 
 
@@ -195,6 +193,11 @@ def bundled_scene(name: str) -> Scene:
     return load_scene(json.loads(text))
 
 
+def _reject_constant(token: str):
+    """`json.loads` hook for NaN, Infinity and -Infinity, which JSON lacks."""
+    raise SceneError(f"scene holds the non-finite number {token}; every number must be finite")
+
+
 def load_scene(source) -> Scene:
     """Parse and validate a scene from a path, JSON string, or dict."""
     if isinstance(source, dict):
@@ -205,7 +208,7 @@ def load_scene(source) -> Scene:
         except OSError as exc:
             raise SceneError(f"cannot read scene {source}: {exc}") from None
         try:
-            raw = json.loads(text)
+            raw = json.loads(text, parse_constant=_reject_constant)
         except json.JSONDecodeError as exc:
             raise SceneError(f"scene {source} is not valid JSON: {exc}") from None
     try:
@@ -235,8 +238,7 @@ def load_scene(source) -> Scene:
         transfer=sol.get("transfer", "least_squares"),
         mode=sol.get("mode", "adaptive"),
         flip_blend=float(sol.get("flip_blend", 0.95)),
-        cfl=sol.get("cfl"), order=sol.get("order", QUADRATIC),
-        seed=int(sol.get("seed", 0)))
+        cfl=sol.get("cfl"), seed=int(sol.get("seed", 0)))
 
     gravity = raw.get("gravity")
     gravity = np.zeros(2) if gravity is None else _vec(gravity, "gravity")

@@ -4,9 +4,8 @@ A `Body` bundles the particle arrays of one object with its material and
 its current grid binding.  What depends only on the binding is paid once
 per epoch, when a body binds or rebinds:
 
-    epoch_grid_terms: each body's share of the node mass and of the summed
-    weights (scattered once, kept on its binding), their sum over bodies,
-    and the mask of active nodes (mass above mass_eps)
+    epoch_grid_terms: the node mass and the summed weights, scattered body
+    by body, and the mask of active nodes (mass above mass_eps)
 
 Every step then runs only what the particle state changes:
 
@@ -22,9 +21,8 @@ gradient share one set of coefficients.  On a least-squares binding
 G_j = W_j K r_j and p2g scatters affine momentum (MLS-MPM / APIC); on a
 kernel binding G_j = grad W_j, p2g scatters plain momentum and g2p blends
 PIC with FLIP velocities (standard MPM).  Scatter-adds are bincount-based
-and run in particle order, which keeps runs bit-reproducible; the per-epoch
-totals add the shares in body order into zeros, 0 + share_1 + share_2 + ...,
-which is the sum that scattering every body on every step would form.
+and run in particle order, then body order, which keeps runs
+bit-reproducible.
 
 The arithmetic is written out for 2x2 blocks, entry by entry.  The binding
 stores its per-stencil-entry arrays once, component-major: w is (n, S), and
@@ -143,24 +141,16 @@ def _scatter_action(body: Body, A: np.ndarray, out: np.ndarray) -> None:
 def epoch_grid_terms(bodies, grid, mass_eps: float) -> None:
     """Set grid.mass, grid.w_accum and the active mask grid.active.
 
-    A binding scatters its body's share of the mass and of the summed
-    weights the first time it is seen here, in particle order, and keeps
-    them.  The totals add the shares in body order into zeros.  Call after
-    any body binds or rebinds.  A share kept from before the grid grew is
-    shorter than the node arrays; the nodes added since carry none of it.
+    Scatters every body's m w and w into zeroed node arrays, in body order.
+    Call after any body binds or rebinds.
     """
     grid.mass[:] = 0.0
     grid.w_accum[:] = 0.0
     for body in bodies:
         cmap = body.cmap
-        if cmap.node_mass is None:
-            slots = cmap.slots.ravel()
-            w = cmap.stencil.w
-            mw = np.multiply(body.m[:, None], w, out=_workspace(cmap)[1])
-            cmap.node_mass = np.bincount(slots, weights=mw.ravel(), minlength=grid.n_slots)
-            cmap.node_weight = np.bincount(slots, weights=w.ravel(), minlength=grid.n_slots)
-        grid.mass[:cmap.node_mass.size] += cmap.node_mass
-        grid.w_accum[:cmap.node_weight.size] += cmap.node_weight
+        slots, w = cmap.slots.ravel(), cmap.stencil.w
+        _scatter(slots, np.multiply(body.m[:, None], w, out=_workspace(cmap)[1]), grid.mass)
+        _scatter(slots, w, grid.w_accum)
     np.greater(grid.mass, mass_eps, out=grid.active)
 
 

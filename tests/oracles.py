@@ -8,34 +8,24 @@ something.  None of them is part of the library.
 
 import numpy as np
 
-from aulmpm.mls import CUBIC, QUADRATIC
 
-
-def _bspline_1d(x, order):
-    """Window value and derivative at offset x (in cell units)."""
+def _bspline_1d(x):
+    """Quadratic window value and derivative at offset x (in cell units)."""
     ax = np.abs(x)
     sg = np.sign(x)
-    if order == QUADRATIC:
-        w = np.where(ax < 0.5, 0.75 - ax * ax, np.where(ax < 1.5, 0.5 * (1.5 - ax) ** 2, 0.0))
-        dw = np.where(ax < 0.5, -2.0 * x, np.where(ax < 1.5, (ax - 1.5) * sg, 0.0))
-    elif order == CUBIC:
-        w = np.where(ax < 1.0, 0.5 * ax**3 - ax * ax + 2.0 / 3.0,
-                     np.where(ax < 2.0, (2.0 - ax) ** 3 / 6.0, 0.0))
-        dw = np.where(ax < 1.0, (1.5 * ax - 2.0) * ax * sg,
-                      np.where(ax < 2.0, -0.5 * (2.0 - ax) ** 2 * sg, 0.0))
-    else:
-        raise ValueError(f"unknown spline order {order!r}")
+    w = np.where(ax < 0.5, 0.75 - ax * ax, np.where(ax < 1.5, 0.5 * (1.5 - ax) ** 2, 0.0))
+    dw = np.where(ax < 0.5, -2.0 * x, np.where(ax < 1.5, (ax - 1.5) * sg, 0.0))
     return w, dw
 
 
-def bspline_weight(offset, order=QUADRATIC):
+def bspline_weight(offset):
     """Tensor-product window weight and gradient for offsets in cell units.
 
     offset has shape (..., d); returns W with shape (...) and dW with shape
     (..., d), both per cell (divide the gradient by dx for physical units).
     """
     offset = np.asarray(offset, dtype=np.float64)
-    w1, dw1 = _bspline_1d(offset, order)
+    w1, dw1 = _bspline_1d(offset)
     w = np.prod(w1, axis=-1)
     dim = offset.shape[-1]
     dw = np.empty_like(offset)

@@ -99,6 +99,13 @@ def _wide_grid(raw):
     raw["grid"] = {"origin": [0.0, 0.0], "size": [1.5, 1.0], "cells": [24, 16]}
 
 
+def _endless(raw):
+    del raw["solver"]["steps"]
+    raw["solver"]["duration"] = float("inf")   # written as the bare token Infinity
+
+
+NAN = float("nan")   # written as the bare token NaN
+
 # each malformed input with the arguments that reach it
 MALFORMED = {
     "fluid_gamma_one": (_fluid_gamma_one, ["sim"]),
@@ -109,7 +116,16 @@ MALFORMED = {
     "converge_level_off_aspect": (_wide_grid, ["converge", "--levels", "3..4",
                                                "--bench-level", "5"]),
     "missing_scene_file": (None, ["sim"]),
+    "infinite_duration": (_endless, ["sim"]),
+    "nan_dt": (lambda raw: raw["solver"].update(dt=NAN), ["sim"]),
+    "nan_spacing": (lambda raw: raw["objects"][0].update(spacing=NAN), ["sim"]),
+    "nan_gravity": (lambda raw: raw.update(gravity=[0.0, NAN]), ["sim"]),
+    "cubic_order": (lambda raw: raw["solver"].update(order="cubic"), ["sim"]),
 }
+
+# what the error line must name, where a case has one key or token at fault
+NAMED = {"infinite_duration": "Infinity", "nan_dt": "NaN", "nan_spacing": "NaN",
+         "nan_gravity": "NaN", "cubic_order": "'order'"}
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -124,6 +140,7 @@ def test_malformed_input_is_exit_2_with_an_error_line(case, tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 2
     assert "error:" in captured.err
+    assert NAMED.get(case, "") in captured.err
     assert "Traceback" not in captured.err + captured.out
 
 

@@ -29,7 +29,7 @@ from aulmpm.kinematics import (
     DeformationState,
     compose_total,
 )
-from aulmpm.mls import COND_LIMIT, QUADRATIC, Stencil, gradient_weights, moment_matrix
+from aulmpm.mls import COND_LIMIT, Stencil, gradient_weights, moment_matrix
 from aulmpm.transfers import (
     Body,
     epoch_grid_terms,
@@ -321,7 +321,7 @@ def _line_stencil(spread):
     rng = np.random.default_rng(4)
     r = np.stack([np.linspace(-1.0, 1.0, 9), spread * rng.uniform(-1, 1, 9)], -1)[None]
     return Stencil(coords=np.zeros((1, 9, 2), dtype=np.int64), r=r,
-                   w=np.full((1, 9), 1.0 / 9.0), dw=None, order=QUADRATIC)
+                   w=np.full((1, 9), 1.0 / 9.0), dw=None)
 
 
 @pytest.mark.parametrize("spread", [0.0, 1e-6, 1e-5, 1e-3, 1.0])

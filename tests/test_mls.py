@@ -14,7 +14,7 @@ import pytest
 
 from aulmpm.errors import DegenerateNeighborhoodError, OutOfDomainError
 from aulmpm.kinematics import contract
-from aulmpm.mls import CUBIC, QUADRATIC, Stencil, build_stencil, gradient_weights, moment_matrix
+from aulmpm.mls import Stencil, build_stencil, gradient_weights, moment_matrix
 from oracles import bspline_weight
 
 WEIGHT_ATOL = 1e-12
@@ -38,37 +38,25 @@ def test_quadratic_window_matches_piecewise_table():
     # hand-evaluated: 3/4 - x^2 inside |x| < 1/2, (3/2 - |x|)^2 / 2 outside
     pts = np.array([0.0, 0.25, -0.25, 0.5, 1.0, -1.0, 1.25, 1.5, 2.0])
     expect = np.array([0.75, 0.6875, 0.6875, 0.5, 0.125, 0.125, 0.03125, 0.0, 0.0])
-    w, _ = bspline_weight(pts[:, None], QUADRATIC)
-    np.testing.assert_allclose(w, expect, atol=WEIGHT_ATOL)
-
-
-def test_cubic_window_matches_piecewise_table():
-    # hand-evaluated: |x|^3/2 - x^2 + 2/3 inside |x| < 1, (2 - |x|)^3/6 outside
-    pts = np.array([0.0, 0.5, -0.5, 1.0, 1.5, -1.5, 2.0])
-    expect = np.array(
-        [2.0 / 3.0, 0.0625 - 0.25 + 2.0 / 3.0, 0.0625 - 0.25 + 2.0 / 3.0,
-         1.0 / 6.0, 1.0 / 48.0, 1.0 / 48.0, 0.0]
-    )
-    w, _ = bspline_weight(pts[:, None], CUBIC)
+    w, _ = bspline_weight(pts[:, None])
     np.testing.assert_allclose(w, expect, atol=WEIGHT_ATOL)
 
 
 def test_window_gradient_matches_finite_differences():
     rng = np.random.default_rng(3)
-    for order in (QUADRATIC, CUBIC):
-        x = rng.uniform(-1.4, 1.4, size=(200, 2))
-        # keep probes away from the piecewise breakpoints
-        for brk in (0.5, 1.0, 1.5):
-            x = x[np.all(np.abs(np.abs(x) - brk) > 1e-3, axis=1)]
-        _, dw = bspline_weight(x, order)
-        h = 1e-6
-        for k in range(2):
-            dxv = np.zeros(2)
-            dxv[k] = h
-            wp, _ = bspline_weight(x + dxv, order)
-            wm, _ = bspline_weight(x - dxv, order)
-            fd = (wp - wm) / (2 * h)
-            np.testing.assert_allclose(dw[:, k], fd, rtol=FD_RTOL, atol=1e-9)
+    x = rng.uniform(-1.4, 1.4, size=(200, 2))
+    # keep probes away from the piecewise breakpoints
+    for brk in (0.5, 1.5):
+        x = x[np.all(np.abs(np.abs(x) - brk) > 1e-3, axis=1)]
+    _, dw = bspline_weight(x)
+    h = 1e-6
+    for k in range(2):
+        dxv = np.zeros(2)
+        dxv[k] = h
+        wp, _ = bspline_weight(x + dxv)
+        wm, _ = bspline_weight(x - dxv)
+        fd = (wp - wm) / (2 * h)
+        np.testing.assert_allclose(dw[:, k], fd, rtol=FD_RTOL, atol=1e-9)
 
 
 # ------------------------------------------------------------------ stencils
@@ -77,7 +65,7 @@ def test_window_gradient_matches_finite_differences():
 def test_stencil_at_node_reproduces_eighth_three_quarter_pattern():
     origin, dx, n_nodes = _grid2d()
     center = np.array([[10 * dx, 7 * dx]])
-    st = build_stencil(center, origin, dx, n_nodes, QUADRATIC)
+    st = build_stencil(center, origin, dx, n_nodes)
     assert st.w.shape[1] == 9
     w1 = np.array([0.125, 0.75, 0.125])
     np.testing.assert_allclose(np.sort(st.w[0]), np.sort(np.outer(w1, w1).ravel()),
@@ -91,47 +79,37 @@ def test_stencil_at_node_reproduces_eighth_three_quarter_pattern():
 def test_stencil_partition_of_unity_and_first_moment():
     rng = np.random.default_rng(11)
     origin, dx, n_nodes = _grid2d()
-    for order in (QUADRATIC, CUBIC):
-        centers = rng.uniform(3 * dx, 1.0 - 3 * dx, size=(1000, 2))
-        st = build_stencil(centers, origin, dx, n_nodes, order)
-        np.testing.assert_allclose(st.w.sum(axis=1), 1.0, atol=PARTITION_ATOL)
-        first = np.einsum("ns,nsa->na", st.w, st.r)
-        np.testing.assert_allclose(first, 0.0, atol=FIRST_MOMENT_ATOL)
-        # linear consistency: weighted node positions reproduce the center
-        nodes = origin + st.coords * dx
-        np.testing.assert_allclose(np.einsum("ns,nsa->na", st.w, nodes),
-                                   centers, atol=FIRST_MOMENT_ATOL)
+    centers = rng.uniform(3 * dx, 1.0 - 3 * dx, size=(1000, 2))
+    st = build_stencil(centers, origin, dx, n_nodes)
+    np.testing.assert_allclose(st.w.sum(axis=1), 1.0, atol=PARTITION_ATOL)
+    first = np.einsum("ns,nsa->na", st.w, st.r)
+    np.testing.assert_allclose(first, 0.0, atol=FIRST_MOMENT_ATOL)
+    # linear consistency: weighted node positions reproduce the center
+    nodes = origin + st.coords * dx
+    np.testing.assert_allclose(np.einsum("ns,nsa->na", st.w, nodes),
+                               centers, atol=FIRST_MOMENT_ATOL)
 
 
 def test_stencil_rejects_centers_near_the_boundary():
     origin, dx, n_nodes = _grid2d()
     with pytest.raises(OutOfDomainError):
-        build_stencil(np.array([[0.4 * dx, 0.5]]), origin, dx, n_nodes, QUADRATIC)
+        build_stencil(np.array([[0.4 * dx, 0.5]]), origin, dx, n_nodes)
     with pytest.raises(OutOfDomainError):
-        build_stencil(np.array([[0.5, 1.0 - 0.1 * dx]]), origin, dx, n_nodes, CUBIC)
+        build_stencil(np.array([[0.5, 1.0 - 0.1 * dx]]), origin, dx, n_nodes)
 
 
-# The cubic pieces are evaluated as polynomials in the node offset rather
-# than in |x|, so they may differ from the oracle in the last few bits; the
-# bound is a few ulps of the largest value, fixed from the dtype.
-CUBIC_RTOL = 1e-14
-
-
-def _domain(order, n_nodes, dx):
+def _domain(n_nodes, dx):
     """Valid center range [lo, hi) on each axis for origin 0."""
-    if order == QUADRATIC:
-        return 0.5 * dx, (n_nodes[0] - 1.5) * dx
-    return dx, (n_nodes[0] - 2.0) * dx
+    return 0.5 * dx, (n_nodes[0] - 1.5) * dx
 
 
-def _oracle_stencil(centers, dx, order):
+def _oracle_stencil(centers, dx):
     """Stencil assembled node by node from `bspline_weight` (origin 0)."""
-    count = 3 if order == QUADRATIC else 4
     u = centers / dx
-    base = np.floor(u - 0.5) if order == QUADRATIC else np.floor(u) - 1
-    i, j = np.meshgrid(np.arange(count), np.arange(count), indexing="ij")
+    base = np.floor(u - 0.5)
+    i, j = np.meshgrid(np.arange(3), np.arange(3), indexing="ij")
     coords = base.astype(np.int64)[:, None, :] + np.stack([i.ravel(), j.ravel()], axis=-1)
-    w, dw = bspline_weight(u[:, None, :] - coords, order)
+    w, dw = bspline_weight(u[:, None, :] - coords)
     return coords, (coords - u[:, None, :]) * dx, w, dw / dx
 
 
@@ -151,30 +129,22 @@ def _edge_centers(lo, hi, dx):
     return np.concatenate([np.stack([vals, mid], axis=1), np.stack([mid, vals], axis=1)])
 
 
-@pytest.mark.parametrize("order", [QUADRATIC, CUBIC])
-def test_stencil_matches_spline_oracle(order):
+def test_stencil_matches_spline_oracle():
     origin, dx, n_nodes = _grid2d()
-    lo, hi = _domain(order, n_nodes, dx)
+    lo, hi = _domain(n_nodes, dx)
     rng = np.random.default_rng(5)
     centers = np.concatenate([rng.uniform(lo, hi, size=(20000, 2)),
                               _edge_centers(lo, hi, dx)])
-    st = build_stencil(centers, origin, dx, n_nodes, order)
-    coords, r, w, dw = _oracle_stencil(centers, dx, order)
+    st = build_stencil(centers, origin, dx, n_nodes)
+    coords, r, w, dw = _oracle_stencil(centers, dx)
     np.testing.assert_array_equal(st.coords, coords)
-    np.testing.assert_array_equal(_bits(st.r), _bits(r))
-    if order == QUADRATIC:
-        np.testing.assert_array_equal(_bits(st.w), _bits(w))
-        np.testing.assert_array_equal(_bits(st.dw), _bits(dw))
-    else:
-        for got, want in ((st.w, w), (st.dw, dw)):
-            np.testing.assert_allclose(got, want, rtol=0.0,
-                                       atol=CUBIC_RTOL * np.abs(want).max())
+    for got, want in ((st.r, r), (st.w, w), (st.dw, dw)):
+        np.testing.assert_array_equal(_bits(got), _bits(want))
 
 
-@pytest.mark.parametrize("order", [QUADRATIC, CUBIC])
-def test_one_ulp_outside_the_domain_is_rejected(order):
+def test_one_ulp_outside_the_domain_is_rejected():
     origin, dx, n_nodes = _grid2d()
-    lo, hi = _domain(order, n_nodes, dx)
+    lo, hi = _domain(n_nodes, dx)
     inside = np.array([[0.5, 0.5], [np.nextafter(hi, -np.inf), lo]])
     msg = "1 stencil center(s) outside the valid domain, first indices [2]"
     for outside in (np.nextafter(lo, -np.inf), hi):
@@ -182,7 +152,7 @@ def test_one_ulp_outside_the_domain_is_rejected(order):
             bad = np.array([0.5, 0.5])
             bad[axis] = outside
             with pytest.raises(OutOfDomainError, match=f"^{re.escape(msg)}$"):
-                build_stencil(np.vstack([inside, bad]), origin, dx, n_nodes, order)
+                build_stencil(np.vstack([inside, bad]), origin, dx, n_nodes)
 
 
 # ------------------------------------------------------------ moment matrix
@@ -193,15 +163,9 @@ def test_moment_matrix_is_constant_on_uniform_grids():
     origin, dx, n_nodes = _grid2d()
     centers = rng.uniform(3 * dx, 1.0 - 3 * dx, size=(500, 2))
 
-    st = build_stencil(centers, origin, dx, n_nodes, QUADRATIC)
+    st = build_stencil(centers, origin, dx, n_nodes)
     K = moment_matrix(st)
     expect = 4.0 / dx**2 * np.eye(2)
-    np.testing.assert_allclose(K, np.broadcast_to(expect, K.shape),
-                               rtol=MOMENT_RTOL, atol=MOMENT_RTOL / dx**2)
-
-    st = build_stencil(centers, origin, dx, n_nodes, CUBIC)
-    K = moment_matrix(st)
-    expect = 3.0 / dx**2 * np.eye(2)
     np.testing.assert_allclose(K, np.broadcast_to(expect, K.shape),
                                rtol=MOMENT_RTOL, atol=MOMENT_RTOL / dx**2)
 
@@ -211,8 +175,7 @@ def test_moment_matrix_flags_degenerate_neighborhoods():
     r = np.zeros((1, 3, 2))
     r[0, :, 0] = [-1.0, 0.0, 1.0]
     st = Stencil(coords=np.zeros((1, 3, 2), dtype=np.int64), r=r,
-                 w=np.full((1, 3), 1.0 / 3.0), dw=np.zeros((1, 3, 2)),
-                 order=QUADRATIC)
+                 w=np.full((1, 3), 1.0 / 3.0), dw=np.zeros((1, 3, 2)))
     with pytest.raises(DegenerateNeighborhoodError):
         moment_matrix(st)
 
@@ -236,7 +199,7 @@ def test_mls_gradient_matches_weighted_lstsq_solve():
     rng = np.random.default_rng(19)
     origin, dx, n_nodes = _grid2d()
     centers = rng.uniform(3 * dx, 1.0 - 3 * dx, size=(50, 2))
-    st = build_stencil(centers, origin, dx, n_nodes, QUADRATIC)
+    st = build_stencil(centers, origin, dx, n_nodes)
     G = gradient_weights(st, moment_matrix(st))
     nodes = origin + st.coords * dx
 
@@ -251,16 +214,15 @@ def test_mls_gradient_matches_weighted_lstsq_solve():
 def test_mls_gradient_reproduces_affine_fields_exactly():
     rng = np.random.default_rng(23)
     origin, dx, n_nodes = _grid2d()
-    for order in (QUADRATIC, CUBIC):
-        centers = rng.uniform(3 * dx, 1.0 - 3 * dx, size=(1000, 2))
-        st = build_stencil(centers, origin, dx, n_nodes, order)
-        G = gradient_weights(st, moment_matrix(st))
-        nodes = origin + st.coords * dx
-        B = np.array([[0.3, -1.2], [0.7, 2.1]])
-        c = np.array([0.1, -0.4])
-        dv = (nodes @ B.T + c) - (centers @ B.T + c)[:, None]
-        grad = contract(dv[..., 0], dv[..., 1], G)
-        np.testing.assert_allclose(grad, np.broadcast_to(B, grad.shape), atol=AFFINE_ATOL)
+    centers = rng.uniform(3 * dx, 1.0 - 3 * dx, size=(1000, 2))
+    st = build_stencil(centers, origin, dx, n_nodes)
+    G = gradient_weights(st, moment_matrix(st))
+    nodes = origin + st.coords * dx
+    B = np.array([[0.3, -1.2], [0.7, 2.1]])
+    c = np.array([0.1, -0.4])
+    dv = (nodes @ B.T + c) - (centers @ B.T + c)[:, None]
+    grad = contract(dv[..., 0], dv[..., 1], G)
+    np.testing.assert_allclose(grad, np.broadcast_to(B, grad.shape), atol=AFFINE_ATOL)
 
 
 def test_gradient_derivative_on_two_point_line_stencil():
@@ -268,7 +230,7 @@ def test_gradient_derivative_on_two_point_line_stencil():
     h = 0.25
     r = np.array([[[-h, 0.0], [h, 0.0], [0.0, -h], [0.0, h]]])
     st = Stencil(coords=np.zeros((1, 4, 2), dtype=np.int64), r=r,
-                 w=np.ones((1, 4)), dw=np.zeros((1, 4, 2)), order=QUADRATIC)
+                 w=np.ones((1, 4)), dw=np.zeros((1, 4, 2)))
     K = moment_matrix(st)
     np.testing.assert_allclose(K, [np.eye(2) / (2 * h * h)], rtol=1e-14)
     G = gradient_weights(st, K)
@@ -283,7 +245,7 @@ def test_gradient_weights_scale_like_inverse_cell_size():
     for dx in (1.0 / 16.0, 1.0 / 32.0):
         n = int(round(1.0 / dx))
         st = build_stencil(np.array([[0.5 + 0.3 * dx, 0.5]]), origin, dx,
-                           np.array([n + 1, n + 1]), QUADRATIC)
+                           np.array([n + 1, n + 1]))
         K = moment_matrix(st)
         g = gradient_weights(st, K)
         mag = np.abs(g).sum()
