@@ -1,8 +1,8 @@
-"""Tile-based sparse background grid and static collision geometry.
+"""Sparse background grid and static collision geometry.
 
-Nodes live on a uniform 2-D lattice; storage is allocated in tiles of
-TILE x TILE nodes the first time any node of a tile is bound.  Activation
-is idempotent, and `slot_of` reports -1 for nodes in untouched tiles.
+Nodes live on a uniform 2-D lattice; a node gets a storage slot the first
+time a stencil binds it.  Activation is idempotent, and `slot_of` reports
+-1 for nodes never bound.
 
 The node arrays fall in two groups.  `mass`, `w_accum` and the `active`
 mask (nodes carrying mass) are per-epoch terms: `transfers.epoch_grid_terms`
@@ -17,24 +17,19 @@ elsewhere they are None.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import OutOfDomainError
 
-# nodes per tile edge
-TILE = 4
-TILE_NODES = TILE * TILE
-
 
 class SparseGrid:
-    """Uniform 2-D grid over a box, with tiled on-demand node storage.
+    """Uniform 2-D grid over a box, with one storage slot per bound node.
 
-    Node (x, y) lies in tile (x // TILE, y // TILE), whose code is
-    (x // TILE) * (tiles along y) + y // TILE.  Its slot is its tile's slot
-    times TILE^2 plus its x-major offset inside the tile; tiles get slots
-    in the order they were first bound.
+    Node (x, y) has lattice index x * (nodes along y) + y.  A table over the
+    lattice maps each index to its slot, -1 while unbound; the nodes that one
+    `activate` call binds first get the next slots in lattice-index order.
     """
 
     def __init__(self, origin, dx: float, n_cells,
@@ -43,10 +38,7 @@ class SparseGrid:
         self.dx = float(dx)
         self.n_cells = np.asarray(n_cells, dtype=np.int64)
         self.n_nodes = self.n_cells + 1
-
-        # tiles per axis (ceil division) and the tile slot of each tile code
-        self._n_tiles_axis = -(-self.n_nodes // TILE)
-        self._tile_lut = np.full(int(np.prod(self._n_tiles_axis)), -1, dtype=np.int64)
+        self._slot = np.full(int(np.prod(self.n_nodes)), -1, dtype=np.int64)
 
         # per-node arrays: (name, trailing shape, dtype)
         self._fields = [("mass", (), np.float64), ("w_accum", (), np.float64),
@@ -59,48 +51,18 @@ class SparseGrid:
         if keep_velocity0:
             self._fields.append(("velocity0", (2,), np.float64))
 
-        self.n_tiles = 0
+        self.n_slots = 0
         for name, shape, dtype in self._fields:
             setattr(self, name, np.zeros((0,) + shape, dtype=dtype))
 
-    @property
-    def n_slots(self) -> int:
-        return self.n_tiles * TILE_NODES
-
-    def _grow(self, new_codes: np.ndarray) -> None:
-        """Append storage for the tiles with the given tile codes, in order."""
-        add = new_codes.shape[0]
-        if add == 0:
-            return
-        tx, ty = np.divmod(new_codes, self._n_tiles_axis[1])
-        ox, oy = np.divmod(np.arange(TILE_NODES), TILE)
-        node_coords = np.stack(((tx[:, None] * TILE + ox).ravel(),
-                                (ty[:, None] * TILE + oy).ravel()), axis=-1)
-        self.n_tiles += add
-        pad = add * TILE_NODES
+    def _grow(self, new_nodes: np.ndarray) -> None:
+        """Append storage for the nodes with the given lattice indices, in order."""
         for name, shape, dtype in self._fields:
             setattr(self, name, np.concatenate(
-                [getattr(self, name), np.zeros((pad,) + shape, dtype=dtype)]))
-        self.position[-pad:] = self.origin + node_coords * self.dx
-
-    def _locate(self, cx: np.ndarray, cy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Tile codes and within-tile offsets of in-range lattice columns.
-
-        A rebind passes one row per stencil entry, and each fresh temporary
-        of that size costs page faults, so the offsets are formed in place.
-        """
-        tx = cx // TILE
-        ty = cy // TILE
-        code = tx * self._n_tiles_axis[1]
-        code += ty
-        # within = (cx - TILE tx) TILE + (cy - TILE ty), in the storage of tx and ty
-        tx *= -TILE
-        tx += cx
-        tx *= TILE
-        ty *= -TILE
-        ty += cy
-        tx += ty
-        return code, tx
+                [getattr(self, name), np.zeros(new_nodes.shape + shape, dtype=dtype)]))
+        coords = np.stack(np.divmod(new_nodes, self.n_nodes[1]), axis=-1)
+        self.position[self.n_slots:] = self.origin + coords * self.dx
+        self.n_slots += new_nodes.size
 
     def activate(self, coords: np.ndarray) -> np.ndarray:
         """Bind lattice coordinates (m, 2) and return their storage slots.
@@ -115,24 +77,21 @@ class SparseGrid:
             raise OutOfDomainError(
                 f"{bad.size} node coordinate(s) outside the grid, first {coords[bad[0]].tolist()}"
             )
-        code, within = self._locate(cx, cy)
-        tslot = self._tile_lut[code]
-        missing = tslot < 0
+        node = cx * ny
+        node += cy
+        slot = self._slot[node]
+        missing = slot < 0
         if missing.any():
-            new_codes = np.unique(code[missing])
-            self._tile_lut[new_codes] = self.n_tiles + np.arange(new_codes.size)
-            self._grow(new_codes)
-            tslot = self._tile_lut[code]
-        tslot *= TILE_NODES
-        tslot += within
-        return tslot
+            new_nodes = np.unique(node[missing])
+            self._slot[new_nodes] = self.n_slots + np.arange(new_nodes.size)
+            self._grow(new_nodes)
+            slot = self._slot[node]
+        return slot
 
     def slot_of(self, coords) -> np.ndarray:
-        """Slots for lattice coordinates, -1 where the tile was never bound."""
+        """Slots for lattice coordinates, -1 where the node was never bound."""
         coords = np.atleast_2d(np.asarray(coords, dtype=np.int64))
-        code, within = self._locate(coords[:, 0], coords[:, 1])
-        tslot = self._tile_lut[code]
-        return np.where(tslot >= 0, tslot * TILE_NODES + within, -1)
+        return self._slot[coords[:, 0] * self.n_nodes[1] + coords[:, 1]]
 
     def zero_fields(self) -> None:
         """Reset the per-step accumulators; the per-epoch terms are kept."""

@@ -193,9 +193,14 @@ def bundled_scene(name: str) -> Scene:
     return load_scene(json.loads(text))
 
 
-def _reject_constant(token: str):
-    """`json.loads` hook for NaN, Infinity and -Infinity, which JSON lacks."""
-    raise SceneError(f"scene holds the non-finite number {token}; every number must be finite")
+def _reject_non_finite(value, path: str = "") -> None:
+    """Raise on NaN or an infinity anywhere in a parsed scene; JSON has neither."""
+    if isinstance(value, (dict, list)):
+        for key, item in (value.items() if isinstance(value, dict) else enumerate(value)):
+            _reject_non_finite(item, f"{path}/{key}" if path else str(key))
+    elif isinstance(value, (float, np.floating)) and not math.isfinite(value):
+        raise SceneError(f"scene holds the non-finite number {json.dumps(float(value))} at "
+                         f"{path or '(top level)'}; every number must be finite")
 
 
 def load_scene(source) -> Scene:
@@ -208,9 +213,10 @@ def load_scene(source) -> Scene:
         except OSError as exc:
             raise SceneError(f"cannot read scene {source}: {exc}") from None
         try:
-            raw = json.loads(text, parse_constant=_reject_constant)
+            raw = json.loads(text)
         except json.JSONDecodeError as exc:
             raise SceneError(f"scene {source} is not valid JSON: {exc}") from None
+    _reject_non_finite(raw)
     try:
         jsonschema.validate(raw, _SCHEMA)
     except jsonschema.ValidationError as exc:

@@ -111,7 +111,7 @@ def test_stepping_on_after_run_is_bitwise_unchanged(mode):
 
 
 def test_epoch_grid_terms_follow_rebinds_and_grid_growth():
-    # "mover" rebinds on every step (eta = 0) and slides into tiles no
+    # "mover" rebinds on every step (eta = 0) and slides onto nodes no
     # binding has touched; "still" never rebinds, and its binding was made
     # on a grid with fewer slots than the grid has later
     fluid = {"type": "weakly_compressible_fluid", "density": 1000.0, "bulk": 100.0}

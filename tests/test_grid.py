@@ -1,4 +1,4 @@
-"""Tests for the tiled sparse grid and collider geometry."""
+"""Tests for the sparse grid (one slot per bound node) and collider geometry."""
 
 import numpy as np
 import pytest
@@ -14,10 +14,10 @@ def test_activation_is_idempotent_and_returns_stable_slots():
     g = SparseGrid(origin=(0.0, 0.0), dx=0.1, n_cells=(10, 10))
     coords = np.array([[0, 0], [10, 10], [3, 7], [3, 7]])
     s1 = g.activate(coords)
-    tiles_after = g.n_tiles
+    slots_after = g.n_slots
     s2 = g.activate(coords)
     np.testing.assert_array_equal(s1, s2)
-    assert g.n_tiles == tiles_after
+    assert g.n_slots == slots_after
     assert s1[2] == s1[3]
     assert len({s1[0], s1[1], s1[2]}) == 3
 
@@ -25,10 +25,27 @@ def test_activation_is_idempotent_and_returns_stable_slots():
 def test_inactive_nodes_read_as_zero_mass():
     g = SparseGrid(origin=(0.0, 0.0), dx=0.1, n_cells=(12, 12))
     g.activate(np.array([[1, 1]]))
-    assert g.slot_of([[9, 9]])[0] == -1
-    # same tile as the bound node: slot exists but mass is still zero
-    assert g.slot_of([[2, 2]])[0] >= 0
-    assert g.mass[g.slot_of([[2, 2]])[0]] == 0.0
+    # only the bound node has storage, and it holds no mass until a scatter;
+    # its unbound neighbours, like far nodes, have slot -1
+    np.testing.assert_array_equal(g.mass, [0.0])
+    np.testing.assert_array_equal(g.slot_of([[1, 1], [2, 2], [1, 2], [9, 9]]), [0, -1, -1, -1])
+
+
+def test_each_bound_node_gets_one_slot_in_lattice_order():
+    g = SparseGrid(origin=(0.0, 0.0), dx=0.1, n_cells=(10, 10))
+    first = np.array([[3, 7], [0, 2], [3, 7], [0, 1]])
+    np.testing.assert_array_equal(g.activate(first), [2, 1, 2, 0])
+    assert g.n_slots == 3
+    g.mass[:] = [1.0, 2.0, 3.0]
+    # a later call appends its new nodes in lattice order; earlier slots keep
+    # their numbers and their stored values
+    later = np.array([[10, 10], [0, 2], [5, 0], [0, 1], [5, 0]])
+    np.testing.assert_array_equal(g.activate(later), [4, 1, 3, 0, 3])
+    assert g.n_slots == 5
+    np.testing.assert_array_equal(g.slot_of(first), [2, 1, 2, 0])
+    np.testing.assert_array_equal(g.mass, [1.0, 2.0, 3.0, 0.0, 0.0])
+    np.testing.assert_allclose(g.position, 0.1 * np.array(
+        [[0, 1], [0, 2], [3, 7], [5, 0], [10, 10]]))
 
 
 def test_node_positions_follow_the_lattice():
@@ -49,14 +66,14 @@ def test_out_of_range_coordinates_are_rejected():
         g.activate(np.array([[0, 11]]))
     with pytest.raises(OutOfDomainError):
         g.activate(np.array([[-1, 0]]))
-    assert g.n_tiles == 0
+    assert g.n_slots == 0
 
 
 def test_activate_empty_input_binds_nothing():
     g = SparseGrid(origin=(0.0, 0.0), dx=0.1, n_cells=(10, 10))
     slots = g.activate(np.empty((0, 2), dtype=np.int64))
     assert slots.shape == (0,)
-    assert g.n_tiles == 0
+    assert g.n_slots == 0
 
 
 def test_activate_slots_do_not_depend_on_dtype_or_layout():

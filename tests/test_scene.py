@@ -125,6 +125,27 @@ def test_three_dimensional_scene_rejected():
         load_scene(raw)
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("edit, token, where", [
+    (lambda raw: raw.update(gravity=[0.0, NAN]), "NaN", "gravity/1"),
+    (lambda raw: raw["solver"].update(dt=NAN), "NaN", "solver/dt"),
+    (lambda raw: raw["objects"][0]["material"].update(youngs=NAN), "NaN",
+     "objects/0/material/youngs"),
+    (lambda raw: raw["objects"][0]["shape"].update(max=[0.7, float("inf")]), "Infinity",
+     "objects/0/shape/max/1"),
+    (lambda raw: raw.update(gravity=[0.0, -float("inf")]), "-Infinity", "gravity/1"),
+    (lambda raw: raw["solver"].update(dt=np.float32("nan")), "NaN", "solver/dt"),
+], ids=["nan_gravity", "nan_dt", "nan_youngs", "inf_box_max", "minus_inf_gravity",
+        "numpy_float32_nan_dt"])
+def test_non_finite_numbers_in_a_dict_scene_are_rejected(edit, token, where):
+    raw = _minimal()
+    edit(raw)
+    with pytest.raises(SceneError, match=f"non-finite number {token} at {where};"):
+        load_scene(raw)
+
+
 def test_missing_file_is_scene_error(tmp_path):
     with pytest.raises(SceneError, match="cannot read"):
         load_scene(tmp_path / "nope.json")
