@@ -250,17 +250,3 @@ def plastic_project(F_elastic: np.ndarray, F_plastic: np.ndarray,
     M = pack(k1 * cv * cv + k2 * sv * sv, m01, m01, k1 * sv * sv + k2 * cv * cv)
     return Fe, matmul(M, F_plastic)
 
-
-def wave_speed(model: MaterialModel, J: float = 1.0,
-               J_plastic: np.ndarray | None = None) -> float:
-    """Stiffness wave speed used for time step control.
-
-    J is the fluid's volume ratio.  For snow, J_plastic holds the particles'
-    plastic determinants and the speed is the fastest particle's, with the
-    moduli hardened as in the stress (`_moduli`).
-    """
-    if model.kind == FLUID:
-        c2 = model.bulk * model.gamma / model.density * max(J, J_FLOOR) ** (1.0 - model.gamma)
-        return float(np.sqrt(c2))
-    mu, lam = _moduli(model, J_plastic)
-    return float(np.sqrt(np.max(lam + 2.0 * mu) / model.density))

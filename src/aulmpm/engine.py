@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .constitutive import FLUID, SNOW, det, inverse, matmul, plastic_project, wave_speed
+from .constitutive import FLUID, SNOW, det, inverse, matmul, plastic_project
 from .errors import NumericalError
 from .kinematics import (
     KERNEL,
@@ -146,37 +146,11 @@ class Simulation:
     def n_particles(self) -> int:
         return sum(b.n for b in self.bodies)
 
-    def stable_dt(self) -> float:
-        """CFL-limited step, capped by the frame interval.
-
-        dt = cfl dx / (max particle speed + stiffness wave speed), the wave
-        speed taken at the current volume ratio for fluids and at the
-        hardened moduli for snow; with no cfl factor configured the fixed dt
-        is returned unchanged.
-        """
-        sol = self.scene.solver
-        if sol.cfl is None:
-            return sol.dt
-        cap = sol.frame_dt if sol.frame_dt is not None else sol.dt
-        top = 0.0
-        for b in self.bodies:
-            vmax = float(np.sqrt((b.v * b.v).sum(axis=1).max()))
-            if b.material.kind == FLUID:
-                jmin = float(det(compose_total(b.state)).min())
-                c = wave_speed(b.material, max(jmin, 1e-3))
-            else:
-                jp = None if b.F_plastic is None else det(b.F_plastic)
-                c = wave_speed(b.material, J_plastic=jp)
-            top = max(top, vmax + c)
-        if top == 0.0:
-            return cap
-        return min(cap, sol.cfl * self.grid.dx / top)
-
     def step(self, dt: float | None = None) -> bool:
-        """Advance one step; returns whether any object rebound."""
-        if dt is None:
-            dt = self.stable_dt()
+        """Advance one step of `dt` (default solver.dt); returns whether any object rebound."""
         sol = self.scene.solver
+        if dt is None:
+            dt = sol.dt
         grid = self.grid
         t0 = time.perf_counter()
 
@@ -348,7 +322,7 @@ class Simulation:
             (out / "frames").mkdir(parents=True, exist_ok=True)
         per_frame = 0
         if sol.frame_dt is not None:
-            per_frame = max(1, round(sol.frame_dt / sol.dt))
+            per_frame = round(sol.frame_dt / sol.dt)   # a whole count >= 1 (load_scene)
         if frames is None:
             total = sol.steps
             stride = per_frame
@@ -374,7 +348,7 @@ class Simulation:
         # positions alone, and `step` rebuilds them bit for bit if stepping
         # continues.
         for b in self.bodies:
-            b.cmap = replace(b.cmap, stencil=None, K=None, G=None, slots=None, work=None)
+            b.cmap = replace(b.cmap, stencil=None, G=None, slots=None, work=None)
         info = self.summary()
         info["wall_s"] = wall
         info["frames"] = frame

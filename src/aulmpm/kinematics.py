@@ -77,8 +77,8 @@ class ConfigurationMap:
     there, the storage slots of the bound grid nodes and the gradient weights
     G that every transfer phase contracts against.  The transfer flavor
     decides G: `least_squares` (MLS-MPM / APIC) uses G_j = W_j K r_j with the
-    moment matrices K; `kernel` (PIC/FLIP MPM) uses the window gradients
-    grad W_j and builds no K.
+    moment matrices K, used only to build G; `kernel` (PIC/FLIP MPM) uses
+    the window gradients grad W_j.
 
     `work` is the workspace the transfer phases write their per-entry
     temporaries into, allocated on first use (see `transfers`).  Slots are
@@ -91,7 +91,6 @@ class ConfigurationMap:
     epoch: int
     ref_positions: np.ndarray
     stencil: Stencil
-    K: np.ndarray | None
     G: np.ndarray
     slots: np.ndarray
     transfer: str = LEAST_SQUARES
@@ -111,17 +110,13 @@ class ConfigurationMap:
             raise OrphanParticleError(
                 f"{idx.size} particle(s) with zero grid coverage, first {idx[:8].tolist()}"
             )
-        if transfer == KERNEL:
-            K, G = None, st.dw
-        else:
-            K = moment_matrix(st)
-            G = gradient_weights(st, K)
+        G = st.dw if transfer == KERNEL else gradient_weights(st, moment_matrix(st))
         n, S = st.w.shape
         slots = grid.activate(st.coords.reshape(-1, 2)).reshape(n, S)
         if slots.size and (slots.min() < 0 or slots.max() >= grid.n_slots):
             raise IndexError("grid slots out of range")
         return cls(epoch=epoch, ref_positions=positions.copy(),
-                   stencil=replace(st, coords=None), K=K, G=G, slots=slots,
+                   stencil=replace(st, coords=None), G=G, slots=slots,
                    transfer=transfer)
 
 

@@ -37,7 +37,6 @@ class SolverConfig:
     transfer: str = "least_squares"
     mode: str = "adaptive"
     flip_blend: float = 0.95
-    cfl: float | None = None
     seed: int = 0
 
 
@@ -203,6 +202,16 @@ def _reject_non_finite(value, path: str = "") -> None:
                          f"{path or '(top level)'}; every number must be finite")
 
 
+def _whole_steps(sol: dict, key: str, dt: float) -> int:
+    """The k >= 1 with sol[key] = k dt to 1e-9 relative; no time falls between steps."""
+    ratio = sol[key] / dt
+    k = round(ratio) if math.isfinite(ratio) else 0
+    if k < 1 or abs(ratio - k) > 1e-9 * k:
+        raise SceneError(f"solver {key} {sol[key]:g} is not a whole number of steps "
+                         f"of dt {dt:g} ({ratio:.6g} steps)")
+    return k
+
+
 def load_scene(source) -> Scene:
     """Parse and validate a scene from a path, JSON string, or dict."""
     if isinstance(source, dict):
@@ -237,14 +246,16 @@ def load_scene(source) -> Scene:
     if ("steps" in sol) == ("duration" in sol):
         raise SceneError("solver needs exactly one of steps or duration")
     dt = float(sol["dt"])
-    steps = sol["steps"] if "steps" in sol else max(1, round(sol["duration"] / dt))
+    steps = sol["steps"] if "steps" in sol else _whole_steps(sol, "duration", dt)
+    if "frame_dt" in sol:
+        _whole_steps(sol, "frame_dt", dt)
     solver = SolverConfig(
         dt=dt, steps=int(steps), frame_dt=sol.get("frame_dt"),
         integrator=sol.get("integrator", "explicit"),
         transfer=sol.get("transfer", "least_squares"),
         mode=sol.get("mode", "adaptive"),
         flip_blend=float(sol.get("flip_blend", 0.95)),
-        cfl=sol.get("cfl"), seed=int(sol.get("seed", 0)))
+        seed=int(sol.get("seed", 0)))
 
     gravity = raw.get("gravity")
     gravity = np.zeros(2) if gravity is None else _vec(gravity, "gravity")

@@ -34,6 +34,7 @@ from .grid import SparseGrid
 from .kinematics import (ConfigurationMap, DeformationState, UpdatePolicy,
                          advance_F_sn, apply_update, compose_total,
                          deformation_delta, should_update, velocity_gradient_s)
+from .mls import moment_matrix
 from .scene import Scene, bundled_scene, load_scene
 from .transfers import (Body, epoch_grid_terms, grid_internal_forces, hessian_apply,
                         stress_pass)
@@ -285,7 +286,7 @@ def check_mls_consistency():
     grad = velocity_gradient_s(x @ A.T + b, nodes @ A.T + b, cmap)
     grad_gap = float(np.abs(grad - A).max())
     k_expect = (4.0 / grid.dx**2) * np.eye(2)
-    k_gap = float(np.abs(cmap.K - k_expect).max() / (4.0 / grid.dx**2))
+    k_gap = float(np.abs(moment_matrix(cmap.stencil) - k_expect).max() / (4.0 / grid.dx**2))
     ok = grad_gap <= 1e-10 and k_gap <= 1e-10
     return ok, {"affine_grad_gap": grad_gap, "moment_gap": k_gap}, (
         f"affine_grad_gap={grad_gap:.1e} moment_gap={k_gap:.1e} "
@@ -523,7 +524,7 @@ def check_transfer_identity():
     v_p = np.einsum("ns,nsa->na", st.w, vn)
     centered = velocity_gradient_s(v_p, vn, body.cmap)
     second_moment = np.einsum("ns,nsa,nsb->nab", st.w, vn, st.r)
-    uncentered = np.einsum("nab,nbc->nac", second_moment, body.cmap.K)
+    uncentered = np.einsum("nab,nbc->nac", second_moment, moment_matrix(st))
     gap = float(np.abs(centered - uncentered).max())
     return gap <= 1e-12, {"max_gap": gap}, f"max_gap={gap:.1e} (tol 1e-12)"
 

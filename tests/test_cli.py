@@ -99,9 +99,11 @@ def _wide_grid(raw):
     raw["grid"] = {"origin": [0.0, 0.0], "size": [1.5, 1.0], "cells": [24, 16]}
 
 
-def _endless(raw):
-    del raw["solver"]["steps"]
-    raw["solver"]["duration"] = float("inf")   # written as the bare token Infinity
+def _duration(seconds):
+    def edit(raw):
+        del raw["solver"]["steps"]
+        raw["solver"]["duration"] = seconds
+    return edit
 
 
 NAN = float("nan")   # written as the bare token NaN
@@ -116,16 +118,23 @@ MALFORMED = {
     "converge_level_off_aspect": (_wide_grid, ["converge", "--levels", "3..4",
                                                "--bench-level", "5"]),
     "missing_scene_file": (None, ["sim"]),
-    "infinite_duration": (_endless, ["sim"]),
+    "infinite_duration": (_duration(float("inf")), ["sim"]),   # the bare token Infinity
     "nan_dt": (lambda raw: raw["solver"].update(dt=NAN), ["sim"]),
     "nan_spacing": (lambda raw: raw["objects"][0].update(spacing=NAN), ["sim"]),
     "nan_gravity": (lambda raw: raw.update(gravity=[0.0, NAN]), ["sim"]),
     "cubic_order": (lambda raw: raw["solver"].update(order="cubic"), ["sim"]),
+    "cfl": (lambda raw: raw["solver"].update(cfl=0.4), ["sim"]),
+    # at dt 1e-3: 2.5 steps per frame, 6.4 and 0.4 steps to the end
+    "frame_dt_between_steps": (lambda raw: raw["solver"].update(frame_dt=2.5e-3), ["sim"]),
+    "duration_between_steps": (_duration(6.4e-3), ["sim"]),
+    "duration_under_one_step": (_duration(4e-4), ["sim"]),
 }
 
 # what the error line must name, where a case has one key or token at fault
 NAMED = {"infinite_duration": "Infinity", "nan_dt": "NaN", "nan_spacing": "NaN",
-         "nan_gravity": "NaN", "cubic_order": "'order'"}
+         "nan_gravity": "NaN", "cubic_order": "'order'", "cfl": "'cfl'",
+         "frame_dt_between_steps": "frame_dt", "duration_between_steps": "duration",
+         "duration_under_one_step": "duration"}
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))

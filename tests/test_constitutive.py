@@ -17,7 +17,6 @@ from aulmpm.constitutive import (
     energy_and_piola,
     hessian_action,
     plastic_project,
-    wave_speed,
 )
 from aulmpm.errors import SceneError
 from oracles import _ref_signed_svd
@@ -217,14 +216,6 @@ def test_non_snow_projection_is_a_passthrough():
     Fe2, Fp2 = plastic_project(F, Fp, _corotated())
     np.testing.assert_allclose(Fe2, F)
     np.testing.assert_allclose(Fp2, Fp)
-
-
-def test_wave_speed_examples():
-    model = _corotated(mu=3.0e4, lam=4.0e4)
-    np.testing.assert_allclose(wave_speed(model), np.sqrt(1.0e5 / 1000.0), rtol=1e-12)
-    model = _fluid(bulk=2.0e4, gamma=7.0)
-    np.testing.assert_allclose(wave_speed(model), np.sqrt(1.4e5 / 1000.0), rtol=1e-12)
-    assert wave_speed(_corotated(mu=0.0, lam=0.0)) == 0.0
 
 
 def test_unknown_kind_and_bad_parameters_are_rejected():

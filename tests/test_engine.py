@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import tracemalloc
 
@@ -216,45 +215,6 @@ def test_spin_seeds_affine_state():
         np.testing.assert_allclose(body.v, velocity + (body.x - c) @ spin.T, atol=1e-15)
         sim.step()
         assert np.isfinite(body.x).all() and np.isfinite(body.v).all()
-
-
-def test_stable_dt_fixed_when_no_cfl():
-    sim = Simulation(_scene())
-    assert sim.stable_dt() == 1e-3
-
-
-def test_stable_dt_matches_hand_formula():
-    scene = _scene(cfl=0.5, dt=1.0, frame_dt=2.0)
-    sim = Simulation(scene)
-    b = sim.bodies[0]
-    b.v[:] = 0.0
-    b.v[0] = [3.0, 4.0]  # speed 5
-    c = np.sqrt((b.material.lam + 2 * b.material.mu) / b.material.density)
-    expect = 0.5 * sim.grid.dx / (5.0 + c)
-    assert sim.stable_dt() == pytest.approx(expect, rel=1e-12)
-
-
-def test_stable_dt_hardens_with_snow_compaction():
-    scene = _scene(cfl=0.5, dt=1.0, frame_dt=2.0)
-    scene.objects[0].material = MaterialModel.from_youngs(
-        "snow", density=400.0, youngs=1.4e5, poisson=0.2, hardening=10.0)
-    sim = Simulation(scene)
-    b = sim.bodies[0]
-    b.v[:] = 0.0
-    b.v[0] = [3.0, 4.0]  # speed 5
-    b.F_plastic[1] = 0.98 * np.eye(2)   # J_p = 0.9604 on one particle
-    m = b.material
-    c = np.sqrt((m.lam + 2 * m.mu) * np.exp(10.0 * (1.0 - 0.9604)) / m.density)
-    expect = 0.5 * sim.grid.dx / (5.0 + c)
-    assert sim.stable_dt() == pytest.approx(expect, rel=1e-12)
-
-
-def test_stable_dt_rest_zero_stiffness_hits_cap():
-    scene = _scene(cfl=0.5, dt=1.0, frame_dt=2.5)
-    scene.objects[0].velocity = np.zeros(2)
-    scene.objects[0].material = dataclasses.replace(scene.objects[0].material, mu=0.0, lam=0.0)
-    sim = Simulation(scene)
-    assert sim.stable_dt() == 2.5
 
 
 def test_nan_guard_raises():

@@ -1,10 +1,12 @@
+import dataclasses
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
 
 from aulmpm.errors import SceneError
-from aulmpm.scene import bundled_scene, load_scene, sample_shape
+from aulmpm.scene import SolverConfig, bundled_scene, load_scene, sample_shape
 
 
 def _minimal(**overrides):
@@ -68,6 +70,15 @@ def test_steps_and_duration_conflict():
     raw["solver"] = {"dt": 1e-3, "steps": 5, "duration": 0.05}
     with pytest.raises(SceneError):
         load_scene(raw)
+
+
+def test_schema_solver_keys_are_the_solver_config_fields():
+    # a key the schema admits but the loader never reads would be accepted
+    # and silently ignored; `duration` is read as `steps`
+    schema = json.loads(resources.files("aulmpm").joinpath("data/scene.schema.json").read_text())
+    keys = set(schema["properties"]["solver"]["properties"])
+    fields = {f.name for f in dataclasses.fields(SolverConfig)}
+    assert keys == fields | {"duration"}
 
 
 def test_unknown_key_rejected_with_path():
