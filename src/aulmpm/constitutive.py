@@ -194,11 +194,9 @@ def energy_and_piola(F: np.ndarray, model: MaterialModel,
         psi = k * (J + J ** (1.0 - g) / (g - 1.0) - g / (g - 1.0))
         p = k * (1.0 - J ** (-g))
         return StressState(energy=psi, P=pack(p * d, -p * c, -p * b, p * a))
-    if model.kind in (FIXED_COROTATED, SNOW):
-        mu, lam = _moduli(model, J_plastic)
-        psi, P = _corotated(F, mu, lam)
-        return StressState(energy=psi, P=P)
-    raise SceneError(f"unknown material kind {model.kind!r}")
+    mu, lam = _moduli(model, J_plastic)
+    psi, P = _corotated(F, mu, lam)
+    return StressState(energy=psi, P=P)
 
 
 def hessian_action(F: np.ndarray, dF: np.ndarray, model: MaterialModel,

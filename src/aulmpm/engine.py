@@ -11,9 +11,8 @@ integrator:
 Rebinding (when an object's update policy fires) folds the accumulated
 deformation into the stored reference map and rebuilds stencils at the
 current particle positions; total deformation gradients are unchanged
-by it.  The grid's per-epoch terms (node mass, summed weights, active
-nodes) are set at construction and again after any binding changes, not
-on every step.
+by it.  The grid's per-epoch terms (node mass and active nodes) are set
+at construction and again after any binding changes, not on every step.
 
 A step raises NumericalError naming the field and the step when the
 particle state (x, v), F_sn, F_0s after a rebind or F_plastic after the
@@ -194,17 +193,13 @@ class Simulation:
                 self._require_finite("F_plastic", np.isfinite(b.F_plastic).all())
             if b.policy is not None:
                 marked, fire = should_update(deformation_delta(b.state), b.policy)
-                b.marked = marked
                 total_marked += marked
                 if fire:
                     t_bind = time.perf_counter()
                     b.cmap = apply_update(b.state, b.x, grid, b.cmap)
                     rebind_ms += (time.perf_counter() - t_bind) * 1e3
                     self._require_finite("F_0s", np.isfinite(b.state.F_0s).all())
-                    b.updates += 1
                     rebound = True
-            else:
-                b.marked = 0
             b._cache.clear()   # step scratch: stresses and their factors
         if rebound:
             epoch_grid_terms(self.bodies, grid, self.mass_eps)
@@ -235,7 +230,7 @@ class Simulation:
         self.records.append(StepRecord(
             step=self.steps_done, time=self.time, mass=mass, momentum=mom,
             angular_momentum=ang, kinetic_energy=kin,
-            updates=sum(b.updates for b in self.bodies),
+            updates=sum(b.cmap.epoch for b in self.bodies),
             marked_fraction=total_marked / self.n_particles,
             wall_ms=wall_ms, rebound=rebound, rebind_ms=rebind_ms))
 
@@ -294,11 +289,11 @@ class Simulation:
             "integrator": sol.integrator,
             "transfer": sol.transfer,
             "mode": sol.mode,
-            "updates_total": sum(b.updates for b in self.bodies),
+            "updates_total": sum(b.cmap.epoch for b in self.bodies),
             "cg_unconverged": self.cg_unconverged,
             "cg_fallbacks": self.cg_fallbacks,
             "objects": [
-                {"name": obj.name, "particles": b.n, "updates": b.updates,
+                {"name": obj.name, "particles": b.n, "updates": b.cmap.epoch,
                  "epoch": b.cmap.epoch, "inverted": b.inverted}
                 for obj, b in zip(self.scene.objects, self.bodies)
             ],

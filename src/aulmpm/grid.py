@@ -4,15 +4,15 @@ Nodes live on a uniform 2-D lattice; a node gets a storage slot the first
 time a stencil binds it.  Activation is idempotent, and `slot_of` reports
 -1 for nodes never bound.
 
-The node arrays fall in two groups.  `mass`, `w_accum` and the `active`
-mask (nodes carrying mass) are per-epoch terms: `transfers.epoch_grid_terms`
-sets them when a binding changes, and `zero_fields` leaves them alone.  The
-per-step arrays are reset by `zero_fields` (the accumulators) or rewritten
-whole by `transfers.finalize_grid`.  Two of them exist only where something
-reads them: `pos_accum` and `current` (rasterized material positions) on a
-grid that tracks positions for collisions, and `velocity0` (the velocities
-before the momentum update) on a grid that keeps them for the FLIP blend;
-elsewhere they are None.
+The node arrays fall in two groups.  `mass` and the `active` mask (nodes
+carrying mass) are per-epoch terms: `transfers.epoch_grid_terms` sets them
+when a binding changes, and `zero_fields` leaves them alone.  The per-step
+arrays are reset by `zero_fields` (the accumulators) or rewritten whole by
+`transfers.finalize_grid`.  Two of them exist only where something reads
+them: `pos_accum` and `current` (the scattered m w x and its mass average,
+the material position at each active node) on a grid that tracks positions
+for collisions, and `velocity0` (the velocities before the momentum update)
+on a grid that keeps them for the FLIP blend; elsewhere they are None.
 """
 
 from __future__ import annotations
@@ -41,8 +41,7 @@ class SparseGrid:
         self._slot = np.full(int(np.prod(self.n_nodes)), -1, dtype=np.int64)
 
         # per-node arrays: (name, trailing shape, dtype)
-        self._fields = [("mass", (), np.float64), ("w_accum", (), np.float64),
-                        ("active", (), bool)]
+        self._fields = [("mass", (), np.float64), ("active", (), bool)]
         self._fields += [(name, (2,), np.float64) for name in
                          ("momentum", "velocity", "force", "position")]
         self.pos_accum = self.current = self.velocity0 = None
@@ -108,16 +107,11 @@ class HalfSpace:
     point: np.ndarray
     normal: np.ndarray
     mode: str = "slip"  # 'sticky' | 'slip'
-    velocity: np.ndarray | None = None
 
     def __post_init__(self):
         self.point = np.asarray(self.point, dtype=np.float64)
         n = np.asarray(self.normal, dtype=np.float64)
         self.normal = n / np.linalg.norm(n)
-        if self.velocity is None:
-            self.velocity = np.zeros_like(self.point)
-        else:
-            self.velocity = np.asarray(self.velocity, dtype=np.float64)
 
     def signed_distance(self, x: np.ndarray) -> np.ndarray:
         return (x - self.point) @ self.normal
@@ -133,15 +127,10 @@ class SphereObstacle:
     center: np.ndarray
     radius: float
     mode: str = "slip"
-    velocity: np.ndarray | None = None
 
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=np.float64)
         self.radius = float(self.radius)
-        if self.velocity is None:
-            self.velocity = np.zeros_like(self.center)
-        else:
-            self.velocity = np.asarray(self.velocity, dtype=np.float64)
 
     def signed_distance(self, x: np.ndarray) -> np.ndarray:
         return np.linalg.norm(x - self.center, axis=-1) - self.radius

@@ -10,9 +10,11 @@ particles exceed a volume-change threshold interpolates between the two.
 A binding stores each per-stencil-entry array once, component-major: the
 offsets r and the gradient weights G are (n, S, 2) views of (2, n, S)
 buffers, so every phase reads r[..., k] and G[..., k] as contiguous (n, S)
-arrays and contracts them entry by entry.  Deformation gradients are
-batches of 2x2 matrices, multiplied and reduced in closed form by the
-helpers in `constitutive`.
+arrays and contracts them entry by entry.  `contract` is the one velocity
+gradient: sum_j v_j (x) G_j over the node velocities of a stencil, the
+affine velocity C of APIC and MLS-MPM.  Deformation gradients are batches
+of 2x2 matrices, multiplied and reduced in closed form by the helpers in
+`constitutive`.
 """
 
 from __future__ import annotations
@@ -122,28 +124,17 @@ class ConfigurationMap:
 
 def contract(px: np.ndarray, py: np.ndarray, G: np.ndarray) -> np.ndarray:
     """sum_j p_j (x) G_j per particle, (n, 2, 2), from the node samples of a
-    vector field split by component, px and py (n, S)."""
-    gx, gy = G[..., 0], G[..., 1]
-    return pack(np.einsum("ns,ns->n", px, gx), np.einsum("ns,ns->n", px, gy),
-                np.einsum("ns,ns->n", py, gx), np.einsum("ns,ns->n", py, gy))
+    vector field split by component, px and py (n, S).
 
-
-def velocity_gradient_s(v_center: np.ndarray, v_nodes: np.ndarray,
-                        cmap: ConfigurationMap, scratch: np.ndarray | None = None) -> np.ndarray:
-    """Velocity gradient wrt the reference configuration, (n, 2, 2).
-
-    v_center is the particle velocity (n, 2), v_nodes the grid velocities
-    gathered at the stencil nodes (n, S, 2), best as a view of a (2, n, S)
-    buffer.  The x and then the y differences v_j - v_center are formed in
-    one (n, S) buffer, `scratch` when given.
+    With the grid velocities as p this is the velocity gradient wrt the
+    reference configuration, the affine velocity C of APIC and MLS-MPM.
+    The result is an (n, 2, 2) view of a (2, 2, n) buffer.
     """
-    gx, gy = cmap.G[..., 0], cmap.G[..., 1]
-    d = np.empty_like(gx) if scratch is None else scratch
-    out = np.empty((2, 2, gx.shape[0]))
-    for k in range(2):
-        np.subtract(v_nodes[..., k], v_center[:, k, None], out=d)
-        np.einsum("ns,ns->n", d, gx, out=out[k, 0])
-        np.einsum("ns,ns->n", d, gy, out=out[k, 1])
+    gx, gy = G[..., 0], G[..., 1]
+    out = np.empty((2, 2, px.shape[0]))
+    for k, p in enumerate((px, py)):
+        np.einsum("ns,ns->n", p, gx, out=out[k, 0])
+        np.einsum("ns,ns->n", p, gy, out=out[k, 1])
     return np.moveaxis(out, (0, 1), (-2, -1))
 
 

@@ -105,9 +105,6 @@ def _material_from(raw: dict) -> MaterialModel:
 
 def _collider_from(raw: dict):
     mode = raw.get("mode", "slip")
-    vel = raw.get("velocity")
-    if vel is not None:
-        vel = _vec(vel, "collider velocity")
     if raw["type"] == "half_space":
         if "point" not in raw or "normal" not in raw:
             raise SceneError("half_space collider needs point and normal")
@@ -115,11 +112,11 @@ def _collider_from(raw: dict):
         if np.linalg.norm(normal) == 0.0:
             raise SceneError("collider normal must be nonzero")
         return HalfSpace(point=_vec(raw["point"], "collider point"),
-                         normal=normal, mode=mode, velocity=vel)
+                         normal=normal, mode=mode)
     if "center" not in raw or "radius" not in raw:
         raise SceneError("sphere collider needs center and radius")
     return SphereObstacle(center=_vec(raw["center"], "collider center"),
-                          radius=float(raw["radius"]), mode=mode, velocity=vel)
+                          radius=float(raw["radius"]), mode=mode)
 
 
 def _shape_bounds(shape: dict) -> tuple[np.ndarray, np.ndarray]:

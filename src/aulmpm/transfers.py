@@ -4,12 +4,12 @@ A `Body` bundles the particle arrays of one object with its material and
 its current grid binding.  What depends only on the binding is paid once
 per epoch, when a body binds or rebinds:
 
-    epoch_grid_terms: the node mass and the summed weights, scattered body
-    by body, and the mask of active nodes (mass above mass_eps)
+    epoch_grid_terms: the node mass, scattered body by body, and the mask
+    of active nodes (mass above mass_eps)
 
 Every step then runs only what the particle state changes:
 
-    p2g (momentum, plus rasterized positions where colliders need them)
+    p2g (momentum, plus mass-weighted positions where colliders need them)
     -> grid velocities -> internal forces -> explicit or implicit momentum
     update -> collision projection -> g2p
 
@@ -17,12 +17,14 @@ The grid phases read the active mask instead of re-deriving it.
 
 Every phase contracts against the binding's one gradient-weight array G, so
 the scatter, the internal force, its Hessian and the measured velocity
-gradient share one set of coefficients.  On a least-squares binding
-G_j = W_j K r_j and p2g scatters affine momentum (MLS-MPM / APIC); on a
-kernel binding G_j = grad W_j, p2g scatters plain momentum and g2p blends
-PIC with FLIP velocities (standard MPM).  Scatter-adds are bincount-based
-and run in particle order, then body order, which keeps runs
-bit-reproducible.
+gradient share one set of coefficients.  The velocity gradient g2p measures
+and its differential in the Hessian are one formula, `kinematics.contract`:
+C = sum_j v_j (x) G_j over the gathered node velocities.  On a
+least-squares binding G_j = W_j K r_j and p2g scatters affine momentum
+(MLS-MPM / APIC); on a kernel binding G_j = grad W_j, p2g scatters plain
+momentum and g2p blends PIC with FLIP velocities (standard MPM).
+Scatter-adds are bincount-based and run in particle order, then body
+order, which keeps runs bit-reproducible.
 
 The arithmetic is written out for 2x2 blocks, entry by entry.  The binding
 stores its per-stencil-entry arrays once, component-major: w is (n, S), and
@@ -59,7 +61,7 @@ from .constitutive import (
     matmul_t,
 )
 from .kinematics import (KERNEL, LEAST_SQUARES, ConfigurationMap, DeformationState,
-                         UpdatePolicy, compose_total, contract, velocity_gradient_s)
+                         UpdatePolicy, compose_total, contract)
 
 # relative CG residual and iteration cap for the implicit velocity solve
 CG_TOL = 1e-7
@@ -83,8 +85,6 @@ class Body:
     cmap: ConfigurationMap
     policy: UpdatePolicy | None = None   # None: never rebind
     F_plastic: np.ndarray | None = None  # snow only
-    updates: int = 0
-    marked: int = 0
     inverted: int = 0
     _cache: dict = field(default_factory=dict, repr=False)
 
@@ -139,18 +139,16 @@ def _scatter_action(body: Body, A: np.ndarray, out: np.ndarray) -> None:
 
 
 def epoch_grid_terms(bodies, grid, mass_eps: float) -> None:
-    """Set grid.mass, grid.w_accum and the active mask grid.active.
+    """Set the node mass grid.mass and the active mask grid.active.
 
-    Scatters every body's m w and w into zeroed node arrays, in body order.
+    Scatters every body's m w into the zeroed node mass, in body order.
     Call after any body binds or rebinds.
     """
     grid.mass[:] = 0.0
-    grid.w_accum[:] = 0.0
     for body in bodies:
         cmap = body.cmap
-        slots, w = cmap.slots.ravel(), cmap.stencil.w
-        _scatter(slots, np.multiply(body.m[:, None], w, out=_workspace(cmap)[1]), grid.mass)
-        _scatter(slots, w, grid.w_accum)
+        mw = np.multiply(body.m[:, None], cmap.stencil.w, out=_workspace(cmap)[1])
+        _scatter(cmap.slots.ravel(), mw, grid.mass)
     np.greater(grid.mass, mass_eps, out=grid.active)
 
 
@@ -158,15 +156,14 @@ def epoch_grid_terms(bodies, grid, mass_eps: float) -> None:
 
 
 def p2g(body: Body, grid) -> None:
-    """Scatter momentum to the grid, and current positions to a grid that
-    tracks them; the momentum carries the affine term C r only on a
+    """Scatter momentum m w v to the grid, and m w x to a grid that tracks
+    current positions; the momentum carries the affine term C r only on a
     least-squares binding.  The node mass is per epoch (`epoch_grid_terms`).
     """
     cmap = body.cmap
     slots = cmap.slots.ravel()
-    w = cmap.stencil.w
     (mom, tmp), mw = _workspace(cmap)
-    np.multiply(body.m[:, None], w, out=mw)
+    np.multiply(body.m[:, None], cmap.stencil.w, out=mw)
     r, C = cmap.stencil.r, body.C
     for k in range(2):
         if cmap.transfer == LEAST_SQUARES:
@@ -179,22 +176,20 @@ def p2g(body: Body, grid) -> None:
             np.multiply(mw, body.v[:, k, None], out=mom)
         _scatter(slots, mom, grid.momentum[:, k])
         if grid.pos_accum is not None:
-            _scatter(slots, np.multiply(w, body.x[:, k, None], out=tmp), grid.pos_accum[:, k])
+            _scatter(slots, np.multiply(mw, body.x[:, k, None], out=tmp), grid.pos_accum[:, k])
 
 
 def finalize_grid(grid) -> None:
-    """Momentum to velocity on the active nodes (zero elsewhere); a copy of
-    it where the grid keeps the pre-update velocities, and the weighted
-    current node positions where it tracks them."""
-    grid.velocity[:] = 0.0
-    np.divide(grid.momentum, grid.mass[:, None], out=grid.velocity,
-              where=grid.active[:, None])
+    """Divide by the node mass on the active nodes (zero elsewhere): the
+    momentum into velocities and, where the grid tracks them, the scattered
+    m w x into mass-averaged current node positions.  Copy the velocities
+    where the grid keeps the pre-update ones."""
+    for scattered, out in ((grid.momentum, grid.velocity), (grid.pos_accum, grid.current)):
+        if out is not None:
+            out[:] = 0.0
+            np.divide(scattered, grid.mass[:, None], out=out, where=grid.active[:, None])
     if grid.velocity0 is not None:
         grid.velocity0[:] = grid.velocity
-    if grid.current is not None:
-        grid.current[:] = grid.position
-        np.divide(grid.pos_accum, grid.w_accum[:, None], out=grid.current,
-                  where=(grid.w_accum > 1e-12)[:, None])
 
 
 # ------------------------------------------------------------------ stress
@@ -221,7 +216,6 @@ def stress_pass(body: Body) -> None:
     else:
         ss = energy_and_piola(F_total, body.material)
         cache["P0"] = ss.P
-    cache["psi"] = ss.energy
 
 
 def piola_differential(body: Body, dF_total: np.ndarray) -> np.ndarray:
@@ -326,12 +320,14 @@ def implicit_update(bodies, grid, dt: float, gravity: np.ndarray,
 
 
 def grid_collisions(grid, colliders, dt: float) -> int:
-    """Project velocities of penetrating, approaching nodes.
+    """Project velocities of penetrating, approaching nodes; returns how
+    many nodes were projected.
 
-    Contact is tested at the predicted current node positions (the material
-    positions rasterized in p2g, advanced by dt), so long-lived bindings see
-    collisions where the material actually is.  Needs a grid that tracks
-    positions.
+    Colliders are static: a sticky one stops such a node, a slip one removes
+    its normal velocity.  Contact is tested at the predicted current node
+    positions (the mass-averaged material positions from p2g, advanced by
+    dt), so long-lived bindings see collisions where the material actually
+    is.  Needs a grid that tracks positions.
     """
     if not colliders:
         return 0
@@ -346,15 +342,14 @@ def grid_collisions(grid, colliders, dt: float) -> int:
             continue
         sub = idx[inside]
         n = col.normal_at(x_pred[inside])
-        v_rel = grid.velocity[sub] - col.velocity
-        vn = np.einsum("na,na->n", v_rel, n)
+        vn = np.einsum("na,na->n", grid.velocity[sub], n)
         approaching = vn < 0.0
         sub = sub[approaching]
         if sub.size == 0:
             continue
         touched += sub.size
         if col.mode == "sticky":
-            grid.velocity[sub] = col.velocity
+            grid.velocity[sub] = 0.0
         else:
             n = n[approaching]
             vn = vn[approaching]
@@ -376,11 +371,11 @@ def g2p(body: Body, grid, dt: float, flip_blend: float = 0.0) -> None:
     """
     cmap = body.cmap
     w = cmap.stencil.w
-    scratch = _workspace(cmap)[1]
     vn = _gather(grid.velocity, cmap)
     v_pic = _interpolate(w, vn)
-    body.C = velocity_gradient_s(v_pic, vn, cmap, scratch)
+    body.C = contract(vn[..., 0], vn[..., 1], cmap.G)
     if cmap.transfer == KERNEL:
+        scratch = _workspace(cmap)[1]
         v0 = np.ascontiguousarray(grid.velocity0.T)
         for k in range(2):
             vn[..., k] -= np.take(v0[k], cmap.slots, out=scratch, mode="clip")

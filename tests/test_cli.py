@@ -124,6 +124,9 @@ MALFORMED = {
     "nan_gravity": (lambda raw: raw.update(gravity=[0.0, NAN]), ["sim"]),
     "cubic_order": (lambda raw: raw["solver"].update(order="cubic"), ["sim"]),
     "cfl": (lambda raw: raw["solver"].update(cfl=0.4), ["sim"]),
+    "moving_collider": (lambda raw: raw.update(colliders=[{
+        "type": "half_space", "point": [0.0, 0.1], "normal": [0.0, 1.0],
+        "velocity": [0.0, 0.0]}]), ["sim"]),
     # at dt 1e-3: 2.5 steps per frame, 6.4 and 0.4 steps to the end
     "frame_dt_between_steps": (lambda raw: raw["solver"].update(frame_dt=2.5e-3), ["sim"]),
     "duration_between_steps": (_duration(6.4e-3), ["sim"]),
@@ -133,6 +136,7 @@ MALFORMED = {
 # what the error line must name, where a case has one key or token at fault
 NAMED = {"infinite_duration": "Infinity", "nan_dt": "NaN", "nan_spacing": "NaN",
          "nan_gravity": "NaN", "cubic_order": "'order'", "cfl": "'cfl'",
+         "moving_collider": "'velocity'",
          "frame_dt_between_steps": "frame_dt", "duration_between_steps": "duration",
          "duration_under_one_step": "duration"}
 

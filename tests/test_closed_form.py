@@ -196,9 +196,7 @@ def test_p2g_matches_reference(kind, transfer):
         vel = vel + np.einsum("nab,nsb->nsa", body.C, st.r)
     _assert_close(grid.mass, np.bincount(slots.ravel(), mw.ravel(), size))
     _assert_close(grid.momentum, _ref_scatter(slots, mw[:, :, None] * vel, size))
-    _assert_close(grid.pos_accum,
-                  _ref_scatter(slots, st.w[:, :, None] * body.x[:, None, :], size))
-    _assert_close(grid.w_accum, np.bincount(slots.ravel(), st.w.ravel(), size))
+    _assert_close(grid.pos_accum, _ref_scatter(slots, mw[:, :, None] * body.x[:, None, :], size))
 
 
 @pytest.mark.parametrize("kind, transfer", CASES, ids=IDS)

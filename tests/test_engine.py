@@ -37,19 +37,17 @@ def _spin_scene(**solver):
 
 
 def _fresh_grid_terms(sim):
-    """Node mass, summed weights and active mask from a particle-order
-    scatter of every body at its current binding."""
+    """Node mass and active mask from a particle-order scatter of every
+    body at its current binding."""
     size = sim.grid.n_slots
-    mass, w_accum = np.zeros(size), np.zeros(size)
+    mass = np.zeros(size)
     for b in sim.bodies:
-        slots, w = b.cmap.slots.ravel(), b.cmap.stencil.w
-        mass += np.bincount(slots, (b.m[:, None] * w).ravel(), size)
-        w_accum += np.bincount(slots, w.ravel(), size)
-    return mass, w_accum, mass > sim.mass_eps
+        mass += np.bincount(b.cmap.slots.ravel(), (b.m[:, None] * b.cmap.stencil.w).ravel(), size)
+    return mass, mass > sim.mass_eps
 
 
 def _assert_grid_terms_fresh(sim):
-    for got, want in zip((sim.grid.mass, sim.grid.w_accum, sim.grid.active),
+    for got, want in zip((sim.grid.mass, sim.grid.active),
                          _fresh_grid_terms(sim)):
         np.testing.assert_array_equal(got, want)
 
@@ -105,7 +103,7 @@ def test_stepping_on_after_run_is_bitwise_unchanged(mode):
     np.testing.assert_array_equal(a.bodies[0].cmap.G, b.bodies[0].cmap.G)
     # the rebuilt per-epoch grid terms match too
     _assert_grid_terms_fresh(a)
-    for name in ("mass", "w_accum", "active"):
+    for name in ("mass", "active"):
         np.testing.assert_array_equal(getattr(a.grid, name), getattr(b.grid, name))
 
 

@@ -99,10 +99,33 @@ def test_rasterized_positions_single_particle():
     epoch_grid_terms([body], grid, mass_epsilon([body]))
     p2g(body, grid)
     finalize_grid(grid)
-    covered = grid.w_accum > 1e-12
-    assert covered.sum() == 9
+    assert grid.active.sum() == 9
     np.testing.assert_allclose(
-        grid.current[covered], np.tile([0.52, 0.47], (9, 1)), atol=1e-14)
+        grid.current[grid.active], np.tile([0.52, 0.47], (9, 1)), atol=1e-14)
+
+
+def test_node_positions_are_mass_averages():
+    # a light and a heavy body share nodes: each active node sits at the
+    # mass-weighted mean of the positions scattered to it
+    rng = np.random.default_rng(21)
+    grid = _grid()
+    light = _body(0.42 + 0.12 * rng.random((6, 2)), grid)
+    heavy = _body(0.42 + 0.12 * rng.random((5, 2)), grid)
+    heavy.m *= 7.0
+    bodies = [light, heavy]
+    epoch_grid_terms(bodies, grid, mass_epsilon(bodies))
+    for b in bodies:
+        p2g(b, grid)
+    finalize_grid(grid)
+    mwx, mw = np.zeros((grid.n_slots, 2)), np.zeros(grid.n_slots)
+    for b in bodies:
+        slots, w = b.cmap.slots, b.cmap.stencil.w
+        np.add.at(mw, slots, b.m[:, None] * w)
+        np.add.at(mwx, slots, (b.m[:, None] * w)[..., None] * b.x[:, None, :])
+    shared = np.intersect1d(light.cmap.slots, heavy.cmap.slots)
+    assert shared.size > 0 and grid.active[shared].all()
+    act = grid.active
+    np.testing.assert_allclose(grid.current[act], mwx[act] / mw[act, None], rtol=0.0, atol=1e-14)
 
 
 def test_g2p_recovers_affine_field():
@@ -338,11 +361,9 @@ def test_sticky_collision_pins_to_collider_velocity():
     floor = HalfSpace(point=[0.0, 0.15], normal=[0.0, 1.0], mode="sticky")
     grid_collisions(grid, [floor], dt=0.05)
     act = grid.mass > eps
-    pred = grid.current[act] + 0.0  # all nodes share the particle velocity
     inside = (grid.current[act, 1] + 0.05 * grid.velocity0[act, 1]) < 0.15
     assert inside.any()
     np.testing.assert_allclose(grid.velocity[act][inside], 0.0, atol=1e-14)
-    del pred
 
 
 def test_separating_nodes_are_left_alone():
