@@ -199,31 +199,68 @@ def energy_and_piola(F: np.ndarray, model: MaterialModel,
     return StressState(energy=psi, P=P)
 
 
-def hessian_action(F: np.ndarray, dF: np.ndarray, model: MaterialModel,
-                   J_plastic: np.ndarray | None = None) -> np.ndarray:
-    """Directional derivative dP = (d2 psi / dF dF) : dF at F."""
+# the (i, j), i <= j, of a symmetric 4x4 tangent's 10 distinct entries;
+# index k stands for the 2x2 entry (k // 2, k % 2)
+_UPPER = ((0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))
+
+
+def hessian_action(F: np.ndarray, B: np.ndarray, model: MaterialModel,
+                   J_plastic: np.ndarray | None = None, volume=1.0,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """The Hessian of X -> volume psi(X B) at X B = F: per particle the
+    symmetric 4x4 map, (4, 4, n), from the entries of dX to those of
+    volume dP(F)[dX B] B^T, written into `out` when given.
+
+    In entries dP(F)[dF] = H dF.  Corotated and snow have
+    H = 2 mu I - (2 mu / tr) q q^T + lam c c^T + lam (J - 1) K, the fluid
+    H = p'(J) c c^T + p(J) K (J floored at J_FLOOR), with tr = tr(R^T F)
+    floored at 1e-10, q and c the entries of Q = R [[0, -1], [1, 0]] and
+    cof(F), and K the cofactor map (e, f, g, h) -> (h, -g, -f, e).  Pulled
+    back through dX -> dX B, I becomes I (x) B B^T, q and c become the
+    entries of Q B^T and cof(F) B^T, and K becomes det(B) K.  For snow, F
+    is the elastic factor and J_plastic feeds the hardening multiplier.
+    """
     a, b, c, d = entries(np.asarray(F, dtype=np.float64))
-    e, f, g, h = entries(np.asarray(dF, dtype=np.float64))
-    dJ = d * e - c * f - b * g + a * h   # cof(F) : dF
+    p, q, r, s = entries(np.asarray(B, dtype=np.float64))
+    if out is None:
+        out = np.empty((4, 4) + a.shape)
+    upper = [out[i, j] for i, j in _UPPER]
+    det_b = p * s - q * r
+    # entries of cof(F) B^T, cof(F) = [[d, -c], [-b, a]]
+    ch = (d * p - c * q, d * r - c * s, a * q - b * p, a * s - b * r)
     if model.kind == FLUID:
         J = np.maximum(a * d - b * c, J_FLOOR)
         gam = model.gamma
-        # dP = p'(J) dJ cof(F) + p(J) cof(dF), p(J) = bulk (1 - J^-gamma)
-        k1 = model.bulk * gam * J ** (-gam - 1.0) * dJ
-        k2 = model.bulk * (1.0 - J ** (-gam))
-        return pack(k1 * d + k2 * h, -k1 * c - k2 * g, -k1 * b - k2 * f, k1 * a + k2 * e)
-    mu, lam = _moduli(model, J_plastic)
-    # dR = R [[0, -w], [w, 0]] with w = skew(R^T dF) / tr(R^T F)
-    cs, sn, tr = _rotation(a + d, c - b)
-    w = (cs * (g - f) - sn * (e + h)) / np.maximum(tr, 1e-10)
-    m2 = 2.0 * mu
-    k1 = lam * dJ
-    k2 = lam * (a * d - b * c - 1.0)
-    # dP = 2 mu (dF - dR) + lam dJ cof(F) + lam (J - 1) cof(dF)
-    return pack(m2 * (e + sn * w) + k1 * d + k2 * h,
-                m2 * (f + cs * w) - k1 * c - k2 * g,
-                m2 * (g - cs * w) - k1 * b - k2 * f,
-                m2 * (h + sn * w) + k1 * a + k2 * e)
+        k_c = model.bulk * gam * J ** (-gam - 1.0) * volume   # p'(J)
+        k_cof = model.bulk * (1.0 - J ** (-gam)) * det_b * volume
+    else:
+        mu, lam = _moduli(model, J_plastic)
+        k_c = lam * volume
+        k_cof = k_c * (a * d - b * c - 1.0) * det_b
+    kc = [k_c * x for x in ch]
+    for t, (i, j) in zip(upper, _UPPER):
+        np.multiply(kc[i], ch[j], out=t)
+    out[0, 3] += k_cof
+    out[1, 2] -= k_cof
+    if model.kind != FLUID:
+        cs, sn, tr = _rotation(a + d, c - b)
+        m2 = 2.0 * mu * volume
+        beta = m2 / np.maximum(tr, 1e-10)
+        # entries of -Q B^T, Q = [[-sn, -cs], [cs, -sn]]; the sign drops out of q q^T
+        qh = (sn * p + cs * q, sn * r + cs * s, sn * q - cs * p, sn * s - cs * r)
+        bq = [beta * x for x in qh]
+        for t, (i, j) in zip(upper, _UPPER):
+            t -= bq[i] * qh[j]
+        # I (x) B B^T: the same 2x2 block B B^T for both rows of dX
+        bb00, bb01, bb11 = m2 * (p * p + q * q), m2 * (p * r + q * s), m2 * (r * r + s * s)
+        for i in (0, 2):
+            out[i, i] += bb00
+            out[i, i + 1] += bb01
+            out[i + 1, i + 1] += bb11
+    for i, j in _UPPER:
+        if i != j:
+            out[j, i] = out[i, j]
+    return out
 
 
 def plastic_project(F_elastic: np.ndarray, F_plastic: np.ndarray,

@@ -138,6 +138,8 @@ class Simulation:
         self.steps_done = 0
         self.records: list[StepRecord] = []
         self.cg_info: dict | None = None   # the last step's implicit solve
+        self.cg_iterations = 0      # CG iterations over the run's solves
+        self.cg_residual_max = 0.0  # largest final relative residual of a solve
         self.cg_unconverged = 0   # solves that stopped at the iteration cap
         self.cg_fallbacks = 0     # solves that kept the explicit velocities
 
@@ -169,6 +171,8 @@ class Simulation:
         if sol.integrator == "implicit":
             info = implicit_update(self.bodies, grid, dt, self.gravity)
             self.cg_info = info
+            self.cg_iterations += info["iterations"]
+            self.cg_residual_max = max(self.cg_residual_max, info["residual"])
             self.cg_fallbacks += info["fallback"]
             self.cg_unconverged += not (info["converged"] or info["fallback"])
         else:
@@ -290,6 +294,8 @@ class Simulation:
             "transfer": sol.transfer,
             "mode": sol.mode,
             "updates_total": sum(b.cmap.epoch for b in self.bodies),
+            "cg_iterations": self.cg_iterations,
+            "cg_residual_max": self.cg_residual_max,
             "cg_unconverged": self.cg_unconverged,
             "cg_fallbacks": self.cg_fallbacks,
             "objects": [

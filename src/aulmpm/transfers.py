@@ -13,7 +13,11 @@ Every step then runs only what the particle state changes:
     -> grid velocities -> internal forces -> explicit or implicit momentum
     update -> collision projection -> g2p
 
-The grid phases read the active mask instead of re-deriving it.
+The grid phases read the active mask instead of re-deriving it.  What is
+fixed for one implicit solve is paid once per solve: the first Hessian
+product after a stress pass builds each particle's tangent, a symmetric 4x4
+map from dF_sn to V0 dP0 F_0s^T, and every CG product is then a gather, a
+contraction, one 4x4 product per particle and a scatter.
 
 Every phase contracts against the binding's one gradient-weight array G, so
 the scatter, the internal force, its Hessian and the measured velocity
@@ -86,7 +90,8 @@ class Body:
     policy: UpdatePolicy | None = None   # None: never rebind
     F_plastic: np.ndarray | None = None  # snow only
     inverted: int = 0
-    _cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, repr=False)   # one stress state's scratch
+    _tangent_buf: np.ndarray | None = field(default=None, repr=False)   # (4, 4, n)
 
     @property
     def n(self) -> int:
@@ -199,33 +204,44 @@ def stress_pass(body: Body) -> None:
     """Evaluate the first Piola stress at the current total deformation.
 
     Results land in the body cache: P0 (wrt the initial configuration,
-    plasticity folded in for snow) plus the factors the implicit solve needs.
+    plasticity folded in for snow) plus the factors the implicit tangent is
+    built from.  Any tangent built from an earlier stress state is dropped.
     """
     cache = body._cache
+    cache.pop("tangent", None)
     F_total = compose_total(body.state)
-    cache["F_total"] = F_total
     if body.material.kind == SNOW:
         Fp_inv = inverse(body.F_plastic)
         Jp = det(body.F_plastic)
         Fe = matmul(F_total, Fp_inv)
         ss = energy_and_piola(Fe, body.material, Jp)
-        cache["Fe"] = Fe
         cache["Fp_inv"] = Fp_inv
         cache["Jp"] = Jp
         cache["P0"] = matmul_t(ss.P, Fp_inv)
     else:
+        Fe = F_total
         ss = energy_and_piola(F_total, body.material)
         cache["P0"] = ss.P
+    cache["Fe"] = Fe   # the gradient the material law sees
 
 
-def piola_differential(body: Body, dF_total: np.ndarray) -> np.ndarray:
-    """Directional stress derivative at the cached state, dP0 along dF_total."""
+def _tangent(body: Body) -> np.ndarray:
+    """The symmetric 4x4 map per particle, (4, 4, n), from the entries of
+    dF_sn to those of V0 dP0 F_0s^T at the cached stress state: the Hessian
+    of V0 psi(F_sn B), B = F_0s Fp^-1 (F_0s without plasticity), in F_sn.
+    Built on first use into the body's buffer and kept in the cache, which
+    `stress_pass` resets, so it never outlives its stress state.
+    """
     cache = body._cache
-    if body.material.kind == SNOW:
-        dFe = matmul(dF_total, cache["Fp_inv"])
-        dPe = hessian_action(cache["Fe"], dFe, body.material, cache["Jp"])
-        return matmul_t(dPe, cache["Fp_inv"])
-    return hessian_action(cache["F_total"], dF_total, body.material)
+    if "tangent" not in cache:
+        B = body.state.F_0s
+        if body.material.kind == SNOW:
+            B = matmul(B, cache["Fp_inv"])
+        if body._tangent_buf is None:
+            body._tangent_buf = np.empty((4, 4, body.n))
+        cache["tangent"] = hessian_action(cache["Fe"], B, body.material, cache.get("Jp"),
+                                          body.V0, out=body._tangent_buf)
+    return cache["tangent"]
 
 
 def grid_internal_forces(body: Body, grid) -> None:
@@ -250,7 +266,9 @@ def explicit_update(grid, dt: float, gravity: np.ndarray) -> None:
 def hessian_apply(bodies, u: np.ndarray, act: np.ndarray | None = None) -> np.ndarray:
     """Energy Hessian in grid velocities: returns -(force differential).
 
-    Requires a prior `stress_pass` on each body.  With `act` given, input and
+    Requires a prior `stress_pass` on each body; the first call after it
+    builds each body's tangent, and every call is a gather, the contraction
+    to dF_sn, the tangent product and a scatter.  With `act` given, input and
     output are restricted to the flagged nodes, which keeps the operator
     symmetric on that subspace.
     """
@@ -259,10 +277,11 @@ def hessian_apply(bodies, u: np.ndarray, act: np.ndarray | None = None) -> np.nd
     out = np.zeros_like(u)
     for body in bodies:
         un = _gather(u, body.cmap)   # workspace, free again once contracted
-        dFsn = contract(un[..., 0], un[..., 1], body.cmap.G)
-        F_0s = body.state.F_0s
-        dP0 = piola_differential(body, matmul(dFsn, F_0s))
-        _scatter_action(body, body.V0[:, None, None] * matmul_t(dP0, F_0s), out)
+        dF_sn = contract(un[..., 0], un[..., 1], body.cmap.G)
+        # the tangent product on the (4, n) entry rows of (2, 2, n) buffers
+        x = np.moveaxis(dF_sn, (1, 2), (0, 1)).reshape(4, -1)
+        dA = np.einsum("ijn,jn->in", _tangent(body), x).reshape(2, 2, -1)
+        _scatter_action(body, np.moveaxis(dA, (0, 1), (1, 2)), out)
     if act is not None:
         out[~act] = 0.0
     return out
@@ -275,7 +294,9 @@ def implicit_update(bodies, grid, dt: float, gravity: np.ndarray,
     Solves (M + dt^2 H) v = M v_hat with H the energy Hessian in the grid
     degrees of freedom, by conjugate gradients on the mass-weighted system.
     Falls back to the explicit update if the operator loses positive
-    definiteness.
+    definiteness.  Returns the iteration count, whether the solve converged
+    or fell back, and `residual`, the relative residual |r| / |b| of the
+    velocities it leaves (0 when b = 0).
     """
     explicit_update(grid, dt, gravity)
     act = grid.active
@@ -288,8 +309,9 @@ def implicit_update(bodies, grid, dt: float, gravity: np.ndarray,
     x = v_hat.copy()
     r = b - a_mul(x)
     b_norm = np.linalg.norm(b)
-    info = {"iterations": 0, "converged": True, "fallback": False}
-    if b_norm == 0.0 or np.linalg.norm(r) <= tol * b_norm:
+    r_start = float(np.linalg.norm(r) / b_norm) if b_norm > 0.0 else 0.0
+    info = {"iterations": 0, "converged": True, "fallback": False, "residual": r_start}
+    if r_start <= tol:
         grid.velocity[:] = x
         return info
 
@@ -301,14 +323,14 @@ def implicit_update(bodies, grid, dt: float, gravity: np.ndarray,
         if pap <= 0.0:
             # lost positive definiteness: keep the explicit velocities
             grid.velocity[:] = v_hat
-            info.update(iterations=it, converged=False, fallback=True)
+            info.update(iterations=it, converged=False, fallback=True, residual=r_start)
             return info
         alpha = rr / pap
         x += alpha * p
         r -= alpha * ap
         rr_new = float(np.vdot(r, r))
-        info["iterations"] = it
-        if np.sqrt(rr_new) <= tol * b_norm:
+        info.update(iterations=it, residual=float(np.sqrt(rr_new) / b_norm))
+        if info["residual"] <= tol:
             break
         p = r + (rr_new / rr) * p
         rr = rr_new

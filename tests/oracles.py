@@ -3,7 +3,10 @@ library against.
 
 Each is written the direct way (piecewise in |x|, batched `np.linalg`-style
 algebra), not the way the library computes it, so agreement means
-something.  None of them is part of the library.
+something.  `stress_differential` is the directional derivative of the
+stress that the library applied on every Hessian product before it built a
+per-solve tangent; the tangent is now checked against it.  None of them is
+part of the library.
 """
 
 import numpy as np
@@ -58,3 +61,61 @@ def _ref_rot(theta):
 def _ref_cofactor(F):
     return np.stack([np.stack([F[:, 1, 1], -F[:, 1, 0]], -1),
                      np.stack([-F[:, 0, 1], F[:, 0, 0]], -1)], -2)
+
+
+def stress_differential(F, dF, model, J_plastic=None):
+    """Directional derivative dP = (d2 psi / dF dF) : dF at F, (n, 2, 2).
+
+    This is the formula the library applied on every Hessian product before
+    it built a per-solve tangent: the polar rotation's derivative is
+    dR = R [[0, -w], [w, 0]] with w = skew(R^T dF) / tr(R^T F), and
+    dP = 2 mu (dF - dR) + lam dJ cof(F) + lam (J - 1) cof(dF); the fluid has
+    dP = p'(J) dJ cof(F) + p(J) cof(dF) with J floored at 1e-6.
+    """
+    F = np.asarray(F, dtype=np.float64)
+    dF = np.asarray(dF, dtype=np.float64)
+    a, b, c, d = F[:, 0, 0], F[:, 0, 1], F[:, 1, 0], F[:, 1, 1]
+    e, f, g, h = dF[:, 0, 0], dF[:, 0, 1], dF[:, 1, 0], dF[:, 1, 1]
+    dJ = d * e - c * f - b * g + a * h   # cof(F) : dF
+    if model.kind == "weakly_compressible_fluid":
+        J = np.maximum(a * d - b * c, 1e-6)
+        gam = model.gamma
+        k1 = model.bulk * gam * J ** (-gam - 1.0) * dJ
+        k2 = model.bulk * (1.0 - J ** (-gam))
+        return _pack(k1 * d + k2 * h, -k1 * c - k2 * g, -k1 * b - k2 * f, k1 * a + k2 * e)
+    mu, lam = model.mu, model.lam
+    if model.kind == "snow" and J_plastic is not None:
+        hard = np.exp(np.clip(model.hardening * (1.0 - np.asarray(J_plastic)), -30.0, 30.0))
+        mu, lam = mu * hard, lam * hard
+    x1, y1 = a + d, c - b
+    tr = np.hypot(x1, y1)   # tr(R^T F)
+    safe = np.where(tr > 0.0, tr, 1.0)
+    cs, sn = np.where(tr > 0.0, x1 / safe, 1.0), y1 / safe
+    w = (cs * (g - f) - sn * (e + h)) / np.maximum(tr, 1e-10)
+    m2 = 2.0 * mu
+    k1 = lam * dJ
+    k2 = lam * (a * d - b * c - 1.0)
+    return _pack(m2 * (e + sn * w) + k1 * d + k2 * h,
+                 m2 * (f + cs * w) - k1 * c - k2 * g,
+                 m2 * (g - cs * w) - k1 * b - k2 * f,
+                 m2 * (h + sn * w) + k1 * a + k2 * e)
+
+
+def tangent_by_probing(F, B, model, J_plastic=None, volume=1.0,
+                       differential=stress_differential):
+    """The map dX -> volume dP(F)[dX B] B^T as a dense (n, 4, 4) matrix per
+    particle, probed column by column along the unit directions of dX with
+    `differential` (dP(F)[dF]); entries of a 2x2 matrix are read row by row."""
+    n = F.shape[0]
+    volume = np.broadcast_to(np.asarray(volume, dtype=np.float64), (n,))
+    T = np.empty((n, 4, 4))
+    for k in range(4):
+        E = np.zeros((n, 2, 2))
+        E[:, k // 2, k % 2] = 1.0
+        dP = differential(F, E @ B, model, J_plastic)
+        T[:, :, k] = (volume[:, None, None] * dP @ np.swapaxes(B, -1, -2)).reshape(n, 4)
+    return T
+
+
+def _pack(a, b, c, d):
+    return np.stack([np.stack([a, b], -1), np.stack([c, d], -1)], -2)

@@ -14,6 +14,8 @@ import pytest
 
 from aulmpm.constitutive import (
     FIXED_COROTATED,
+    HARDENING_CAP,
+    J_FLOOR,
     SNOW,
     MaterialModel,
     energy_and_piola,
@@ -41,7 +43,8 @@ from aulmpm.transfers import (
     p2g,
     stress_pass,
 )
-from oracles import _ref_cofactor, _ref_rot, _ref_signed_svd
+from oracles import (_ref_cofactor, _ref_rot, _ref_signed_svd, stress_differential,
+                     tangent_by_probing)
 
 RTOL = 1e-12
 
@@ -211,26 +214,47 @@ def test_internal_forces_match_reference(kind, transfer):
     _assert_close(grid.force, _ref_scatter(body.cmap.slots, contrib, grid.n_slots))
 
 
-@pytest.mark.parametrize("kind, transfer", CASES, ids=IDS)
-def test_hessian_apply_matches_reference(kind, transfer):
-    body, grid, rng = _body(kind, transfer)
-    stress_pass(body)
-    u = rng.normal(size=(grid.n_slots, 2))
-    got = hessian_apply([body], u)
-
+def _ref_hessian_apply(body, u, differential=_ref_hessian_action):
+    """The Hessian product by the chain the library ran before it built a
+    tangent: dF_sn = sum_j u_j (x) G_j, then dP0 along dF_sn F_0s, then the
+    scatter of V0 dP0 F_0s^T G_j."""
     _, (F, Fp_inv, Jp) = _ref_stress(body)
     G, F_0s = body.cmap.G, body.state.F_0s
     dF_total = np.einsum("nab,nbc->nac",
                          np.einsum("nsa,nsb->nab", u[body.cmap.slots], G), F_0s)
     if Fp_inv is None:
-        dP0 = _ref_hessian_action(F, dF_total, body.material, np.ones(body.n))
+        dP0 = differential(F, dF_total, body.material, np.ones(body.n))
     else:
         dFe = np.einsum("nab,nbc->nac", dF_total, Fp_inv)
-        dPe = _ref_hessian_action(F, dFe, body.material, Jp)
+        dPe = differential(F, dFe, body.material, Jp)
         dP0 = np.einsum("nac,nbc->nab", dPe, Fp_inv)
     dPF = np.einsum("nab,ncb->nac", dP0, F_0s)
     contrib = body.V0[:, None, None] * np.einsum("nac,nsc->nsa", dPF, G)
-    _assert_close(got, _ref_scatter(body.cmap.slots, contrib, grid.n_slots))
+    return _ref_scatter(body.cmap.slots, contrib, u.shape[0])
+
+
+@pytest.mark.parametrize("kind, transfer", CASES, ids=IDS)
+def test_hessian_apply_matches_reference(kind, transfer):
+    body, grid, rng = _body(kind, transfer)
+    stress_pass(body)
+    u = rng.normal(size=(grid.n_slots, 2))
+    _assert_close(hessian_apply([body], u), _ref_hessian_apply(body, u))
+
+
+@pytest.mark.parametrize("kind", list(MATERIALS))
+def test_hessian_apply_rebuilds_its_tangent_after_each_stress_pass(kind):
+    # stress_pass -> apply -> perturb F_sn -> stress_pass -> apply: the
+    # second product must see the new state, not the tangent of the first
+    body, grid, rng = _body(kind, LEAST_SQUARES)
+    u = rng.normal(size=(grid.n_slots, 2))
+    stress_pass(body)
+    first = hessian_apply([body], u)
+    body.state.F_sn = body.state.F_sn + 0.2 * rng.normal(size=body.state.F_sn.shape)
+    stress_pass(body)
+    second = hessian_apply([body], u)
+    ref = _ref_hessian_apply(body, u)
+    _assert_close(second, ref)
+    assert np.abs(first - ref).max() > 1e-3 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("transfer", [LEAST_SQUARES, KERNEL])
@@ -279,16 +303,68 @@ def test_energy_and_piola_matches_reference(kind):
     _assert_close(ss.P, P)
 
 
+def _dense(T):
+    """A (4, 4, n) tangent as (n, 4, 4)."""
+    return np.moveaxis(T, -1, 0)
+
+
 @pytest.mark.parametrize("kind", list(MATERIALS))
 def test_hessian_action_matches_reference(kind):
     rng = np.random.default_rng(2)
     F = _gradients(rng, 200, 0.3, 40)
     if kind == "fluid":
         F = np.abs(F)
-    dF = rng.normal(size=F.shape)
+    B = _gradients(rng, 200, 0.3, 0)
+    vol = rng.uniform(0.5, 2.0, 200)
     jp = 0.9 + 0.2 * rng.random(200)
-    _assert_close(hessian_action(F, dF, MATERIALS[kind], jp),
-                  _ref_hessian_action(F, dF, MATERIALS[kind], jp))
+    _assert_close(_dense(hessian_action(F, B, MATERIALS[kind], jp, vol)),
+                  tangent_by_probing(F, B, MATERIALS[kind], jp, vol, _ref_hessian_action))
+
+
+def _edge_body(kind, transfer):
+    """A test body whose first four particles sit on the tangent's edge
+    cases.  Their elastic gradients Fe = F_sn F_0s Fp^-1 are set through
+    diagonal, non-identity F_0s and F_plastic; for particles 0 to 2 these
+    are powers of two, so Fe comes out exactly as written."""
+    body, grid, rng = _body(kind, transfer)
+    st = body.state
+    st.F_0s[:4] = np.diag([2.0, 0.5])
+    Fp = np.tile(np.diag([0.5, 2.0]), (4, 1, 1))
+    Fp[3] = np.diag([2.5, 2.0])   # det 5: hardening 10 (1 - 5) = -40 hits the cap
+    if body.F_plastic is not None:
+        body.F_plastic[:4] = Fp
+    Fe = np.array([[[0.8, 0.3], [0.3, -0.8]],          # tr(R^T Fe) = 0
+                   [[-1.1, 0.0], [0.0, 0.9]],          # inverted
+                   [[1e-4, 2e-5], [1e-5, 1e-4]],       # 0 < det < J_FLOOR
+                   [[1.05, 0.1], [-0.05, 0.97]]])
+    B = st.F_0s[:4] @ np.linalg.inv(Fp) if body.F_plastic is not None else st.F_0s[:4]
+    st.F_sn[:4] = Fe @ np.linalg.inv(B)
+    return body, grid, rng
+
+
+@pytest.mark.parametrize("kind, transfer", CASES, ids=IDS)
+def test_tangent_matches_the_stress_differential_on_edge_cases(kind, transfer):
+    body, grid, rng = _edge_body(kind, transfer)
+    _, (Fe, Fp_inv, Jp) = _ref_stress(body)
+    B = body.state.F_0s if Fp_inv is None else np.einsum("nab,nbc->nac", body.state.F_0s, Fp_inv)
+    # the edge cases are really hit
+    assert np.hypot(Fe[0, 0, 0] + Fe[0, 1, 1], Fe[0, 1, 0] - Fe[0, 0, 1]) < 1e-10
+    assert np.linalg.det(Fe[1]) < 0.0 < np.linalg.det(Fe[2]) < J_FLOOR
+    if kind == "snow":
+        assert body.material.hardening * (1.0 - Jp[3]) < -HARDENING_CAP
+    assert np.abs(B[:4] - np.eye(2)).max() >= 0.5
+
+    T = _dense(hessian_action(Fe, B, body.material, Jp, body.V0))
+    ref = tangent_by_probing(Fe, B, body.material, Jp, body.V0)
+    gap = np.abs(T - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))
+    assert gap.max() <= RTOL, f"particle {gap.argmax()}: relative gap {gap.max():.3e}"
+    asym = np.abs(T - np.swapaxes(T, 1, 2)).max(axis=(1, 2)) / np.abs(T).max(axis=(1, 2))
+    assert asym.max() <= RTOL
+
+    stress_pass(body)
+    u = rng.normal(size=(grid.n_slots, 2))
+    _assert_close(hessian_apply([body], u),
+                  _ref_hessian_apply(body, u, differential=stress_differential))
 
 
 def test_plastic_project_matches_reference():

@@ -1,8 +1,9 @@
 """Tests for the material models.
 
 Stress is validated against central finite differences of the energy
-density and the Hessian action against finite differences of the stress,
-so the analytic derivatives never certify themselves.  A handful of closed
+density, and the implicit tangent and the stress-differential oracle
+against finite differences of the stress, so the analytic derivatives
+never certify themselves.  A handful of closed
 states (uniaxial stretch, pure compression) are frozen by hand.
 """
 
@@ -19,7 +20,7 @@ from aulmpm.constitutive import (
     plastic_project,
 )
 from aulmpm.errors import SceneError
-from oracles import _ref_signed_svd
+from oracles import _ref_signed_svd, stress_differential
 
 GRAD_RTOL = 1e-5
 HESS_RTOL = 1e-5
@@ -133,37 +134,54 @@ def test_fluid_rest_state_is_pressure_free():
 # ------------------------------------------------------------------ hessian
 
 
-def _fd_hessian_action(F, dF, model, jp=None, h=1e-6):
+def _fd_stress_differential(F, dF, model, jp=None, h=1e-6):
     p = energy_and_piola(F + h * dF, model, jp).P
     m = energy_and_piola(F - h * dF, model, jp).P
     return (p - m) / (2 * h)
 
 
+def _apply(T, dX):
+    """A (4, 4, n) tangent applied to the row-major entries of dX (n, 2, 2)."""
+    n = dX.shape[0]
+    return np.einsum("ijn,nj->ni", T, dX.reshape(n, 4)).reshape(n, 2, 2)
+
+
+def _hessian_cases():
+    return [(_corotated(mu=7.0, lam=13.0), None), (_fluid(bulk=9.0), None),
+            (_snow(), np.full(12, 0.97))]
+
+
 def test_hessian_action_matches_stress_finite_differences():
+    # the tangent is pulled back through a non-identity B and weighted by a
+    # volume: it maps dX to vol dP(F)[dX B] B^T; the oracle is dP(F)[dF]
     rng = np.random.default_rng(5)
-    cases = [
-        (_corotated(mu=7.0, lam=13.0), None),
-        (_fluid(bulk=9.0), None),
-        (_snow(), np.full(12, 0.97)),
-    ]
-    for model, jp in cases:
+    for model, jp in _hessian_cases():
         F = _random_gradients(rng, 12, 2, spread=0.2)
-        dF = rng.normal(size=F.shape)
-        got = hessian_action(F, dF, model, jp)
-        ref = _fd_hessian_action(F, dF, model, jp)
+        B = _random_gradients(rng, 12, 2, spread=0.3)
+        vol = rng.uniform(0.5, 2.0, 12)
+        dX = rng.normal(size=F.shape)
+        fd = _fd_stress_differential(F, dX @ B, model, jp)
+        scale = max(np.abs(fd).max(), 1.0)
+        np.testing.assert_allclose(stress_differential(F, dX @ B, model, jp), fd,
+                                   rtol=HESS_RTOL, atol=HESS_RTOL * scale)
+        ref = vol[:, None, None] * fd @ np.swapaxes(B, -1, -2)
         scale = max(np.abs(ref).max(), 1.0)
-        np.testing.assert_allclose(got, ref, rtol=HESS_RTOL, atol=HESS_RTOL * scale)
+        np.testing.assert_allclose(_apply(hessian_action(F, B, model, jp, vol), dX), ref,
+                                   rtol=HESS_RTOL, atol=HESS_RTOL * scale)
 
 
 def test_hessian_action_is_a_symmetric_bilinear_form():
+    # u : dP[v] = v : dP[u] is what lets the tangent store 10 entries of 16
     rng = np.random.default_rng(6)
-    for model, jp in ((_corotated(mu=2.0, lam=9.0), None), (_fluid(bulk=4.0), None)):
-        F = _random_gradients(rng, 20, 2, spread=0.25)
+    for model, jp in _hessian_cases():
+        F = _random_gradients(rng, 12, 2, spread=0.25)
         u = rng.normal(size=F.shape)
         v = rng.normal(size=F.shape)
-        uy = np.einsum("nab,nab->n", u, hessian_action(F, v, model, jp))
-        vy = np.einsum("nab,nab->n", v, hessian_action(F, u, model, jp))
+        uy = np.einsum("nab,nab->n", u, stress_differential(F, v, model, jp))
+        vy = np.einsum("nab,nab->n", v, stress_differential(F, u, model, jp))
         np.testing.assert_allclose(uy, vy, rtol=SYM_RTOL, atol=SYM_RTOL * np.abs(uy).max())
+        T = hessian_action(F, _random_gradients(rng, 12, 2), model, jp)
+        np.testing.assert_array_equal(T, np.swapaxes(T, 0, 1))
 
 
 # --------------------------------------------------------------- plasticity

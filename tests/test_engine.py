@@ -280,12 +280,18 @@ def test_implicit_spin_solves_and_matches_explicit(transfer):
     ex.run()
     im = Simulation(_spin_scene(steps=20, integrator="implicit", transfer=transfer))
     iters = 0
+    residuals = []
     for _ in range(20):
         im.step()
         assert im.cg_info["converged"] and not im.cg_info["fallback"]
         iters += im.cg_info["iterations"]
+        residuals.append(im.cg_info["residual"])
     assert iters > 0  # measured 203 (least_squares) and 407 (kernel)
-    assert im.summary()["cg_unconverged"] == im.summary()["cg_fallbacks"] == 0
+    assert 0.0 < max(residuals) <= transfers.CG_TOL
+    summary = im.summary()
+    assert summary["cg_unconverged"] == summary["cg_fallbacks"] == 0
+    assert summary["cg_iterations"] == iters
+    assert summary["cg_residual_max"] == max(residuals)
     gap = np.abs(ex.bodies[0].x - im.bodies[0].x).max()
     assert gap < 1.5e-5  # measured 1.05e-5 (least_squares) and 7.9e-6 (kernel)
 
@@ -304,6 +310,8 @@ def test_summary_counts_cg_trouble(tmp_path, monkeypatch):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["cg_unconverged"] == sum(not i["converged"] for i in infos) > 0
     assert summary["cg_fallbacks"] == 0
+    assert summary["cg_iterations"] == sum(i["iterations"] for i in infos)
+    assert summary["cg_residual_max"] == max(i["residual"] for i in infos) > transfers.CG_TOL
     monkeypatch.undo()
 
     # a body crushed to 5% over a 10 s step loses positive definiteness
@@ -311,6 +319,7 @@ def test_summary_counts_cg_trouble(tmp_path, monkeypatch):
     sim.bodies[0].state.F_sn[:] = 0.05 * np.eye(2)
     sim.step(dt=10.0)
     assert sim.cg_info["fallback"]
+    assert sim.cg_info["residual"] > transfers.CG_TOL   # of the kept explicit velocities
     assert sim.summary()["cg_fallbacks"] == 1
     assert sim.summary()["cg_unconverged"] == 0
 
@@ -328,6 +337,7 @@ def test_output_files(tmp_path):
     assert stats_lines[0].startswith("step,time,mass,momentum_x,momentum_y,")
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["steps"] == 8
+    assert summary["cg_iterations"] == 0 and summary["cg_residual_max"] == 0.0   # explicit
     assert summary["particles"] == sim.n_particles
 
 
