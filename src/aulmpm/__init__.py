@@ -1,7 +1,7 @@
 """Hybrid particle-grid solver with an adaptive reference configuration.
 
 Particles carry material state; momentum is solved on a sparse background
-grid.  Kernels, moment matrices and reference positions are bound to a
+grid.  Kernels, gradient weights and reference positions are bound to a
 per-object reference configuration that is rebound only when accumulated
 deformation trips a per-object policy, which interpolates between a fully
 Lagrangian scheme (never rebind) and a per-step updated scheme (always
@@ -11,9 +11,7 @@ rebind).
 from .constitutive import MaterialModel, energy_and_piola, plastic_project
 from .engine import Simulation
 from .errors import (
-    DegenerateNeighborhoodError,
     NumericalError,
-    OrphanParticleError,
     OutOfDomainError,
     SceneError,
     SimulationError,
@@ -29,11 +27,9 @@ __all__ = [
     "Body",
     "ConfigurationMap",
     "DeformationState",
-    "DegenerateNeighborhoodError",
     "HalfSpace",
     "MaterialModel",
     "NumericalError",
-    "OrphanParticleError",
     "OutOfDomainError",
     "Scene",
     "SceneError",

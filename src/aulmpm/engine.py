@@ -299,8 +299,8 @@ class Simulation:
             "cg_unconverged": self.cg_unconverged,
             "cg_fallbacks": self.cg_fallbacks,
             "objects": [
-                {"name": obj.name, "particles": b.n, "updates": b.cmap.epoch,
-                 "epoch": b.cmap.epoch, "inverted": b.inverted}
+                {"name": obj.name, "particles": b.n, "epoch": b.cmap.epoch,
+                 "inverted": b.inverted}
                 for obj, b in zip(self.scene.objects, self.bodies)
             ],
         }
@@ -349,7 +349,7 @@ class Simulation:
         # positions alone, and `step` rebuilds them bit for bit if stepping
         # continues.
         for b in self.bodies:
-            b.cmap = replace(b.cmap, stencil=None, G=None, slots=None, work=None)
+            b.cmap = replace(b.cmap, w=None, G=None, slots=None, work=None)
         info = self.summary()
         info["wall_s"] = wall
         info["frames"] = frame

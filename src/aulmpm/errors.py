@@ -18,13 +18,5 @@ class OutOfDomainError(SimulationError):
     """A stencil center lies outside the grid minus its support radius."""
 
 
-class DegenerateNeighborhoodError(SimulationError):
-    """Moment matrix is numerically singular (condition number too large)."""
-
-
-class OrphanParticleError(SimulationError):
-    """A particle has zero interpolation coverage on the grid."""
-
-
 class NumericalError(SimulationError):
     """Non-finite state detected during time stepping."""

@@ -7,10 +7,10 @@ binding.  Keeping the binding fixed gives a total-Lagrangian scheme;
 rebinding every step gives the usual Eulerian scheme; rebinding when enough
 particles exceed a volume-change threshold interpolates between the two.
 
-A binding stores each per-stencil-entry array once, component-major: the
-offsets r and the gradient weights G are (n, S, 2) views of (2, n, S)
-buffers, so every phase reads r[..., k] and G[..., k] as contiguous (n, S)
-arrays and contracts them entry by entry.  `contract` is the one velocity
+A binding stores each per-stencil-entry array once: the window weights w
+(n, S), the gradient weights G, an (n, S, 2) view of a (2, n, S) buffer so
+that every phase reads G[..., k] as a contiguous (n, S) array, and the
+storage slots of the bound nodes.  `contract` is the one velocity
 gradient: sum_j v_j (x) G_j over the node velocities of a stencil, the
 affine velocity C of APIC and MLS-MPM.  Deformation gradients are batches
 of 2x2 matrices, multiplied and reduced in closed form by the helpers in
@@ -19,13 +19,13 @@ of 2x2 matrices, multiplied and reduced in closed form by the helpers in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .constitutive import det, matmul, pack
-from .errors import NumericalError, OrphanParticleError
-from .mls import Stencil, build_stencil, gradient_weights, moment_matrix
+from .errors import NumericalError
+from .mls import build_stencil, gradient_weights, moment_matrix
 
 # transfer flavors: which gradient weights a binding carries
 LEAST_SQUARES = "least_squares"
@@ -75,24 +75,24 @@ def _identity(n: int) -> np.ndarray:
 class ConfigurationMap:
     """Grid binding of one object at its reference configuration.
 
-    Holds the reference particle positions, the interpolation stencils built
-    there, the storage slots of the bound grid nodes and the gradient weights
-    G that every transfer phase contracts against.  The transfer flavor
-    decides G: `least_squares` (MLS-MPM / APIC) uses G_j = W_j K r_j with the
-    moment matrices K, used only to build G; `kernel` (PIC/FLIP MPM) uses
-    the window gradients grad W_j.
+    Holds the reference particle positions and, for every particle and
+    stencil entry, the window weight w, the gradient weight G that every
+    transfer phase contracts against and the storage slot of the bound grid
+    node.  The transfer flavor decides G: `least_squares` (MLS-MPM / APIC)
+    uses G_j = c W_j r_j with c = 4 / dx^2 (`mls.moment_matrix`); `kernel`
+    (PIC/FLIP MPM) uses the window gradients grad W_j.  No phase reads the
+    node offsets r, so the binding does not keep them; where they are
+    wanted they are grid.position[slots] - ref_positions[:, None].
 
     `work` is the workspace the transfer phases write their per-entry
     temporaries into, allocated on first use (see `transfers`).  Slots are
     checked against the grid here, at bind time, so the gathers need not
-    check them again; they stay valid because the grid only grows.  Once
-    the slots are bound no phase reads the stencil's lattice coordinates,
-    so the binding does not keep them.
+    check them again; they stay valid because the grid only grows.
     """
 
     epoch: int
     ref_positions: np.ndarray
-    stencil: Stencil
+    w: np.ndarray
     G: np.ndarray
     slots: np.ndarray
     transfer: str = LEAST_SQUARES
@@ -106,19 +106,12 @@ class ConfigurationMap:
         positions = np.asarray(positions, dtype=np.float64)
         st = build_stencil(positions, grid.origin, grid.dx, grid.n_nodes,
                            gradients=transfer == KERNEL)
-        coverage = np.einsum("ns->n", st.w)
-        if np.any(coverage <= 0.0):
-            idx = np.flatnonzero(coverage <= 0.0)
-            raise OrphanParticleError(
-                f"{idx.size} particle(s) with zero grid coverage, first {idx[:8].tolist()}"
-            )
-        G = st.dw if transfer == KERNEL else gradient_weights(st, moment_matrix(st))
+        G = st.dw if transfer == KERNEL else gradient_weights(st, moment_matrix(grid.dx))
         n, S = st.w.shape
         slots = grid.activate(st.coords.reshape(-1, 2)).reshape(n, S)
         if slots.size and (slots.min() < 0 or slots.max() >= grid.n_slots):
             raise IndexError("grid slots out of range")
-        return cls(epoch=epoch, ref_positions=positions.copy(),
-                   stencil=replace(st, coords=None), G=G, slots=slots,
+        return cls(epoch=epoch, ref_positions=positions.copy(), w=st.w, G=G, slots=slots,
                    transfer=transfer)
 
 
@@ -176,9 +169,9 @@ def apply_update(state: DeformationState, positions: np.ndarray, grid,
     """Rebind at the current positions and fold F_sn into F_0s.
 
     Afterwards F_0s holds the old product F_sn F_0s, F_sn is the identity,
-    and the returned map carries fresh stencils, gradient weights and slots
-    of the same transfer flavor, with the epoch counter advanced by one.
-    The old map's workspace is released first, so that it and the new
+    and the returned map carries fresh window weights, gradient weights and
+    slots of the same transfer flavor, with the epoch counter advanced by
+    one.  The old map's workspace is released first, so that it and the new
     stencils are never held at once.
     """
     state.F_0s = compose_total(state)

@@ -18,9 +18,11 @@ The least-squares gradient of a field phi sampled at the stencil nodes is
 
     grad phi = (sum_j (phi_j - phi_c) (x) r_j W_j) K,   K = (sum_j r_j (x) r_j W_j)^-1
 
-which reproduces affine fields exactly.  On an unclipped uniform stencil K
-collapses to (4 / dx^2) I; `moment_matrix` computes it numerically
-regardless.
+which reproduces affine fields exactly.  Every stencil is a full 3 x 3
+quadratic support (`build_stencil` rejects centers whose support leaves the
+node box), and on such a support sum_j W_j r_j (x) r_j = (dx^2 / 4) I at
+every position, so K is the constant (4 / dx^2) I of MLS-MPM (Hu et al.
+2018) and the gradient weights are G_j = (4 / dx^2) W_j r_j.
 """
 
 from __future__ import annotations
@@ -30,14 +32,10 @@ from itertools import product
 
 import numpy as np
 
-from .constitutive import pack
-from .errors import DegenerateNeighborhoodError, OutOfDomainError
+from .errors import OutOfDomainError
 
 # nodes per axis covered by a window
 _SUPPORT = 3
-
-# condition number above which a neighborhood counts as degenerate
-COND_LIMIT = 1.0e8
 
 
 def _windows(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -84,8 +82,7 @@ def _spread(per_axis: np.ndarray, out: np.ndarray) -> np.ndarray:
 class Stencil:
     """Bound neighborhoods of n centers against one uniform grid.
 
-    coords  (n, S, 2) integer lattice coordinates of the nodes, or None
-            once a `ConfigurationMap` has bound them to grid slots
+    coords  (n, S, 2) integer lattice coordinates of the nodes
     r       (n, S, 2) physical offsets node - center
     w       (n, S)    window weights (each row sums to 1)
     dw      (n, S, 2) window gradients wrt the center position, per length,
@@ -153,42 +150,19 @@ def build_stencil(centers: np.ndarray, origin: np.ndarray, dx: float,
     return Stencil(coords=np.moveaxis(coords, 0, -1), r=np.moveaxis(r, 0, -1), w=w, dw=dw)
 
 
-def moment_matrix(stencil: Stencil) -> np.ndarray:
-    """Inverse second-moment matrix K_p = (sum_j r_j (x) r_j W_j)^-1, (n, 2, 2)."""
-    w = stencil.w
-    rx, ry = stencil.r[..., 0], stencil.r[..., 1]
-    wrx = w * rx
-    a = np.einsum("ns,ns->n", wrx, rx)
-    b = np.einsum("ns,ns->n", wrx, ry)
-    c = np.einsum("ns,ns->n", w * ry, ry)
-    # eigenvalues of the symmetric [[a, b], [b, c]] are mid +- rad
-    mid = 0.5 * (a + c)
-    rad = np.hypot(0.5 * (a - c), b)
-    hi = np.abs(mid) + rad
-    lo = np.abs(np.abs(mid) - rad)
-    cond = np.where(lo > 0.0, hi / np.maximum(lo, 1e-300), np.inf)
-    if np.any(cond > COND_LIMIT):
-        worst = int(np.argmax(cond))
-        raise DegenerateNeighborhoodError(
-            f"moment matrix condition {cond[worst]:.3e} exceeds {COND_LIMIT:.1e} "
-            f"at center {worst}"
-        )
-    det = a * c - b * b
-    return pack(c / det, -b / det, -b / det, a / det)
+def moment_matrix(dx: float) -> float:
+    """The inverse second moment K = (sum_j W_j r_j (x) r_j)^-1 of every
+    stencil on a grid of spacing dx, as the scalar c of K = c I: 4 / dx^2."""
+    return 4.0 / dx**2
 
 
-def gradient_weights(stencil: Stencil, K: np.ndarray) -> np.ndarray:
-    """Per-node gradient vectors g_j = W_j K r_j, shape (n, S, 2).
+def gradient_weights(stencil: Stencil, c: float) -> np.ndarray:
+    """Per-node gradient vectors g_j = c W_j r_j, shape (n, S, 2), with c
+    from `moment_matrix`.
 
     The least-squares gradient of any field is then sum_j (phi_j - phi_c) (x) g_j.
     Stored component-major like the stencil offsets.
     """
-    w = stencil.w
-    rx, ry = stencil.r[..., 0], stencil.r[..., 1]
-    G = np.empty((2,) + w.shape)
-    for a in range(2):
-        np.multiply(K[:, a, 0, None], rx, out=G[a])
-        G[a] += K[:, a, 1, None] * ry
-        G[a] *= w
+    G = np.multiply(np.moveaxis(stencil.r, -1, 0), c, out=np.empty((2,) + stencil.w.shape))
+    G *= stencil.w
     return np.moveaxis(G, 0, -1)
-

@@ -24,21 +24,23 @@ the scatter, the internal force, its Hessian and the measured velocity
 gradient share one set of coefficients.  The velocity gradient g2p measures
 and its differential in the Hessian are one formula, `kinematics.contract`:
 C = sum_j v_j (x) G_j over the gathered node velocities.  On a
-least-squares binding G_j = W_j K r_j and p2g scatters affine momentum
-(MLS-MPM / APIC); on a kernel binding G_j = grad W_j, p2g scatters plain
-momentum and g2p blends PIC with FLIP velocities (standard MPM).
+least-squares binding G_j = c W_j r_j with c = 4 / dx^2 and p2g scatters
+affine momentum (MLS-MPM / APIC), whose term m W_j C r_j is (m / c) C G_j;
+on a kernel binding G_j = grad W_j, p2g scatters plain momentum and g2p
+blends PIC with FLIP velocities (standard MPM).
 Scatter-adds are bincount-based and run in particle order, then body
 order, which keeps runs bit-reproducible.
 
 The arithmetic is written out for 2x2 blocks, entry by entry.  The binding
-stores its per-stencil-entry arrays once, component-major: w is (n, S), and
-the offsets r and gradient weights G are (n, S, 2) views of (2, n, S)
-buffers, so r[..., k] and G[..., k] are contiguous (n, S) arrays.  Each
-phase makes a few elementwise passes over them: p2g forms m w (v_k + C_k r)
-per component, the forces scatter (P0 F_0s^T)_k0 G_x + (P0 F_0s^T)_k1 G_y,
-and g2p gathers node velocities into a (2, n, S) buffer and contracts it
-against w and G.  Per-particle 2x2 matrices are (n, 2, 2) views of
-component-major (2, 2, n) buffers (see `constitutive.pack`).
+stores its per-stencil-entry arrays once: w is (n, S), and the gradient
+weights G are an (n, S, 2) view of a (2, n, S) buffer, so G[..., k] is a
+contiguous (n, S) array.  Each phase makes a few elementwise passes over
+them: a per-particle 2x2 matrix A acts on G as A_k0 G_x + A_k1 G_y per
+component (`_action`), which p2g adds to m w v_k with A = (m / c) C and the
+forces scatter with A = -V0 P0 F_0s^T; g2p gathers node velocities into a
+(2, n, S) buffer and contracts it against w and G.  Per-particle 2x2
+matrices are (n, 2, 2) views of component-major (2, 2, n) buffers (see
+`constitutive.pack`).
 
 The per-entry temporaries go into the binding's workspace, allocated on
 first use and kept for the epoch: a (2, n, S) pair, which the gathers
@@ -66,6 +68,7 @@ from .constitutive import (
 )
 from .kinematics import (KERNEL, LEAST_SQUARES, ConfigurationMap, DeformationState,
                          UpdatePolicy, compose_total, contract)
+from .mls import moment_matrix
 
 # relative CG residual and iteration cap for the implicit velocity solve
 CG_TOL = 1e-7
@@ -129,15 +132,21 @@ def _interpolate(w: np.ndarray, vn: np.ndarray) -> np.ndarray:
     return np.stack([np.einsum("ns,ns->n", w, vn[..., k]) for k in range(2)], axis=1)
 
 
+def _action(A: np.ndarray, G: np.ndarray, k: int, out: np.ndarray,
+            tmp: np.ndarray) -> np.ndarray:
+    """Component k of A_p G_j per stencil entry, A_k0 G_x + A_k1 G_y, into
+    out (n, S); tmp is an (n, S) scratch buffer."""
+    np.multiply(A[:, k, 0, None], G[..., 0], out=out)
+    out += np.multiply(A[:, k, 1, None], G[..., 1], out=tmp)
+    return out
+
+
 def _scatter_action(body: Body, A: np.ndarray, out: np.ndarray) -> None:
     """out[slot_j] += A_p G_j for every stencil entry j of every particle p."""
-    gx, gy = body.cmap.G[..., 0], body.cmap.G[..., 1]
     slots = body.cmap.slots.ravel()
     f, tmp = _workspace(body.cmap)[0]
     for k in range(2):
-        np.multiply(A[:, k, 0, None], gx, out=f)
-        f += np.multiply(A[:, k, 1, None], gy, out=tmp)
-        _scatter(slots, f, out[:, k])
+        _scatter(slots, _action(A, body.cmap.G, k, f, tmp), out[:, k])
 
 
 # ------------------------------------------------------------ per epoch
@@ -152,7 +161,7 @@ def epoch_grid_terms(bodies, grid, mass_eps: float) -> None:
     grid.mass[:] = 0.0
     for body in bodies:
         cmap = body.cmap
-        mw = np.multiply(body.m[:, None], cmap.stencil.w, out=_workspace(cmap)[1])
+        mw = np.multiply(body.m[:, None], cmap.w, out=_workspace(cmap)[1])
         _scatter(cmap.slots.ravel(), mw, grid.mass)
     np.greater(grid.mass, mass_eps, out=grid.active)
 
@@ -162,21 +171,21 @@ def epoch_grid_terms(bodies, grid, mass_eps: float) -> None:
 
 def p2g(body: Body, grid) -> None:
     """Scatter momentum m w v to the grid, and m w x to a grid that tracks
-    current positions; the momentum carries the affine term C r only on a
-    least-squares binding.  The node mass is per epoch (`epoch_grid_terms`).
+    current positions; the momentum carries the affine term m w C r =
+    (m / c) C G only on a least-squares binding.  The node mass is per epoch
+    (`epoch_grid_terms`).
     """
     cmap = body.cmap
     slots = cmap.slots.ravel()
     (mom, tmp), mw = _workspace(cmap)
-    np.multiply(body.m[:, None], cmap.stencil.w, out=mw)
-    r, C = cmap.stencil.r, body.C
+    np.multiply(body.m[:, None], cmap.w, out=mw)
+    affine = cmap.transfer == LEAST_SQUARES
+    if affine:
+        A = body.C * (body.m / moment_matrix(grid.dx))[:, None, None]
     for k in range(2):
-        if cmap.transfer == LEAST_SQUARES:
-            # m w (v + C r), entry by entry
-            np.multiply(C[:, k, 0, None], r[..., 0], out=mom)
-            mom += np.multiply(C[:, k, 1, None], r[..., 1], out=tmp)
-            mom += body.v[:, k, None]
-            mom *= mw
+        if affine:
+            _action(A, cmap.G, k, mom, tmp)
+            mom += np.multiply(mw, body.v[:, k, None], out=tmp)
         else:
             np.multiply(mw, body.v[:, k, None], out=mom)
         _scatter(slots, mom, grid.momentum[:, k])
@@ -392,7 +401,7 @@ def g2p(body: Body, grid, dt: float, flip_blend: float = 0.0) -> None:
     keeps the pre-update velocities.
     """
     cmap = body.cmap
-    w = cmap.stencil.w
+    w = cmap.w
     vn = _gather(grid.velocity, cmap)
     v_pic = _interpolate(w, vn)
     body.C = contract(vn[..., 0], vn[..., 1], cmap.G)

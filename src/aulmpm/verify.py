@@ -274,19 +274,22 @@ def check_convergence_slopes():
 
 
 def check_mls_consistency():
-    """The MLS velocity gradient is exact on affine fields, and the moment
-    matrix inverse is the closed-form quadratic-spline constant."""
+    """The MLS velocity gradient is exact on affine fields, and the second
+    moment sum_j W_j r_j (x) r_j, summed here from the grid's node
+    positions, is the inverse of the library's constant (4 / dx^2) I."""
     rng = np.random.default_rng(7)
     grid = SparseGrid(origin=(0.0, 0.0), dx=0.05, n_cells=(20, 20))
     x = 0.25 + 0.5 * rng.random((1000, 2))
     cmap = ConfigurationMap.build(x, grid)
     A = rng.normal(size=(2, 2))
     b = rng.normal(size=2)
-    vn = (x[:, None, :] + cmap.stencil.r) @ A.T + b
+    nodes = grid.position[cmap.slots]
+    vn = nodes @ A.T + b
     grad = contract(vn[..., 0], vn[..., 1], cmap.G)
     grad_gap = float(np.abs(grad - A).max())
-    k_expect = (4.0 / grid.dx**2) * np.eye(2)
-    k_gap = float(np.abs(moment_matrix(cmap.stencil) - k_expect).max() / (4.0 / grid.dx**2))
+    r = nodes - x[:, None, :]
+    second_moment = np.einsum("ns,nsa,nsb->nab", cmap.w, r, r)
+    k_gap = float(np.abs(moment_matrix(grid.dx) * second_moment - np.eye(2)).max())
     ok = grad_gap <= 1e-10 and k_gap <= 1e-10
     return ok, {"affine_grad_gap": grad_gap, "moment_gap": k_gap}, (
         f"affine_grad_gap={grad_gap:.1e} moment_gap={k_gap:.1e} "
@@ -412,7 +415,7 @@ def check_rigid_silence():
 
     # translation: a uniform grid velocity leaves only roundoff in the
     # gathered gradient, so F stays at identity
-    vn = np.broadcast_to([0.37, -0.58], body.cmap.stencil.w.shape + (2,))
+    vn = np.broadcast_to([0.37, -0.58], body.cmap.w.shape + (2,))
     grad = contract(vn[..., 0], vn[..., 1], body.cmap.G)
     state = body.state
     state.F_sn = eye.copy()
@@ -515,17 +518,18 @@ def check_fracture_proxy():
 def check_transfer_identity():
     """The centered gradient form sum_j (v_j - v_p) (x) G_j agrees with the
     library's uncentered sum_j v_j (x) G_j and with the second-moment form
-    on random grid fields."""
+    (4 / dx^2) sum_j W_j v_j (x) r_j, r from the grid's node positions, on
+    random grid fields."""
     sim = Simulation(_ball_scene(steps=1))
     body = sim.bodies[0]
     rng = np.random.default_rng(3)
-    st, G = body.cmap.stencil, body.cmap.G
-    vn = rng.normal(size=(sim.grid.n_slots, 2))[body.cmap.slots]
-    v_p = np.einsum("ns,nsa->na", st.w, vn)
+    w, G, slots = body.cmap.w, body.cmap.G, body.cmap.slots
+    r = sim.grid.position[slots] - body.cmap.ref_positions[:, None, :]
+    vn = rng.normal(size=(sim.grid.n_slots, 2))[slots]
+    v_p = np.einsum("ns,nsa->na", w, vn)
     centered = np.einsum("nsa,nsb->nab", vn - v_p[:, None, :], G)
     library = contract(vn[..., 0], vn[..., 1], G)
-    second_moment = np.einsum("ns,nsa,nsb->nab", st.w, vn, st.r)
-    uncentered = np.einsum("nab,nbc->nac", second_moment, moment_matrix(st))
+    uncentered = moment_matrix(sim.grid.dx) * np.einsum("ns,nsa,nsb->nab", w, vn, r)
     gap = max(float(np.abs(centered - library).max()),
               float(np.abs(centered - uncentered).max()))
     return gap <= 1e-12, {"max_gap": gap}, f"max_gap={gap:.1e} (tol 1e-12)"

@@ -41,6 +41,12 @@ def bspline_weight(offset):
     return w, dw
 
 
+def _ref_moment_matrix(w, r):
+    """Inverse second moment (sum_j w_j r_j (x) r_j)^-1 per center, (n, 2, 2),
+    from weights (n, S) and offsets (n, S, 2), by np.linalg."""
+    return np.linalg.inv(np.einsum("nsa,nsb,ns->nab", r, r, w))
+
+
 def _ref_signed_svd(F):
     """Batched SVD F = U diag(sig) Vt with rotations U and Vt; the smallest
     singular value carries the sign of det F."""

@@ -22,7 +22,6 @@ from aulmpm.constitutive import (
     hessian_action,
     plastic_project,
 )
-from aulmpm.errors import DegenerateNeighborhoodError
 from aulmpm.grid import SparseGrid
 from aulmpm.kinematics import (
     KERNEL,
@@ -31,7 +30,7 @@ from aulmpm.kinematics import (
     DeformationState,
     compose_total,
 )
-from aulmpm.mls import COND_LIMIT, Stencil, gradient_weights, moment_matrix
+from aulmpm.mls import build_stencil, gradient_weights, moment_matrix
 from aulmpm.transfers import (
     Body,
     epoch_grid_terms,
@@ -43,8 +42,8 @@ from aulmpm.transfers import (
     p2g,
     stress_pass,
 )
-from oracles import (_ref_cofactor, _ref_rot, _ref_signed_svd, stress_differential,
-                     tangent_by_probing)
+from oracles import (_ref_cofactor, _ref_moment_matrix, _ref_rot, _ref_signed_svd,
+                     stress_differential, tangent_by_probing)
 
 RTOL = 1e-12
 
@@ -118,17 +117,6 @@ def _ref_plastic_project(Fe, Fp, model):
     return Fe2, Fp2
 
 
-def _ref_moment_matrix(st):
-    m = np.einsum("nsa,nsb,ns->nab", st.r, st.r, st.w)
-    eig = np.linalg.eigvalsh(m)
-    lo = np.min(np.abs(eig), axis=1)
-    hi = np.max(np.abs(eig), axis=1)
-    cond = np.where(lo > 0.0, hi / np.maximum(lo, 1e-300), np.inf)
-    if np.any(cond > COND_LIMIT):
-        raise DegenerateNeighborhoodError("degenerate")
-    return np.linalg.inv(m)
-
-
 def _ref_stress(body):
     """P0 and the factors of the pre-closed-form stress pass."""
     F_total = np.einsum("nab,nbc->nac", body.state.F_sn, body.state.F_0s)
@@ -180,6 +168,12 @@ def _body(kind, transfer, seed=0, n=60):
     return body, grid, rng
 
 
+def _offsets(body, grid):
+    """Node offsets r = node - reference position, (n, S, 2), from the
+    grid's node positions."""
+    return grid.position[body.cmap.slots] - body.cmap.ref_positions[:, None, :]
+
+
 CASES = [(k, t) for t in (LEAST_SQUARES, KERNEL) for k in MATERIALS]
 IDS = [f"{k}-{t}" for k, t in CASES]
 
@@ -192,11 +186,12 @@ def test_p2g_matches_reference(kind, transfer):
     body, grid, _ = _body(kind, transfer)
     epoch_grid_terms([body], grid, mass_epsilon([body]))
     p2g(body, grid)
-    st, slots, size = body.cmap.stencil, body.cmap.slots, grid.n_slots
-    mw = body.m[:, None] * st.w
+    slots, size = body.cmap.slots, grid.n_slots
+    r = _offsets(body, grid)
+    mw = body.m[:, None] * body.cmap.w
     vel = body.v[:, None, :]
     if transfer == LEAST_SQUARES:
-        vel = vel + np.einsum("nab,nsb->nsa", body.C, st.r)
+        vel = vel + np.einsum("nab,nsb->nsa", body.C, r)
     _assert_close(grid.mass, np.bincount(slots.ravel(), mw.ravel(), size))
     _assert_close(grid.momentum, _ref_scatter(slots, mw[:, :, None] * vel, size))
     _assert_close(grid.pos_accum, _ref_scatter(slots, mw[:, :, None] * body.x[:, None, :], size))
@@ -267,7 +262,7 @@ def test_g2p_matches_reference(transfer):
     x0, v0 = body.x.copy(), body.v.copy()
     g2p(body, grid, dt=0.01, flip_blend=0.9)
 
-    w, slots = body.cmap.stencil.w, body.cmap.slots
+    w, slots = body.cmap.w, body.cmap.slots
     vn = grid.velocity[slots]
     v_pic = np.einsum("ns,nsa->na", w, vn)
     C = np.einsum("nsa,nsb->nab", vn - v_pic[:, None, :], body.cmap.G)
@@ -382,33 +377,13 @@ def test_plastic_project_matches_reference():
 
 @pytest.mark.parametrize("transfer", [LEAST_SQUARES, KERNEL])
 def test_moment_matrix_and_gradient_weights_match_reference(transfer):
-    body, _, _ = _body("solid", transfer, n=400)
-    st = body.cmap.stencil
-    K_ref = _ref_moment_matrix(st)
-    K = moment_matrix(st)
-    _assert_close(K, K_ref)
-    _assert_close(gradient_weights(st, K), st.w[:, :, None] * np.einsum("nab,nsb->nsa", K_ref, st.r))
-
-
-def _line_stencil(spread):
-    """One center whose nodes lie within `spread` of the x axis."""
-    rng = np.random.default_rng(4)
-    r = np.stack([np.linspace(-1.0, 1.0, 9), spread * rng.uniform(-1, 1, 9)], -1)[None]
-    return Stencil(coords=np.zeros((1, 9, 2), dtype=np.int64), r=r,
-                   w=np.full((1, 9), 1.0 / 9.0), dw=None)
-
-
-@pytest.mark.parametrize("spread", [0.0, 1e-6, 1e-5, 1e-3, 1.0])
-def test_moment_matrix_rejects_the_same_neighborhoods(spread):
-    st = _line_stencil(spread)
-    try:
-        _ref_moment_matrix(st)
-        degenerate = False
-    except DegenerateNeighborhoodError:
-        degenerate = True
-    if degenerate:
-        with pytest.raises(DegenerateNeighborhoodError):
-            moment_matrix(st)
-    else:
-        _assert_close(moment_matrix(st), _ref_moment_matrix(st))
-    assert degenerate == (spread <= 1e-5)
+    body, grid, _ = _body("solid", transfer, n=400)
+    w, r = body.cmap.w, _offsets(body, grid)
+    K_ref = _ref_moment_matrix(w, r)
+    c = moment_matrix(grid.dx)
+    _assert_close(np.broadcast_to(c * np.eye(2), K_ref.shape), K_ref)
+    st = build_stencil(body.cmap.ref_positions, grid.origin, grid.dx, grid.n_nodes)
+    G_ref = w[:, :, None] * np.einsum("nab,nsb->nsa", K_ref, r)
+    _assert_close(gradient_weights(st, c), G_ref)
+    if transfer == LEAST_SQUARES:
+        _assert_close(body.cmap.G, G_ref)

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from aulmpm import engine, transfers
+from aulmpm import engine, kinematics, transfers
 from aulmpm.constitutive import MaterialModel
 from aulmpm.engine import Simulation
 from aulmpm.errors import NumericalError
@@ -42,7 +42,7 @@ def _fresh_grid_terms(sim):
     size = sim.grid.n_slots
     mass = np.zeros(size)
     for b in sim.bodies:
-        mass += np.bincount(b.cmap.slots.ravel(), (b.m[:, None] * b.cmap.stencil.w).ravel(), size)
+        mass += np.bincount(b.cmap.slots.ravel(), (b.m[:, None] * b.cmap.w).ravel(), size)
     return mass, mass > sim.mass_eps
 
 
@@ -107,12 +107,11 @@ def test_stepping_on_after_run_is_bitwise_unchanged(mode):
         np.testing.assert_array_equal(getattr(a.grid, name), getattr(b.grid, name))
 
 
-def test_epoch_grid_terms_follow_rebinds_and_grid_growth():
-    # "mover" rebinds on every step (eta = 0) and slides onto nodes no
-    # binding has touched; "still" never rebinds, and its binding was made
-    # on a grid with fewer slots than the grid has later
+def _mover_and_still_scene():
+    """Two fluid disks on one grid: "mover" rebinds on every step (eta = 0)
+    and slides onto nodes no binding has touched; "still" never rebinds."""
     fluid = {"type": "weakly_compressible_fluid", "density": 1000.0, "bulk": 100.0}
-    scene = load_scene({
+    return load_scene({
         "grid": {"origin": [0.0, 0.0], "size": [1.0, 1.0], "cells": [40, 40]},
         "gravity": [0.0, 0.0],
         "solver": {"dt": 1e-3, "steps": 12},
@@ -127,6 +126,12 @@ def test_epoch_grid_terms_follow_rebinds_and_grid_growth():
         "colliders": [{"type": "half_space", "point": [0.0, 0.1], "normal": [0.0, 1.0],
                        "mode": "slip"}],
     })
+
+
+def test_epoch_grid_terms_follow_rebinds_and_grid_growth():
+    # the binding of "still" was made on a grid with fewer slots than the
+    # grid has later
+    scene = _mover_and_still_scene()
     sim = Simulation(scene)
     _assert_grid_terms_fresh(sim)
     slots0 = sim.grid.n_slots
@@ -137,6 +142,41 @@ def test_epoch_grid_terms_follow_rebinds_and_grid_growth():
     assert sim.bodies[0].cmap.epoch == scene.solver.steps
     assert sim.bodies[1].cmap is still
     assert sim.grid.n_slots > slots0
+
+
+def test_summary_reports_each_object_once():
+    sim = Simulation(_mover_and_still_scene())
+    for _ in range(4):
+        sim.step()
+    summary = sim.summary()
+    objects = summary["objects"]
+    assert [set(obj) for obj in objects] == [{"name", "particles", "epoch", "inverted"}] * 2
+    assert [obj["epoch"] for obj in objects] == [4, 0]
+    assert sum(obj["epoch"] for obj in objects) == summary["updates_total"]
+
+
+@pytest.mark.parametrize("transfer", ["least_squares", "kernel"])
+def test_every_binding_calls_the_mls_names_once(monkeypatch, transfer):
+    # perfbench times the bindings through these two names: the two initial
+    # bindings and each of the mover's four rebinds call each once under
+    # least squares, and a kernel scene calls neither
+    calls = {"moment_matrix": 0, "gradient_weights": 0}
+    for name in calls:
+        inner = getattr(kinematics, name)
+
+        def counted(*args, _inner=inner, _name=name):
+            calls[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(kinematics, name, counted)
+    scene = _mover_and_still_scene()
+    scene.solver.transfer = transfer
+    sim = Simulation(scene)
+    for _ in range(4):
+        sim.step()
+    assert sim.summary()["updates_total"] == 4
+    n = 6 if transfer == "least_squares" else 0
+    assert calls == {"moment_matrix": n, "gradient_weights": n}
 
 
 def test_steady_steps_allocate_no_per_entry_arrays(monkeypatch):

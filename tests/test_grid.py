@@ -97,7 +97,7 @@ def test_zero_fields_resets_accumulators():
     g.zero_fields()
     # the per-epoch mass survives and still equals a fresh scatter
     fresh = np.bincount(body.cmap.slots.ravel(),
-                        (body.m[:, None] * body.cmap.stencil.w).ravel(), g.n_slots)
+                        (body.m[:, None] * body.cmap.w).ravel(), g.n_slots)
     np.testing.assert_array_equal(g.mass, fresh)
     np.testing.assert_array_equal(g.momentum[s[0]], [0.0, 0.0])
 

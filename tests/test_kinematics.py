@@ -8,6 +8,7 @@ bookkeeping error in the split F_total = F_sn F_0s shows up as a mismatch.
 import numpy as np
 import pytest
 
+from aulmpm import kinematics
 from aulmpm.grid import SparseGrid
 from aulmpm.kinematics import (
     KERNEL,
@@ -116,11 +117,12 @@ def test_configuration_map_binds_reference_geometry():
     assert cmap.epoch == 0
     np.testing.assert_allclose(cmap.ref_positions, pos)
     # bound slots agree with the grid's own lookup of the stencil's nodes
-    coords = build_stencil(pos, grid.origin, grid.dx, grid.n_nodes).coords
+    st = build_stencil(pos, grid.origin, grid.dx, grid.n_nodes)
     np.testing.assert_array_equal(
-        cmap.slots, grid.slot_of(coords.reshape(-1, 2)).reshape(cmap.slots.shape))
-    np.testing.assert_allclose(cmap.ref_positions[:, None] + cmap.stencil.r,
+        cmap.slots, grid.slot_of(st.coords.reshape(-1, 2)).reshape(cmap.slots.shape))
+    np.testing.assert_allclose(cmap.ref_positions[:, None] + st.r,
                                grid.position[cmap.slots], atol=1e-14)
+    np.testing.assert_array_equal(cmap.w, st.w)
 
 
 def test_velocity_gradient_recovers_affine_grid_fields():
@@ -130,7 +132,7 @@ def test_velocity_gradient_recovers_affine_grid_fields():
     cmap = ConfigurationMap.build(pos, grid)
     B = np.array([[0.4, -1.1], [0.9, 0.2]])
     c = np.array([0.3, -0.2])
-    v_nodes = (cmap.ref_positions[:, None] + cmap.stencil.r) @ B.T + c
+    v_nodes = grid.position[cmap.slots] @ B.T + c
     grad = contract(v_nodes[..., 0], v_nodes[..., 1], cmap.G)
     np.testing.assert_allclose(grad, np.broadcast_to(B, grad.shape), atol=AFFINE_ATOL)
 
@@ -139,20 +141,60 @@ def test_binding_carries_the_gradient_weights_of_its_transfer():
     grid = _grid()
     rng = np.random.default_rng(14)
     pos = rng.uniform(0.3, 0.7, size=(25, 2))
+    st = build_stencil(pos, grid.origin, grid.dx, grid.n_nodes)
     mls = ConfigurationMap.build(pos, grid)
-    np.testing.assert_array_equal(mls.G, gradient_weights(mls.stencil, moment_matrix(mls.stencil)))
+    np.testing.assert_array_equal(mls.G, gradient_weights(st, moment_matrix(grid.dx)))
     kernel = ConfigurationMap.build(pos, grid, transfer=KERNEL)
-    np.testing.assert_array_equal(kernel.G, kernel.stencil.dw)
+    np.testing.assert_array_equal(kernel.G, st.dw)
     # spline gradients reproduce affine velocity fields too
     B = np.array([[0.4, -1.1], [0.9, 0.2]])
-    v_nodes = (kernel.ref_positions[:, None] + kernel.stencil.r) @ B.T + [0.3, -0.2]
+    v_nodes = grid.position[kernel.slots] @ B.T + [0.3, -0.2]
     grad = contract(v_nodes[..., 0], v_nodes[..., 1], kernel.G)
     np.testing.assert_allclose(grad, np.broadcast_to(B, grad.shape), atol=AFFINE_ATOL)
     rebound = apply_update(DeformationState.identity(25), pos + 0.05, grid, kernel)
     assert rebound.transfer == KERNEL
-    np.testing.assert_array_equal(rebound.G, rebound.stencil.dw)
+    moved = build_stencil(pos + 0.05, grid.origin, grid.dx, grid.n_nodes)
+    np.testing.assert_array_equal(rebound.G, moved.dw)
     with pytest.raises(ValueError, match="unknown transfer"):
         ConfigurationMap.build(pos, grid, transfer="pic")
+
+
+@pytest.mark.parametrize("transfer", ["least_squares", KERNEL])
+def test_binding_holds_weights_gradients_and_slots(transfer):
+    # the binding keeps w, G and slots, not the stencil it was built from
+    grid = _grid()
+    pos = np.random.default_rng(17).uniform(0.3, 0.7, size=(40, 2))
+    cmap = ConfigurationMap.build(pos, grid, transfer=transfer)
+    st = build_stencil(pos, grid.origin, grid.dx, grid.n_nodes, gradients=True)
+    assert not hasattr(cmap, "stencil") and not hasattr(cmap, "r")
+    assert cmap.w.shape == cmap.slots.shape == (40, 9) and cmap.G.shape == (40, 9, 2)
+    np.testing.assert_array_equal(cmap.w, st.w)
+    G = st.dw if transfer == KERNEL else gradient_weights(st, moment_matrix(grid.dx))
+    np.testing.assert_array_equal(cmap.G, G)
+    # each slot holds the node the stencil entry names
+    np.testing.assert_array_equal(grid.position[cmap.slots], grid.origin + st.coords * grid.dx)
+
+
+def test_binding_calls_the_mls_names_once_per_least_squares_build(monkeypatch):
+    # perfbench times ConfigurationMap.build's calls to these two names; a
+    # least-squares build or rebind calls each once, a kernel build neither
+    calls = {"moment_matrix": 0, "gradient_weights": 0}
+    for name in calls:
+        inner = getattr(kinematics, name)
+
+        def counted(*args, _inner=inner, _name=name):
+            calls[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(kinematics, name, counted)
+    grid = _grid()
+    pos = np.random.default_rng(15).uniform(0.3, 0.7, size=(25, 2))
+    cmap = ConfigurationMap.build(pos, grid)
+    assert calls == {"moment_matrix": 1, "gradient_weights": 1}
+    apply_update(DeformationState.identity(25), pos + 0.05, grid, cmap)
+    assert calls == {"moment_matrix": 2, "gradient_weights": 2}
+    ConfigurationMap.build(pos, grid, transfer=KERNEL)
+    assert calls == {"moment_matrix": 2, "gradient_weights": 2}
 
 
 def test_apply_update_folds_and_rebinds():

@@ -3,8 +3,10 @@
 The expected values are derived independently of the implementation:
 piecewise window values are re-evaluated by hand, the stencils are checked
 against the spline formula in `oracles.py` (itself checked against central
-finite differences), and the least-squares gradient is compared with an
-explicit weighted lstsq solve of the same normal equations.
+finite differences), the closed-form moment constant against a numeric
+inverse of the second moment summed from grid node positions, and the
+least-squares gradient against an explicit weighted lstsq solve of the same
+normal equations.
 """
 
 import re
@@ -12,15 +14,16 @@ import re
 import numpy as np
 import pytest
 
-from aulmpm.errors import DegenerateNeighborhoodError, OutOfDomainError
-from aulmpm.kinematics import contract
-from aulmpm.mls import Stencil, build_stencil, gradient_weights, moment_matrix
-from oracles import bspline_weight
+from aulmpm.errors import OutOfDomainError
+from aulmpm.grid import SparseGrid
+from aulmpm.kinematics import ConfigurationMap, contract
+from aulmpm.mls import build_stencil, gradient_weights, moment_matrix
+from oracles import _ref_moment_matrix, bspline_weight
 
 WEIGHT_ATOL = 1e-12
 PARTITION_ATOL = 1e-12
 FIRST_MOMENT_ATOL = 1e-10
-MOMENT_RTOL = 1e-10
+MOMENT_TOL = 1e-12
 AFFINE_ATOL = 1e-10
 FD_RTOL = 1e-6
 
@@ -158,26 +161,45 @@ def test_one_ulp_outside_the_domain_is_rejected():
 # ------------------------------------------------------------ moment matrix
 
 
-def test_moment_matrix_is_constant_on_uniform_grids():
-    rng = np.random.default_rng(7)
+def test_moment_constant_and_gradient_weights_are_closed_form():
+    # K = (4 / dx^2) I as a scalar, and g_j = c W_j r_j entry by entry
+    rng = np.random.default_rng(29)
     origin, dx, n_nodes = _grid2d()
-    centers = rng.uniform(3 * dx, 1.0 - 3 * dx, size=(500, 2))
+    lo, hi = _domain(n_nodes, dx)
+    c = moment_matrix(dx)
+    assert np.ndim(c) == 0 and c == 4.0 / dx**2 == 4096.0
+    st = build_stencil(rng.uniform(lo, hi, size=(200, 2)), origin, dx, n_nodes)
+    G = gradient_weights(st, c)
+    assert G.shape == st.r.shape
+    np.testing.assert_allclose(G, c * st.w[..., None] * st.r, rtol=1e-15, atol=0.0)
 
-    st = build_stencil(centers, origin, dx, n_nodes)
-    K = moment_matrix(st)
-    expect = 4.0 / dx**2 * np.eye(2)
-    np.testing.assert_allclose(K, np.broadcast_to(expect, K.shape),
-                               rtol=MOMENT_RTOL, atol=MOMENT_RTOL / dx**2)
 
+@pytest.mark.parametrize("n_cells", [16, 32, 64])
+def test_closed_form_moments_match_the_numeric_inverse(n_cells):
+    # random centers plus centers at the support edges: fractional offset
+    # exactly 0.5 (one edge weight exactly 0) and nextafter(1.5, 0)
+    dx = 1.0 / n_cells
+    grid = SparseGrid(origin=(0.0, 0.0), dx=dx, n_cells=(n_cells, n_cells))
+    lo, hi = _domain(grid.n_nodes, dx)
+    rng = np.random.default_rng(7)
+    edge = np.nextafter(1.5, 0.0) * dx
+    centers = np.concatenate([rng.uniform(lo, hi, size=(500, 2)), _edge_centers(lo, hi, dx),
+                              [[edge, 0.5], [0.5, edge], [edge, lo]]])
+    cmap = ConfigurationMap.build(centers, grid)
+    w, G = cmap.w, cmap.G
+    f = centers / dx - np.floor(centers / dx - 0.5)
+    assert np.any(f == 0.5) and np.any(f == np.nextafter(1.5, 0.0))
+    assert np.any(w == 0.0)
 
-def test_moment_matrix_flags_degenerate_neighborhoods():
-    # all offsets collinear: the second moment is singular in 2d
-    r = np.zeros((1, 3, 2))
-    r[0, :, 0] = [-1.0, 0.0, 1.0]
-    st = Stencil(coords=np.zeros((1, 3, 2), dtype=np.int64), r=r,
-                 w=np.full((1, 3), 1.0 / 3.0), dw=np.zeros((1, 3, 2)))
-    with pytest.raises(DegenerateNeighborhoodError):
-        moment_matrix(st)
+    r = grid.position[cmap.slots] - centers[:, None, :]
+    c = moment_matrix(dx)
+    eye = np.broadcast_to(np.eye(2), (centers.shape[0], 2, 2))
+    second = np.einsum("ns,nsa,nsb->nab", w, r, r)
+    np.testing.assert_allclose(second / (dx**2 / 4.0), eye, rtol=0.0, atol=MOMENT_TOL)
+    np.testing.assert_allclose(_ref_moment_matrix(w, r) / c, eye, rtol=0.0, atol=MOMENT_TOL)
+    np.testing.assert_allclose(np.einsum("ns,nsa->na", w, r) / dx, 0.0, atol=MOMENT_TOL)
+    np.testing.assert_allclose(G.sum(axis=1) * dx, 0.0, atol=MOMENT_TOL)
+    np.testing.assert_allclose(np.einsum("nsa,nsb->nab", G, r), eye, rtol=0.0, atol=MOMENT_TOL)
 
 
 # ----------------------------------------------------------------- gradient
@@ -200,7 +222,7 @@ def test_mls_gradient_matches_weighted_lstsq_solve():
     origin, dx, n_nodes = _grid2d()
     centers = rng.uniform(3 * dx, 1.0 - 3 * dx, size=(50, 2))
     st = build_stencil(centers, origin, dx, n_nodes)
-    G = gradient_weights(st, moment_matrix(st))
+    G = gradient_weights(st, moment_matrix(dx))
     nodes = origin + st.coords * dx
 
     def field(x):
@@ -216,27 +238,13 @@ def test_mls_gradient_reproduces_affine_fields_exactly():
     origin, dx, n_nodes = _grid2d()
     centers = rng.uniform(3 * dx, 1.0 - 3 * dx, size=(1000, 2))
     st = build_stencil(centers, origin, dx, n_nodes)
-    G = gradient_weights(st, moment_matrix(st))
+    G = gradient_weights(st, moment_matrix(dx))
     nodes = origin + st.coords * dx
     B = np.array([[0.3, -1.2], [0.7, 2.1]])
     c = np.array([0.1, -0.4])
     dv = (nodes @ B.T + c) - (centers @ B.T + c)[:, None]
     grad = contract(dv[..., 0], dv[..., 1], G)
     np.testing.assert_allclose(grad, np.broadcast_to(B, grad.shape), atol=AFFINE_ATOL)
-
-
-def test_gradient_derivative_on_two_point_line_stencil():
-    # two nodes at +-h per axis with unit weights: d(grad)/d(phi_j) = +-1/(2h)
-    h = 0.25
-    r = np.array([[[-h, 0.0], [h, 0.0], [0.0, -h], [0.0, h]]])
-    st = Stencil(coords=np.zeros((1, 4, 2), dtype=np.int64), r=r,
-                 w=np.ones((1, 4)), dw=np.zeros((1, 4, 2)))
-    K = moment_matrix(st)
-    np.testing.assert_allclose(K, [np.eye(2) / (2 * h * h)], rtol=1e-14)
-    G = gradient_weights(st, K)
-    np.testing.assert_allclose(G[0], r[0] / (2 * h * h), rtol=1e-14)
-    # the center sample enters with minus the summed weights
-    np.testing.assert_allclose(G[0].sum(axis=0), 0.0, atol=1e-15)
 
 
 def test_gradient_weights_scale_like_inverse_cell_size():
@@ -246,8 +254,7 @@ def test_gradient_weights_scale_like_inverse_cell_size():
         n = int(round(1.0 / dx))
         st = build_stencil(np.array([[0.5 + 0.3 * dx, 0.5]]), origin, dx,
                            np.array([n + 1, n + 1]))
-        K = moment_matrix(st)
-        g = gradient_weights(st, K)
+        g = gradient_weights(st, moment_matrix(dx))
         mag = np.abs(g).sum()
         if dx == 1.0 / 16.0:
             coarse = mag

@@ -119,7 +119,7 @@ def test_node_positions_are_mass_averages():
     finalize_grid(grid)
     mwx, mw = np.zeros((grid.n_slots, 2)), np.zeros(grid.n_slots)
     for b in bodies:
-        slots, w = b.cmap.slots, b.cmap.stencil.w
+        slots, w = b.cmap.slots, b.cmap.w
         np.add.at(mw, slots, b.m[:, None] * w)
         np.add.at(mwx, slots, (b.m[:, None] * w)[..., None] * b.x[:, None, :])
     shared = np.intersect1d(light.cmap.slots, heavy.cmap.slots)
