@@ -71,10 +71,17 @@ class MaterialModel:
 
 @dataclass
 class StressState:
-    """Energy density (n,) and first Piola stress (n, d, d)."""
+    """Energy density (n,) and first Piola stress (n, d, d).
+
+    For the corotated kinds it also keeps the factors `hessian_action` reuses
+    at the same gradient: the Lame moduli (mu, lam) and the polar rotation
+    (cos, sin, tr(R^T F)); both are None for the fluid.
+    """
 
     energy: np.ndarray
     P: np.ndarray
+    moduli: tuple | None = None
+    rotation: tuple | None = None
 
 
 # ------------------------------------------------------------ linear algebra
@@ -154,7 +161,7 @@ def _rotation(x1, y1):
 def _corotated(F, mu, lam):
     a, b, c, d = entries(F)
     x1, y1 = a + d, c - b
-    cs, sn, h1 = _rotation(x1, y1)
+    rotation = cs, sn, h1 = _rotation(x1, y1)
     h2 = np.hypot(a - d, b + c)
     s1 = (h1 + h2) * 0.5
     s2 = (h1 - h2) * 0.5
@@ -165,7 +172,7 @@ def _corotated(F, mu, lam):
     k = lam * (J - 1.0)
     P = pack(m2 * (a - cs) + k * d, m2 * (b + sn) - k * c,
              m2 * (c - sn) - k * b, m2 * (d - cs) + k * a)
-    return psi, P
+    return psi, P, rotation
 
 
 def _moduli(model: MaterialModel, J_plastic):
@@ -195,8 +202,8 @@ def energy_and_piola(F: np.ndarray, model: MaterialModel,
         p = k * (1.0 - J ** (-g))
         return StressState(energy=psi, P=pack(p * d, -p * c, -p * b, p * a))
     mu, lam = _moduli(model, J_plastic)
-    psi, P = _corotated(F, mu, lam)
-    return StressState(energy=psi, P=P)
+    psi, P, rotation = _corotated(F, mu, lam)
+    return StressState(energy=psi, P=P, moduli=(mu, lam), rotation=rotation)
 
 
 # the (i, j), i <= j, of a symmetric 4x4 tangent's 10 distinct entries;
@@ -206,10 +213,13 @@ _UPPER = ((0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3)
 
 def hessian_action(F: np.ndarray, B: np.ndarray, model: MaterialModel,
                    J_plastic: np.ndarray | None = None, volume=1.0,
-                   out: np.ndarray | None = None) -> np.ndarray:
+                   out: np.ndarray | None = None,
+                   stress: StressState | None = None) -> np.ndarray:
     """The Hessian of X -> volume psi(X B) at X B = F: per particle the
     symmetric 4x4 map, (4, 4, n), from the entries of dX to those of
-    volume dP(F)[dX B] B^T, written into `out` when given.
+    volume dP(F)[dX B] B^T, written into `out` when given.  `stress`, the
+    result of `energy_and_piola` at the same F and J_plastic, lends its
+    moduli and rotation instead of recomputing them.
 
     In entries dP(F)[dF] = H dF.  Corotated and snow have
     H = 2 mu I - (2 mu / tr) q q^T + lam c c^T + lam (J - 1) K, the fluid
@@ -234,7 +244,7 @@ def hessian_action(F: np.ndarray, B: np.ndarray, model: MaterialModel,
         k_c = model.bulk * gam * J ** (-gam - 1.0) * volume   # p'(J)
         k_cof = model.bulk * (1.0 - J ** (-gam)) * det_b * volume
     else:
-        mu, lam = _moduli(model, J_plastic)
+        mu, lam = _moduli(model, J_plastic) if stress is None else stress.moduli
         k_c = lam * volume
         k_cof = k_c * (a * d - b * c - 1.0) * det_b
     kc = [k_c * x for x in ch]
@@ -243,7 +253,7 @@ def hessian_action(F: np.ndarray, B: np.ndarray, model: MaterialModel,
     out[0, 3] += k_cof
     out[1, 2] -= k_cof
     if model.kind != FLUID:
-        cs, sn, tr = _rotation(a + d, c - b)
+        cs, sn, tr = _rotation(a + d, c - b) if stress is None else stress.rotation
         m2 = 2.0 * mu * volume
         beta = m2 / np.maximum(tr, 1e-10)
         # entries of -Q B^T, Q = [[-sn, -cs], [cs, -sn]]; the sign drops out of q q^T

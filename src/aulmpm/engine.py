@@ -4,9 +4,13 @@
 Every step runs the same phase order regardless of transfer flavor or
 integrator:
 
-    scatter -> grid velocities -> stress and forces -> momentum update
-    -> collision projection -> gather -> deformation update -> plastic
-    projection -> rebind check
+    stress -> scatter -> grid velocities -> momentum update -> collision
+    projection -> gather -> deformation update -> plastic projection
+    -> rebind check
+
+On least-squares bindings the one scatter deposits momentum plus the
+stress impulse dt f.  The kernel transfer scatters the forces in a second
+pass after the grid velocities, which FLIP keeps as the pre-update ones.
 
 Rebinding (when an object's update policy fires) folds the accumulated
 deformation into the stored reference map and rebuilds stencils at the
@@ -162,12 +166,14 @@ class Simulation:
         if released:
             epoch_grid_terms(self.bodies, grid, self.mass_eps)
         grid.zero_fields()
-        for b in self.bodies:
-            p2g(b, grid)
-        finalize_grid(grid)
+        kernel = sol.transfer == KERNEL
         for b in self.bodies:
             stress_pass(b)
-            grid_internal_forces(b, grid)
+            p2g(b, grid, None if kernel else dt)
+        finalize_grid(grid)
+        if kernel:
+            for b in self.bodies:
+                grid_internal_forces(b, grid)
         if sol.integrator == "implicit":
             info = implicit_update(self.bodies, grid, dt, self.gravity)
             self.cg_info = info
@@ -177,6 +183,8 @@ class Simulation:
             self.cg_unconverged += not (info["converged"] or info["fallback"])
         else:
             explicit_update(grid, dt, self.gravity)
+        for b in self.bodies:
+            b._cache.clear()   # the stresses and their factors are used up
         grid_collisions(grid, self.colliders, dt)
 
         rebound = False
@@ -204,7 +212,6 @@ class Simulation:
                     rebind_ms += (time.perf_counter() - t_bind) * 1e3
                     self._require_finite("F_0s", np.isfinite(b.state.F_0s).all())
                     rebound = True
-            b._cache.clear()   # step scratch: stresses and their factors
         if rebound:
             epoch_grid_terms(self.bodies, grid, self.mass_eps)
 

@@ -9,9 +9,14 @@ per epoch, when a body binds or rebinds:
 
 Every step then runs only what the particle state changes:
 
-    p2g (momentum, plus mass-weighted positions where colliders need them)
-    -> grid velocities -> internal forces -> explicit or implicit momentum
-    update -> collision projection -> g2p
+    stress -> p2g (momentum, plus mass-weighted positions where colliders
+    need them) -> grid velocities -> explicit or implicit momentum update
+    -> collision projection -> g2p
+
+On a least-squares binding p2g also deposits the stress impulse dt f, as
+MLS-MPM does, so one scatter per step carries both.  A kernel binding keeps
+two scatters: p2g deposits plain momentum, whose velocities FLIP keeps as
+the pre-update ones, and `grid_internal_forces` scatters f after them.
 
 The grid phases read the active mask instead of re-deriving it.  What is
 fixed for one implicit solve is paid once per solve: the first Hessian
@@ -36,8 +41,9 @@ stores its per-stencil-entry arrays once: w is (n, S), and the gradient
 weights G are an (n, S, 2) view of a (2, n, S) buffer, so G[..., k] is a
 contiguous (n, S) array.  Each phase makes a few elementwise passes over
 them: a per-particle 2x2 matrix A acts on G as A_k0 G_x + A_k1 G_y per
-component (`_action`), which p2g adds to m w v_k with A = (m / c) C and the
-forces scatter with A = -V0 P0 F_0s^T; g2p gathers node velocities into a
+component (`_action`), which p2g adds to m w v_k with A = (m / c) C, less
+dt V0 P0 F_0s^T when it folds the stress, and the kernel path's forces
+scatter with A = -V0 P0 F_0s^T; g2p gathers node velocities into a
 (2, n, S) buffer and contracts it against w and G.  Per-particle 2x2
 matrices are (n, 2, 2) views of component-major (2, 2, n) buffers (see
 `constitutive.pack`).
@@ -61,6 +67,7 @@ from .constitutive import (
     MaterialModel,
     det,
     energy_and_piola,
+    entries,
     hessian_action,
     inverse,
     matmul,
@@ -169,10 +176,13 @@ def epoch_grid_terms(bodies, grid, mass_eps: float) -> None:
 # -------------------------------------------------------------------- p2g
 
 
-def p2g(body: Body, grid) -> None:
+def p2g(body: Body, grid, dt: float | None = None) -> None:
     """Scatter momentum m w v to the grid, and m w x to a grid that tracks
     current positions; the momentum carries the affine term m w C r =
-    (m / c) C G only on a least-squares binding.  The node mass is per epoch
+    (m / c) C G only on a least-squares binding.  With `dt` given, that
+    binding's momentum also takes in the step's impulse dt f from the
+    cached stress (a prior `stress_pass`), so the grid holds m v + dt f and
+    `grid_internal_forces` is not called.  The node mass is per epoch
     (`epoch_grid_terms`).
     """
     cmap = body.cmap
@@ -180,8 +190,12 @@ def p2g(body: Body, grid) -> None:
     (mom, tmp), mw = _workspace(cmap)
     np.multiply(body.m[:, None], cmap.w, out=mw)
     affine = cmap.transfer == LEAST_SQUARES
+    if dt is not None and not affine:
+        raise ValueError("p2g folds the stress impulse only on a least-squares binding")
     if affine:
         A = body.C * (body.m / moment_matrix(grid.dx))[:, None, None]
+        if dt is not None:
+            _fold_stress(body, A, dt)
     for k in range(2):
         if affine:
             _action(A, cmap.G, k, mom, tmp)
@@ -214,7 +228,9 @@ def stress_pass(body: Body) -> None:
 
     Results land in the body cache: P0 (wrt the initial configuration,
     plasticity folded in for snow) plus the factors the implicit tangent is
-    built from.  Any tangent built from an earlier stress state is dropped.
+    built from, among them the stress state, whose moduli and polar rotation
+    the tangent reuses.  Any tangent built from an earlier stress state is
+    dropped.  Reads only the deformation, so it may run before p2g.
     """
     cache = body._cache
     cache.pop("tangent", None)
@@ -232,6 +248,7 @@ def stress_pass(body: Body) -> None:
         ss = energy_and_piola(F_total, body.material)
         cache["P0"] = ss.P
     cache["Fe"] = Fe   # the gradient the material law sees
+    cache["stress"] = ss
 
 
 def _tangent(body: Body) -> np.ndarray:
@@ -249,15 +266,27 @@ def _tangent(body: Body) -> np.ndarray:
         if body._tangent_buf is None:
             body._tangent_buf = np.empty((4, 4, body.n))
         cache["tangent"] = hessian_action(cache["Fe"], B, body.material, cache.get("Jp"),
-                                          body.V0, out=body._tangent_buf)
+                                          body.V0, out=body._tangent_buf,
+                                          stress=cache["stress"])
     return cache["tangent"]
+
+
+def _fold_stress(body: Body, A: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """A -= scale V0 P0 F_0s^T per particle, in place and entry by entry,
+    from the cached stress: the action of -V0 P0 F_0s^T on G_i is the
+    internal force on node i."""
+    P = entries(body._cache["P0"])
+    F = entries(body.state.F_0s)
+    s = scale * body.V0
+    for i in range(2):
+        for j in range(2):
+            A[:, i, j] -= s * (P[2 * i] * F[2 * j] + P[2 * i + 1] * F[2 * j + 1])
+    return A
 
 
 def grid_internal_forces(body: Body, grid) -> None:
     """f_i -= V0 P0 F_0s^T G_i per bound node."""
-    PF = matmul_t(body._cache["P0"], body.state.F_0s)
-    PF *= -body.V0[:, None, None]
-    _scatter_action(body, PF, grid.force)
+    _scatter_action(body, _fold_stress(body, np.zeros_like(body.C)), grid.force)
 
 
 # ----------------------------------------------------------- grid dynamics
@@ -410,8 +439,11 @@ def g2p(body: Body, grid, dt: float, flip_blend: float = 0.0) -> None:
         v0 = np.ascontiguousarray(grid.velocity0.T)
         for k in range(2):
             vn[..., k] -= np.take(v0[k], cmap.slots, out=scratch, mode="clip")
-        delta = _interpolate(w, vn)
-        body.v = (1.0 - flip_blend) * v_pic + flip_blend * (body.v + delta)
+        flip = _interpolate(w, vn)   # the gathered change, then the FLIP velocity
+        flip += body.v
+        flip *= flip_blend
+        flip += (1.0 - flip_blend) * v_pic
+        body.v = flip
     else:
         body.v = v_pic
     body.x = body.x + dt * v_pic

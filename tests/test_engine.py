@@ -1,10 +1,11 @@
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from aulmpm import engine, kinematics, transfers
+from aulmpm import constitutive, engine, kinematics, transfers
 from aulmpm.constitutive import MaterialModel
 from aulmpm.engine import Simulation
 from aulmpm.errors import NumericalError
@@ -179,14 +180,23 @@ def test_every_binding_calls_the_mls_names_once(monkeypatch, transfer):
     assert calls == {"moment_matrix": n, "gradient_weights": n}
 
 
-def test_steady_steps_allocate_no_per_entry_arrays(monkeypatch):
+# the per-entry phases a step runs: least-squares bindings fold the forces
+# into p2g's one scatter, the kernel transfer scatters them apart
+_SCATTERS = {"least_squares": {"p2g", "g2p"},
+             "kernel": {"p2g", "grid_internal_forces", "g2p"}}
+
+
+@pytest.mark.parametrize("transfer", sorted(_SCATTERS))
+def test_steady_steps_allocate_no_per_entry_arrays(monkeypatch, transfer):
     # Between rebinds the transfer phases write their per-entry temporaries
-    # into the binding's workspace: at its peak, each of p2g, the internal
-    # forces and g2p allocates less than one (n, S) float64 array.
+    # into the binding's workspace: at its peak, each of p2g, the kernel
+    # path's internal forces and g2p allocates less than one (n, S) float64
+    # array.
     scene = load_scene({
         "grid": {"origin": [0.0, 0.0], "size": [1.0, 1.0], "cells": [128, 128]},
         "gravity": [0.0, -10.0],
-        "solver": {"dt": 1e-4, "steps": 3, "mode": "total_lagrangian"},
+        "solver": {"dt": 1e-4, "steps": 3, "mode": "total_lagrangian",
+                   "transfer": transfer},
         "objects": [{
             "shape": {"type": "disk", "center": [0.5, 0.5], "radius": 0.25},
             "spacing": 1 / 256, "jitter": 0.3,
@@ -218,13 +228,60 @@ def test_steady_steps_allocate_no_per_entry_arrays(monkeypatch):
     finally:
         tracemalloc.stop()
     entry_bytes = sim.bodies[0].cmap.slots.size * 8
-    assert set(peaks) == {"p2g", "grid_internal_forces", "g2p"}
+    assert set(peaks) == _SCATTERS[transfer]
     for name, peak in peaks.items():
         assert peak < entry_bytes, (name, peak, entry_bytes)
 
     # a finished run holds no workspace
     sim.run()
     assert sim.bodies[0].cmap.work is None
+
+
+@pytest.mark.parametrize("transfer, per_step", [("least_squares", 0), ("kernel", 1)])
+def test_only_the_kernel_transfer_scatters_forces_apart(monkeypatch, transfer, per_step):
+    # a least-squares step deposits dt f through p2g; a kernel step calls
+    # grid_internal_forces once per body
+    scene = _scene(steps=3, transfer=transfer)
+    scene.objects.append(replace(scene.objects[0], shape={
+        "type": "disk", "center": [0.2, 0.3], "radius": 0.06}))
+    sim = Simulation(scene)
+    forced = []
+
+    def counted(body, grid):
+        forced.append(body)
+        return transfers.grid_internal_forces(body, grid)
+
+    monkeypatch.setattr(engine, "grid_internal_forces", counted)
+    for _ in range(3):
+        sim.step()
+    assert [sum(b is f for f in forced) for b in sim.bodies] == [3 * per_step] * 2
+
+
+def test_implicit_steps_compute_each_rotation_once(monkeypatch):
+    # the tangent reuses the polar rotation and the moduli of the stress
+    # pass: per body and implicit step, one tangent build and one call each
+    # of _rotation and _moduli
+    scene = _scene(steps=3, integrator="implicit")
+    snow = MaterialModel.from_youngs("snow", density=400.0, youngs=1e4, poisson=0.2)
+    scene.objects.append(replace(scene.objects[0], material=snow, shape={
+        "type": "disk", "center": [0.2, 0.3], "radius": 0.06}))
+    sim = Simulation(scene)
+    calls = dict.fromkeys(["_rotation", "_moduli", "hessian_action"], 0)
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, call)
+
+    counted(constitutive, "_rotation")
+    counted(constitutive, "_moduli")
+    counted(transfers, "hessian_action")
+    for _ in range(3):
+        sim.step()
+    assert calls == dict.fromkeys(calls, len(sim.bodies) * 3)
 
 
 def test_records_accumulate_monotone_counters():

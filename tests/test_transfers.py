@@ -3,7 +3,8 @@ import pytest
 
 from aulmpm.constitutive import MaterialModel, energy_and_piola
 from aulmpm.grid import HalfSpace, SparseGrid
-from aulmpm.kinematics import KERNEL, LEAST_SQUARES, ConfigurationMap, DeformationState
+from aulmpm.kinematics import (KERNEL, LEAST_SQUARES, ConfigurationMap, DeformationState,
+                               apply_update)
 from aulmpm.transfers import (
     Body,
     epoch_grid_terms,
@@ -198,6 +199,49 @@ def test_forces_are_energy_gradient(kind, transfer):
     dU = (_total_energy(body, h * dF_dir) - _total_energy(body, -h * dF_dir)) / (2 * h)
     work = float(np.sum(f * u))
     assert np.isclose(work, -dU, rtol=1e-6, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["solid", "fluid", "snow"])
+def test_fused_scatter_equals_momentum_plus_impulse(kind):
+    # p2g(body, grid, dt) deposits in one scatter what p2g(body, grid) and
+    # dt * grid_internal_forces deposit in two, at a non-identity F_0s left
+    # by a rebind
+    rng = np.random.default_rng(_SEEDS[kind])
+    grid = _grid()
+    mat = {"solid": SOLID, "fluid": MaterialModel.fluid(density=1000.0, bulk=100.0),
+           "snow": MaterialModel.from_youngs("snow", density=400.0, youngs=1e4,
+                                             poisson=0.2)}[kind]
+    body = _body(_cloud(rng), grid, material=mat, velocity=rng.normal(size=(40, 2)),
+                 F_plastic=kind == "snow")
+    body.C = rng.normal(size=(body.n, 2, 2))
+    body.state.F_sn += 0.1 * rng.normal(size=body.state.F_sn.shape)
+    body.x += 0.01 * rng.normal(size=body.x.shape)
+    body.cmap = apply_update(body.state, body.x, grid, body.cmap)
+    body.state.F_sn += 0.1 * rng.normal(size=body.state.F_sn.shape)
+    if kind == "snow":
+        body.F_plastic += np.einsum("ab,n->nab", np.eye(2), 0.02 * rng.standard_normal(body.n))
+    assert np.abs(body.state.F_0s - np.eye(2)).max() > 0.05
+    epoch_grid_terms([body], grid, mass_epsilon([body]))
+    stress_pass(body)
+    p2g(body, grid)
+    grid_internal_forces(body, grid)
+    # a step at which the impulse is as large as the momentum
+    dt = np.abs(grid.momentum).max() / np.abs(grid.force).max()
+    two_pass = grid.momentum + dt * grid.force
+    scale = (np.abs(grid.momentum) + dt * np.abs(grid.force)).max()
+    grid.zero_fields()
+    p2g(body, grid, dt)
+    assert not grid.force.any()
+    gap = np.abs(grid.momentum - two_pass).max()
+    assert gap <= 1e-14 * scale, gap / scale
+
+
+def test_p2g_folds_no_impulse_on_a_kernel_binding():
+    grid = _grid()
+    body = _body(_cloud(np.random.default_rng(5)), grid, transfer=KERNEL)
+    stress_pass(body)
+    with pytest.raises(ValueError, match="least-squares"):
+        p2g(body, grid, 1e-3)
 
 
 @pytest.mark.parametrize("transfer", [LEAST_SQUARES, KERNEL])
