@@ -7,10 +7,12 @@ binding.  Keeping the binding fixed gives a total-Lagrangian scheme;
 rebinding every step gives the usual Eulerian scheme; rebinding when enough
 particles exceed a volume-change threshold interpolates between the two.
 
-A binding stores each per-stencil-entry array once: the window weights w
-(n, S), the gradient weights G, an (n, S, 2) view of a (2, n, S) buffer so
-that every phase reads G[..., k] as a contiguous (n, S) array, and the
-storage slots of the bound nodes.  `contract` is the one velocity
+A binding stores each per-stencil-entry array once, entry-major: the window
+weights w and the storage slots of the bound nodes are (n, S) views of
+(S, n) buffers, and the gradient weights G an (n, S, 2) view of a (2, S, n)
+buffer.  Their transposes w.T, slots.T and G.T are those C-contiguous
+buffers, so a phase that runs over one stencil entry at a time runs over
+the long particle axis, not over S = 9.  `contract` is the one velocity
 gradient: sum_j v_j (x) G_j over the node velocities of a stencil, the
 affine velocity C of APIC and MLS-MPM.  Deformation gradients are batches
 of 2x2 matrices, multiplied and reduced in closed form by the helpers in
@@ -84,10 +86,12 @@ class ConfigurationMap:
     node offsets r, so the binding does not keep them; where they are
     wanted they are grid.position[slots] - ref_positions[:, None].
 
-    `work` is the workspace the transfer phases write their per-entry
-    temporaries into, allocated on first use (see `transfers`).  Slots are
-    checked against the grid here, at bind time, so the gathers need not
-    check them again; they stay valid because the grid only grows.
+    w, G and slots are the transposes of entry-major buffers (see the
+    module docstring).  `work` is the workspace the transfer phases write
+    their per-entry temporaries into, allocated on first use (see
+    `transfers`).  Slots are checked against the grid here, at bind time,
+    so the gathers need not check them again; they stay valid because the
+    grid only grows.
     """
 
     epoch: int
@@ -96,7 +100,7 @@ class ConfigurationMap:
     G: np.ndarray
     slots: np.ndarray
     transfer: str = LEAST_SQUARES
-    work: tuple[np.ndarray, np.ndarray] | None = None
+    work: np.ndarray | None = None
 
     @classmethod
     def build(cls, positions: np.ndarray, grid, epoch: int = 0,
@@ -107,8 +111,10 @@ class ConfigurationMap:
         st = build_stencil(positions, grid.origin, grid.dx, grid.n_nodes,
                            gradients=transfer == KERNEL)
         G = st.dw if transfer == KERNEL else gradient_weights(st, moment_matrix(grid.dx))
-        n, S = st.w.shape
-        slots = grid.activate(st.coords.reshape(-1, 2)).reshape(n, S)
+        # the node coordinates in entry order, as two contiguous columns:
+        # views of the (2, S, n) buffer, and the slots come back entry-major
+        planes = st.coords.T.reshape(2, -1)
+        slots = grid.activate(planes.T).reshape(st.w.T.shape).T
         if slots.size and (slots.min() < 0 or slots.max() >= grid.n_slots):
             raise IndexError("grid slots out of range")
         return cls(epoch=epoch, ref_positions=positions.copy(), w=st.w, G=G, slots=slots,
@@ -121,13 +127,15 @@ def contract(px: np.ndarray, py: np.ndarray, G: np.ndarray) -> np.ndarray:
 
     With the grid velocities as p this is the velocity gradient wrt the
     reference configuration, the affine velocity C of APIC and MLS-MPM.
-    The result is an (n, 2, 2) view of a (2, 2, n) buffer.
+    The sums run over the entry-major transposes, so on a binding's arrays
+    each reduction runs over the particle axis.  The result is an (n, 2, 2)
+    view of a (2, 2, n) buffer.
     """
-    gx, gy = G[..., 0], G[..., 1]
+    gx, gy = G.T
     out = np.empty((2, 2, px.shape[0]))
-    for k, p in enumerate((px, py)):
-        np.einsum("ns,ns->n", p, gx, out=out[k, 0])
-        np.einsum("ns,ns->n", p, gy, out=out[k, 1])
+    for k, p in enumerate((px.T, py.T)):
+        np.einsum("sn,sn->n", p, gx, out=out[k, 0])
+        np.einsum("sn,sn->n", p, gy, out=out[k, 1])
     return np.moveaxis(out, (0, 1), (-2, -1))
 
 

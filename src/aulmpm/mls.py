@@ -57,24 +57,25 @@ def _windows(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _outer(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out[:, 3 i + j] = a[i] b[j] for per-axis node values a, b (3, n).
+    """out[3 i + j] = a[i] b[j] for per-axis node values a, b (3, n).
 
-    One product per stencil entry, each over the long particle axis.
+    One product per stencil entry, each into a contiguous row over the
+    particle axis.
     """
     for s, (i, j) in enumerate(product(range(_SUPPORT), repeat=2)):
-        np.multiply(a[i], b[j], out=out[:, s])
+        np.multiply(a[i], b[j], out=out[s])
     return out
 
 
 def _spread(per_axis: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Lay per-axis node values (2, 3, n) over the lexicographic stencil.
 
-    out (2, n, S) receives out[0, :, 3 i + j] = per_axis[0, i] and
-    out[1, :, 3 i + j] = per_axis[1, j], one plane at a time.
+    out (2, S, n) receives out[0, 3 i + j] = per_axis[0, i] and
+    out[1, 3 i + j] = per_axis[1, j], one contiguous row at a time.
     """
     for k in range(2):
         for s, ij in enumerate(product(range(_SUPPORT), repeat=2)):
-            out[k, :, s] = per_axis[k, ij[k]]
+            out[k, s] = per_axis[k, ij[k]]
     return out
 
 
@@ -90,10 +91,10 @@ class Stencil:
 
     Nodes are numbered lexicographically, x-major: entry s = 3 i + j is
     node (base_x + i, base_y + j) of the 3 x 3 support, so S = 9.
-    `build_stencil` stores coords, r and dw component-major: each is a view
-    of a (2, n, S) buffer, so coords[..., k], r[..., k] and dw[..., k] are
-    contiguous (n, S) arrays and coords.reshape(-1, 2) has contiguous
-    columns.  w is C-contiguous.
+    `build_stencil` stores every array entry-major, with the particle axis
+    last: w is the transpose of an (S, n) buffer and coords, r and dw of
+    (2, S, n) buffers, so w.T, coords.T, r.T and dw.T are C-contiguous and
+    every pass over one entry runs over the long particle axis.
     """
 
     coords: np.ndarray
@@ -112,7 +113,7 @@ def build_stencil(centers: np.ndarray, origin: np.ndarray, dx: float,
 
     Everything up to the tensor products runs per axis on (2, n) and
     (2, 3, n) arrays, whose long axis is the particle axis; the products
-    then fill the (2, n, S) buffers plane by plane.
+    then fill the entry-major (S, n) and (2, S, n) buffers row by row.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
     origin = np.asarray(origin, dtype=np.float64)
@@ -137,17 +138,17 @@ def build_stencil(centers: np.ndarray, origin: np.ndarray, dx: float,
 
     # tensor products over the lexicographic (x-major) node order
     S = _SUPPORT * _SUPPORT
-    w = _outer(w1[0], w1[1], np.empty((n, S)))
-    r = _spread(r1, np.empty((2, n, S)))
-    coords = _spread(node, np.empty((2, n, S), dtype=np.int64))
+    w = _outer(w1[0], w1[1], np.empty((S, n)))
+    r = _spread(r1, np.empty((2, S, n)))
+    coords = _spread(node, np.empty((2, S, n), dtype=np.int64))
     dw = None
     if gradients:
-        dw = np.empty((2, n, S))
+        dw = np.empty((2, S, n))
         _outer(dw1[0], w1[1], dw[0])
         _outer(w1[0], dw1[1], dw[1])
         dw /= dx
-        dw = np.moveaxis(dw, 0, -1)
-    return Stencil(coords=np.moveaxis(coords, 0, -1), r=np.moveaxis(r, 0, -1), w=w, dw=dw)
+        dw = dw.T
+    return Stencil(coords=coords.T, r=r.T, w=w.T, dw=dw)
 
 
 def moment_matrix(dx: float) -> float:
@@ -161,8 +162,10 @@ def gradient_weights(stencil: Stencil, c: float) -> np.ndarray:
     from `moment_matrix`.
 
     The least-squares gradient of any field is then sum_j (phi_j - phi_c) (x) g_j.
-    Stored component-major like the stencil offsets.
+    Stored entry-major like the stencil offsets: the transpose of a
+    (2, S, n) buffer.
     """
-    G = np.multiply(np.moveaxis(stencil.r, -1, 0), c, out=np.empty((2,) + stencil.w.shape))
-    G *= stencil.w
-    return np.moveaxis(G, 0, -1)
+    r = stencil.r.T
+    G = np.multiply(r, c, out=np.empty(r.shape))
+    G *= stencil.w.T
+    return G.T

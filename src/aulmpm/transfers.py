@@ -33,25 +33,26 @@ least-squares binding G_j = c W_j r_j with c = 4 / dx^2 and p2g scatters
 affine momentum (MLS-MPM / APIC), whose term m W_j C r_j is (m / c) C G_j;
 on a kernel binding G_j = grad W_j, p2g scatters plain momentum and g2p
 blends PIC with FLIP velocities (standard MPM).
-Scatter-adds are bincount-based and run in particle order, then body
-order, which keeps runs bit-reproducible.
+Scatter-adds are bincount-based and run in entry order (stencil entry,
+then particle), then body order, which keeps runs bit-reproducible.
 
 The arithmetic is written out for 2x2 blocks, entry by entry.  The binding
-stores its per-stencil-entry arrays once: w is (n, S), and the gradient
-weights G are an (n, S, 2) view of a (2, n, S) buffer, so G[..., k] is a
-contiguous (n, S) array.  Each phase makes a few elementwise passes over
-them: a per-particle 2x2 matrix A acts on G as A_k0 G_x + A_k1 G_y per
-component (`_action`), which p2g adds to m w v_k with A = (m / c) C, less
+stores its per-stencil-entry arrays once, entry-major (see `kinematics`):
+the phases read w.T and slots.T as C-contiguous (S, n) arrays and G.T as a
+(2, S, n) one, so every elementwise pass broadcasts a per-particle row (n,)
+over (S, n) planes and runs its inner loop over the particle axis.  A
+per-particle 2x2 matrix A acts on G as A_k0 G_x + A_k1 G_y per component
+(`_action`), which p2g adds to w (m v_k) with A = (m / c) C, less
 dt V0 P0 F_0s^T when it folds the stress, and the kernel path's forces
 scatter with A = -V0 P0 F_0s^T; g2p gathers node velocities into a
-(2, n, S) buffer and contracts it against w and G.  Per-particle 2x2
+(2, S, n) buffer and contracts it against w and G.  Per-particle 2x2
 matrices are (n, 2, 2) views of component-major (2, 2, n) buffers (see
 `constitutive.pack`).
 
 The per-entry temporaries go into the binding's workspace, allocated on
-first use and kept for the epoch: a (2, n, S) pair, which the gathers
-fill, and one (n, S) buffer, shared by the phases and written with `out=`.
-A step between rebinds therefore allocates nothing of per-entry size.
+first use and kept for the epoch: one (2, S, n) pair of planes, which the
+gathers fill and the scatters write their values into with `out=`.  A step
+between rebinds therefore allocates nothing of per-entry size.
 Gathers index with mode="clip" because `ConfigurationMap.build` checks
 the slots when it binds.
 """
@@ -113,45 +114,46 @@ def mass_epsilon(bodies) -> float:
     return MASS_EPS_FACTOR * top
 
 
-def _workspace(cmap) -> tuple[np.ndarray, np.ndarray]:
-    """The binding's scratch buffers, allocated on first use: a (2, n, S)
-    pair, which the gathers fill, and one more (n, S) buffer."""
+def _workspace(cmap) -> np.ndarray:
+    """The binding's scratch pair of (S, n) planes, allocated on first use."""
     if cmap.work is None:
-        cmap.work = (np.empty((2,) + cmap.slots.shape), np.empty(cmap.slots.shape))
+        cmap.work = np.empty((2,) + cmap.w.T.shape)
     return cmap.work
 
 
-def _scatter(slots_flat: np.ndarray, values: np.ndarray, out: np.ndarray) -> None:
-    """Accumulate per-stencil-entry values (n, S) into a node array (slots,)."""
-    out += np.bincount(slots_flat, weights=values.ravel(), minlength=out.shape[0])
+def _scatter(slots: np.ndarray, values: np.ndarray, out: np.ndarray) -> None:
+    """Accumulate per-stencil-entry values (S, n), C-contiguous, into a node
+    array (slots,); `slots` is the binding's slots.T raveled, a view."""
+    out += np.bincount(slots, weights=values.ravel(), minlength=out.shape[0])
 
 
 def _gather(field: np.ndarray, cmap) -> np.ndarray:
-    """Node vectors (slots, 2) at the stencil entries, as an (n, S, 2) view
-    of the workspace pair."""
-    out = _workspace(cmap)[0]
-    np.take(np.ascontiguousarray(field.T), cmap.slots, axis=1, out=out, mode="clip")
-    return np.moveaxis(out, 0, -1)
+    """Node vectors (slots, 2) at the stencil entries, into the workspace
+    pair: component k of entry s of particle p lands at [k, s, p]."""
+    out = _workspace(cmap)
+    np.take(np.ascontiguousarray(field.T), cmap.slots.T, axis=1, out=out, mode="clip")
+    return out
 
 
 def _interpolate(w: np.ndarray, vn: np.ndarray) -> np.ndarray:
-    """sum_j w_j v_j per particle, (n, 2), from gathered node vectors (n, S, 2)."""
-    return np.stack([np.einsum("ns,ns->n", w, vn[..., k]) for k in range(2)], axis=1)
+    """sum_j w_j v_j per particle, (n, 2), from gathered node vectors (2, S, n)."""
+    return np.stack([np.einsum("sn,sn->n", w.T, vn[k]) for k in range(2)], axis=1)
 
 
 def _action(A: np.ndarray, G: np.ndarray, k: int, out: np.ndarray,
             tmp: np.ndarray) -> np.ndarray:
     """Component k of A_p G_j per stencil entry, A_k0 G_x + A_k1 G_y, into
-    out (n, S); tmp is an (n, S) scratch buffer."""
-    np.multiply(A[:, k, 0, None], G[..., 0], out=out)
-    out += np.multiply(A[:, k, 1, None], G[..., 1], out=tmp)
+    out (S, n), from the binding's G; tmp is an (S, n) scratch plane."""
+    gx, gy = G.T
+    np.multiply(gx, A[:, k, 0], out=out)
+    out += np.multiply(gy, A[:, k, 1], out=tmp)
     return out
 
 
 def _scatter_action(body: Body, A: np.ndarray, out: np.ndarray) -> None:
     """out[slot_j] += A_p G_j for every stencil entry j of every particle p."""
-    slots = body.cmap.slots.ravel()
-    f, tmp = _workspace(body.cmap)[0]
+    slots = body.cmap.slots.T.ravel()
+    f, tmp = _workspace(body.cmap)
     for k in range(2):
         _scatter(slots, _action(A, body.cmap.G, k, f, tmp), out[:, k])
 
@@ -162,14 +164,14 @@ def _scatter_action(body: Body, A: np.ndarray, out: np.ndarray) -> None:
 def epoch_grid_terms(bodies, grid, mass_eps: float) -> None:
     """Set the node mass grid.mass and the active mask grid.active.
 
-    Scatters every body's m w into the zeroed node mass, in body order.
+    Scatters every body's w m into the zeroed node mass, in body order.
     Call after any body binds or rebinds.
     """
     grid.mass[:] = 0.0
     for body in bodies:
         cmap = body.cmap
-        mw = np.multiply(body.m[:, None], cmap.w, out=_workspace(cmap)[1])
-        _scatter(cmap.slots.ravel(), mw, grid.mass)
+        mw = np.multiply(cmap.w.T, body.m, out=_workspace(cmap)[0])
+        _scatter(cmap.slots.T.ravel(), mw, grid.mass)
     np.greater(grid.mass, mass_eps, out=grid.active)
 
 
@@ -177,18 +179,18 @@ def epoch_grid_terms(bodies, grid, mass_eps: float) -> None:
 
 
 def p2g(body: Body, grid, dt: float | None = None) -> None:
-    """Scatter momentum m w v to the grid, and m w x to a grid that tracks
-    current positions; the momentum carries the affine term m w C r =
-    (m / c) C G only on a least-squares binding.  With `dt` given, that
-    binding's momentum also takes in the step's impulse dt f from the
-    cached stress (a prior `stress_pass`), so the grid holds m v + dt f and
-    `grid_internal_forces` is not called.  The node mass is per epoch
-    (`epoch_grid_terms`).
+    """Scatter momentum w (m v) to the grid, and w (m x) to a grid that
+    tracks current positions, with m v and m x formed per particle; the
+    momentum carries the affine term m w C r = (m / c) C G only on a
+    least-squares binding.  With `dt` given, that binding's momentum also
+    takes in the step's impulse dt f from the cached stress (a prior
+    `stress_pass`), so the grid holds m v + dt f and `grid_internal_forces`
+    is not called.  The node mass is per epoch (`epoch_grid_terms`).
     """
     cmap = body.cmap
-    slots = cmap.slots.ravel()
-    (mom, tmp), mw = _workspace(cmap)
-    np.multiply(body.m[:, None], cmap.w, out=mw)
+    slots = cmap.slots.T.ravel()
+    w = cmap.w.T
+    mom, tmp = _workspace(cmap)
     affine = cmap.transfer == LEAST_SQUARES
     if dt is not None and not affine:
         raise ValueError("p2g folds the stress impulse only on a least-squares binding")
@@ -197,14 +199,15 @@ def p2g(body: Body, grid, dt: float | None = None) -> None:
         if dt is not None:
             _fold_stress(body, A, dt)
     for k in range(2):
+        mv = body.m * body.v[:, k]
         if affine:
             _action(A, cmap.G, k, mom, tmp)
-            mom += np.multiply(mw, body.v[:, k, None], out=tmp)
+            mom += np.multiply(w, mv, out=tmp)
         else:
-            np.multiply(mw, body.v[:, k, None], out=mom)
+            np.multiply(w, mv, out=mom)
         _scatter(slots, mom, grid.momentum[:, k])
         if grid.pos_accum is not None:
-            _scatter(slots, np.multiply(mw, body.x[:, k, None], out=tmp), grid.pos_accum[:, k])
+            _scatter(slots, np.multiply(w, body.m * body.x[:, k], out=tmp), grid.pos_accum[:, k])
 
 
 def finalize_grid(grid) -> None:
@@ -293,12 +296,25 @@ def grid_internal_forces(body: Body, grid) -> None:
 
 
 def explicit_update(grid, dt: float, gravity: np.ndarray) -> None:
-    """Symplectic Euler velocity update on the active nodes."""
-    act = grid.active[:, None]
-    acc = np.divide(grid.force, grid.mass[:, None], out=np.zeros_like(grid.force), where=act)
-    acc += gravity
-    acc *= dt
-    np.add(grid.velocity, acc, out=grid.velocity, where=act)
+    """Symplectic Euler velocity update on the active nodes, v += dt (f / m + g).
+
+    Only the kernel transfer scatters a force into grid.force; a
+    least-squares p2g folds dt f into the momentum and leaves it zero.  With
+    no force set, the update adds dt g alone, which is exact: (0 / m + g) dt
+    is g dt.  Inactive nodes keep zero velocity.
+    """
+    act = grid.active
+    if grid.force.any():
+        acc = np.divide(grid.force, grid.mass[:, None], out=np.zeros_like(grid.force),
+                        where=act[:, None])
+        acc += gravity
+        acc *= dt
+        np.add(grid.velocity, acc, out=grid.velocity, where=act[:, None])
+    else:
+        # column by column and through the mask as a factor: a masked
+        # (slots, 2) add broadcasts over rows of two
+        for k in range(2):
+            grid.velocity[:, k] += (dt * gravity[k]) * act
 
 
 def hessian_apply(bodies, u: np.ndarray, act: np.ndarray | None = None) -> np.ndarray:
@@ -314,12 +330,17 @@ def hessian_apply(bodies, u: np.ndarray, act: np.ndarray | None = None) -> np.nd
         u = np.where(act[:, None], u, 0.0)
     out = np.zeros_like(u)
     for body in bodies:
-        un = _gather(u, body.cmap)   # workspace, free again once contracted
-        dF_sn = contract(un[..., 0], un[..., 1], body.cmap.G)
-        # the tangent product on the (4, n) entry rows of (2, 2, n) buffers
+        ux, uy = _gather(u, body.cmap)   # workspace, free again once contracted
+        dF_sn = contract(ux.T, uy.T, body.cmap.G)
+        # the tangent product on the (4, n) entry rows of (2, 2, n) buffers,
+        # into a buffer the body's cache keeps for the step, as it keeps the
+        # tangent: a CG product then allocates one (4, n) array, not two
         x = np.moveaxis(dF_sn, (1, 2), (0, 1)).reshape(4, -1)
-        dA = np.einsum("ijn,jn->in", _tangent(body), x).reshape(2, 2, -1)
-        _scatter_action(body, np.moveaxis(dA, (0, 1), (1, 2)), out)
+        dA = body._cache.get("product")
+        if dA is None:
+            dA = body._cache["product"] = np.empty((4, body.n))
+        np.einsum("ijn,jn->in", _tangent(body), x, out=dA)
+        _scatter_action(body, np.moveaxis(dA.reshape(2, 2, -1), (0, 1), (1, 2)), out)
     if act is not None:
         out[~act] = 0.0
     return out
@@ -430,16 +451,12 @@ def g2p(body: Body, grid, dt: float, flip_blend: float = 0.0) -> None:
     keeps the pre-update velocities.
     """
     cmap = body.cmap
-    w = cmap.w
-    vn = _gather(grid.velocity, cmap)
-    v_pic = _interpolate(w, vn)
-    body.C = contract(vn[..., 0], vn[..., 1], cmap.G)
+    vx, vy = vn = _gather(grid.velocity, cmap)
+    v_pic = _interpolate(cmap.w, vn)
+    body.C = contract(vx.T, vy.T, cmap.G)
     if cmap.transfer == KERNEL:
-        scratch = _workspace(cmap)[1]
-        v0 = np.ascontiguousarray(grid.velocity0.T)
-        for k in range(2):
-            vn[..., k] -= np.take(v0[k], cmap.slots, out=scratch, mode="clip")
-        flip = _interpolate(w, vn)   # the gathered change, then the FLIP velocity
+        # the gathered change, then the FLIP velocity
+        flip = _interpolate(cmap.w, _gather(grid.velocity - grid.velocity0, cmap))
         flip += body.v
         flip *= flip_blend
         flip += (1.0 - flip_blend) * v_pic

@@ -168,6 +168,11 @@ def test_binding_holds_weights_gradients_and_slots(transfer):
     st = build_stencil(pos, grid.origin, grid.dx, grid.n_nodes, gradients=True)
     assert not hasattr(cmap, "stencil") and not hasattr(cmap, "r")
     assert cmap.w.shape == cmap.slots.shape == (40, 9) and cmap.G.shape == (40, 9, 2)
+    # stored entry-major: the public (n, S) and (n, S, 2) arrays are views
+    # whose transposes, (S, n) and (2, S, n), are C-contiguous, so every
+    # per-entry pass runs over the particle axis
+    for entry_major in (cmap.w.T, cmap.slots.T, np.moveaxis(cmap.G, -1, 0).transpose(0, 2, 1)):
+        assert entry_major.base is not None and entry_major.flags.c_contiguous
     np.testing.assert_array_equal(cmap.w, st.w)
     G = st.dw if transfer == KERNEL else gradient_weights(st, moment_matrix(grid.dx))
     np.testing.assert_array_equal(cmap.G, G)
