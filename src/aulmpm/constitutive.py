@@ -18,6 +18,7 @@ value carries the sign of det F.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -71,17 +72,24 @@ class MaterialModel:
 
 @dataclass
 class StressState:
-    """Energy density (n,) and first Piola stress (n, d, d).
+    """First Piola stress (n, d, d) at the gradients F (n, d, d) of one
+    material, and the energy density (n,) there, evaluated on first read.
 
     For the corotated kinds it also keeps the factors `hessian_action` reuses
     at the same gradient: the Lame moduli (mu, lam) and the polar rotation
-    (cos, sin, tr(R^T F)); both are None for the fluid.
+    (cos, sin, tr(R^T F)); both are None for the fluid.  A time step reads
+    P alone, so it never pays for the energy.
     """
 
-    energy: np.ndarray
     P: np.ndarray
+    F: np.ndarray
+    model: MaterialModel
     moduli: tuple | None = None
     rotation: tuple | None = None
+
+    @cached_property
+    def energy(self) -> np.ndarray:
+        return _energy(self)
 
 
 # ------------------------------------------------------------ linear algebra
@@ -160,19 +168,31 @@ def _rotation(x1, y1):
 
 def _corotated(F, mu, lam):
     a, b, c, d = entries(F)
-    x1, y1 = a + d, c - b
-    rotation = cs, sn, h1 = _rotation(x1, y1)
+    rotation = cs, sn, _ = _rotation(a + d, c - b)
+    # P = 2 mu (F - R) + lam (J - 1) cof(F)
+    m2 = 2.0 * mu
+    k = lam * (a * d - b * c - 1.0)
+    P = pack(m2 * (a - cs) + k * d, m2 * (b + sn) - k * c,
+             m2 * (c - sn) - k * b, m2 * (d - cs) + k * a)
+    return P, rotation
+
+
+def _energy(ss: StressState) -> np.ndarray:
+    """The energy density of a stress state, from its gradients and, for the
+    corotated kinds, its moduli and tr(R^T F) = s1 + s2."""
+    a, b, c, d = entries(ss.F)
+    J = a * d - b * c
+    if ss.model.kind == FLUID:
+        J = np.maximum(J, J_FLOOR)
+        k = ss.model.bulk
+        g = ss.model.gamma
+        return k * (J + J ** (1.0 - g) / (g - 1.0) - g / (g - 1.0))
+    mu, lam = ss.moduli
+    h1 = ss.rotation[2]
     h2 = np.hypot(a - d, b + c)
     s1 = (h1 + h2) * 0.5
     s2 = (h1 - h2) * 0.5
-    J = a * d - b * c
-    psi = mu * ((s1 - 1.0) ** 2 + (s2 - 1.0) ** 2) + 0.5 * lam * (J - 1.0) ** 2
-    # P = 2 mu (F - R) + lam (J - 1) cof(F)
-    m2 = 2.0 * mu
-    k = lam * (J - 1.0)
-    P = pack(m2 * (a - cs) + k * d, m2 * (b + sn) - k * c,
-             m2 * (c - sn) - k * b, m2 * (d - cs) + k * a)
-    return psi, P, rotation
+    return mu * ((s1 - 1.0) ** 2 + (s2 - 1.0) ** 2) + 0.5 * lam * (J - 1.0) ** 2
 
 
 def _moduli(model: MaterialModel, J_plastic):
@@ -187,7 +207,8 @@ def _moduli(model: MaterialModel, J_plastic):
 
 def energy_and_piola(F: np.ndarray, model: MaterialModel,
                      J_plastic: np.ndarray | None = None) -> StressState:
-    """Energy density and first Piola stress for a batch of gradients.
+    """First Piola stress for a batch of gradients, and the energy density
+    on first read of the result's `energy`.
 
     For snow, F is the elastic factor and J_plastic feeds the hardening
     multiplier; for the fluid only det F matters.
@@ -196,14 +217,11 @@ def energy_and_piola(F: np.ndarray, model: MaterialModel,
     if model.kind == FLUID:
         a, b, c, d = entries(F)
         J = np.maximum(a * d - b * c, J_FLOOR)
-        k = model.bulk
-        g = model.gamma
-        psi = k * (J + J ** (1.0 - g) / (g - 1.0) - g / (g - 1.0))
-        p = k * (1.0 - J ** (-g))
-        return StressState(energy=psi, P=pack(p * d, -p * c, -p * b, p * a))
+        p = model.bulk * (1.0 - J ** (-model.gamma))
+        return StressState(P=pack(p * d, -p * c, -p * b, p * a), F=F, model=model)
     mu, lam = _moduli(model, J_plastic)
-    psi, P, rotation = _corotated(F, mu, lam)
-    return StressState(energy=psi, P=P, moduli=(mu, lam), rotation=rotation)
+    P, rotation = _corotated(F, mu, lam)
+    return StressState(P=P, F=F, model=model, moduli=(mu, lam), rotation=rotation)
 
 
 # the (i, j), i <= j, of a symmetric 4x4 tangent's 10 distinct entries;

@@ -159,7 +159,7 @@ class Simulation:
         grid = self.grid
         t0 = time.perf_counter()
 
-        released = [b for b in self.bodies if b.cmap.G is None]  # by the end of a run
+        released = [b for b in self.bodies if b.cmap.stack is None]  # by the end of a run
         for b in released:
             b.cmap = ConfigurationMap.build(b.cmap.ref_positions, grid, b.cmap.epoch,
                                             b.cmap.transfer)
@@ -224,23 +224,32 @@ class Simulation:
         if not finite:
             raise NumericalError(f"non-finite {name} at step {self.steps_done}")
 
-    def _record(self, total_marked: int, rebound: bool, wall_ms: float,
-                rebind_ms: float) -> None:
+    def totals(self) -> dict:
+        """Particle mass, linear momentum, angular momentum about the domain
+        center and kinetic energy, each summed over the particles body by
+        body.  Every sum reduces one contiguous per-particle column, so the
+        momentum components are pairwise sums, not running ones."""
         mass = 0.0
         mom = np.zeros(2)
         ang = 0.0
         kin = 0.0
-        center = self.scene.origin + 0.5 * self.scene.size
+        cx, cy = self.scene.origin + 0.5 * self.scene.size
         for b in self.bodies:
             mass += float(b.m.sum())
-            mv = b.m[:, None] * b.v
-            mom += mv.sum(axis=0)
-            mvx, mvy = mv[:, 0], mv[:, 1]
-            ang += float(((b.x[:, 0] - center[0]) * mvy - (b.x[:, 1] - center[1]) * mvx).sum())
-            kin += 0.5 * float((mvx * b.v[:, 0] + mvy * b.v[:, 1]).sum())
+            vx, vy = b.v.T
+            x, y = b.x.T
+            mvx = b.m * vx
+            mvy = b.m * vy
+            mom += (mvx.sum(), mvy.sum())
+            ang += float(((x - cx) * mvy - (y - cy) * mvx).sum())
+            kin += 0.5 * float((mvx * vx + mvy * vy).sum())
+        return {"mass": mass, "momentum": mom, "angular_momentum": ang,
+                "kinetic_energy": kin}
+
+    def _record(self, total_marked: int, rebound: bool, wall_ms: float,
+                rebind_ms: float) -> None:
         self.records.append(StepRecord(
-            step=self.steps_done, time=self.time, mass=mass, momentum=mom,
-            angular_momentum=ang, kinetic_energy=kin,
+            step=self.steps_done, time=self.time, **self.totals(),
             updates=sum(b.cmap.epoch for b in self.bodies),
             marked_fraction=total_marked / self.n_particles,
             wall_ms=wall_ms, rebound=rebound, rebind_ms=rebind_ms))
@@ -356,7 +365,7 @@ class Simulation:
         # positions alone, and `step` rebuilds them bit for bit if stepping
         # continues.
         for b in self.bodies:
-            b.cmap = replace(b.cmap, w=None, G=None, slots=None, work=None)
+            b.cmap = replace(b.cmap, stack=None, slots=None, work=None)
         info = self.summary()
         info["wall_s"] = wall
         info["frames"] = frame

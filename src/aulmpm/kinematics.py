@@ -7,16 +7,19 @@ binding.  Keeping the binding fixed gives a total-Lagrangian scheme;
 rebinding every step gives the usual Eulerian scheme; rebinding when enough
 particles exceed a volume-change threshold interpolates between the two.
 
-A binding stores each per-stencil-entry array once, entry-major: the window
-weights w and the storage slots of the bound nodes are (n, S) views of
-(S, n) buffers, and the gradient weights G an (n, S, 2) view of a (2, S, n)
-buffer.  Their transposes w.T, slots.T and G.T are those C-contiguous
-buffers, so a phase that runs over one stencil entry at a time runs over
-the long particle axis, not over S = 9.  `contract` is the one velocity
-gradient: sum_j v_j (x) G_j over the node velocities of a stencil, the
-affine velocity C of APIC and MLS-MPM.  Deformation gradients are batches
-of 2x2 matrices, multiplied and reduced in closed form by the helpers in
-`constitutive`.
+A binding stores each per-stencil-entry array once, entry-major, with the
+particle axis last.  Its weights form one C-contiguous (3, S, n) stack
+[G_x, G_y, w]: the gradient weights G, an (n, S, 2) view of stack[:2], and
+the window weights w, an (n, S) view of stack[2].  The storage slots of the
+bound nodes are an (n, S) view of an (S, n) buffer.  So a phase that runs
+over one stencil entry at a time runs over the long particle axis, not over
+S = 9, and one einsum contracts a per-particle row of coefficients against
+all of [G_x, G_y, w] at once.  `contract` is that einsum on the gather side:
+sum_j v_j (x) [G_j, w_j] over the node samples of a stencil, whose G part is
+the velocity gradient, the affine velocity C of APIC and MLS-MPM, and whose
+w part is the interpolated (PIC) velocity.  Deformation gradients are
+batches of 2x2 matrices, multiplied and reduced in closed form by the
+helpers in `constitutive`.
 """
 
 from __future__ import annotations
@@ -86,21 +89,29 @@ class ConfigurationMap:
     node offsets r, so the binding does not keep them; where they are
     wanted they are grid.position[slots] - ref_positions[:, None].
 
-    w, G and slots are the transposes of entry-major buffers (see the
-    module docstring).  `work` is the workspace the transfer phases write
-    their per-entry temporaries into, allocated on first use (see
-    `transfers`).  Slots are checked against the grid here, at bind time,
-    so the gathers need not check them again; they stay valid because the
-    grid only grows.
+    `stack` is the (3, S, n) weight stack [G_x, G_y, w] that `mls` writes
+    in place; w and G are views of it, and slots the transpose of an (S, n)
+    buffer (see the module docstring).  `work` is the workspace the
+    transfer phases write their per-entry temporaries into, allocated on
+    first use (see `transfers`).  Slots are checked against the grid here,
+    at bind time, so the gathers need not check them again; they stay
+    valid because the grid only grows.
     """
 
     epoch: int
     ref_positions: np.ndarray
-    w: np.ndarray
-    G: np.ndarray
+    stack: np.ndarray
     slots: np.ndarray
     transfer: str = LEAST_SQUARES
     work: np.ndarray | None = None
+
+    @property
+    def w(self) -> np.ndarray:
+        return self.stack[2].T
+
+    @property
+    def G(self) -> np.ndarray:
+        return self.stack[:2].T
 
     @classmethod
     def build(cls, positions: np.ndarray, grid, epoch: int = 0,
@@ -110,33 +121,33 @@ class ConfigurationMap:
         positions = np.asarray(positions, dtype=np.float64)
         st = build_stencil(positions, grid.origin, grid.dx, grid.n_nodes,
                            gradients=transfer == KERNEL)
-        G = st.dw if transfer == KERNEL else gradient_weights(st, moment_matrix(grid.dx))
+        if transfer == LEAST_SQUARES:
+            gradient_weights(st, moment_matrix(grid.dx), st.stack[:2])
         # the node coordinates in entry order, as two contiguous columns:
         # views of the (2, S, n) buffer, and the slots come back entry-major
         planes = st.coords.T.reshape(2, -1)
         slots = grid.activate(planes.T).reshape(st.w.T.shape).T
         if slots.size and (slots.min() < 0 or slots.max() >= grid.n_slots):
             raise IndexError("grid slots out of range")
-        return cls(epoch=epoch, ref_positions=positions.copy(), w=st.w, G=G, slots=slots,
+        return cls(epoch=epoch, ref_positions=positions.copy(), stack=st.stack, slots=slots,
                    transfer=transfer)
 
 
-def contract(px: np.ndarray, py: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """sum_j p_j (x) G_j per particle, (n, 2, 2), from the node samples of a
-    vector field split by component, px and py (n, S).
+def contract(samples: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_j p_j (x) q_j per particle, (n, 2, c), from node samples of a
+    vector field, entry-major (2, S, n), and weight rows (c, S, n).
 
-    With the grid velocities as p this is the velocity gradient wrt the
-    reference configuration, the affine velocity C of APIC and MLS-MPM.
-    The sums run over the entry-major transposes, so on a binding's arrays
-    each reduction runs over the particle axis.  The result is an (n, 2, 2)
-    view of a (2, 2, n) buffer.
+    Against a binding's stack [G_x, G_y, w] and the gathered grid velocities
+    this gives, in one einsum, the velocity gradient wrt the reference
+    configuration, the affine velocity C of APIC and MLS-MPM, as [..., :2]
+    and the interpolated velocity as [..., 2]; against stack[:2] it is the
+    gradient alone.  Each sum runs over the stencil entries in order, with
+    the particle axis innermost.  The result is an (n, 2, c) view of a
+    (2, c, n) buffer.
     """
-    gx, gy = G.T
-    out = np.empty((2, 2, px.shape[0]))
-    for k, p in enumerate((px.T, py.T)):
-        np.einsum("sn,sn->n", p, gx, out=out[k, 0])
-        np.einsum("sn,sn->n", p, gy, out=out[k, 1])
-    return np.moveaxis(out, (0, 1), (-2, -1))
+    out = np.empty((2, weights.shape[0], samples.shape[-1]))
+    np.einsum("ksn,csn->kcn", samples, weights, out=out)
+    return np.moveaxis(out, -1, 0)
 
 
 def advance_F_sn(state: DeformationState, grad_v: np.ndarray, dt: float) -> int:

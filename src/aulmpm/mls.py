@@ -10,9 +10,12 @@ r = neighbor - center throughout.
 nodes of a center's support per axis sits on one fixed polynomial piece of
 the spline, so the windows and their slopes come in closed form without
 branching.  The per-axis tables are then multiplied and laid out over the
-S = 9 stencil entries, one entry at a time.  The tests check the stencils
-against an independent formula that evaluates the same spline piecewise in
-|x| (`tests/oracles.py`).
+S = 9 stencil entries, as broadcasts over 3 x 3 views, into one (3, S, n)
+weight stack [g_x, g_y, w]: the windows fill its last row, and its first
+two take the window gradients or, through `gradient_weights`, the
+least-squares ones.  The tests check the stencils against an independent
+formula that evaluates the same spline piecewise in |x|
+(`tests/oracles.py`).
 
 The least-squares gradient of a field phi sampled at the stencil nodes is
 
@@ -28,14 +31,14 @@ every position, so K is the constant (4 / dx^2) I of MLS-MPM (Hu et al.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from .errors import OutOfDomainError
 
-# nodes per axis covered by a window
+# nodes per axis covered by a window, and stencil entries
 _SUPPORT = 3
+_S = _SUPPORT * _SUPPORT
 
 
 def _windows(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -56,14 +59,16 @@ def _windows(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w1, dw1
 
 
-def _outer(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out[3 i + j] = a[i] b[j] for per-axis node values a, b (3, n).
+def _lattice(out: np.ndarray) -> np.ndarray:
+    """An entry-major (..., S, n) buffer, C-contiguous, as its (..., 3, 3, n)
+    view: entry s = 3 i + j sits at [..., i, j, :]."""
+    return out.reshape(out.shape[:-2] + (_SUPPORT, _SUPPORT, out.shape[-1]))
 
-    One product per stencil entry, each into a contiguous row over the
-    particle axis.
-    """
-    for s, (i, j) in enumerate(product(range(_SUPPORT), repeat=2)):
-        np.multiply(a[i], b[j], out=out[s])
+
+def _outer(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[3 i + j] = a[i] b[j] for per-axis node values a, b (3, n), into
+    an (S, n) buffer, as one broadcast product over the particle axis."""
+    np.multiply(a[:, None], b[None], out=_lattice(out))
     return out
 
 
@@ -71,11 +76,11 @@ def _spread(per_axis: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Lay per-axis node values (2, 3, n) over the lexicographic stencil.
 
     out (2, S, n) receives out[0, 3 i + j] = per_axis[0, i] and
-    out[1, 3 i + j] = per_axis[1, j], one contiguous row at a time.
+    out[1, 3 i + j] = per_axis[1, j].
     """
-    for k in range(2):
-        for s, ij in enumerate(product(range(_SUPPORT), repeat=2)):
-            out[k, s] = per_axis[k, ij[k]]
+    lattice = _lattice(out)
+    lattice[0] = per_axis[0][:, None]
+    lattice[1] = per_axis[1][None]
     return out
 
 
@@ -84,23 +89,33 @@ class Stencil:
     """Bound neighborhoods of n centers against one uniform grid.
 
     coords  (n, S, 2) integer lattice coordinates of the nodes
-    r       (n, S, 2) physical offsets node - center
     w       (n, S)    window weights (each row sums to 1)
     dw      (n, S, 2) window gradients wrt the center position, per length,
             or None when they were not asked for
+    stack   (3, S, n) the weight stack w and dw are views of: dw.T is
+            stack[:2], w.T is stack[2]
+    offsets (2, 3, n) node - center along each axis, per node of the support
+    r       (n, S, 2) physical offsets node - center, laid out from
+            `offsets` on each read
 
     Nodes are numbered lexicographically, x-major: entry s = 3 i + j is
     node (base_x + i, base_y + j) of the 3 x 3 support, so S = 9.
     `build_stencil` stores every array entry-major, with the particle axis
-    last: w is the transpose of an (S, n) buffer and coords, r and dw of
-    (2, S, n) buffers, so w.T, coords.T, r.T and dw.T are C-contiguous and
-    every pass over one entry runs over the long particle axis.
+    last: coords is the transpose of a (2, S, n) buffer, and w.T, dw.T and
+    coords.T are C-contiguous, so every pass over one entry runs over the
+    long particle axis.  Without gradients stack[:2] is left unset for the
+    caller to fill (`gradient_weights`), and no phase lays out r.
     """
 
     coords: np.ndarray
-    r: np.ndarray
     w: np.ndarray
     dw: np.ndarray | None
+    stack: np.ndarray
+    offsets: np.ndarray
+
+    @property
+    def r(self) -> np.ndarray:
+        return _spread(self.offsets, np.empty(self.stack[:2].shape)).T
 
 
 def build_stencil(centers: np.ndarray, origin: np.ndarray, dx: float,
@@ -113,7 +128,8 @@ def build_stencil(centers: np.ndarray, origin: np.ndarray, dx: float,
 
     Everything up to the tensor products runs per axis on (2, n) and
     (2, 3, n) arrays, whose long axis is the particle axis; the products
-    then fill the entry-major (S, n) and (2, S, n) buffers row by row.
+    then fill the entry-major (3, S, n) stack and (2, S, n) coordinates in
+    place.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
     origin = np.asarray(origin, dtype=np.float64)
@@ -137,18 +153,17 @@ def build_stencil(centers: np.ndarray, origin: np.ndarray, dx: float,
     r1 = (node - u[:, None, :]) * dx
 
     # tensor products over the lexicographic (x-major) node order
-    S = _SUPPORT * _SUPPORT
-    w = _outer(w1[0], w1[1], np.empty((S, n)))
-    r = _spread(r1, np.empty((2, S, n)))
-    coords = _spread(node, np.empty((2, S, n), dtype=np.int64))
+    stack = np.empty((3, _S, n))
+    _outer(w1[0], w1[1], stack[2])
+    coords = _spread(node, np.empty((2, _S, n), dtype=np.int64))
     dw = None
     if gradients:
-        dw = np.empty((2, S, n))
+        dw = stack[:2]
         _outer(dw1[0], w1[1], dw[0])
         _outer(w1[0], dw1[1], dw[1])
         dw /= dx
         dw = dw.T
-    return Stencil(coords=coords.T, r=r.T, w=w.T, dw=dw)
+    return Stencil(coords=coords.T, w=stack[2].T, dw=dw, stack=stack, offsets=r1)
 
 
 def moment_matrix(dx: float) -> float:
@@ -157,15 +172,21 @@ def moment_matrix(dx: float) -> float:
     return 4.0 / dx**2
 
 
-def gradient_weights(stencil: Stencil, c: float) -> np.ndarray:
+def gradient_weights(stencil: Stencil, c: float, out: np.ndarray | None = None) -> np.ndarray:
     """Per-node gradient vectors g_j = c W_j r_j, shape (n, S, 2), with c
     from `moment_matrix`.
 
     The least-squares gradient of any field is then sum_j (phi_j - phi_c) (x) g_j.
-    Stored entry-major like the stencil offsets: the transpose of a
-    (2, S, n) buffer.
+    Written entry-major into `out`, a C-contiguous (2, S, n) buffer (a
+    binding passes its stack's rows [:2]; a fresh one by default), and
+    returned as its transpose.  The per-axis offsets are scaled once and
+    never laid out over the stencil.
     """
-    r = stencil.r.T
-    G = np.multiply(r, c, out=np.empty(r.shape))
-    G *= stencil.w.T
-    return G.T
+    rc = stencil.offsets * c
+    w = _lattice(stencil.w.T)
+    if out is None:
+        out = np.empty((2,) + stencil.w.T.shape)
+    lattice = _lattice(out)
+    np.multiply(rc[0][:, None], w, out=lattice[0])
+    np.multiply(rc[1][None], w, out=lattice[1])
+    return out.T

@@ -24,30 +24,34 @@ product after a stress pass builds each particle's tangent, a symmetric 4x4
 map from dF_sn to V0 dP0 F_0s^T, and every CG product is then a gather, a
 contraction, one 4x4 product per particle and a scatter.
 
-Every phase contracts against the binding's one gradient-weight array G, so
-the scatter, the internal force, its Hessian and the measured velocity
-gradient share one set of coefficients.  The velocity gradient g2p measures
-and its differential in the Hessian are one formula, `kinematics.contract`:
-C = sum_j v_j (x) G_j over the gathered node velocities.  On a
-least-squares binding G_j = c W_j r_j with c = 4 / dx^2 and p2g scatters
-affine momentum (MLS-MPM / APIC), whose term m W_j C r_j is (m / c) C G_j;
-on a kernel binding G_j = grad W_j, p2g scatters plain momentum and g2p
-blends PIC with FLIP velocities (standard MPM).
+Every phase contracts against the binding's one weight stack
+[G_x, G_y, w] (see `kinematics`), so the scatter, the internal force, its
+Hessian and the measured velocity gradient share one set of coefficients.
+On a least-squares binding G_j = c W_j r_j with c = 4 / dx^2 and p2g
+scatters affine momentum (MLS-MPM / APIC), whose term m W_j C r_j is
+(m / c) C G_j; on a kernel binding G_j = grad W_j, p2g scatters plain
+momentum and g2p blends PIC with FLIP velocities (standard MPM).
 Scatter-adds are bincount-based and run in entry order (stencil entry,
 then particle), then body order, which keeps runs bit-reproducible.
 
-The arithmetic is written out for 2x2 blocks, entry by entry.  The binding
-stores its per-stencil-entry arrays once, entry-major (see `kinematics`):
-the phases read w.T and slots.T as C-contiguous (S, n) arrays and G.T as a
-(2, S, n) one, so every elementwise pass broadcasts a per-particle row (n,)
-over (S, n) planes and runs its inner loop over the particle axis.  A
-per-particle 2x2 matrix A acts on G as A_k0 G_x + A_k1 G_y per component
-(`_action`), which p2g adds to w (m v_k) with A = (m / c) C, less
-dt V0 P0 F_0s^T when it folds the stress, and the kernel path's forces
-scatter with A = -V0 P0 F_0s^T; g2p gathers node velocities into a
-(2, S, n) buffer and contracts it against w and G.  Per-particle 2x2
-matrices are (n, 2, 2) views of component-major (2, 2, n) buffers (see
-`constitutive.pack`).
+The arithmetic is written out for 2x2 blocks, entry by entry, and every
+per-entry pass is one einsum over the stack, with the particle axis
+innermost:
+
+    p2g, per component k:  einsum("csn,cn->sn", stack, [A_k0, A_k1, m v_k])
+        with A = (m / c) C, less dt V0 P0 F_0s^T when it folds the stress;
+        einsum sums over c in order, so each entry is
+        (A_k0 G_x + A_k1 G_y) + w m v_k
+    forces and Hessian:    the same over stack[:2] and [A_k0, A_k1]
+        (`_scatter_action`), A = -V0 P0 F_0s^T or the tangent's product
+    g2p:                   einsum("ksn,csn->kcn", gathered, stack)
+        (`kinematics.contract`), whose [:, :2] is C and [:, 2] the PIC
+        velocity; the Hessian's dF_sn is the same over stack[:2]
+
+The node mass, the kernel path's momentum w (m v), the positions w (m x)
+and FLIP's gathered velocity change read the stack's last row alone.
+Per-particle 2x2 matrices are (n, 2, 2) views of component-major
+(2, 2, n) buffers (see `constitutive.pack`).
 
 The per-entry temporaries go into the binding's workspace, allocated on
 first use and kept for the epoch: one (2, S, n) pair of planes, which the
@@ -117,7 +121,7 @@ def mass_epsilon(bodies) -> float:
 def _workspace(cmap) -> np.ndarray:
     """The binding's scratch pair of (S, n) planes, allocated on first use."""
     if cmap.work is None:
-        cmap.work = np.empty((2,) + cmap.w.T.shape)
+        cmap.work = np.empty((2,) + cmap.stack.shape[1:])
     return cmap.work
 
 
@@ -135,27 +139,15 @@ def _gather(field: np.ndarray, cmap) -> np.ndarray:
     return out
 
 
-def _interpolate(w: np.ndarray, vn: np.ndarray) -> np.ndarray:
-    """sum_j w_j v_j per particle, (n, 2), from gathered node vectors (2, S, n)."""
-    return np.stack([np.einsum("sn,sn->n", w.T, vn[k]) for k in range(2)], axis=1)
-
-
-def _action(A: np.ndarray, G: np.ndarray, k: int, out: np.ndarray,
-            tmp: np.ndarray) -> np.ndarray:
-    """Component k of A_p G_j per stencil entry, A_k0 G_x + A_k1 G_y, into
-    out (S, n), from the binding's G; tmp is an (S, n) scratch plane."""
-    gx, gy = G.T
-    np.multiply(gx, A[:, k, 0], out=out)
-    out += np.multiply(gy, A[:, k, 1], out=tmp)
-    return out
-
-
 def _scatter_action(body: Body, A: np.ndarray, out: np.ndarray) -> None:
-    """out[slot_j] += A_p G_j for every stencil entry j of every particle p."""
-    slots = body.cmap.slots.T.ravel()
-    f, tmp = _workspace(body.cmap)
+    """out[slot_j] += A_p G_j for every stencil entry j of every particle p,
+    with A given by rows, (2, 2, n): A[k] = [A_k0, A_k1]."""
+    cmap = body.cmap
+    slots = cmap.slots.T.ravel()
+    plane = _workspace(cmap)[0]
     for k in range(2):
-        _scatter(slots, _action(A, body.cmap.G, k, f, tmp), out[:, k])
+        np.einsum("csn,cn->sn", cmap.stack[:2], A[k], out=plane)
+        _scatter(slots, plane, out[:, k])
 
 
 # ------------------------------------------------------------ per epoch
@@ -170,7 +162,7 @@ def epoch_grid_terms(bodies, grid, mass_eps: float) -> None:
     grid.mass[:] = 0.0
     for body in bodies:
         cmap = body.cmap
-        mw = np.multiply(cmap.w.T, body.m, out=_workspace(cmap)[0])
+        mw = np.multiply(cmap.stack[2], body.m, out=_workspace(cmap)[0])
         _scatter(cmap.slots.T.ravel(), mw, grid.mass)
     np.greater(grid.mass, mass_eps, out=grid.active)
 
@@ -189,22 +181,24 @@ def p2g(body: Body, grid, dt: float | None = None) -> None:
     """
     cmap = body.cmap
     slots = cmap.slots.T.ravel()
-    w = cmap.w.T
+    w = cmap.stack[2]
     mom, tmp = _workspace(cmap)
     affine = cmap.transfer == LEAST_SQUARES
     if dt is not None and not affine:
         raise ValueError("p2g folds the stress impulse only on a least-squares binding")
     if affine:
-        A = body.C * (body.m / moment_matrix(grid.dx))[:, None, None]
-        if dt is not None:
-            _fold_stress(body, A, dt)
+        m_c = body.m / moment_matrix(grid.dx)
+        coef = np.empty((3, body.n))   # [A_k0, A_k1, m v_k], one component at a time
     for k in range(2):
-        mv = body.m * body.v[:, k]
         if affine:
-            _action(A, cmap.G, k, mom, tmp)
-            mom += np.multiply(w, mv, out=tmp)
+            for j in range(2):
+                np.multiply(body.C[:, k, j], m_c, out=coef[j])
+            if dt is not None:
+                _fold_stress(body, k, coef, dt)
+            np.multiply(body.m, body.v[:, k], out=coef[2])
+            np.einsum("csn,cn->sn", cmap.stack, coef, out=mom)
         else:
-            np.multiply(w, mv, out=mom)
+            np.multiply(w, body.m * body.v[:, k], out=mom)
         _scatter(slots, mom, grid.momentum[:, k])
         if grid.pos_accum is not None:
             _scatter(slots, np.multiply(w, body.m * body.x[:, k], out=tmp), grid.pos_accum[:, k])
@@ -218,7 +212,10 @@ def finalize_grid(grid) -> None:
     for scattered, out in ((grid.momentum, grid.velocity), (grid.pos_accum, grid.current)):
         if out is not None:
             out[:] = 0.0
-            np.divide(scattered, grid.mass[:, None], out=out, where=grid.active[:, None])
+            # column by column: a masked (slots, 2) divide broadcasts over
+            # rows of two
+            for k in range(2):
+                np.divide(scattered[:, k], grid.mass, out=out[:, k], where=grid.active)
     if grid.velocity0 is not None:
         grid.velocity0[:] = grid.velocity
 
@@ -274,22 +271,27 @@ def _tangent(body: Body) -> np.ndarray:
     return cache["tangent"]
 
 
-def _fold_stress(body: Body, A: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """A -= scale V0 P0 F_0s^T per particle, in place and entry by entry,
-    from the cached stress: the action of -V0 P0 F_0s^T on G_i is the
-    internal force on node i."""
+def _fold_stress(body: Body, k: int, A: np.ndarray, scale: float = 1.0) -> None:
+    """Subtract row k of scale V0 P0 F_0s^T per particle, from the cached
+    stress, in place from the rows A (2, n) = [A_k0, A_k1]: the action of
+    -V0 P0 F_0s^T on G_i is the internal force on node i."""
     P = entries(body._cache["P0"])
     F = entries(body.state.F_0s)
     s = scale * body.V0
-    for i in range(2):
-        for j in range(2):
-            A[:, i, j] -= s * (P[2 * i] * F[2 * j] + P[2 * i + 1] * F[2 * j + 1])
-    return A
+    for j in range(2):
+        # in place, so that p2g's (3, n) block and two (n,) rows suffice
+        t = np.multiply(P[2 * k], F[2 * j])
+        t += P[2 * k + 1] * F[2 * j + 1]
+        t *= s
+        A[j] -= t
 
 
 def grid_internal_forces(body: Body, grid) -> None:
     """f_i -= V0 P0 F_0s^T G_i per bound node."""
-    _scatter_action(body, _fold_stress(body, np.zeros_like(body.C)), grid.force)
+    A = np.zeros((2, 2, body.n))
+    for k in range(2):
+        _fold_stress(body, k, A[k])
+    _scatter_action(body, A, grid.force)
 
 
 # ----------------------------------------------------------- grid dynamics
@@ -330,17 +332,17 @@ def hessian_apply(bodies, u: np.ndarray, act: np.ndarray | None = None) -> np.nd
         u = np.where(act[:, None], u, 0.0)
     out = np.zeros_like(u)
     for body in bodies:
-        ux, uy = _gather(u, body.cmap)   # workspace, free again once contracted
-        dF_sn = contract(ux.T, uy.T, body.cmap.G)
+        # the gather fills the workspace, free again once contracted
+        dF_sn = contract(_gather(u, body.cmap), body.cmap.stack[:2])
         # the tangent product on the (4, n) entry rows of (2, 2, n) buffers,
         # into a buffer the body's cache keeps for the step, as it keeps the
         # tangent: a CG product then allocates one (4, n) array, not two
-        x = np.moveaxis(dF_sn, (1, 2), (0, 1)).reshape(4, -1)
+        x = np.moveaxis(dF_sn, 0, -1).reshape(4, -1)
         dA = body._cache.get("product")
         if dA is None:
             dA = body._cache["product"] = np.empty((4, body.n))
         np.einsum("ijn,jn->in", _tangent(body), x, out=dA)
-        _scatter_action(body, np.moveaxis(dA.reshape(2, 2, -1), (0, 1), (1, 2)), out)
+        _scatter_action(body, dA.reshape(2, 2, -1), out)
     if act is not None:
         out[~act] = 0.0
     return out
@@ -451,12 +453,13 @@ def g2p(body: Body, grid, dt: float, flip_blend: float = 0.0) -> None:
     keeps the pre-update velocities.
     """
     cmap = body.cmap
-    vx, vy = vn = _gather(grid.velocity, cmap)
-    v_pic = _interpolate(cmap.w, vn)
-    body.C = contract(vx.T, vy.T, cmap.G)
+    gathered = contract(_gather(grid.velocity, cmap), cmap.stack)
+    body.C = gathered[..., :2]
+    v_pic = gathered[..., 2]
     if cmap.transfer == KERNEL:
         # the gathered change, then the FLIP velocity
-        flip = _interpolate(cmap.w, _gather(grid.velocity - grid.velocity0, cmap))
+        change = _gather(grid.velocity - grid.velocity0, cmap)
+        flip = np.einsum("ksn,sn->nk", change, cmap.stack[2])
         flip += body.v
         flip *= flip_blend
         flip += (1.0 - flip_blend) * v_pic

@@ -285,7 +285,7 @@ def check_mls_consistency():
     b = rng.normal(size=2)
     nodes = grid.position[cmap.slots]
     vn = nodes @ A.T + b
-    grad = contract(vn[..., 0], vn[..., 1], cmap.G)
+    grad = contract(vn.T, cmap.G.T)
     grad_gap = float(np.abs(grad - A).max())
     r = nodes - x[:, None, :]
     second_moment = np.einsum("ns,nsa,nsb->nab", cmap.w, r, r)
@@ -369,7 +369,7 @@ def check_conservation():
     sim = Simulation(scene)
     for b in sim.bodies:
         b.material = dataclasses.replace(b.material, mu=0.0, lam=0.0)
-    p_init = sum((b.m[:, None] * b.v).sum(axis=0) for b in sim.bodies)
+    p_init = sim.totals()["momentum"]
     scale = float(np.linalg.norm(p_init))
     sim.run()
     mom = np.array([r.momentum for r in sim.records])
@@ -416,7 +416,7 @@ def check_rigid_silence():
     # translation: a uniform grid velocity leaves only roundoff in the
     # gathered gradient, so F stays at identity
     vn = np.broadcast_to([0.37, -0.58], body.cmap.w.shape + (2,))
-    grad = contract(vn[..., 0], vn[..., 1], body.cmap.G)
+    grad = contract(vn.T, body.cmap.G.T)
     state = body.state
     state.F_sn = eye.copy()
     advance_F_sn(state, grad, 1e-3)
@@ -528,7 +528,7 @@ def check_transfer_identity():
     vn = rng.normal(size=(sim.grid.n_slots, 2))[slots]
     v_p = np.einsum("ns,nsa->na", w, vn)
     centered = np.einsum("nsa,nsb->nab", vn - v_p[:, None, :], G)
-    library = contract(vn[..., 0], vn[..., 1], G)
+    library = contract(vn.T, G.T)
     uncentered = moment_matrix(sim.grid.dx) * np.einsum("ns,nsa,nsb->nab", w, vn, r)
     gap = max(float(np.abs(centered - library).max()),
               float(np.abs(centered - uncentered).max()))

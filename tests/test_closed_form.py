@@ -48,14 +48,14 @@ from oracles import (_ref_cofactor, _ref_moment_matrix, _ref_rot, _ref_signed_sv
 RTOL = 1e-12
 
 
-def _assert_close(new, ref):
-    """max |new - ref| <= RTOL max |ref|, entry by entry over the batch."""
+def _assert_close(new, ref, rtol=RTOL):
+    """max |new - ref| <= rtol max |ref|, entry by entry over the batch."""
     new = np.asarray(new)
     ref = np.asarray(ref)
     assert new.shape == ref.shape
     scale = np.abs(ref).max()
     err = np.abs(new - ref).max()
-    assert err <= RTOL * scale, f"relative gap {err / scale:.3e} > {RTOL:.0e}"
+    assert err <= rtol * scale, f"relative gap {err / scale:.3e} > {rtol:.0e}"
 
 
 # ------------------------------------------------------------ references
@@ -274,6 +274,34 @@ def test_g2p_matches_reference(transfer):
     _assert_close(body.C, C)
     _assert_close(body.v, v)
     _assert_close(body.x, x0 + 0.01 * v_pic)
+
+
+def test_weight_stack_transfers_match_an_einsum_over_w_and_G():
+    # p2g's one contraction per component over the stack [G_x, G_y, w],
+    # with C and the stress impulse folded in, and g2p's one contraction
+    # giving C and the PIC velocity, against separate einsums over the
+    # public (n, S) views; both sides scatter in entry order, so they part
+    # only by the rounding of the per-entry products
+    body, grid, rng = _body("solid", LEAST_SQUARES)
+    G, w, slots = body.cmap.G, body.cmap.w, body.cmap.slots
+    dt = 2e-3
+    epoch_grid_terms([body], grid, mass_epsilon([body]))
+    stress_pass(body)
+    p2g(body, grid, dt)
+    PF = np.einsum("nab,ncb->nac", body._cache["P0"], body.state.F_0s)
+    A = (body.m / moment_matrix(grid.dx))[:, None, None] * body.C \
+        - (dt * body.V0)[:, None, None] * PF
+    entry = np.einsum("nab,nsb->nsa", A, G) + (body.m[:, None] * w)[..., None] * body.v[:, None]
+    momentum = np.stack([np.bincount(slots.T.ravel(), entry[..., k].T.ravel(), grid.n_slots)
+                         for k in range(2)], -1)
+    assert np.abs(body.C).max() > 0.1 and np.abs(PF).max() > 0.1
+    _assert_close(grid.momentum, momentum, rtol=1e-15)
+
+    grid.velocity[:] = rng.normal(size=grid.velocity.shape)
+    g2p(body, grid, dt=0.0)
+    vn = grid.velocity[slots]
+    _assert_close(body.C, np.einsum("nsa,nsb->nab", vn, G), rtol=1e-15)
+    _assert_close(body.v, np.einsum("ns,nsa->na", w, vn), rtol=1e-15)
 
 
 # ------------------------------------------------------- per-particle

@@ -94,7 +94,7 @@ def test_stepping_on_after_run_is_bitwise_unchanged(mode):
     # reference positions, so continuing equals stepping straight through
     a = Simulation(_spin_scene(steps=6, mode=mode))
     a.run()
-    assert a.bodies[0].cmap.G is None
+    assert a.bodies[0].cmap.stack is None
     a.step()
     b = Simulation(_spin_scene(steps=6, mode=mode))
     for _ in range(7):
@@ -312,6 +312,48 @@ def test_implicit_steps_compute_each_rotation_once(monkeypatch):
     for _ in range(3):
         sim.step()
     assert calls == dict.fromkeys(calls, len(sim.bodies) * 3)
+
+
+def test_steps_never_evaluate_the_energy(monkeypatch):
+    # a step reads the stress alone; the energy density is computed only
+    # when a caller reads it, once per stress state
+    scene = _scene(steps=3, integrator="implicit")
+    for kind, center in (("snow", [0.2, 0.3]), ("weakly_compressible_fluid", [0.8, 0.3])):
+        material = (MaterialModel.fluid(density=1000.0, bulk=100.0) if kind != "snow" else
+                    MaterialModel.from_youngs(kind, density=400.0, youngs=1e4, poisson=0.2))
+        scene.objects.append(replace(scene.objects[0], material=material, shape={
+            "type": "disk", "center": center, "radius": 0.06}))
+    sim = Simulation(scene)
+    calls = []
+    inner = constitutive._energy
+    monkeypatch.setattr(constitutive, "_energy", lambda ss: calls.append(ss) or inner(ss))
+    for _ in range(3):
+        sim.step()
+    assert calls == []
+    ss = constitutive.energy_and_piola(compose_total(sim.bodies[0].state), scene.objects[0].material)
+    np.testing.assert_array_equal(ss.energy, ss.energy)
+    assert len(calls) == 1
+
+
+def test_records_match_an_einsum_oracle():
+    # the record's momentum, angular momentum about the domain center and
+    # kinetic energy, against einsums over the (n, 2) particle arrays
+    scene = _spin_scene(steps=4)
+    scene.objects.append(replace(scene.objects[0], shape={
+        "type": "disk", "center": [0.2, 0.3], "radius": 0.06}, velocity=[0.4, 0.1]))
+    sim = Simulation(scene)
+    for _ in range(4):
+        sim.step()
+    center = scene.origin + 0.5 * scene.size
+    spin = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    mom = sum(np.einsum("n,nk->k", b.m, b.v) for b in sim.bodies)
+    ang = sum(np.einsum("n,na,ab,nb->", b.m, b.x - center, spin, b.v) for b in sim.bodies)
+    kin = sum(0.5 * np.einsum("n,nk,nk->", b.m, b.v, b.v) for b in sim.bodies)
+    rec = sim.records[-1]
+    np.testing.assert_allclose(rec.momentum, mom, rtol=1e-13)
+    np.testing.assert_allclose(rec.angular_momentum, ang, rtol=1e-13)
+    np.testing.assert_allclose(rec.kinetic_energy, kin, rtol=1e-13)
+    np.testing.assert_array_equal(rec.momentum, sim.totals()["momentum"])
 
 
 def test_records_accumulate_monotone_counters():

@@ -133,7 +133,7 @@ def test_velocity_gradient_recovers_affine_grid_fields():
     B = np.array([[0.4, -1.1], [0.9, 0.2]])
     c = np.array([0.3, -0.2])
     v_nodes = grid.position[cmap.slots] @ B.T + c
-    grad = contract(v_nodes[..., 0], v_nodes[..., 1], cmap.G)
+    grad = contract(v_nodes.T, cmap.G.T)
     np.testing.assert_allclose(grad, np.broadcast_to(B, grad.shape), atol=AFFINE_ATOL)
 
 
@@ -149,7 +149,7 @@ def test_binding_carries_the_gradient_weights_of_its_transfer():
     # spline gradients reproduce affine velocity fields too
     B = np.array([[0.4, -1.1], [0.9, 0.2]])
     v_nodes = grid.position[kernel.slots] @ B.T + [0.3, -0.2]
-    grad = contract(v_nodes[..., 0], v_nodes[..., 1], kernel.G)
+    grad = contract(v_nodes.T, kernel.G.T)
     np.testing.assert_allclose(grad, np.broadcast_to(B, grad.shape), atol=AFFINE_ATOL)
     rebound = apply_update(DeformationState.identity(25), pos + 0.05, grid, kernel)
     assert rebound.transfer == KERNEL
@@ -168,11 +168,15 @@ def test_binding_holds_weights_gradients_and_slots(transfer):
     st = build_stencil(pos, grid.origin, grid.dx, grid.n_nodes, gradients=True)
     assert not hasattr(cmap, "stencil") and not hasattr(cmap, "r")
     assert cmap.w.shape == cmap.slots.shape == (40, 9) and cmap.G.shape == (40, 9, 2)
-    # stored entry-major: the public (n, S) and (n, S, 2) arrays are views
-    # whose transposes, (S, n) and (2, S, n), are C-contiguous, so every
-    # per-entry pass runs over the particle axis
-    for entry_major in (cmap.w.T, cmap.slots.T, np.moveaxis(cmap.G, -1, 0).transpose(0, 2, 1)):
-        assert entry_major.base is not None and entry_major.flags.c_contiguous
+    # stored entry-major: w and G are views of one C-contiguous (3, S, n)
+    # stack [G_x, G_y, w], and slots of an (S, n) buffer, so every per-entry
+    # pass runs over the particle axis
+    stack = cmap.stack
+    assert stack.shape == (3, 9, 40) and stack.flags.c_contiguous
+    for public, row in ((cmap.G.T, stack[:2]), (cmap.w.T, stack[2])):
+        assert (public.shape, public.strides) == (row.shape, row.strides)
+        assert public.ctypes.data == row.ctypes.data
+    assert cmap.slots.T.base is not None and cmap.slots.T.flags.c_contiguous
     np.testing.assert_array_equal(cmap.w, st.w)
     G = st.dw if transfer == KERNEL else gradient_weights(st, moment_matrix(grid.dx))
     np.testing.assert_array_equal(cmap.G, G)

@@ -243,7 +243,7 @@ def test_mls_gradient_reproduces_affine_fields_exactly():
     B = np.array([[0.3, -1.2], [0.7, 2.1]])
     c = np.array([0.1, -0.4])
     dv = (nodes @ B.T + c) - (centers @ B.T + c)[:, None]
-    grad = contract(dv[..., 0], dv[..., 1], G)
+    grad = contract(dv.T, G.T)
     np.testing.assert_allclose(grad, np.broadcast_to(B, grad.shape), atol=AFFINE_ATOL)
 
 
