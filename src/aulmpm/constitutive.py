@@ -72,7 +72,7 @@ class MaterialModel:
 
 @dataclass
 class StressState:
-    """First Piola stress (n, d, d) at the gradients F (n, d, d) of one
+    """First Piola stress (n, 2, 2) at the gradients F (n, 2, 2) of one
     material, and the energy density (n,) there, evaluated on first read.
 
     For the corotated kinds it also keeps the factors `hessian_action` reuses
@@ -131,13 +131,6 @@ def matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     a, b, c, d = entries(A)
     e, f, g, h = entries(B)
     return pack(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-
-
-def matmul_t(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A B^T per matrix of the batch."""
-    a, b, c, d = entries(A)
-    e, f, g, h = entries(B)
-    return pack(a * e + b * f, a * g + b * h, c * e + d * f, c * g + d * h)
 
 
 def _svd_angles(F: np.ndarray):
@@ -229,15 +222,13 @@ def energy_and_piola(F: np.ndarray, model: MaterialModel,
 _UPPER = ((0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))
 
 
-def hessian_action(F: np.ndarray, B: np.ndarray, model: MaterialModel,
-                   J_plastic: np.ndarray | None = None, volume=1.0,
-                   out: np.ndarray | None = None,
-                   stress: StressState | None = None) -> np.ndarray:
-    """The Hessian of X -> volume psi(X B) at X B = F: per particle the
-    symmetric 4x4 map, (4, 4, n), from the entries of dX to those of
-    volume dP(F)[dX B] B^T, written into `out` when given.  `stress`, the
-    result of `energy_and_piola` at the same F and J_plastic, lends its
-    moduli and rotation instead of recomputing them.
+def hessian_action(stress: StressState, B: np.ndarray, volume=1.0,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """The Hessian of X -> volume psi(X B) at X B = F, the gradient of
+    `stress` (a result of `energy_and_piola`): per particle the symmetric
+    4x4 map, (4, 4, n), from the entries of dX to those of
+    volume dP(F)[dX B] B^T, written into `out` when given.  The material,
+    the moduli and the polar rotation are those of `stress`.
 
     In entries dP(F)[dF] = H dF.  Corotated and snow have
     H = 2 mu I - (2 mu / tr) q q^T + lam c c^T + lam (J - 1) K, the fluid
@@ -246,9 +237,10 @@ def hessian_action(F: np.ndarray, B: np.ndarray, model: MaterialModel,
     cof(F), and K the cofactor map (e, f, g, h) -> (h, -g, -f, e).  Pulled
     back through dX -> dX B, I becomes I (x) B B^T, q and c become the
     entries of Q B^T and cof(F) B^T, and K becomes det(B) K.  For snow, F
-    is the elastic factor and J_plastic feeds the hardening multiplier.
+    is the elastic factor and the moduli are the hardened ones.
     """
-    a, b, c, d = entries(np.asarray(F, dtype=np.float64))
+    model = stress.model
+    a, b, c, d = entries(stress.F)
     p, q, r, s = entries(np.asarray(B, dtype=np.float64))
     if out is None:
         out = np.empty((4, 4) + a.shape)
@@ -262,7 +254,7 @@ def hessian_action(F: np.ndarray, B: np.ndarray, model: MaterialModel,
         k_c = model.bulk * gam * J ** (-gam - 1.0) * volume   # p'(J)
         k_cof = model.bulk * (1.0 - J ** (-gam)) * det_b * volume
     else:
-        mu, lam = _moduli(model, J_plastic) if stress is None else stress.moduli
+        mu, lam = stress.moduli
         k_c = lam * volume
         k_cof = k_c * (a * d - b * c - 1.0) * det_b
     kc = [k_c * x for x in ch]
@@ -271,7 +263,7 @@ def hessian_action(F: np.ndarray, B: np.ndarray, model: MaterialModel,
     out[0, 3] += k_cof
     out[1, 2] -= k_cof
     if model.kind != FLUID:
-        cs, sn, tr = _rotation(a + d, c - b) if stress is None else stress.rotation
+        cs, sn, tr = stress.rotation
         m2 = 2.0 * mu * volume
         beta = m2 / np.maximum(tr, 1e-10)
         # entries of -Q B^T, Q = [[-sn, -cs], [cs, -sn]]; the sign drops out of q q^T

@@ -184,7 +184,7 @@ class Simulation:
         else:
             explicit_update(grid, dt, self.gravity)
         for b in self.bodies:
-            b._cache.clear()   # the stresses and their factors are used up
+            b.stress = None   # the stress state and its tangent are used up
         grid_collisions(grid, self.colliders, dt)
 
         rebound = False

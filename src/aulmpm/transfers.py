@@ -21,7 +21,7 @@ the pre-update ones, and `grid_internal_forces` scatters f after them.
 The grid phases read the active mask instead of re-deriving it.  What is
 fixed for one implicit solve is paid once per solve: the first Hessian
 product after a stress pass builds each particle's tangent, a symmetric 4x4
-map from dF_sn to V0 dP0 F_0s^T, and every CG product is then a gather, a
+map from dF_sn to V0 dP B^T, and every CG product is then a gather, a
 contraction, one 4x4 product per particle and a scatter.
 
 Every phase contracts against the binding's one weight stack
@@ -39,11 +39,11 @@ per-entry pass is one einsum over the stack, with the particle axis
 innermost:
 
     p2g, per component k:  einsum("csn,cn->sn", stack, [A_k0, A_k1, m v_k])
-        with A = (m / c) C, less dt V0 P0 F_0s^T when it folds the stress;
+        with A = (m / c) C, less dt V0 P B^T when it folds the stress;
         einsum sums over c in order, so each entry is
         (A_k0 G_x + A_k1 G_y) + w m v_k
     forces and Hessian:    the same over stack[:2] and [A_k0, A_k1]
-        (`_scatter_action`), A = -V0 P0 F_0s^T or the tangent's product
+        (`_scatter_action`), A = -V0 P B^T or the tangent's product
     g2p:                   einsum("ksn,csn->kcn", gathered, stack)
         (`kinematics.contract`), whose [:, :2] is C and [:, 2] the PIC
         velocity; the Hessian's dF_sn is the same over stack[:2]
@@ -70,13 +70,13 @@ import numpy as np
 from .constitutive import (
     SNOW,
     MaterialModel,
+    StressState,
     det,
     energy_and_piola,
     entries,
     hessian_action,
     inverse,
     matmul,
-    matmul_t,
 )
 from .kinematics import (KERNEL, LEAST_SQUARES, ConfigurationMap, DeformationState,
                          UpdatePolicy, compose_total, contract)
@@ -88,6 +88,18 @@ CG_MAX_ITERS = 200
 
 # fraction of the largest particle mass below which a node counts as empty
 MASS_EPS_FACTOR = 1e-12
+
+
+@dataclass
+class StepStress:
+    """One step's stress state of a body: `law`, the material law at the
+    gradient it sees, F_sn B with B = F_0s Fp^-1 (F_0s without plasticity),
+    and `tangent`, the Hessian map `hessian_apply` builds from both on first
+    use.  The internal force on node j is -V0 P B^T G_j."""
+
+    law: StressState
+    B: np.ndarray
+    tangent: np.ndarray | None = None
 
 
 @dataclass
@@ -105,7 +117,7 @@ class Body:
     policy: UpdatePolicy | None = None   # None: never rebind
     F_plastic: np.ndarray | None = None  # snow only
     inverted: int = 0
-    _cache: dict = field(default_factory=dict, repr=False)   # one stress state's scratch
+    stress: StepStress | None = field(default=None, repr=False)   # this step's, else None
     _tangent_buf: np.ndarray | None = field(default=None, repr=False)   # (4, 4, n)
 
     @property
@@ -175,7 +187,7 @@ def p2g(body: Body, grid, dt: float | None = None) -> None:
     tracks current positions, with m v and m x formed per particle; the
     momentum carries the affine term m w C r = (m / c) C G only on a
     least-squares binding.  With `dt` given, that binding's momentum also
-    takes in the step's impulse dt f from the cached stress (a prior
+    takes in the step's impulse dt f from the body's stress state (a prior
     `stress_pass`), so the grid holds m v + dt f and `grid_internal_forces`
     is not called.  The node mass is per epoch (`epoch_grid_terms`).
     """
@@ -224,70 +236,52 @@ def finalize_grid(grid) -> None:
 
 
 def stress_pass(body: Body) -> None:
-    """Evaluate the first Piola stress at the current total deformation.
-
-    Results land in the body cache: P0 (wrt the initial configuration,
-    plasticity folded in for snow) plus the factors the implicit tangent is
-    built from, among them the stress state, whose moduli and polar rotation
-    the tangent reuses.  Any tangent built from an earlier stress state is
-    dropped.  Reads only the deformation, so it may run before p2g.
+    """Evaluate the material law at the current elastic gradient into
+    `body.stress`, which replaces any earlier state and its tangent.  Reads
+    only the deformation, so it may run before p2g.
     """
-    cache = body._cache
-    cache.pop("tangent", None)
     F_total = compose_total(body.state)
     if body.material.kind == SNOW:
         Fp_inv = inverse(body.F_plastic)
-        Jp = det(body.F_plastic)
-        Fe = matmul(F_total, Fp_inv)
-        ss = energy_and_piola(Fe, body.material, Jp)
-        cache["Fp_inv"] = Fp_inv
-        cache["Jp"] = Jp
-        cache["P0"] = matmul_t(ss.P, Fp_inv)
+        law = energy_and_piola(matmul(F_total, Fp_inv), body.material, det(body.F_plastic))
+        B = matmul(body.state.F_0s, Fp_inv)
     else:
-        Fe = F_total
-        ss = energy_and_piola(F_total, body.material)
-        cache["P0"] = ss.P
-    cache["Fe"] = Fe   # the gradient the material law sees
-    cache["stress"] = ss
+        law = energy_and_piola(F_total, body.material)
+        B = body.state.F_0s
+    body.stress = StepStress(law, B)
 
 
 def _tangent(body: Body) -> np.ndarray:
     """The symmetric 4x4 map per particle, (4, 4, n), from the entries of
-    dF_sn to those of V0 dP0 F_0s^T at the cached stress state: the Hessian
-    of V0 psi(F_sn B), B = F_0s Fp^-1 (F_0s without plasticity), in F_sn.
-    Built on first use into the body's buffer and kept in the cache, which
-    `stress_pass` resets, so it never outlives its stress state.
+    dF_sn to those of V0 dP B^T at the body's stress state: the Hessian of
+    V0 psi(F_sn B) in F_sn.  Built on first use into the body's buffer and
+    kept with the stress state, so it never outlives it.
     """
-    cache = body._cache
-    if "tangent" not in cache:
-        B = body.state.F_0s
-        if body.material.kind == SNOW:
-            B = matmul(B, cache["Fp_inv"])
+    stress = body.stress
+    if stress.tangent is None:
         if body._tangent_buf is None:
             body._tangent_buf = np.empty((4, 4, body.n))
-        cache["tangent"] = hessian_action(cache["Fe"], B, body.material, cache.get("Jp"),
-                                          body.V0, out=body._tangent_buf,
-                                          stress=cache["stress"])
-    return cache["tangent"]
+        stress.tangent = hessian_action(stress.law, stress.B, body.V0, out=body._tangent_buf)
+    return stress.tangent
 
 
 def _fold_stress(body: Body, k: int, A: np.ndarray, scale: float = 1.0) -> None:
-    """Subtract row k of scale V0 P0 F_0s^T per particle, from the cached
-    stress, in place from the rows A (2, n) = [A_k0, A_k1]: the action of
-    -V0 P0 F_0s^T on G_i is the internal force on node i."""
-    P = entries(body._cache["P0"])
-    F = entries(body.state.F_0s)
+    """Subtract row k of scale V0 P B^T per particle, from the body's stress
+    state, in place from the rows A (2, n) = [A_k0, A_k1]: the action of
+    -V0 P B^T on G_i is the internal force on node i."""
+    P = entries(body.stress.law.P)
+    B = entries(body.stress.B)
     s = scale * body.V0
     for j in range(2):
         # in place, so that p2g's (3, n) block and two (n,) rows suffice
-        t = np.multiply(P[2 * k], F[2 * j])
-        t += P[2 * k + 1] * F[2 * j + 1]
+        t = np.multiply(P[2 * k], B[2 * j])
+        t += P[2 * k + 1] * B[2 * j + 1]
         t *= s
         A[j] -= t
 
 
 def grid_internal_forces(body: Body, grid) -> None:
-    """f_i -= V0 P0 F_0s^T G_i per bound node."""
+    """f_i -= V0 P B^T G_i per bound node."""
     A = np.zeros((2, 2, body.n))
     for k in range(2):
         _fold_stress(body, k, A[k])
@@ -335,12 +329,10 @@ def hessian_apply(bodies, u: np.ndarray, act: np.ndarray | None = None) -> np.nd
         # the gather fills the workspace, free again once contracted
         dF_sn = contract(_gather(u, body.cmap), body.cmap.stack[:2])
         # the tangent product on the (4, n) entry rows of (2, 2, n) buffers,
-        # into a buffer the body's cache keeps for the step, as it keeps the
-        # tangent: a CG product then allocates one (4, n) array, not two
+        # into rows of the workspace's second plane (`_scatter_action`
+        # writes only the first)
         x = np.moveaxis(dF_sn, 0, -1).reshape(4, -1)
-        dA = body._cache.get("product")
-        if dA is None:
-            dA = body._cache["product"] = np.empty((4, body.n))
+        dA = _workspace(body.cmap)[1, :4]
         np.einsum("ijn,jn->in", _tangent(body), x, out=dA)
         _scatter_action(body, dA.reshape(2, 2, -1), out)
     if act is not None:

@@ -231,7 +231,7 @@ def test_steady_steps_allocate_no_per_entry_arrays(monkeypatch, case):
     def traced(fn):
         def call(*args, **kwargs):
             first = fn.__name__ == "hessian_apply" and any(
-                "tangent" not in b._cache for b in args[0])
+                b.stress.tangent is None for b in args[0])
             tracemalloc.reset_peak()
             start = tracemalloc.get_traced_memory()[0]
             out = fn(*args, **kwargs)
@@ -312,6 +312,46 @@ def test_implicit_steps_compute_each_rotation_once(monkeypatch):
     for _ in range(3):
         sim.step()
     assert calls == dict.fromkeys(calls, len(sim.bodies) * 3)
+
+
+@pytest.mark.parametrize("transfer, integrator", [
+    ("least_squares", "explicit"), ("kernel", "explicit"), ("least_squares", "implicit")])
+def test_stress_states_live_for_one_step(monkeypatch, transfer, integrator):
+    # a step drops its stress states, and the tangents built from them,
+    # before it returns; within an implicit step every Hessian product after
+    # the first uses the tangent array the first one built
+    scene = _scene(steps=3, transfer=transfer, integrator=integrator)
+    snow = MaterialModel.from_youngs("snow", density=400.0, youngs=1e4, poisson=0.2)
+    scene.objects.append(replace(scene.objects[0], material=snow, shape={
+        "type": "disk", "center": [0.2, 0.3], "radius": 0.06}))
+    sim = Simulation(scene)
+    # expanding disks deform, so every implicit solve iterates
+    for b in sim.bodies:
+        b.v = b.v + 0.5 * (b.x - b.x.mean(axis=0))
+    inner = transfers.hessian_apply
+    products = []   # per Hessian product, each body's tangent before and after it
+
+    def traced(bodies, *args, **kwargs):
+        before = [b.stress.tangent for b in bodies]
+        out = inner(bodies, *args, **kwargs)
+        products.append((before, [b.stress.tangent for b in bodies]))
+        return out
+
+    monkeypatch.setattr(transfers, "hessian_apply", traced)
+    for _ in range(3):
+        products.clear()
+        sim.step()
+        assert [b.stress for b in sim.bodies] == [None, None]
+        if integrator == "explicit":
+            assert not products
+            continue
+        assert len(products) > 2
+        (before, built), *rest = products
+        assert before == [None, None]
+        assert all(t is b._tangent_buf for t, b in zip(built, sim.bodies))
+        for before, after in rest:
+            assert all(t is u for t, u in zip(before, built))
+            assert all(t is u for t, u in zip(after, built))
 
 
 def test_steps_never_evaluate_the_energy(monkeypatch):
