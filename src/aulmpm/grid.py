@@ -1,18 +1,19 @@
 """Sparse background grid and static collision geometry.
 
 Nodes live on a uniform 2-D lattice; a node gets a storage slot the first
-time a stencil binds it.  Activation is idempotent, and `slot_of` reports
--1 for nodes never bound.
+time a stencil binds it, and activation is idempotent.
 
 The node arrays fall in two groups.  `mass` and the `active` mask (nodes
 carrying mass) are per-epoch terms: `transfers.epoch_grid_terms` sets them
 when a binding changes, and `zero_fields` leaves them alone.  The per-step
 arrays are reset by `zero_fields` (the accumulators) or rewritten whole by
-`transfers.finalize_grid`.  Two of them exist only where something reads
-them: `pos_accum` and `current` (the scattered m w x and its mass average,
-the material position at each active node) on a grid that tracks positions
-for collisions, and `velocity0` (the velocities before the momentum update)
-on a grid that keeps them for the FLIP blend; elsewhere they are None.
+`transfers.finalize_grid`.  Some exist only where something reads them:
+`pos_accum` and `current` (the scattered m w x and its mass average, the
+material position at each active node) on a grid that tracks positions for
+collisions, and `velocity0` on a grid that keeps the velocities before the
+momentum update for the FLIP blend.  `velocity0` is its own accumulator: p2g
+scatters the plain momentum into it and `finalize_grid` divides it by the
+node mass in place.  Elsewhere they are None.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ class SparseGrid:
         # per-node arrays: (name, trailing shape, dtype)
         self._fields = [("mass", (), np.float64), ("active", (), bool)]
         self._fields += [(name, (2,), np.float64) for name in
-                         ("momentum", "velocity", "force", "position")]
+                         ("momentum", "velocity", "position")]
         self.pos_accum = self.current = self.velocity0 = None
         if track_positions:
             self._fields += [("pos_accum", (2,), np.float64), ("current", (2,), np.float64)]
@@ -87,17 +88,11 @@ class SparseGrid:
             slot = self._slot[node]
         return slot
 
-    def slot_of(self, coords) -> np.ndarray:
-        """Slots for lattice coordinates, -1 where the node was never bound."""
-        coords = np.atleast_2d(np.asarray(coords, dtype=np.int64))
-        return self._slot[coords[:, 0] * self.n_nodes[1] + coords[:, 1]]
-
     def zero_fields(self) -> None:
         """Reset the per-step accumulators; the per-epoch terms are kept."""
-        self.momentum[:] = 0.0
-        self.force[:] = 0.0
-        if self.pos_accum is not None:
-            self.pos_accum[:] = 0.0
+        for acc in (self.momentum, self.velocity0, self.pos_accum):
+            if acc is not None:
+                acc[:] = 0.0
 
 
 @dataclass

@@ -95,8 +95,6 @@ class Stencil:
     stack   (3, S, n) the weight stack w and dw are views of: dw.T is
             stack[:2], w.T is stack[2]
     offsets (2, 3, n) node - center along each axis, per node of the support
-    r       (n, S, 2) physical offsets node - center, laid out from
-            `offsets` on each read
 
     Nodes are numbered lexicographically, x-major: entry s = 3 i + j is
     node (base_x + i, base_y + j) of the 3 x 3 support, so S = 9.
@@ -104,7 +102,7 @@ class Stencil:
     last: coords is the transpose of a (2, S, n) buffer, and w.T, dw.T and
     coords.T are C-contiguous, so every pass over one entry runs over the
     long particle axis.  Without gradients stack[:2] is left unset for the
-    caller to fill (`gradient_weights`), and no phase lays out r.
+    caller to fill (`gradient_weights`).
     """
 
     coords: np.ndarray
@@ -112,10 +110,6 @@ class Stencil:
     dw: np.ndarray | None
     stack: np.ndarray
     offsets: np.ndarray
-
-    @property
-    def r(self) -> np.ndarray:
-        return _spread(self.offsets, np.empty(self.stack[:2].shape)).T
 
 
 def build_stencil(centers: np.ndarray, origin: np.ndarray, dx: float,

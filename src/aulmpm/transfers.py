@@ -13,10 +13,10 @@ Every step then runs only what the particle state changes:
     need them) -> grid velocities -> explicit or implicit momentum update
     -> collision projection -> g2p
 
-On a least-squares binding p2g also deposits the stress impulse dt f, as
-MLS-MPM does, so one scatter per step carries both.  A kernel binding keeps
-two scatters: p2g deposits plain momentum, whose velocities FLIP keeps as
-the pre-update ones, and `grid_internal_forces` scatters f after them.
+p2g also deposits the stress impulse dt f, as MLS-MPM does, so one
+momentum scatter per step carries both on every binding.  Where FLIP needs
+the velocities before the update, p2g scatters the plain momentum a second
+time into them.  `grid_internal_forces` scatters f alone, for the checks.
 
 The grid phases read the active mask instead of re-deriving it.  What is
 fixed for one implicit solve is paid once per solve: the first Hessian
@@ -39,17 +39,17 @@ per-entry pass is one einsum over the stack, with the particle axis
 innermost:
 
     p2g, per component k:  einsum("csn,cn->sn", stack, [A_k0, A_k1, m v_k])
-        with A = (m / c) C, less dt V0 P B^T when it folds the stress;
-        einsum sums over c in order, so each entry is
-        (A_k0 G_x + A_k1 G_y) + w m v_k
+        with A = (m / c) C on a least-squares binding and 0 on a kernel
+        one, less dt V0 P B^T when it folds the stress; einsum sums over c
+        in order, so each entry is (A_k0 G_x + A_k1 G_y) + w m v_k
     forces and Hessian:    the same over stack[:2] and [A_k0, A_k1]
         (`_scatter_action`), A = -V0 P B^T or the tangent's product
     g2p:                   einsum("ksn,csn->kcn", gathered, stack)
         (`kinematics.contract`), whose [:, :2] is C and [:, 2] the PIC
         velocity; the Hessian's dF_sn is the same over stack[:2]
 
-The node mass, the kernel path's momentum w (m v), the positions w (m x)
-and FLIP's gathered velocity change read the stack's last row alone.
+The node mass, the pre-update momentum w (m v), the positions w (m x) and
+FLIP's gathered velocity change read the stack's last row alone.
 Per-particle 2x2 matrices are (n, 2, 2) views of component-major
 (2, 2, n) buffers (see `constitutive.pack`).
 
@@ -183,53 +183,51 @@ def epoch_grid_terms(bodies, grid, mass_eps: float) -> None:
 
 
 def p2g(body: Body, grid, dt: float | None = None) -> None:
-    """Scatter momentum w (m v) to the grid, and w (m x) to a grid that
-    tracks current positions, with m v and m x formed per particle; the
-    momentum carries the affine term m w C r = (m / c) C G only on a
-    least-squares binding.  With `dt` given, that binding's momentum also
-    takes in the step's impulse dt f from the body's stress state (a prior
-    `stress_pass`), so the grid holds m v + dt f and `grid_internal_forces`
-    is not called.  The node mass is per epoch (`epoch_grid_terms`).
+    """Scatter momentum w (m v) to the grid, plus the affine term
+    m w C r = (m / c) C G on a least-squares binding, and w (m x) to a grid
+    that tracks current positions, with m v and m x formed per particle.
+    With `dt` given, the momentum also takes in the step's impulse dt f from
+    the body's stress state (a prior `stress_pass`), so the grid holds
+    m v + dt f.  A grid that keeps the pre-update velocities also gets the
+    plain w (m v).  The node mass is per epoch (`epoch_grid_terms`).
     """
     cmap = body.cmap
     slots = cmap.slots.T.ravel()
     w = cmap.stack[2]
     mom, tmp = _workspace(cmap)
     affine = cmap.transfer == LEAST_SQUARES
-    if dt is not None and not affine:
-        raise ValueError("p2g folds the stress impulse only on a least-squares binding")
-    if affine:
-        m_c = body.m / moment_matrix(grid.dx)
-        coef = np.empty((3, body.n))   # [A_k0, A_k1, m v_k], one component at a time
+    m_c = body.m / moment_matrix(grid.dx)
+    coef = np.empty((3, body.n))   # [A_k0, A_k1, m v_k], one component at a time
     for k in range(2):
         if affine:
-            for j in range(2):
-                np.multiply(body.C[:, k, j], m_c, out=coef[j])
-            if dt is not None:
-                _fold_stress(body, k, coef, dt)
-            np.multiply(body.m, body.v[:, k], out=coef[2])
-            np.einsum("csn,cn->sn", cmap.stack, coef, out=mom)
+            np.multiply(body.C[:, k].T, m_c, out=coef[:2])
         else:
-            np.multiply(w, body.m * body.v[:, k], out=mom)
+            coef[:2] = 0.0
+        if dt is not None:
+            _fold_stress(body, k, coef, dt)
+        np.multiply(body.m, body.v[:, k], out=coef[2])
+        np.einsum("csn,cn->sn", cmap.stack, coef, out=mom)
         _scatter(slots, mom, grid.momentum[:, k])
+        if grid.velocity0 is not None:
+            _scatter(slots, np.multiply(w, coef[2], out=tmp), grid.velocity0[:, k])
         if grid.pos_accum is not None:
             _scatter(slots, np.multiply(w, body.m * body.x[:, k], out=tmp), grid.pos_accum[:, k])
 
 
 def finalize_grid(grid) -> None:
     """Divide by the node mass on the active nodes (zero elsewhere): the
-    momentum into velocities and, where the grid tracks them, the scattered
-    m w x into mass-averaged current node positions.  Copy the velocities
-    where the grid keeps the pre-update ones."""
-    for scattered, out in ((grid.momentum, grid.velocity), (grid.pos_accum, grid.current)):
+    momentum into velocities and, where the grid keeps or tracks them, the
+    plain momentum into pre-update velocities (in place) and the scattered
+    m w x into mass-averaged current node positions."""
+    idle = ~grid.active
+    for scattered, out in ((grid.momentum, grid.velocity), (grid.velocity0, grid.velocity0),
+                           (grid.pos_accum, grid.current)):
         if out is not None:
-            out[:] = 0.0
             # column by column: a masked (slots, 2) divide broadcasts over
             # rows of two
             for k in range(2):
                 np.divide(scattered[:, k], grid.mass, out=out[:, k], where=grid.active)
-    if grid.velocity0 is not None:
-        grid.velocity0[:] = grid.velocity
+                np.copyto(out[:, k], 0.0, where=idle)
 
 
 # ------------------------------------------------------------------ stress
@@ -280,37 +278,29 @@ def _fold_stress(body: Body, k: int, A: np.ndarray, scale: float = 1.0) -> None:
         A[j] -= t
 
 
-def grid_internal_forces(body: Body, grid) -> None:
-    """f_i -= V0 P B^T G_i per bound node."""
+def grid_internal_forces(body: Body, grid) -> np.ndarray:
+    """The internal forces f_i = -sum_p V0 P B^T G_i on the grid's slots,
+    (slots, 2), from the body's stress state.  A step does not call it:
+    p2g deposits dt f with the momentum."""
     A = np.zeros((2, 2, body.n))
     for k in range(2):
         _fold_stress(body, k, A[k])
-    _scatter_action(body, A, grid.force)
+    f = np.zeros((grid.n_slots, 2))
+    _scatter_action(body, A, f)
+    return f
 
 
 # ----------------------------------------------------------- grid dynamics
 
 
 def explicit_update(grid, dt: float, gravity: np.ndarray) -> None:
-    """Symplectic Euler velocity update on the active nodes, v += dt (f / m + g).
-
-    Only the kernel transfer scatters a force into grid.force; a
-    least-squares p2g folds dt f into the momentum and leaves it zero.  With
-    no force set, the update adds dt g alone, which is exact: (0 / m + g) dt
-    is g dt.  Inactive nodes keep zero velocity.
+    """Symplectic Euler velocity update on the active nodes, v += dt g; p2g
+    has already deposited dt f.  Inactive nodes keep zero velocity.
     """
-    act = grid.active
-    if grid.force.any():
-        acc = np.divide(grid.force, grid.mass[:, None], out=np.zeros_like(grid.force),
-                        where=act[:, None])
-        acc += gravity
-        acc *= dt
-        np.add(grid.velocity, acc, out=grid.velocity, where=act[:, None])
-    else:
-        # column by column and through the mask as a factor: a masked
-        # (slots, 2) add broadcasts over rows of two
-        for k in range(2):
-            grid.velocity[:, k] += (dt * gravity[k]) * act
+    # column by column and through the mask as a factor: a masked (slots, 2)
+    # add broadcasts over rows of two
+    for k in range(2):
+        grid.velocity[:, k] += (dt * gravity[k]) * grid.active
 
 
 def hessian_apply(bodies, u: np.ndarray, act: np.ndarray | None = None) -> np.ndarray:

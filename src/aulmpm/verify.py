@@ -223,10 +223,8 @@ def _body(positions, grid) -> Body:
 
 
 def _forces(body, grid) -> np.ndarray:
-    grid.force[:] = 0.0
     stress_pass(body)
-    grid_internal_forces(body, grid)
-    return grid.force.copy()
+    return grid_internal_forces(body, grid)
 
 
 def _patch_energy(body, dF_sn) -> float:

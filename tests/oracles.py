@@ -5,8 +5,9 @@ Each is written the direct way (piecewise in |x|, batched `np.linalg`-style
 algebra), not the way the library computes it, so agreement means
 something.  `stress_differential` is the directional derivative of the
 stress that the library applied on every Hessian product before it built a
-per-solve tangent; the tangent is now checked against it.  None of them is
-part of the library.
+per-solve tangent; the tangent is now checked against it.  `stencil_offsets`
+and `slot_of` read a stencil's node offsets and a grid's slots, which only
+tests need.  None of them is part of the library.
 """
 
 import numpy as np
@@ -125,3 +126,23 @@ def tangent_by_probing(F, B, model, J_plastic=None, volume=1.0,
 
 def _pack(a, b, c, d):
     return np.stack([np.stack([a, b], -1), np.stack([c, d], -1)], -2)
+
+
+def stencil_offsets(stencil):
+    """Physical offsets node - center of a stencil's entries, (n, S, 2),
+    laid out from its per-axis offsets (2, 3, n): entry 3 i + j is node
+    (i, j) of the 3 x 3 support."""
+    ox, oy = stencil.offsets
+    n = ox.shape[-1]
+    r = np.empty((n, 3, 3, 2))
+    r[..., 0] = ox.T[:, :, None]
+    r[..., 1] = oy.T[:, None, :]
+    return r.reshape(n, 9, 2)
+
+
+def slot_of(grid, coords):
+    """Storage slots of lattice coordinates (m, 2), -1 where the node was
+    never bound: the slot whose stored node position is origin + coords dx."""
+    want = grid.origin + np.atleast_2d(np.asarray(coords, dtype=np.int64)) * grid.dx
+    hit = (grid.position == want[:, None, :]).all(axis=-1)   # (m, slots)
+    return np.where(hit.any(axis=1), hit.argmax(axis=1), -1)

@@ -181,12 +181,11 @@ def test_every_binding_calls_the_mls_names_once(monkeypatch, transfer):
     assert calls == {"moment_matrix": n, "gradient_weights": n}
 
 
-# the per-entry phases a step runs, by (transfer, integrator):
-# least-squares bindings fold the forces into p2g's one scatter, the kernel
-# transfer scatters them apart, and an implicit step applies the Hessian in
-# every CG iteration
+# the per-entry phases a step runs, by (transfer, integrator): every
+# binding folds the forces into p2g's one momentum scatter, and an implicit
+# step applies the Hessian in every CG iteration
 _PHASES = {"least_squares": ("least_squares", "explicit", {"p2g", "g2p"}),
-           "kernel": ("kernel", "explicit", {"p2g", "grid_internal_forces", "g2p"}),
+           "kernel": ("kernel", "explicit", {"p2g", "g2p"}),
            "implicit": ("least_squares", "implicit", {"p2g", "g2p", "hessian_apply"})}
 
 
@@ -204,10 +203,9 @@ def _arrays(value):
 @pytest.mark.parametrize("case", sorted(_PHASES))
 def test_steady_steps_allocate_no_per_entry_arrays(monkeypatch, case):
     # Between rebinds the transfer phases write their per-entry temporaries
-    # into the binding's workspace: at its peak, each of p2g, the kernel
-    # path's internal forces, g2p and every Hessian product after a solve's
-    # first (which builds the (4, 4, n) tangent) allocates less than one
-    # (n, S) float64 array.
+    # into the binding's workspace: at its peak, each of p2g, g2p and every
+    # Hessian product after a solve's first (which builds the (4, 4, n)
+    # tangent) allocates less than one (n, S) float64 array.
     transfer, integrator, phases = _PHASES[case]
     scene = load_scene({
         "grid": {"origin": [0.0, 0.0], "size": [1.0, 1.0], "cells": [128, 128]},
@@ -241,7 +239,7 @@ def test_steady_steps_allocate_no_per_entry_arrays(monkeypatch, case):
             return out
         return call
 
-    for name in ("p2g", "grid_internal_forces", "g2p"):
+    for name in ("p2g", "g2p"):
         monkeypatch.setattr(engine, name, traced(getattr(engine, name)))
     monkeypatch.setattr(transfers, "hessian_apply", traced(transfers.hessian_apply))
     tracemalloc.start()
@@ -267,10 +265,10 @@ def test_steady_steps_allocate_no_per_entry_arrays(monkeypatch, case):
         assert not held, held
 
 
-@pytest.mark.parametrize("transfer, per_step", [("least_squares", 0), ("kernel", 1)])
-def test_only_the_kernel_transfer_scatters_forces_apart(monkeypatch, transfer, per_step):
-    # a least-squares step deposits dt f through p2g; a kernel step calls
-    # grid_internal_forces once per body
+@pytest.mark.parametrize("transfer", ["least_squares", "kernel"])
+def test_no_step_scatters_forces_apart(monkeypatch, transfer):
+    # every step deposits dt f through p2g and never calls
+    # grid_internal_forces
     scene = _scene(steps=3, transfer=transfer)
     scene.objects.append(replace(scene.objects[0], shape={
         "type": "disk", "center": [0.2, 0.3], "radius": 0.06}))
@@ -284,7 +282,7 @@ def test_only_the_kernel_transfer_scatters_forces_apart(monkeypatch, transfer, p
     monkeypatch.setattr(engine, "grid_internal_forces", counted)
     for _ in range(3):
         sim.step()
-    assert [sum(b is f for f in forced) for b in sim.bodies] == [3 * per_step] * 2
+    assert forced == []
 
 
 def test_implicit_steps_compute_each_rotation_once(monkeypatch):

@@ -8,6 +8,7 @@ from aulmpm.errors import OutOfDomainError
 from aulmpm.grid import HalfSpace, SparseGrid, SphereObstacle
 from aulmpm.kinematics import ConfigurationMap, DeformationState
 from aulmpm.transfers import Body, epoch_grid_terms, mass_epsilon
+from oracles import slot_of
 
 
 def test_activation_is_idempotent_and_returns_stable_slots():
@@ -28,7 +29,7 @@ def test_inactive_nodes_read_as_zero_mass():
     # only the bound node has storage, and it holds no mass until a scatter;
     # its unbound neighbours, like far nodes, have slot -1
     np.testing.assert_array_equal(g.mass, [0.0])
-    np.testing.assert_array_equal(g.slot_of([[1, 1], [2, 2], [1, 2], [9, 9]]), [0, -1, -1, -1])
+    np.testing.assert_array_equal(slot_of(g, [[1, 1], [2, 2], [1, 2], [9, 9]]), [0, -1, -1, -1])
 
 
 def test_each_bound_node_gets_one_slot_in_lattice_order():
@@ -42,7 +43,7 @@ def test_each_bound_node_gets_one_slot_in_lattice_order():
     later = np.array([[10, 10], [0, 2], [5, 0], [0, 1], [5, 0]])
     np.testing.assert_array_equal(g.activate(later), [4, 1, 3, 0, 3])
     assert g.n_slots == 5
-    np.testing.assert_array_equal(g.slot_of(first), [2, 1, 2, 0])
+    np.testing.assert_array_equal(slot_of(g, first), [2, 1, 2, 0])
     np.testing.assert_array_equal(g.mass, [1.0, 2.0, 3.0, 0.0, 0.0])
     np.testing.assert_allclose(g.position, 0.1 * np.array(
         [[0, 1], [0, 2], [3, 7], [5, 0], [10, 10]]))
@@ -85,7 +86,8 @@ def test_activate_slots_do_not_depend_on_dtype_or_layout():
 
 
 def test_zero_fields_resets_accumulators():
-    g = SparseGrid(origin=(0.0, 0.0), dx=0.1, n_cells=(10, 10))
+    g = SparseGrid(origin=(0.0, 0.0), dx=0.1, n_cells=(10, 10),
+                   track_positions=True, keep_velocity0=True)
     x = np.array([[0.52, 0.47], [0.31, 0.66]])
     body = Body(material=MaterialModel.fluid(density=1000.0, bulk=10.0), x=x,
                 v=np.zeros((2, 2)), m=np.array([2.0, 3.0]), V0=np.ones(2),
@@ -93,13 +95,15 @@ def test_zero_fields_resets_accumulators():
                 cmap=ConfigurationMap.build(x, g))
     epoch_grid_terms([body], g, mass_epsilon([body]))
     s = g.activate(np.array([[5, 5]]))
-    g.momentum[s] = [1.0, 2.0]
+    for acc in (g.momentum, g.velocity0, g.pos_accum):
+        acc[s] = [1.0, 2.0]
     g.zero_fields()
     # the per-epoch mass survives and still equals a fresh scatter
     fresh = np.bincount(body.cmap.slots.ravel(),
                         (body.m[:, None] * body.cmap.w).ravel(), g.n_slots)
     np.testing.assert_array_equal(g.mass, fresh)
-    np.testing.assert_array_equal(g.momentum[s[0]], [0.0, 0.0])
+    for acc in (g.momentum, g.velocity0, g.pos_accum):
+        np.testing.assert_array_equal(acc[s[0]], [0.0, 0.0])
 
 
 def test_half_space_distance_and_normal():

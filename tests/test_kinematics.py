@@ -23,6 +23,7 @@ from aulmpm.kinematics import (
     should_update,
 )
 from aulmpm.mls import build_stencil, gradient_weights, moment_matrix
+from oracles import slot_of, stencil_offsets
 
 COMPOSE_RTOL = 1e-12
 ACCUM_RTOL = 1e-12
@@ -119,8 +120,8 @@ def test_configuration_map_binds_reference_geometry():
     # bound slots agree with the grid's own lookup of the stencil's nodes
     st = build_stencil(pos, grid.origin, grid.dx, grid.n_nodes)
     np.testing.assert_array_equal(
-        cmap.slots, grid.slot_of(st.coords.reshape(-1, 2)).reshape(cmap.slots.shape))
-    np.testing.assert_allclose(cmap.ref_positions[:, None] + st.r,
+        cmap.slots, slot_of(grid, st.coords.reshape(-1, 2)).reshape(cmap.slots.shape))
+    np.testing.assert_allclose(cmap.ref_positions[:, None] + stencil_offsets(st),
                                grid.position[cmap.slots], atol=1e-14)
     np.testing.assert_array_equal(cmap.w, st.w)
 

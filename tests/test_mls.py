@@ -18,7 +18,7 @@ from aulmpm.errors import OutOfDomainError
 from aulmpm.grid import SparseGrid
 from aulmpm.kinematics import ConfigurationMap, contract
 from aulmpm.mls import build_stencil, gradient_weights, moment_matrix
-from oracles import _ref_moment_matrix, bspline_weight
+from oracles import _ref_moment_matrix, bspline_weight, stencil_offsets
 
 WEIGHT_ATOL = 1e-12
 PARTITION_ATOL = 1e-12
@@ -85,7 +85,7 @@ def test_stencil_partition_of_unity_and_first_moment():
     centers = rng.uniform(3 * dx, 1.0 - 3 * dx, size=(1000, 2))
     st = build_stencil(centers, origin, dx, n_nodes)
     np.testing.assert_allclose(st.w.sum(axis=1), 1.0, atol=PARTITION_ATOL)
-    first = np.einsum("ns,nsa->na", st.w, st.r)
+    first = np.einsum("ns,nsa->na", st.w, stencil_offsets(st))
     np.testing.assert_allclose(first, 0.0, atol=FIRST_MOMENT_ATOL)
     # linear consistency: weighted node positions reproduce the center
     nodes = origin + st.coords * dx
@@ -141,7 +141,7 @@ def test_stencil_matches_spline_oracle():
     st = build_stencil(centers, origin, dx, n_nodes)
     coords, r, w, dw = _oracle_stencil(centers, dx)
     np.testing.assert_array_equal(st.coords, coords)
-    for got, want in ((st.r, r), (st.w, w), (st.dw, dw)):
+    for got, want in ((stencil_offsets(st), r), (st.w, w), (st.dw, dw)):
         np.testing.assert_array_equal(_bits(got), _bits(want))
 
 
@@ -170,8 +170,9 @@ def test_moment_constant_and_gradient_weights_are_closed_form():
     assert np.ndim(c) == 0 and c == 4.0 / dx**2 == 4096.0
     st = build_stencil(rng.uniform(lo, hi, size=(200, 2)), origin, dx, n_nodes)
     G = gradient_weights(st, c)
-    assert G.shape == st.r.shape
-    np.testing.assert_allclose(G, c * st.w[..., None] * st.r, rtol=1e-15, atol=0.0)
+    r = stencil_offsets(st)
+    assert G.shape == r.shape
+    np.testing.assert_allclose(G, c * st.w[..., None] * r, rtol=1e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("n_cells", [16, 32, 64])
@@ -207,11 +208,12 @@ def test_closed_form_moments_match_the_numeric_inverse(n_cells):
 
 def _lstsq_gradient(phi_c, phi_n, st):
     """Independent route: weighted least squares via lstsq per center."""
-    n, S, d = st.r.shape
+    r = stencil_offsets(st)
+    n, S, d = r.shape
     out = np.empty((n, d))
     for i in range(n):
         sw = np.sqrt(st.w[i])
-        A = st.r[i] * sw[:, None]
+        A = r[i] * sw[:, None]
         b = (phi_n[i] - phi_c[i]) * sw
         out[i] = np.linalg.lstsq(A, b, rcond=None)[0]
     return out

@@ -19,6 +19,7 @@ from aulmpm.transfers import (
     p2g,
     stress_pass,
 )
+from oracles import slot_of
 
 SOLID = MaterialModel.from_youngs("fixed_corotated", density=1000.0, youngs=1e4, poisson=0.3)
 
@@ -57,9 +58,9 @@ def test_single_particle_mass_pattern():
     body = _body([[0.5, 0.5]], grid)
     epoch_grid_terms([body], grid, mass_epsilon([body]))
     p2g(body, grid)
-    center = grid.mass[grid.slot_of([[5, 5]])[0]]
-    edge = grid.mass[grid.slot_of([[6, 5]])[0]]
-    corner = grid.mass[grid.slot_of([[6, 6]])[0]]
+    center = grid.mass[slot_of(grid, [[5, 5]])[0]]
+    edge = grid.mass[slot_of(grid, [[6, 5]])[0]]
+    corner = grid.mass[slot_of(grid, [[6, 6]])[0]]
     m = body.m[0]
     assert np.isclose(center, 0.5625 * m, rtol=1e-14)
     assert np.isclose(edge, 0.09375 * m, rtol=1e-14)
@@ -158,10 +159,8 @@ def _total_energy(body, dF_sn):
 
 
 def _forces(body, grid):
-    grid.force[:] = 0.0
     stress_pass(body)
-    grid_internal_forces(body, grid)
-    return grid.force.copy()
+    return grid_internal_forces(body, grid)
 
 
 _KINDS = ["solid", "solid_mid_epoch", "fluid", "snow"]
@@ -201,8 +200,14 @@ def test_forces_are_energy_gradient(kind, transfer):
     assert np.isclose(work, -dU, rtol=1e-6, atol=1e-12)
 
 
-@pytest.mark.parametrize("kind", ["solid", "fluid", "snow"])
-def test_fused_scatter_equals_momentum_plus_impulse(kind):
+_FUSED = ["solid", "fluid", "snow"]
+
+
+@pytest.mark.parametrize(
+    "kind, transfer",
+    [(k, LEAST_SQUARES) for k in _FUSED] + [(k, KERNEL) for k in _FUSED],
+    ids=_FUSED + [f"{k}-{KERNEL}" for k in _FUSED])
+def test_fused_scatter_equals_momentum_plus_impulse(kind, transfer):
     # p2g(body, grid, dt) deposits in one scatter what p2g(body, grid) and
     # dt * grid_internal_forces deposit in two, at a non-identity F_0s left
     # by a rebind
@@ -212,7 +217,7 @@ def test_fused_scatter_equals_momentum_plus_impulse(kind):
            "snow": MaterialModel.from_youngs("snow", density=400.0, youngs=1e4,
                                              poisson=0.2)}[kind]
     body = _body(_cloud(rng), grid, material=mat, velocity=rng.normal(size=(40, 2)),
-                 F_plastic=kind == "snow")
+                 F_plastic=kind == "snow", transfer=transfer)
     body.C = rng.normal(size=(body.n, 2, 2))
     body.state.F_sn += 0.1 * rng.normal(size=body.state.F_sn.shape)
     body.x += 0.01 * rng.normal(size=body.x.shape)
@@ -224,24 +229,43 @@ def test_fused_scatter_equals_momentum_plus_impulse(kind):
     epoch_grid_terms([body], grid, mass_epsilon([body]))
     stress_pass(body)
     p2g(body, grid)
-    grid_internal_forces(body, grid)
+    f = grid_internal_forces(body, grid)
     # a step at which the impulse is as large as the momentum
-    dt = np.abs(grid.momentum).max() / np.abs(grid.force).max()
-    two_pass = grid.momentum + dt * grid.force
-    scale = (np.abs(grid.momentum) + dt * np.abs(grid.force)).max()
+    dt = np.abs(grid.momentum).max() / np.abs(f).max()
+    two_pass = grid.momentum + dt * f
+    scale = (np.abs(grid.momentum) + dt * np.abs(f)).max()
     grid.zero_fields()
     p2g(body, grid, dt)
-    assert not grid.force.any()
     gap = np.abs(grid.momentum - two_pass).max()
     assert gap <= 1e-14 * scale, gap / scale
 
 
-def test_p2g_folds_no_impulse_on_a_kernel_binding():
+def test_kernel_grid_keeps_the_velocities_before_the_impulse():
+    # FLIP's pre-update velocities come from the plain momentum, not from
+    # the one that carries dt f: bitwise the velocities p2g gives without
+    # dt, and below the updated ones by dt f / m on the active nodes
+    rng = np.random.default_rng(17)
     grid = _grid()
-    body = _body(_cloud(np.random.default_rng(5)), grid, transfer=KERNEL)
+    body = _body(_cloud(rng), grid, velocity=rng.normal(size=(40, 2)), transfer=KERNEL)
+    body.state.F_sn += 0.1 * rng.normal(size=body.state.F_sn.shape)
+    epoch_grid_terms([body], grid, mass_epsilon([body]))
     stress_pass(body)
-    with pytest.raises(ValueError, match="least-squares"):
-        p2g(body, grid, 1e-3)
+    p2g(body, grid)
+    finalize_grid(grid)
+    plain = grid.velocity.copy()
+    f = grid_internal_forces(body, grid)
+    act = grid.active
+    # a step at which the impulse is as large as the momentum
+    dt = np.abs(grid.momentum).max() / np.abs(f).max()
+    grid.zero_fields()
+    p2g(body, grid, dt)
+    finalize_grid(grid)
+    assert grid.velocity0.tobytes() == plain.tobytes()
+    impulse = dt * f[act] / grid.mass[act, None]
+    assert np.abs(impulse).max() > 0.1 * np.abs(plain).max()
+    gap = np.abs(grid.velocity[act] - grid.velocity0[act] - impulse).max()
+    scale = np.abs(grid.velocity).max() + np.abs(plain).max()
+    assert gap <= 1e-14 * scale, gap / scale
 
 
 @pytest.mark.parametrize("transfer", [LEAST_SQUARES, KERNEL])
@@ -307,10 +331,9 @@ def _one_velocity_update(positions, velocities, dt, implicit):
     body = _body(positions, grid, velocity=velocities)
     eps = mass_epsilon([body])
     epoch_grid_terms([body], grid, eps)
-    p2g(body, grid)
-    finalize_grid(grid)
     stress_pass(body)
-    grid_internal_forces(body, grid)
+    p2g(body, grid, dt)
+    finalize_grid(grid)
     g = np.zeros(2)
     if implicit:
         info = implicit_update([body], grid, dt, g, tol=1e-12)
@@ -341,10 +364,9 @@ def test_implicit_zero_stiffness_is_free():
     body = _body(_cloud(rng), grid, material=soft, velocity=rng.normal(size=(40, 2)))
     eps = mass_epsilon([body])
     epoch_grid_terms([body], grid, eps)
-    p2g(body, grid)
-    finalize_grid(grid)
     stress_pass(body)
-    grid_internal_forces(body, grid)
+    p2g(body, grid, 1e-3)
+    finalize_grid(grid)
     before = grid.velocity.copy()
     info = implicit_update([body], grid, 1e-3, np.zeros(2))
     assert info["iterations"] <= 2
@@ -359,10 +381,9 @@ def test_implicit_falls_back_when_indefinite():
     body.state.F_sn[:] = 0.05 * np.eye(2)
     eps = mass_epsilon([body])
     epoch_grid_terms([body], grid, eps)
-    p2g(body, grid)
-    finalize_grid(grid)
     stress_pass(body)
-    grid_internal_forces(body, grid)
+    p2g(body, grid, 10.0)
+    finalize_grid(grid)
     info = implicit_update([body], grid, 10.0, np.zeros(2))
     assert info["fallback"]
 
