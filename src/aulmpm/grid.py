@@ -10,10 +10,13 @@ arrays are reset by `zero_fields` (the accumulators) or rewritten whole by
 `transfers.finalize_grid`.  Some exist only where something reads them:
 `pos_accum` and `current` (the scattered m w x and its mass average, the
 material position at each active node) on a grid that tracks positions for
-collisions, and `velocity0` on a grid that keeps the velocities before the
-momentum update for the FLIP blend.  `velocity0` is its own accumulator: p2g
-scatters the plain momentum into it and `finalize_grid` divides it by the
-node mass in place.  Elsewhere they are None.
+collisions, and `momentum0` and `velocity0` (the plain momentum w (m v)
+and its mass average, the velocities before the momentum update) on a grid
+that keeps them for the FLIP blend.  Elsewhere they are None.
+
+`activate` takes lattice indices x * ny + y, of any shape, and returns the
+slots in the same shape; a binding writes its stencil's indices into its
+slots buffer and resolves them there.
 """
 
 from __future__ import annotations
@@ -29,8 +32,10 @@ class SparseGrid:
     """Uniform 2-D grid over a box, with one storage slot per bound node.
 
     Node (x, y) has lattice index x * (nodes along y) + y.  A table over the
-    lattice maps each index to its slot, -1 while unbound; the nodes that one
-    `activate` call binds first get the next slots in lattice-index order.
+    lattice maps each index to its slot, or, while the node is unbound, to
+    ~index = -1 - index, so a lookup that hits an unbound node still names
+    it; the nodes that one `activate` call binds first get the next slots in
+    lattice-index order.
     """
 
     def __init__(self, origin, dx: float, n_cells,
@@ -39,17 +44,17 @@ class SparseGrid:
         self.dx = float(dx)
         self.n_cells = np.asarray(n_cells, dtype=np.int64)
         self.n_nodes = self.n_cells + 1
-        self._slot = np.full(int(np.prod(self.n_nodes)), -1, dtype=np.int64)
+        self._slot = ~np.arange(int(np.prod(self.n_nodes)), dtype=np.int64)
 
         # per-node arrays: (name, trailing shape, dtype)
         self._fields = [("mass", (), np.float64), ("active", (), bool)]
         self._fields += [(name, (2,), np.float64) for name in
                          ("momentum", "velocity", "position")]
-        self.pos_accum = self.current = self.velocity0 = None
+        self.pos_accum = self.current = self.momentum0 = self.velocity0 = None
         if track_positions:
             self._fields += [("pos_accum", (2,), np.float64), ("current", (2,), np.float64)]
         if keep_velocity0:
-            self._fields.append(("velocity0", (2,), np.float64))
+            self._fields += [("momentum0", (2,), np.float64), ("velocity0", (2,), np.float64)]
 
         self.n_slots = 0
         for name, shape, dtype in self._fields:
@@ -64,33 +69,34 @@ class SparseGrid:
         self.position[self.n_slots:] = self.origin + coords * self.dx
         self.n_slots += new_nodes.size
 
-    def activate(self, coords: np.ndarray) -> np.ndarray:
-        """Bind lattice coordinates (m, 2) and return their storage slots.
-
-        Works on the two coordinate columns; they need not be contiguous.
+    def activate(self, nodes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Bind lattice indices x * ny + y, of any shape, and return their
+        storage slots in the same shape, into `out` if given (which may be
+        `nodes` itself, an int64 C-contiguous buffer, resolved in place).
         """
-        coords = np.asarray(coords, dtype=np.int64)
-        cx, cy = coords[:, 0], coords[:, 1]
-        nx, ny = self.n_nodes
-        if cx.size and (min(cx.min(), cy.min()) < 0 or cx.max() >= nx or cy.max() >= ny):
-            bad = np.flatnonzero((cx < 0) | (cx >= nx) | (cy < 0) | (cy >= ny))
+        nodes = np.asarray(nodes)
+        size = self._slot.size
+        if nodes.size and (nodes.min() < 0 or nodes.max() >= size):
+            bad = nodes[(nodes < 0) | (nodes >= size)]
             raise OutOfDomainError(
-                f"{bad.size} node coordinate(s) outside the grid, first {coords[bad[0]].tolist()}"
+                f"{bad.size} node index(es) outside the grid of {size} nodes, "
+                f"first {int(bad[0])}"
             )
-        node = cx * ny
-        node += cy
-        slot = self._slot[node]
-        missing = slot < 0
-        if missing.any():
-            new_nodes = np.unique(node[missing])
+        # in range, so the take need not check (mode="raise" would also copy
+        # an `out` that overlaps `nodes`)
+        slot = np.take(self._slot, nodes, out=out, mode="clip")
+        if slot.size and slot.min() < 0:
+            missing = slot < 0
+            unbound = ~slot[missing]
+            new_nodes = np.unique(unbound)
             self._slot[new_nodes] = self.n_slots + np.arange(new_nodes.size)
             self._grow(new_nodes)
-            slot = self._slot[node]
+            slot[missing] = self._slot[unbound]
         return slot
 
     def zero_fields(self) -> None:
         """Reset the per-step accumulators; the per-epoch terms are kept."""
-        for acc in (self.momentum, self.velocity0, self.pos_accum):
+        for acc in (self.momentum, self.momentum0, self.pos_accum):
             if acc is not None:
                 acc[:] = 0.0
 

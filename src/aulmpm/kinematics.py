@@ -20,6 +20,11 @@ the velocity gradient, the affine velocity C of APIC and MLS-MPM, and whose
 w part is the interpolated (PIC) velocity.  Deformation gradients are
 batches of 2x2 matrices, multiplied and reduced in closed form by the
 helpers in `constitutive`.
+
+The particle count never changes, so a rebind (`apply_update`) refills the
+old binding: the old map hands its stack, slots buffer and workspace over
+to the new one, which `ConfigurationMap.build` writes in place, and holds
+None in their place.  A steady rebind therefore allocates none of them.
 """
 
 from __future__ import annotations
@@ -93,9 +98,9 @@ class ConfigurationMap:
     in place; w and G are views of it, and slots the transpose of an (S, n)
     buffer (see the module docstring).  `work` is the workspace the
     transfer phases write their per-entry temporaries into, allocated on
-    first use (see `transfers`).  Slots are checked against the grid here,
-    at bind time, so the gathers need not check them again; they stay
-    valid because the grid only grows.
+    first use (see `transfers`) and handed on at a rebind.  Slots are
+    checked against the grid here, at bind time, so the gathers need not
+    check them again; they stay valid because the grid only grows.
     """
 
     epoch: int
@@ -115,22 +120,36 @@ class ConfigurationMap:
 
     @classmethod
     def build(cls, positions: np.ndarray, grid, epoch: int = 0,
-              transfer: str = LEAST_SQUARES) -> "ConfigurationMap":
+              transfer: str = LEAST_SQUARES,
+              reuse: "ConfigurationMap | None" = None) -> "ConfigurationMap":
+        """Bind `positions` to `grid`.  With `reuse`, a map of as many
+        particles, the new map takes over its stack, slots and workspace
+        and writes into them; `reuse` keeps its epoch and holds None there.
+        """
         if transfer not in (LEAST_SQUARES, KERNEL):
             raise ValueError(f"unknown transfer {transfer!r}")
         positions = np.asarray(positions, dtype=np.float64)
+        stack = slots = work = None
+        if reuse is not None:
+            stack, slots, work = reuse.stack, reuse.slots, reuse.work
+            reuse.stack = reuse.slots = reuse.work = None
         st = build_stencil(positions, grid.origin, grid.dx, grid.n_nodes,
-                           gradients=transfer == KERNEL)
+                           gradients=transfer == KERNEL, out=stack)
         if transfer == LEAST_SQUARES:
             gradient_weights(st, moment_matrix(grid.dx), st.stack[:2])
-        # the node coordinates in entry order, as two contiguous columns:
-        # views of the (2, S, n) buffer, and the slots come back entry-major
-        planes = st.coords.T.reshape(2, -1)
-        slots = grid.activate(planes.T).reshape(st.w.T.shape).T
+        # the lattice index of entry 3 i + j is the base node's plus
+        # i ny + j: written into the (S, n) slots buffer and resolved there
+        ny = grid.n_nodes[1]
+        base = st.nodes[0, 0] * ny + st.nodes[1, 0]
+        k = np.arange(st.nodes.shape[1])
+        shift = (k[:, None] * ny + k).reshape(-1, 1)
+        nodes = np.empty(st.w.T.shape, dtype=np.int64) if slots is None else slots.T
+        np.add(base, shift, out=nodes)
+        slots = grid.activate(nodes, out=nodes).T
         if slots.size and (slots.min() < 0 or slots.max() >= grid.n_slots):
             raise IndexError("grid slots out of range")
         return cls(epoch=epoch, ref_positions=positions.copy(), stack=st.stack, slots=slots,
-                   transfer=transfer)
+                   transfer=transfer, work=work)
 
 
 def contract(samples: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -190,10 +209,10 @@ def apply_update(state: DeformationState, positions: np.ndarray, grid,
     Afterwards F_0s holds the old product F_sn F_0s, F_sn is the identity,
     and the returned map carries fresh window weights, gradient weights and
     slots of the same transfer flavor, with the epoch counter advanced by
-    one.  The old map's workspace is released first, so that it and the new
-    stencils are never held at once.
+    one.  They are written into the old map's stack and slots, and the new
+    map keeps its workspace: the old map hands the three over and holds
+    None in their place, so a rebind allocates none of them.
     """
     state.F_0s = compose_total(state)
     state.F_sn = _identity(state.F_sn.shape[0])
-    cmap.work = None
-    return ConfigurationMap.build(positions, grid, cmap.epoch + 1, cmap.transfer)
+    return ConfigurationMap.build(positions, grid, cmap.epoch + 1, cmap.transfer, reuse=cmap)

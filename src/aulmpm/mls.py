@@ -9,11 +9,12 @@ r = neighbor - center throughout.
 `build_stencil` works per axis over the particle axis: each of the three
 nodes of a center's support per axis sits on one fixed polynomial piece of
 the spline, so the windows and their slopes come in closed form without
-branching.  The per-axis tables are then multiplied and laid out over the
-S = 9 stencil entries, as broadcasts over 3 x 3 views, into one (3, S, n)
-weight stack [g_x, g_y, w]: the windows fill its last row, and its first
-two take the window gradients or, through `gradient_weights`, the
-least-squares ones.  The tests check the stencils against an independent
+branching.  Only the products are laid out over the S = 9 stencil entries,
+as broadcasts over 3 x 3 views, into one (3, S, n) weight stack
+[g_x, g_y, w], fresh or the caller's: the windows fill its last row, and
+its first two take the window gradients or, through `gradient_weights`, the
+least-squares ones.  The node coordinates and the offsets stay per axis,
+(2, 3, n) each.  The tests check the stencils against an independent
 formula that evaluates the same spline piecewise in |x|
 (`tests/oracles.py`).
 
@@ -72,23 +73,12 @@ def _outer(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _spread(per_axis: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Lay per-axis node values (2, 3, n) over the lexicographic stencil.
-
-    out (2, S, n) receives out[0, 3 i + j] = per_axis[0, i] and
-    out[1, 3 i + j] = per_axis[1, j].
-    """
-    lattice = _lattice(out)
-    lattice[0] = per_axis[0][:, None]
-    lattice[1] = per_axis[1][None]
-    return out
-
-
 @dataclass
 class Stencil:
     """Bound neighborhoods of n centers against one uniform grid.
 
-    coords  (n, S, 2) integer lattice coordinates of the nodes
+    nodes   (2, 3, n) integer lattice coordinate along each axis, per node
+            of the support: nodes[:, 0] is the support's base node
     w       (n, S)    window weights (each row sums to 1)
     dw      (n, S, 2) window gradients wrt the center position, per length,
             or None when they were not asked for
@@ -97,15 +87,14 @@ class Stencil:
     offsets (2, 3, n) node - center along each axis, per node of the support
 
     Nodes are numbered lexicographically, x-major: entry s = 3 i + j is
-    node (base_x + i, base_y + j) of the 3 x 3 support, so S = 9.
-    `build_stencil` stores every array entry-major, with the particle axis
-    last: coords is the transpose of a (2, S, n) buffer, and w.T, dw.T and
-    coords.T are C-contiguous, so every pass over one entry runs over the
-    long particle axis.  Without gradients stack[:2] is left unset for the
-    caller to fill (`gradient_weights`).
+    node (nodes[0, i], nodes[1, j]) of the 3 x 3 support, so S = 9.
+    `build_stencil` stores every array with the particle axis last: w.T and
+    dw.T are C-contiguous, so every pass over one entry runs over the long
+    particle axis.  Without gradients stack[:2] is left unset for the caller
+    to fill (`gradient_weights`).
     """
 
-    coords: np.ndarray
+    nodes: np.ndarray
     w: np.ndarray
     dw: np.ndarray | None
     stack: np.ndarray
@@ -113,17 +102,19 @@ class Stencil:
 
 
 def build_stencil(centers: np.ndarray, origin: np.ndarray, dx: float,
-                  n_nodes: np.ndarray, gradients: bool = True) -> Stencil:
+                  n_nodes: np.ndarray, gradients: bool = True,
+                  out: np.ndarray | None = None) -> Stencil:
     """Bind each center to the grid nodes inside its window support.
 
     n_nodes gives the node count per axis; a center whose support sticks out
-    of the node box raises OutOfDomainError (no one-sided stencils).  With
-    `gradients=False` the window gradients are skipped (dw is None).
+    of the node box raises OutOfDomainError (no one-sided stencils), before
+    anything is written.  With `gradients=False` the window gradients are
+    skipped (dw is None).
 
     Everything up to the tensor products runs per axis on (2, n) and
     (2, 3, n) arrays, whose long axis is the particle axis; the products
-    then fill the entry-major (3, S, n) stack and (2, S, n) coordinates in
-    place.
+    then fill the entry-major (3, S, n) stack in place: `out`, a
+    C-contiguous float64 buffer of that shape, or a fresh one.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
     origin = np.asarray(origin, dtype=np.float64)
@@ -141,15 +132,14 @@ def build_stencil(centers: np.ndarray, origin: np.ndarray, dx: float,
             f"first indices {idx[:8].tolist()}"
         )
 
-    # per axis: node lattice index, window and slope, node - center
+    # per axis: node lattice coordinate, window and slope, node - center
     node = base[:, None, :] + np.arange(_SUPPORT)[:, None]  # (2, 3, n)
     w1, dw1 = _windows(u - base)
     r1 = (node - u[:, None, :]) * dx
 
     # tensor products over the lexicographic (x-major) node order
-    stack = np.empty((3, _S, n))
+    stack = np.empty((3, _S, n)) if out is None else out
     _outer(w1[0], w1[1], stack[2])
-    coords = _spread(node, np.empty((2, _S, n), dtype=np.int64))
     dw = None
     if gradients:
         dw = stack[:2]
@@ -157,7 +147,7 @@ def build_stencil(centers: np.ndarray, origin: np.ndarray, dx: float,
         _outer(w1[0], dw1[1], dw[1])
         dw /= dx
         dw = dw.T
-    return Stencil(coords=coords.T, w=stack[2].T, dw=dw, stack=stack, offsets=r1)
+    return Stencil(nodes=node, w=stack[2].T, dw=dw, stack=stack, offsets=r1)
 
 
 def moment_matrix(dx: float) -> float:

@@ -189,7 +189,8 @@ def p2g(body: Body, grid, dt: float | None = None) -> None:
     With `dt` given, the momentum also takes in the step's impulse dt f from
     the body's stress state (a prior `stress_pass`), so the grid holds
     m v + dt f.  A grid that keeps the pre-update velocities also gets the
-    plain w (m v).  The node mass is per epoch (`epoch_grid_terms`).
+    plain w (m v), in `momentum0`.  The node mass is per epoch
+    (`epoch_grid_terms`).
     """
     cmap = body.cmap
     slots = cmap.slots.T.ravel()
@@ -208,8 +209,8 @@ def p2g(body: Body, grid, dt: float | None = None) -> None:
         np.multiply(body.m, body.v[:, k], out=coef[2])
         np.einsum("csn,cn->sn", cmap.stack, coef, out=mom)
         _scatter(slots, mom, grid.momentum[:, k])
-        if grid.velocity0 is not None:
-            _scatter(slots, np.multiply(w, coef[2], out=tmp), grid.velocity0[:, k])
+        if grid.momentum0 is not None:
+            _scatter(slots, np.multiply(w, coef[2], out=tmp), grid.momentum0[:, k])
         if grid.pos_accum is not None:
             _scatter(slots, np.multiply(w, body.m * body.x[:, k], out=tmp), grid.pos_accum[:, k])
 
@@ -217,10 +218,11 @@ def p2g(body: Body, grid, dt: float | None = None) -> None:
 def finalize_grid(grid) -> None:
     """Divide by the node mass on the active nodes (zero elsewhere): the
     momentum into velocities and, where the grid keeps or tracks them, the
-    plain momentum into pre-update velocities (in place) and the scattered
-    m w x into mass-averaged current node positions."""
+    plain momentum into pre-update velocities and the scattered m w x into
+    mass-averaged current node positions.  Reads only the accumulators, so
+    a second call writes the same values."""
     idle = ~grid.active
-    for scattered, out in ((grid.momentum, grid.velocity), (grid.velocity0, grid.velocity0),
+    for scattered, out in ((grid.momentum, grid.velocity), (grid.momentum0, grid.velocity0),
                            (grid.pos_accum, grid.current)):
         if out is not None:
             # column by column: a masked (slots, 2) divide broadcasts over

@@ -128,16 +128,33 @@ def _pack(a, b, c, d):
     return np.stack([np.stack([a, b], -1), np.stack([c, d], -1)], -2)
 
 
+def _entries(per_axis):
+    """Per-axis node values (2, 3, n) laid out over the stencil, (n, S, 2):
+    entry 3 i + j is node (i, j) of the 3 x 3 support."""
+    ax, ay = per_axis
+    n = ax.shape[-1]
+    out = np.empty((n, 3, 3, 2), dtype=per_axis.dtype)
+    out[..., 0] = ax.T[:, :, None]
+    out[..., 1] = ay.T[:, None, :]
+    return out.reshape(n, 9, 2)
+
+
 def stencil_offsets(stencil):
     """Physical offsets node - center of a stencil's entries, (n, S, 2),
-    laid out from its per-axis offsets (2, 3, n): entry 3 i + j is node
-    (i, j) of the 3 x 3 support."""
-    ox, oy = stencil.offsets
-    n = ox.shape[-1]
-    r = np.empty((n, 3, 3, 2))
-    r[..., 0] = ox.T[:, :, None]
-    r[..., 1] = oy.T[:, None, :]
-    return r.reshape(n, 9, 2)
+    from its per-axis offsets (2, 3, n)."""
+    return _entries(stencil.offsets)
+
+
+def stencil_coords(stencil):
+    """Integer lattice coordinates of a stencil's entries, (n, S, 2), from
+    its per-axis node coordinates (2, 3, n)."""
+    return _entries(stencil.nodes)
+
+
+def lattice_index(grid, coords):
+    """Lattice indices x * ny + y of integer node coordinates (..., 2)."""
+    coords = np.asarray(coords, dtype=np.int64)
+    return coords[..., 0] * grid.n_nodes[1] + coords[..., 1]
 
 
 def slot_of(grid, coords):

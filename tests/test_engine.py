@@ -266,6 +266,51 @@ def test_steady_steps_allocate_no_per_entry_arrays(monkeypatch, case):
 
 
 @pytest.mark.parametrize("transfer", ["least_squares", "kernel"])
+def test_steady_rebinds_allocate_no_binding(monkeypatch, transfer):
+    # An Eulerian rebind refills the old binding's stack, slots and
+    # workspace: it keeps less than one (n, S) float64 array more than it
+    # frees, and its temporaries peak below four of them.
+    scene = load_scene({
+        "grid": {"origin": [0.0, 0.0], "size": [1.0, 1.0], "cells": [128, 128]},
+        "gravity": [0.0, -10.0],
+        "solver": {"dt": 1e-4, "steps": 3, "mode": "eulerian", "transfer": transfer},
+        "objects": [{
+            "shape": {"type": "disk", "center": [0.5, 0.5], "radius": 0.25},
+            "spacing": 1 / 256, "jitter": 0.3,
+            "material": {"type": "fixed_corotated", "density": 1000.0,
+                         "youngs": 1e4, "poisson": 0.3},
+            "velocity": [0.1, -0.2],
+        }],
+    })
+    sim = Simulation(scene)
+    calls = []
+    inner = engine.apply_update
+
+    def traced(*args):
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        out = inner(*args)
+        now, peak = tracemalloc.get_traced_memory()
+        calls.append((now - start, peak - start))
+        return out
+
+    monkeypatch.setattr(engine, "apply_update", traced)
+    tracemalloc.start()
+    try:
+        # the last rebind is steady: the arrays it replaces were allocated
+        # while tracing
+        for _ in range(3):
+            sim.step()
+    finally:
+        tracemalloc.stop()
+    entry_bytes = sim.bodies[0].cmap.slots.size * 8
+    retained, peak = calls[-1]
+    assert len(calls) == 3
+    assert retained < entry_bytes, (retained / entry_bytes)
+    assert peak < 4 * entry_bytes, (peak / entry_bytes)
+
+
+@pytest.mark.parametrize("transfer", ["least_squares", "kernel"])
 def test_no_step_scatters_forces_apart(monkeypatch, transfer):
     # every step deposits dt f through p2g and never calls
     # grid_internal_forces

@@ -5,6 +5,8 @@ per-step increments is recomputed in the test with plain matmuls, so any
 bookkeeping error in the split F_total = F_sn F_0s shows up as a mismatch.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from aulmpm.kinematics import (
     should_update,
 )
 from aulmpm.mls import build_stencil, gradient_weights, moment_matrix
-from oracles import slot_of, stencil_offsets
+from oracles import lattice_index, slot_of, stencil_coords, stencil_offsets
 
 COMPOSE_RTOL = 1e-12
 ACCUM_RTOL = 1e-12
@@ -119,8 +121,9 @@ def test_configuration_map_binds_reference_geometry():
     np.testing.assert_allclose(cmap.ref_positions, pos)
     # bound slots agree with the grid's own lookup of the stencil's nodes
     st = build_stencil(pos, grid.origin, grid.dx, grid.n_nodes)
+    nodes = stencil_coords(st)
     np.testing.assert_array_equal(
-        cmap.slots, slot_of(grid, st.coords.reshape(-1, 2)).reshape(cmap.slots.shape))
+        cmap.slots, slot_of(grid, nodes.reshape(-1, 2)).reshape(cmap.slots.shape))
     np.testing.assert_allclose(cmap.ref_positions[:, None] + stencil_offsets(st),
                                grid.position[cmap.slots], atol=1e-14)
     np.testing.assert_array_equal(cmap.w, st.w)
@@ -182,7 +185,8 @@ def test_binding_holds_weights_gradients_and_slots(transfer):
     G = st.dw if transfer == KERNEL else gradient_weights(st, moment_matrix(grid.dx))
     np.testing.assert_array_equal(cmap.G, G)
     # each slot holds the node the stencil entry names
-    np.testing.assert_array_equal(grid.position[cmap.slots], grid.origin + st.coords * grid.dx)
+    np.testing.assert_array_equal(grid.position[cmap.slots],
+                                  grid.origin + stencil_coords(st) * grid.dx)
 
 
 def test_binding_calls_the_mls_names_once_per_least_squares_build(monkeypatch):
@@ -223,3 +227,34 @@ def test_apply_update_folds_and_rebinds():
     np.testing.assert_allclose(new_map.ref_positions, moved)
     np.testing.assert_allclose(state.F_sn, np.broadcast_to(np.eye(2), (25, 2, 2)))
     np.testing.assert_allclose(compose_total(state), total_before, rtol=1e-15)
+
+
+@pytest.mark.parametrize("transfer", ["least_squares", KERNEL])
+def test_rebind_refills_the_old_binding_as_a_fresh_build(transfer):
+    # a rebind writes into the old map's stack, slots and workspace, and
+    # gives bitwise what a fresh build gives at the same positions on a copy
+    # of the grid; the first move (a contraction) binds no new node, the
+    # second binds some, appended in lattice order
+    grid = _grid()
+    pos = np.random.default_rng(21).uniform(0.3, 0.5, size=(60, 2))
+    cmap = ConfigurationMap.build(pos, grid, transfer=transfer)
+    cmap.work = np.empty((2,) + cmap.stack.shape[1:])   # as the transfers allocate it
+    stack, slots, work = cmap.stack, cmap.slots.base, cmap.work
+    state = DeformationState.identity(60)
+    for moved, grows in ((0.4 + 0.9 * (pos - 0.4), False), (pos + 0.25, True)):
+        copied = copy.deepcopy(grid)
+        fresh = ConfigurationMap.build(moved, copied, transfer=transfer)
+        before = grid.n_slots
+        old = cmap
+        cmap = apply_update(state, moved, grid, old)
+        assert (grid.n_slots > before) == grows
+        for name in ("stack", "slots", "w", "G"):
+            assert getattr(cmap, name).tobytes() == getattr(fresh, name).tobytes(), name
+        np.testing.assert_array_equal(grid.position, copied.position)
+        assert cmap.stack is stack and cmap.slots.base is slots and cmap.work is work
+        assert old.epoch == cmap.epoch - 1
+        assert old.stack is None and old.slots is None and old.work is None
+    # the appended nodes, all bound by the last rebind, in lattice order
+    coords = np.rint((grid.position[before:] - grid.origin) / grid.dx)
+    assert (np.diff(lattice_index(grid, coords)) > 0).all()
+    assert set(range(before, grid.n_slots)) <= set(cmap.slots.ravel().tolist())

@@ -18,7 +18,7 @@ from aulmpm.errors import OutOfDomainError
 from aulmpm.grid import SparseGrid
 from aulmpm.kinematics import ConfigurationMap, contract
 from aulmpm.mls import build_stencil, gradient_weights, moment_matrix
-from oracles import _ref_moment_matrix, bspline_weight, stencil_offsets
+from oracles import _ref_moment_matrix, bspline_weight, stencil_coords, stencil_offsets
 
 WEIGHT_ATOL = 1e-12
 PARTITION_ATOL = 1e-12
@@ -74,7 +74,7 @@ def test_stencil_at_node_reproduces_eighth_three_quarter_pattern():
     np.testing.assert_allclose(np.sort(st.w[0]), np.sort(np.outer(w1, w1).ravel()),
                                atol=WEIGHT_ATOL)
     # the node itself carries 0.75^2
-    at_node = np.all(st.coords[0] == np.array([10, 7]), axis=1)
+    at_node = np.all(stencil_coords(st)[0] == np.array([10, 7]), axis=1)
     assert at_node.sum() == 1
     np.testing.assert_allclose(st.w[0][at_node], 0.5625, atol=WEIGHT_ATOL)
 
@@ -88,7 +88,7 @@ def test_stencil_partition_of_unity_and_first_moment():
     first = np.einsum("ns,nsa->na", st.w, stencil_offsets(st))
     np.testing.assert_allclose(first, 0.0, atol=FIRST_MOMENT_ATOL)
     # linear consistency: weighted node positions reproduce the center
-    nodes = origin + st.coords * dx
+    nodes = origin + stencil_coords(st) * dx
     np.testing.assert_allclose(np.einsum("ns,nsa->na", st.w, nodes),
                                centers, atol=FIRST_MOMENT_ATOL)
 
@@ -140,7 +140,7 @@ def test_stencil_matches_spline_oracle():
                               _edge_centers(lo, hi, dx)])
     st = build_stencil(centers, origin, dx, n_nodes)
     coords, r, w, dw = _oracle_stencil(centers, dx)
-    np.testing.assert_array_equal(st.coords, coords)
+    np.testing.assert_array_equal(stencil_coords(st), coords)
     for got, want in ((stencil_offsets(st), r), (st.w, w), (st.dw, dw)):
         np.testing.assert_array_equal(_bits(got), _bits(want))
 
@@ -225,7 +225,7 @@ def test_mls_gradient_matches_weighted_lstsq_solve():
     centers = rng.uniform(3 * dx, 1.0 - 3 * dx, size=(50, 2))
     st = build_stencil(centers, origin, dx, n_nodes)
     G = gradient_weights(st, moment_matrix(dx))
-    nodes = origin + st.coords * dx
+    nodes = origin + stencil_coords(st) * dx
 
     def field(x):
         return np.sin(3.0 * x[..., 0]) * np.cos(2.0 * x[..., 1])
@@ -241,7 +241,7 @@ def test_mls_gradient_reproduces_affine_fields_exactly():
     centers = rng.uniform(3 * dx, 1.0 - 3 * dx, size=(1000, 2))
     st = build_stencil(centers, origin, dx, n_nodes)
     G = gradient_weights(st, moment_matrix(dx))
-    nodes = origin + st.coords * dx
+    nodes = origin + stencil_coords(st) * dx
     B = np.array([[0.3, -1.2], [0.7, 2.1]])
     c = np.array([0.1, -0.4])
     dv = (nodes @ B.T + c) - (centers @ B.T + c)[:, None]

@@ -240,6 +240,24 @@ def test_fused_scatter_equals_momentum_plus_impulse(kind, transfer):
     assert gap <= 1e-14 * scale, gap / scale
 
 
+def test_finalize_grid_is_idempotent():
+    # finalize_grid reads only the accumulators: a second call leaves every
+    # grid field bitwise as the first left it
+    rng = np.random.default_rng(29)
+    grid = _grid()
+    body = _body(_cloud(rng), grid, velocity=rng.normal(size=(40, 2)), transfer=KERNEL)
+    body.state.F_sn += 0.1 * rng.normal(size=body.state.F_sn.shape)
+    epoch_grid_terms([body], grid, mass_epsilon([body]))
+    stress_pass(body)
+    p2g(body, grid, 1e-3)
+    finalize_grid(grid)
+    once = {k: v.copy() for k, v in vars(grid).items() if isinstance(v, np.ndarray)}
+    assert np.abs(grid.velocity0).max() > 0.0
+    finalize_grid(grid)
+    for name, want in once.items():
+        assert getattr(grid, name).tobytes() == want.tobytes(), name
+
+
 def test_kernel_grid_keeps_the_velocities_before_the_impulse():
     # FLIP's pre-update velocities come from the plain momentum, not from
     # the one that carries dt f: bitwise the velocities p2g gives without
