@@ -66,8 +66,8 @@ class MaterialModel:
         return cls(kind=kind, density=density, mu=mu, lam=lam, **kw)
 
     @classmethod
-    def fluid(cls, density: float, bulk: float, gamma: float = 7.0) -> "MaterialModel":
-        return cls(kind=FLUID, density=density, bulk=bulk, gamma=gamma)
+    def fluid(cls, density: float, bulk: float, **kw) -> "MaterialModel":
+        return cls(kind=FLUID, density=density, bulk=bulk, **kw)
 
 
 @dataclass

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .constitutive import FLUID, SNOW, det, inverse, matmul, plastic_project
-from .errors import NumericalError
+from .errors import NumericalError, SceneError
 from .kinematics import (
     KERNEL,
     ConfigurationMap,
@@ -187,7 +187,7 @@ class Simulation:
         rebind_ms = 0.0
         total_marked = 0
         for b in self.bodies:
-            g2p(b, grid, dt, sol.flip_blend)
+            g2p(b, grid, dt)
             self._require_finite("particle state",
                                  np.isfinite(b.x).all() and np.isfinite(b.v).all())
             try:
@@ -325,23 +325,23 @@ class Simulation:
         configured step count runs, snapshotting every frame_dt (plus the
         initial and final states).  With `frames=N` the run emits exactly
         N snapshots after the initial one, each separated by frame_dt
-        worth of steps (or an even split of the configured steps when no
-        frame_dt is set); `frames=0` writes the initial state and stops.
+        worth of steps, or else by steps / N steps, which must be whole
+        (SceneError otherwise); `frames=0` writes the initial state and stops.
         """
         sol = self.scene.solver
+        # a whole count >= 1 (load_scene), or 0 without frame_dt
+        stride = 0 if sol.frame_dt is None else round(sol.frame_dt / sol.dt)
+        total = sol.steps
+        if frames is not None:
+            if not stride and frames and sol.steps % frames:
+                raise SceneError(f"{frames} frames do not divide the scene's {sol.steps} "
+                                 f"steps; pick a divisor of {sol.steps} or set solver.frame_dt")
+            stride = stride or sol.steps // max(frames, 1)
+            total = frames * stride
         out = None
         if out_dir is not None:
             out = Path(out_dir)
             (out / "frames").mkdir(parents=True, exist_ok=True)
-        per_frame = 0
-        if sol.frame_dt is not None:
-            per_frame = round(sol.frame_dt / sol.dt)   # a whole count >= 1 (load_scene)
-        if frames is None:
-            total = sol.steps
-            stride = per_frame
-        else:
-            stride = per_frame if per_frame else max(1, sol.steps // max(frames, 1))
-            total = frames * stride
         frame = 0
         if out is not None:
             self._write_frame(out, frame)

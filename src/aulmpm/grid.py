@@ -21,7 +21,7 @@ slots buffer and resolves them there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -102,12 +102,18 @@ class SparseGrid:
 
 
 @dataclass
-class HalfSpace:
+class Collider:
+    """Static collision geometry with its response, 'slip' or 'sticky'."""
+
+    mode: str = field(default="slip", kw_only=True)
+
+
+@dataclass
+class HalfSpace(Collider):
     """Static wall: material is kept on the side the normal points into."""
 
     point: np.ndarray
     normal: np.ndarray
-    mode: str = "slip"  # 'sticky' | 'slip'
 
     def __post_init__(self):
         self.point = np.asarray(self.point, dtype=np.float64)
@@ -122,12 +128,11 @@ class HalfSpace:
 
 
 @dataclass
-class SphereObstacle:
+class SphereObstacle(Collider):
     """Static spherical (circular in 2d) obstacle; material stays outside."""
 
     center: np.ndarray
     radius: float
-    mode: str = "slip"
 
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=np.float64)

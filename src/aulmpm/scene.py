@@ -36,8 +36,11 @@ class SolverConfig:
     integrator: str = "explicit"
     transfer: str = "least_squares"
     mode: str = "adaptive"
-    flip_blend: float = 0.95
     seed: int = 0
+
+    def __post_init__(self):
+        # the schema's integers admit 5.0 as well as 5
+        self.dt, self.steps, self.seed = float(self.dt), int(self.steps), int(self.seed)
 
 
 @dataclass
@@ -84,39 +87,40 @@ def _vec(raw, what: str) -> np.ndarray:
     return v
 
 
+def _given(raw: dict, *keys: str) -> dict:
+    """The optional keys the scene sets; the dataclasses hold every default."""
+    return {key: raw[key] for key in keys if key in raw}
+
+
 def _material_from(raw: dict) -> MaterialModel:
     kind = raw["type"]
     if kind == FLUID:
         if "bulk" not in raw:
             raise SceneError("fluid material needs a bulk modulus")
         return MaterialModel.fluid(density=raw["density"], bulk=raw["bulk"],
-                                   gamma=raw.get("gamma", 7.0))
+                                   **_given(raw, "gamma"))
     if "youngs" not in raw or "poisson" not in raw:
         raise SceneError(f"{kind} material needs youngs and poisson")
-    extra = {}
-    if kind == SNOW:
-        for key in ("theta_c", "theta_s", "hardening"):
-            if key in raw:
-                extra[key] = raw[key]
+    extra = _given(raw, "theta_c", "theta_s", "hardening") if kind == SNOW else {}
     return MaterialModel.from_youngs(kind, density=raw["density"],
                                      youngs=raw["youngs"],
                                      poisson=raw["poisson"], **extra)
 
 
 def _collider_from(raw: dict):
-    mode = raw.get("mode", "slip")
-    if raw["type"] == "half_space":
-        if "point" not in raw or "normal" not in raw:
-            raise SceneError("half_space collider needs point and normal")
+    kind = raw["type"]
+    need = ("point", "normal") if kind == "half_space" else ("center", "radius")
+    if any(key not in raw for key in need):
+        raise SceneError(f"{kind} collider needs {' and '.join(need)}")
+    mode = _given(raw, "mode")
+    if kind == "half_space":
         normal = _vec(raw["normal"], "collider normal")
         if np.linalg.norm(normal) == 0.0:
             raise SceneError("collider normal must be nonzero")
         return HalfSpace(point=_vec(raw["point"], "collider point"),
-                         normal=normal, mode=mode)
-    if "center" not in raw or "radius" not in raw:
-        raise SceneError("sphere collider needs center and radius")
+                         normal=normal, **mode)
     return SphereObstacle(center=_vec(raw["center"], "collider center"),
-                          radius=float(raw["radius"]), mode=mode)
+                          radius=float(raw["radius"]), **mode)
 
 
 def _shape_bounds(shape: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -164,17 +168,14 @@ def sample_shape(shape: dict, spacing: float, jitter: float = 0.0,
 
 
 def _object_from(raw: dict, index: int) -> ObjectSpec:
-    mat = _material_from(raw["material"])
-    vel = raw.get("velocity")
-    vel = np.zeros(2) if vel is None else _vec(vel, "object velocity")
-    upd = raw.get("update")
-    if upd is not None:
-        upd = UpdatePolicy(epsilon=upd["epsilon"], eta=upd["eta"])
-    ang = float(raw.get("angular_velocity", 0.0))
+    extra = _given(raw, "jitter", "angular_velocity")
+    if "velocity" in raw:
+        extra["velocity"] = _vec(raw["velocity"], "object velocity")
+    if "update" in raw:
+        extra["update"] = UpdatePolicy(**raw["update"])
     return ObjectSpec(name=raw.get("name", f"object{index}"),
                       shape=raw["shape"], spacing=float(raw["spacing"]),
-                      material=mat, jitter=float(raw.get("jitter", 0.0)),
-                      velocity=vel, angular_velocity=ang, update=upd)
+                      material=_material_from(raw["material"]), **extra)
 
 
 def bundled_scene(name: str) -> Scene:
@@ -199,18 +200,18 @@ def _reject_non_finite(value, path: str = "") -> None:
                          f"{path or '(top level)'}; every number must be finite")
 
 
-def _whole_steps(sol: dict, key: str, dt: float) -> int:
-    """The k >= 1 with sol[key] = k dt to 1e-9 relative; no time falls between steps."""
-    ratio = sol[key] / dt
+def _whole_steps(frame_dt: float, dt: float) -> None:
+    """Raise unless frame_dt = k dt for a whole k >= 1 to 1e-9 relative, so no
+    frame falls between steps."""
+    ratio = frame_dt / dt
     k = round(ratio) if math.isfinite(ratio) else 0
     if k < 1 or abs(ratio - k) > 1e-9 * k:
-        raise SceneError(f"solver {key} {sol[key]:g} is not a whole number of steps "
+        raise SceneError(f"solver frame_dt {frame_dt:g} is not a whole number of steps "
                          f"of dt {dt:g} ({ratio:.6g} steps)")
-    return k
 
 
 def load_scene(source) -> Scene:
-    """Parse and validate a scene from a path, JSON string, or dict."""
+    """Parse and validate a scene from a JSON file's path or a parsed dict."""
     if isinstance(source, dict):
         raw = source
     else:
@@ -239,23 +240,12 @@ def load_scene(source) -> Scene:
     if not np.allclose(dx, dx[0], rtol=1e-12, atol=0.0):
         raise SceneError("grid cells must be square; size/cells must match per axis")
 
-    sol = raw["solver"]
-    if ("steps" in sol) == ("duration" in sol):
-        raise SceneError("solver needs exactly one of steps or duration")
-    dt = float(sol["dt"])
-    steps = sol["steps"] if "steps" in sol else _whole_steps(sol, "duration", dt)
-    if "frame_dt" in sol:
-        _whole_steps(sol, "frame_dt", dt)
-    solver = SolverConfig(
-        dt=dt, steps=int(steps), frame_dt=sol.get("frame_dt"),
-        integrator=sol.get("integrator", "explicit"),
-        transfer=sol.get("transfer", "least_squares"),
-        mode=sol.get("mode", "adaptive"),
-        flip_blend=float(sol.get("flip_blend", 0.95)),
-        seed=int(sol.get("seed", 0)))
+    # the schema's solver keys are exactly SolverConfig's fields
+    solver = SolverConfig(**raw["solver"])
+    if solver.frame_dt is not None:
+        _whole_steps(solver.frame_dt, solver.dt)
 
-    gravity = raw.get("gravity")
-    gravity = np.zeros(2) if gravity is None else _vec(gravity, "gravity")
+    gravity = _vec(raw.get("gravity", (0.0, 0.0)), "gravity")
 
     objects = [_object_from(o, i) for i, o in enumerate(raw["objects"])]
     margin = 2.0 * float(dx[0])

@@ -89,6 +89,9 @@ CG_MAX_ITERS = 200
 # fraction of the largest particle mass below which a node counts as empty
 MASS_EPS_FACTOR = 1e-12
 
+# weight of FLIP in a kernel binding's PIC/FLIP velocity blend
+FLIP_BLEND = 0.95
+
 
 @dataclass
 class StepStress:
@@ -427,12 +430,12 @@ def grid_collisions(grid, colliders, dt: float) -> int:
 # -------------------------------------------------------------------- g2p
 
 
-def g2p(body: Body, grid, dt: float, flip_blend: float = 0.0) -> None:
+def g2p(body: Body, grid, dt: float) -> None:
     """Gather velocities, advect, and measure the new velocity gradient.
 
     Positions advance with the gathered (PIC) velocity.  On a kernel binding
-    the particle velocity blends PIC with weight 1 - flip_blend and FLIP (old
-    particle velocity plus the gathered grid change) with weight flip_blend;
+    the particle velocity blends PIC with weight 1 - FLIP_BLEND and FLIP (old
+    particle velocity plus the gathered grid change) with weight FLIP_BLEND;
     elsewhere it is the PIC velocity.  The FLIP blend needs a grid that
     keeps the pre-update velocities.
     """
@@ -445,8 +448,8 @@ def g2p(body: Body, grid, dt: float, flip_blend: float = 0.0) -> None:
         change = _gather(grid.velocity - grid.velocity0, cmap)
         flip = np.einsum("ksn,sn->nk", change, cmap.stack[2])
         flip += body.v
-        flip *= flip_blend
-        flip += (1.0 - flip_blend) * v_pic
+        flip *= FLIP_BLEND
+        flip += (1.0 - FLIP_BLEND) * v_pic
         body.v = flip
     else:
         body.v = v_pic

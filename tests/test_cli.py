@@ -99,13 +99,6 @@ def _wide_grid(raw):
     raw["grid"] = {"origin": [0.0, 0.0], "size": [1.5, 1.0], "cells": [24, 16]}
 
 
-def _duration(seconds):
-    def edit(raw):
-        del raw["solver"]["steps"]
-        raw["solver"]["duration"] = seconds
-    return edit
-
-
 NAN = float("nan")   # written as the bare token NaN
 
 # each malformed input with the arguments that reach it
@@ -118,27 +111,33 @@ MALFORMED = {
     "converge_level_off_aspect": (_wide_grid, ["converge", "--levels", "3..4",
                                                "--bench-level", "5"]),
     "missing_scene_file": (None, ["sim"]),
-    "infinite_duration": (_duration(float("inf")), ["sim"]),   # the bare token Infinity
+    "infinite_frame_dt": (lambda raw: raw["solver"].update(frame_dt=float("inf")),
+                          ["sim"]),   # the bare token Infinity
     "nan_dt": (lambda raw: raw["solver"].update(dt=NAN), ["sim"]),
     "nan_spacing": (lambda raw: raw["objects"][0].update(spacing=NAN), ["sim"]),
     "nan_gravity": (lambda raw: raw.update(gravity=[0.0, NAN]), ["sim"]),
     "cubic_order": (lambda raw: raw["solver"].update(order="cubic"), ["sim"]),
     "cfl": (lambda raw: raw["solver"].update(cfl=0.4), ["sim"]),
+    "duration": (lambda raw: raw["solver"].update(duration=6e-3), ["sim"]),
+    "flip_blend": (lambda raw: raw["solver"].update(flip_blend=0.95), ["sim"]),
     "moving_collider": (lambda raw: raw.update(colliders=[{
         "type": "half_space", "point": [0.0, 0.1], "normal": [0.0, 1.0],
         "velocity": [0.0, 0.0]}]), ["sim"]),
-    # at dt 1e-3: 2.5 steps per frame, 6.4 and 0.4 steps to the end
+    # at dt 1e-3: 2.5 and 0.4 steps per frame
     "frame_dt_between_steps": (lambda raw: raw["solver"].update(frame_dt=2.5e-3), ["sim"]),
-    "duration_between_steps": (_duration(6.4e-3), ["sim"]),
-    "duration_under_one_step": (_duration(4e-4), ["sim"]),
+    "frame_dt_under_one_step": (lambda raw: raw["solver"].update(frame_dt=4e-4), ["sim"]),
+    # 4 frames over 6 steps without frame_dt
+    "frames_not_dividing_steps": (lambda raw: raw["solver"].pop("frame_dt"),
+                                  ["sim", "--frames", "4"]),
 }
 
 # what the error line must name, where a case has one key or token at fault
-NAMED = {"infinite_duration": "Infinity", "nan_dt": "NaN", "nan_spacing": "NaN",
+NAMED = {"infinite_frame_dt": "Infinity", "nan_dt": "NaN", "nan_spacing": "NaN",
          "nan_gravity": "NaN", "cubic_order": "'order'", "cfl": "'cfl'",
+         "duration": "'duration'", "flip_blend": "'flip_blend'",
          "moving_collider": "'velocity'",
-         "frame_dt_between_steps": "frame_dt", "duration_between_steps": "duration",
-         "duration_under_one_step": "duration"}
+         "frame_dt_between_steps": "frame_dt", "frame_dt_under_one_step": "frame_dt",
+         "frames_not_dividing_steps": "4 frames do not divide the scene's 6 steps"}
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))

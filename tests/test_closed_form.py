@@ -32,6 +32,7 @@ from aulmpm.kinematics import (
 )
 from aulmpm.mls import build_stencil, gradient_weights, moment_matrix
 from aulmpm.transfers import (
+    FLIP_BLEND,
     Body,
     epoch_grid_terms,
     finalize_grid,
@@ -260,7 +261,7 @@ def test_g2p_matches_reference(transfer):
     finalize_grid(grid)
     grid.velocity[:] = rng.normal(size=grid.velocity.shape)
     x0, v0 = body.x.copy(), body.v.copy()
-    g2p(body, grid, dt=0.01, flip_blend=0.9)
+    g2p(body, grid, dt=0.01)
 
     w, slots = body.cmap.w, body.cmap.slots
     vn = grid.velocity[slots]
@@ -268,7 +269,7 @@ def test_g2p_matches_reference(transfer):
     C = np.einsum("nsa,nsb->nab", vn - v_pic[:, None, :], body.cmap.G)
     if transfer == KERNEL:
         delta = np.einsum("ns,nsa->na", w, vn - grid.velocity0[slots])
-        v = 0.1 * v_pic + 0.9 * (v0 + delta)
+        v = (1.0 - FLIP_BLEND) * v_pic + FLIP_BLEND * (v0 + delta)
     else:
         v = v_pic
     _assert_close(body.C, C)

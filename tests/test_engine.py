@@ -8,7 +8,7 @@ import pytest
 from aulmpm import constitutive, engine, kinematics, transfers
 from aulmpm.constitutive import MaterialModel
 from aulmpm.engine import Simulation
-from aulmpm.errors import NumericalError
+from aulmpm.errors import NumericalError, SceneError
 from aulmpm.kinematics import compose_total
 from aulmpm.scene import load_scene
 from oracles import _ref_signed_svd
@@ -604,6 +604,19 @@ def test_frames_argument_controls_run_length(tmp_path):
     info2 = sim2.run(out_dir=tmp_path, frames=5)
     assert info2["steps"] == 10
     assert info2["frames"] == 6
+
+
+@pytest.mark.parametrize("frames", [3, 20])
+def test_frames_that_do_not_divide_the_steps_are_rejected(tmp_path, frames):
+    # an even split of 10 steps into 3 or 20 frames would run 9 or 20 steps
+    sim = Simulation(_scene(steps=10))
+    with pytest.raises(SceneError, match=f"{frames} frames do not divide the scene's 10 steps"):
+        sim.run(out_dir=tmp_path / "out", frames=frames)
+    assert sim.steps_done == 0
+    assert not (tmp_path / "out").exists()
+    # frame_dt sets the stride instead: 3 frames of 4 steps each
+    info = Simulation(_scene(steps=10, frame_dt=4e-3)).run(frames=3)
+    assert info["steps"] == 12
 
 
 def test_frame_numbers_parse_back(tmp_path):

@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import re
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,32 +55,44 @@ def test_defaults_fill_in():
     assert scene.solver.integrator == "explicit"
     assert scene.solver.transfer == "least_squares"
     assert scene.solver.mode == "adaptive"
-    assert scene.solver.flip_blend == 0.95
     np.testing.assert_array_equal(scene.gravity, [0.0, 0.0])
     assert scene.objects[0].name == "object0"
     assert scene.dx == pytest.approx(1.0 / 16.0)
 
 
-def test_duration_converts_to_steps():
-    raw = _minimal()
-    raw["solver"] = {"dt": 1e-3, "duration": 0.05}
-    assert load_scene(raw).solver.steps == 50
-
-
-def test_steps_and_duration_conflict():
-    raw = _minimal()
-    raw["solver"] = {"dt": 1e-3, "steps": 5, "duration": 0.05}
-    with pytest.raises(SceneError):
-        load_scene(raw)
+def _schema():
+    return json.loads(resources.files("aulmpm").joinpath("data/scene.schema.json").read_text())
 
 
 def test_schema_solver_keys_are_the_solver_config_fields():
-    # a key the schema admits but the loader never reads would be accepted
-    # and silently ignored; `duration` is read as `steps`
-    schema = json.loads(resources.files("aulmpm").joinpath("data/scene.schema.json").read_text())
-    keys = set(schema["properties"]["solver"]["properties"])
+    # the loader passes the solver block to SolverConfig as it stands, so a
+    # key the schema admits must be a field, and every field a key
+    keys = set(_schema()["properties"]["solver"]["properties"])
     fields = {f.name for f in dataclasses.fields(SolverConfig)}
-    assert keys == fields | {"duration"}
+    assert keys == fields
+
+
+def test_every_schema_key_is_documented():
+    keys = set()
+    stack = [_schema()]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, dict):
+            keys |= set(node.get("properties", {}))
+            stack.extend(node.values())
+        elif isinstance(node, list):
+            stack.extend(node)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    missing = sorted(k for k in keys if not re.search(rf"\b{re.escape(k)}\b", readme))
+    assert not missing
+
+
+def test_integer_keys_written_as_floats_load_as_integers():
+    raw = _minimal()
+    raw["solver"] = {"dt": 1e-3, "steps": 5.0, "seed": 3.0}
+    sol = load_scene(raw).solver
+    assert (sol.steps, sol.seed) == (5, 3)
+    assert type(sol.steps) is int and type(sol.seed) is int
 
 
 def test_unknown_key_rejected_with_path():

@@ -473,7 +473,7 @@ def test_kernel_path_translates_exactly():
     epoch_grid_terms([body], grid, eps)
     p2g(body, grid)
     finalize_grid(grid)
-    g2p(body, grid, dt=0.01, flip_blend=0.95)
+    g2p(body, grid, dt=0.01)
     np.testing.assert_allclose(body.v, np.tile([0.3, -0.2], (40, 1)), atol=1e-12)
     np.testing.assert_allclose(body.x, x0 + 0.01 * np.array([0.3, -0.2]), atol=1e-12)
     np.testing.assert_allclose(body.C, 0.0, atol=1e-10)
