@@ -18,10 +18,10 @@ import json
 import sys
 
 from .errors import SceneError, SimulationError
-from .scene import load_scene
+from .scene import SCHEMA, load_scene
 
-_MODES = {"tl": "total_lagrangian", "euler": "eulerian", "adaptive": "adaptive"}
-_TRANSFERS = {"mls": "least_squares", "kernel": "kernel"}
+# solver keys `sim` can override, spelled and valued as in the scene
+_OVERRIDES = ("mode", "integrator", "transfer")
 
 
 def _non_negative_int(text: str) -> int:
@@ -44,12 +44,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", help="output directory")
     sim.add_argument("--frames", type=_non_negative_int, default=None,
                      help="number of snapshots to emit after the initial one")
-    sim.add_argument("--mode", choices=sorted(_MODES),
-                     help="override the scene's reference-update mode")
-    sim.add_argument("--integrator", choices=["explicit", "implicit"],
-                     help="override the scene's integrator")
-    sim.add_argument("--transfer", choices=sorted(_TRANSFERS),
-                     help="override the scene's transfer flavor")
+    for key in _OVERRIDES:
+        sim.add_argument(f"--{key}", help=f"override the scene's solver {key}",
+                         choices=SCHEMA["properties"]["solver"]["properties"][key]["enum"])
 
     conv = sub.add_parser("converge", help="grid refinement study")
     conv.add_argument("scene", help="scene JSON path")
@@ -78,12 +75,9 @@ def _parse_levels(text: str) -> list[int]:
 
 def _cmd_sim(args) -> int:
     scene = load_scene(args.scene)
-    if args.mode:
-        scene.solver.mode = _MODES[args.mode]
-    if args.integrator:
-        scene.solver.integrator = args.integrator
-    if args.transfer:
-        scene.solver.transfer = _TRANSFERS[args.transfer]
+    for key in _OVERRIDES:
+        if getattr(args, key):
+            setattr(scene.solver, key, getattr(args, key))
     from .engine import Simulation
 
     def progress(done, total):

@@ -5,7 +5,9 @@ objects (shape + material + initial motion) and optional collision
 geometry.  Every vector has exactly two components; the schema rejects
 3-D scenes.  `load_scene` accepts a path or an already-parsed dict,
 validates it against the bundled schema plus a handful of semantic
-checks, and returns a `Scene`.
+checks, and returns a `Scene`.  The schema checks each value; `_TYPE_KEYS`
+says which keys each material, shape and collider type reads, and a key
+its type does not read is an error, not a silent default.
 """
 
 from __future__ import annotations
@@ -19,13 +21,25 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 
-from .constitutive import FLUID, SNOW, MaterialModel
+from .constitutive import FIXED_COROTATED, FLUID, SNOW, MaterialModel
 from .errors import SceneError
 from .grid import HalfSpace, SphereObstacle
 from .kinematics import UpdatePolicy
 
-_SCHEMA = json.loads(
+SCHEMA = json.loads(
     resources.files("aulmpm").joinpath("data/scene.schema.json").read_text())
+_VALIDATOR = jsonschema.Draft7Validator(SCHEMA)
+
+# each type's keys besides "type": those it needs, then those it may set
+_TYPE_KEYS = {
+    FIXED_COROTATED: (("density", "youngs", "poisson"), ()),
+    SNOW: (("density", "youngs", "poisson"), ("theta_c", "theta_s", "hardening")),
+    FLUID: (("density", "bulk"), ("gamma",)),
+    "disk": (("center", "radius"), ()),
+    "box": (("min", "max"), ()),
+    "half_space": (("point", "normal"), ("mode",)),
+    "sphere": (("center", "radius"), ("mode",)),
+}
 
 
 @dataclass
@@ -92,27 +106,33 @@ def _given(raw: dict, *keys: str) -> dict:
     return {key: raw[key] for key in keys if key in raw}
 
 
-def _material_from(raw: dict) -> MaterialModel:
+def _typed(raw: dict, what: str) -> tuple[str, dict]:
+    """A material, shape or collider block's type and the optional keys it
+    sets; raises unless it has every key its type needs and no other."""
     kind = raw["type"]
+    need, may = _TYPE_KEYS[kind]
+    missing = [key for key in need if key not in raw]
+    if missing:
+        raise SceneError(f"{kind} {what} needs {', '.join(need[:-1])} and {need[-1]}; "
+                         f"missing {', '.join(missing)}")
+    unread = sorted(set(raw) - {"type", *need, *may})
+    if unread:
+        raise SceneError(f"{kind} {what} does not read {', '.join(map(repr, unread))}; "
+                         f"its keys are {', '.join(need + may)}")
+    return kind, _given(raw, *may)
+
+
+def _material_from(raw: dict) -> MaterialModel:
+    kind, extra = _typed(raw, "material")
     if kind == FLUID:
-        if "bulk" not in raw:
-            raise SceneError("fluid material needs a bulk modulus")
-        return MaterialModel.fluid(density=raw["density"], bulk=raw["bulk"],
-                                   **_given(raw, "gamma"))
-    if "youngs" not in raw or "poisson" not in raw:
-        raise SceneError(f"{kind} material needs youngs and poisson")
-    extra = _given(raw, "theta_c", "theta_s", "hardening") if kind == SNOW else {}
+        return MaterialModel.fluid(density=raw["density"], bulk=raw["bulk"], **extra)
     return MaterialModel.from_youngs(kind, density=raw["density"],
                                      youngs=raw["youngs"],
                                      poisson=raw["poisson"], **extra)
 
 
 def _collider_from(raw: dict):
-    kind = raw["type"]
-    need = ("point", "normal") if kind == "half_space" else ("center", "radius")
-    if any(key not in raw for key in need):
-        raise SceneError(f"{kind} collider needs {' and '.join(need)}")
-    mode = _given(raw, "mode")
+    kind, mode = _typed(raw, "collider")
     if kind == "half_space":
         normal = _vec(raw["normal"], "collider normal")
         if np.linalg.norm(normal) == 0.0:
@@ -124,12 +144,7 @@ def _collider_from(raw: dict):
 
 
 def _shape_bounds(shape: dict) -> tuple[np.ndarray, np.ndarray]:
-    need = ("center", "radius") if shape["type"] == "disk" else ("min", "max")
-    missing = [key for key in need if key not in shape]
-    if missing:
-        raise SceneError(f"{shape['type']} shape needs {' and '.join(need)}; "
-                         f"missing {', '.join(missing)}")
-    if shape["type"] == "disk":
+    if _typed(shape, "shape")[0] == "disk":
         c = _vec(shape["center"], "disk center")
         r = float(shape["radius"])
         return c - r, c + r
@@ -224,11 +239,10 @@ def load_scene(source) -> Scene:
         except json.JSONDecodeError as exc:
             raise SceneError(f"scene {source} is not valid JSON: {exc}") from None
     _reject_non_finite(raw)
-    try:
-        jsonschema.validate(raw, _SCHEMA)
-    except jsonschema.ValidationError as exc:
+    exc = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
+    if exc is not None:
         where = "/".join(str(p) for p in exc.absolute_path) or "(top level)"
-        raise SceneError(f"invalid scene at {where}: {exc.message}") from None
+        raise SceneError(f"invalid scene at {where}: {exc.message}")
 
     grid = raw["grid"]
     origin = np.asarray(grid["origin"], dtype=np.float64)

@@ -8,12 +8,13 @@ records into a rebind rate and the mean recorded cost of a rebind step.
 
 `CHECKS` is the ordered registry of the acceptance criteria and the one
 place each is defined: its number, its name (as `aulmpm verify --only`
-and `pytest -k` take it), its scorecard label, its wall-clock budget and
-its oracle.  An oracle returns `(passed, metrics, detail)`, where
-`detail` shows the measured values next to their pinned tolerances.
-`iter_property_checks` runs them one at a time, fails a check when it
-overruns its budget, and builds the scorecard line that both the test
-suite and `aulmpm verify` print.
+and `pytest -k` take it), its scorecard label, its wall-clock budget, its
+oracle and its bounds.  An oracle only measures: it returns a dict of
+metrics.  `bounds` maps each judged metric to the closed range `(lo, hi)`
+it must fall in (True counts as 1), and is the one place a tolerance is
+written.  `iter_property_checks` runs the checks one at a time; its runner
+judges every bound and the budget, and renders the scorecard line that
+both the test suite and `aulmpm verify` print from the same bounds.
 """
 
 from __future__ import annotations
@@ -250,13 +251,10 @@ def check_mode_recovery():
             {"never": never, "tl": tl, "always": always, "euler": euler}.items()}
     for sim in runs.values():
         sim.run()
-    d_tl = float(np.abs(runs["never"].bodies[0].x - runs["tl"].bodies[0].x).max())
-    d_eu = float(np.abs(runs["always"].bodies[0].x - runs["euler"].bodies[0].x).max())
-    metrics = {"tl_gap": d_tl, "euler_gap": d_eu,
-               "euler_updates": runs["euler"].bodies[0].cmap.epoch}
-    ok = d_tl <= 1e-12 and d_eu <= 1e-12 and runs["euler"].bodies[0].cmap.epoch > 0
-    return ok, metrics, (f"tl_gap={d_tl:.1e} euler_gap={d_eu:.1e} "
-                         "(tol 1e-12 each)")
+    x = {k: sim.bodies[0].x for k, sim in runs.items()}
+    return {"tl_gap": float(np.abs(x["never"] - x["tl"]).max()),
+            "euler_gap": float(np.abs(x["always"] - x["euler"]).max()),
+            "euler_updates": runs["euler"].bodies[0].cmap.epoch}
 
 
 def check_convergence_slopes():
@@ -264,11 +262,9 @@ def check_convergence_slopes():
     second order under grid refinement."""
     rep = convergence_study(bundled_scene("rotating_plate"),
                             [16, 32, 64, 128], 256)
-    ds, vs = rep.displacement_slope, rep.velocity_slope
-    ok = (not rep.partial and not rep.degenerate
-          and 1.7 <= ds <= 2.4 and 1.5 <= vs <= 2.3)
-    return ok, {"displacement_slope": ds, "velocity_slope": vs}, (
-        f"disp={ds:.2f} in [1.7,2.4] vel={vs:.2f} in [1.5,2.3]")
+    return {"displacement_slope": rep.displacement_slope,
+            "velocity_slope": rep.velocity_slope,
+            "partial": rep.partial, "degenerate": rep.degenerate}
 
 
 def check_mls_consistency():
@@ -284,14 +280,11 @@ def check_mls_consistency():
     nodes = grid.position[cmap.slots]
     vn = nodes @ A.T + b
     grad = contract(vn.T, cmap.G.T)
-    grad_gap = float(np.abs(grad - A).max())
     r = nodes - x[:, None, :]
     second_moment = np.einsum("ns,nsa,nsb->nab", cmap.w, r, r)
-    k_gap = float(np.abs(moment_matrix(grid.dx) * second_moment - np.eye(2)).max())
-    ok = grad_gap <= 1e-10 and k_gap <= 1e-10
-    return ok, {"affine_grad_gap": grad_gap, "moment_gap": k_gap}, (
-        f"affine_grad_gap={grad_gap:.1e} moment_gap={k_gap:.1e} "
-        "(tol 1e-10 each, 1000 stencils)")
+    return {"affine_grad_gap": float(np.abs(grad - A).max()),
+            "moment_gap": float(np.abs(moment_matrix(grid.dx) * second_moment
+                                       - np.eye(2)).max())}
 
 
 def check_variational_force():
@@ -315,11 +308,8 @@ def check_variational_force():
         h = 1e-6
         dU = (_patch_energy(body, h * dF) - _patch_energy(body, -h * dF)) / (2 * h)
         work = float(np.sum(f * u))
-        gaps[label] = abs(work + dU) / max(abs(dU), abs(work))
-    ok = all(g <= 1e-5 for g in gaps.values())
-    return ok, {f"relative_gap_{k}": g for k, g in gaps.items()}, (
-        f"fresh={gaps['fresh']:.1e} mid_epoch={gaps['mid_epoch']:.1e} "
-        "(rel tol 1e-5, 5-particle patch)")
+        gaps[f"relative_gap_{label}"] = abs(work + dU) / max(abs(dU), abs(work))
+    return gaps
 
 
 def check_hessian():
@@ -347,10 +337,8 @@ def check_hessian():
     body.state.F_sn = saved - h * dF
     f_minus = _forces(body, grid)
     fd = -(f_plus - f_minus) / (2 * h)
-    fd_gap = float(np.abs(hu - fd).max() / np.abs(fd).max())
-    ok = sym_gap <= 1e-9 and fd_gap <= 1e-5
-    return ok, {"symmetry_gap": sym_gap, "fd_gap": fd_gap}, (
-        f"symmetry={sym_gap:.1e} (tol 1e-9) fd={fd_gap:.1e} (rel tol 1e-5)")
+    return {"symmetry_gap": sym_gap,
+            "fd_gap": float(np.abs(hu - fd).max() / np.abs(fd).max())}
 
 
 def check_conservation():
@@ -385,14 +373,8 @@ def check_conservation():
     mom = np.array([r.momentum for r in sim.records])
     spin_drift = float(np.linalg.norm(mom - mom[0], axis=1).max()
                        / max(float(np.linalg.norm(mom[0])), 1e-30))
-
-    ok = (mass_gap <= 1e-13 and per_step <= 1e-12 and total <= 1e-10
-          and spin_drift <= 1e-10)
-    return ok, {"mass_gap": mass_gap, "per_step_drift": per_step,
-                "total_drift": total, "spin_drift": spin_drift}, (
-        f"mass_gap={mass_gap:.1e} (tol 1e-13) per_step={per_step:.1e} "
-        f"(tol 1e-12) 1000_steps={total:.1e} (tol 1e-10) "
-        f"spin_300_steps={spin_drift:.1e} (tol 1e-10)")
+    return {"mass_gap": mass_gap, "per_step_drift": per_step,
+            "total_drift": total, "spin_drift": spin_drift}
 
 
 def check_rigid_silence():
@@ -422,29 +404,20 @@ def check_rigid_silence():
 
     delta = deformation_delta(body.state)
     marked, _ = should_update(delta, UpdatePolicy(epsilon=1e-12, eta=0.0))
-    rel_t, rel_r = f_trans / f_ref, f_rot / f_ref
-    max_delta = float(delta.max())
-    ok = rel_t <= 1e-10 and rel_r <= 1e-10 and marked == 0 and max_delta <= 1e-14
-    return ok, {"translation_rel": rel_t, "rotation_rel": rel_r,
-                "max_delta": max_delta, "marked": int(marked)}, (
-        f"translation={rel_t:.1e} rotation={rel_r:.1e} (rel tol 1e-10) "
-        f"marked={int(marked)} delta={max_delta:.1e}")
+    return {"translation_rel": f_trans / f_ref, "rotation_rel": f_rot / f_ref,
+            "max_delta": float(delta.max()), "marked": int(marked)}
 
 
 def check_rebind_rate():
     """Criterion-driven rebinds on the splashing droplet stay far below
     the every-step baseline."""
     scene = bundled_scene("droplet")
-    runs = {}
+    taus = {}
     for mode in ("adaptive", "eulerian"):
         sim = Simulation(_with_solver(scene, mode=mode))
         sim.run()
-        runs[mode] = update_stats(sim.records)
-    tau_a = runs["adaptive"]["tau"]
-    tau_e = runs["eulerian"]["tau"]
-    ok = tau_a <= 50.0 and abs(tau_e - float(UPDATE_WINDOW)) < 1e-9
-    return ok, {"tau_adaptive": tau_a, "tau_eulerian": tau_e}, (
-        f"tau={tau_a:.0f} <= 50 vs every-step {tau_e:.0f}")
+        taus[f"tau_{mode}"] = update_stats(sim.records)["tau"]
+    return taus
 
 
 def _spin_run(scene) -> dict:
@@ -479,31 +452,16 @@ def check_fracture_proxy():
     scene = bundled_scene("spinning_disk")
     adaptive = _spin_run(scene)
     euler = _spin_run(_with_solver(scene, mode="eulerian"))
-
-    adaptive_ok = (adaptive["completed"]
-                   and 0.5 <= adaptive["j_lo"] and adaptive["j_hi"] <= 2.0
-                   and adaptive["drift"] <= 0.05)
-    euler_violates = (not euler["completed"]
-                      or euler["j_lo"] < 0.5 or euler["j_hi"] > 2.0
-                      or euler["drift"] > 0.05)
-    ok = adaptive_ok and euler_violates
-    metrics = {
-        "adaptive_j_lo": adaptive["j_lo"],
-        "adaptive_j_hi": adaptive["j_hi"],
-        "adaptive_drift": adaptive.get("drift"),
-        "adaptive_updates": adaptive.get("updates"),
-        "euler_completed": euler["completed"],
-        "euler_failed_step": euler["failed_step"],
-        "euler_j_hi": euler["j_hi"],
-    }
-    # a failed adaptive run has no drift to show, and still gets its line
-    drift = "n/a" if "drift" not in adaptive else f"{adaptive['drift']:.3f}"
-    every_step = (f"completed with J up to {euler['j_hi']:.2f}"
-                  if euler["completed"]
-                  else f"lost particles at step {euler['failed_step']}")
-    return ok, metrics, (
-        f"J in [{adaptive['j_lo']:.2f},{adaptive['j_hi']:.2f}] (bounds [0.5,2.0]) "
-        f"drift={drift} (tol 0.05); every-step run {every_step}")
+    # the every-step run is held to the adaptive run's bounds and must miss
+    # one; a run that did not complete has no drift, which misses
+    spin_bounds = {name.removeprefix("adaptive_"): bound
+                   for name, bound in CHECKS["fracture_proxy"].bounds.items()
+                   if name.startswith("adaptive_")}
+    metrics = {f"adaptive_{key}": adaptive.get(key)
+               for key in ("j_lo", "j_hi", "drift", "updates")}
+    return {**metrics, "euler_completed": euler["completed"],
+            "euler_failed_step": euler["failed_step"], "euler_j_hi": euler["j_hi"],
+            "euler_breaks_bounds": bool(_misses(euler, spin_bounds))}
 
 
 def check_transfer_identity():
@@ -521,9 +479,8 @@ def check_transfer_identity():
     centered = np.einsum("nsa,nsb->nab", vn - v_p[:, None, :], G)
     library = contract(vn.T, G.T)
     uncentered = moment_matrix(sim.grid.dx) * np.einsum("ns,nsa,nsb->nab", w, vn, r)
-    gap = max(float(np.abs(centered - library).max()),
-              float(np.abs(centered - uncentered).max()))
-    return gap <= 1e-12, {"max_gap": gap}, f"max_gap={gap:.1e} (tol 1e-12)"
+    return {"max_gap": max(float(np.abs(centered - library).max()),
+                           float(np.abs(centered - uncentered).max()))}
 
 
 def check_composition_invariance():
@@ -548,54 +505,88 @@ def check_composition_invariance():
             cmap = apply_update(folding, x, sim.grid, cmap)
     total_fold = compose_total(folding)
     total_plain = compose_total(plain)
-    rel = float(np.abs(total_fold - total_plain).max()
-                / np.abs(total_plain).max())
-    ok = rel <= 1e-10 and cmap.epoch == 14
-    return ok, {"relative_gap": rel, "epochs": cmap.epoch}, (
-        f"rel_gap={rel:.1e} (tol 1e-10) after {cmap.epoch} rebinds")
+    return {"relative_gap": float(np.abs(total_fold - total_plain).max()
+                                  / np.abs(total_plain).max()),
+            "epochs": cmap.epoch}
 
 
 @dataclass(frozen=True)
 class Check:
-    """One acceptance criterion: what the scorecard shows and what runs."""
+    """One acceptance criterion: what the scorecard shows, what runs and
+    the closed range `(lo, hi)` each judged metric must fall in."""
 
     number: int
     name: str
     label: str
     budget: float  # wall-clock seconds
-    run: Callable[[], tuple[bool, dict, str]]
+    run: Callable[[], dict]
+    bounds: dict[str, tuple[float, float]]
 
 
 CHECKS = {c.name: c for c in (
-    Check(1, "mode_recovery", "mode recovery", 30.0, check_mode_recovery),
-    Check(2, "convergence_slopes", "convergence slopes", 600.0,
-          check_convergence_slopes),
-    Check(3, "mls_consistency", "mls consistency", 5.0, check_mls_consistency),
-    Check(4, "gradient_consistency", "variational force", 5.0,
-          check_variational_force),
-    Check(5, "hessian_checks", "hessian checks", 5.0, check_hessian),
-    Check(6, "momentum_drift", "conservation", 30.0, check_conservation),
-    Check(7, "rigid_silence", "rigid-motion silence", 5.0, check_rigid_silence),
-    Check(8, "rebind_rate", "update economy", 120.0, check_rebind_rate),
-    Check(9, "fracture_proxy", "fracture resistance", 120.0,
-          check_fracture_proxy),
+    Check(1, "mode_recovery", "mode recovery", 30.0, check_mode_recovery,
+          {"tl_gap": (0, 1e-12), "euler_gap": (0, 1e-12),
+           "euler_updates": (1, np.inf)}),
+    Check(2, "convergence_slopes", "convergence slopes", 600.0, check_convergence_slopes,
+          {"displacement_slope": (1.7, 2.4), "velocity_slope": (1.5, 2.3),
+           "partial": (False, False), "degenerate": (False, False)}),
+    Check(3, "mls_consistency", "mls consistency", 5.0, check_mls_consistency,
+          {"affine_grad_gap": (0, 1e-10), "moment_gap": (0, 1e-10)}),
+    Check(4, "gradient_consistency", "variational force", 5.0, check_variational_force,
+          {"relative_gap_fresh": (0, 1e-5), "relative_gap_mid_epoch": (0, 1e-5)}),
+    Check(5, "hessian_checks", "hessian checks", 5.0, check_hessian,
+          {"symmetry_gap": (0, 1e-9), "fd_gap": (0, 1e-5)}),
+    Check(6, "momentum_drift", "conservation", 30.0, check_conservation,
+          {"mass_gap": (0, 1e-13), "per_step_drift": (0, 1e-12),
+           "total_drift": (0, 1e-10), "spin_drift": (0, 1e-10)}),
+    Check(7, "rigid_silence", "rigid-motion silence", 5.0, check_rigid_silence,
+          {"translation_rel": (0, 1e-10), "rotation_rel": (0, 1e-10),
+           "marked": (0, 0), "max_delta": (0, 1e-14)}),
+    Check(8, "rebind_rate", "update economy", 120.0, check_rebind_rate,
+          {"tau_adaptive": (0, 50),
+           "tau_eulerian": (UPDATE_WINDOW - 1e-9, UPDATE_WINDOW + 1e-9)}),
+    Check(9, "fracture_proxy", "fracture resistance", 120.0, check_fracture_proxy,
+          {"adaptive_j_lo": (0.5, 2.0), "adaptive_j_hi": (0.5, 2.0),
+           "adaptive_drift": (0, 0.05), "euler_breaks_bounds": (True, True)}),
     Check(10, "transfer_identity", "velocity-gradient identity", 5.0,
-          check_transfer_identity),
+          check_transfer_identity, {"max_gap": (0, 1e-12)}),
     Check(11, "composition_invariance", "composition invariance", 30.0,
-          check_composition_invariance),
+          check_composition_invariance, {"relative_gap": (0, 1e-10), "epochs": (14, 14)}),
 )}
 
 
+def _misses(metrics: dict, bounds: dict) -> list[str]:
+    """The judged metrics that are missing, None, NaN (which compares false)
+    or out of range."""
+    return [name for name, (lo, hi) in bounds.items()
+            if metrics.get(name) is None or not lo <= float(metrics[name]) <= hi]
+
+
+def _shown(value) -> str:
+    if value is None:
+        return "n/a"
+    if isinstance(value, (bool, int, np.bool_, np.integer)):
+        return str(int(value))
+    return f"{value:.3g}".replace("e-0", "e-").replace("e+0", "e+")
+
+
+def _judged(name: str, value, bound: tuple[float, float]) -> str:
+    """How a scorecard line shows one judged metric: `name=value in [lo,hi]`."""
+    return f"{name}={_shown(value)} in [{_shown(bound[0])},{_shown(bound[1])}]"
+
+
 def _run_check(check: Check) -> dict:
-    """Run and time one check; its result, failed if it overran its budget,
-    with its scorecard line."""
+    """Run and time one check, judge its bounds and budget, and render its
+    scorecard line from the same bounds."""
     t0 = time.perf_counter()
-    passed, metrics, detail = check.run()
+    metrics = check.run()
     seconds = time.perf_counter() - t0
-    passed = bool(passed) and seconds < check.budget
+    passed = not _misses(metrics, check.bounds) and seconds < check.budget
+    judged = " ".join(_judged(name, metrics.get(name), bound)
+                      for name, bound in check.bounds.items())
     took = f"{seconds:.{0 if check.budget >= 100 else 1}f}"
     line = (f"criterion {check.number:>2} {check.label:<26} "
-            f"{'PASS' if passed else 'FAIL'}  {detail}, "
+            f"{'PASS' if passed else 'FAIL'}  {judged}, "
             f"{took}s < {check.budget:g}s")
     return {"passed": passed, **metrics, "seconds": seconds, "line": line}
 
@@ -605,9 +596,9 @@ def iter_property_checks(names=None) -> Iterator[tuple[str, dict]]:
     run as the iterator reaches it.
 
     Yields (name, {"passed", **metrics, "seconds", "line"}).  A check fails
-    when its oracle fails or when it overruns its budget; `line` is its
-    scorecard verdict.  An unknown name raises `SceneError` here, before
-    any check runs.
+    when a judged metric is missing, None, NaN or outside its bound, or when
+    it overruns its budget; `line` is its scorecard verdict.  An unknown
+    name raises `SceneError` here, before any check runs.
     """
     names = list(CHECKS) if names is None else list(names)
     unknown = [n for n in names if n not in CHECKS]

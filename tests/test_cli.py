@@ -39,8 +39,8 @@ def test_sim_writes_outputs(scene_path, tmp_path, capsys):
     assert printed["steps"] == 6
 
 
-def test_sim_mode_and_transfer_aliases(scene_path, capsys):
-    rc = main(["sim", str(scene_path), "--mode", "euler", "--transfer", "kernel"])
+def test_sim_overrides_take_the_scene_spellings(scene_path, capsys):
+    rc = main(["sim", str(scene_path), "--mode", "eulerian", "--transfer", "kernel"])
     assert rc == 0
     printed = json.loads(capsys.readouterr().out)
     assert printed["mode"] == "eulerian"
@@ -129,6 +129,25 @@ MALFORMED = {
     # 4 frames over 6 steps without frame_dt
     "frames_not_dividing_steps": (lambda raw: raw["solver"].pop("frame_dt"),
                                   ["sim", "--frames", "4"]),
+    # the overrides take only the scene's own spellings
+    "mode_euler": (lambda raw: None, ["sim", "--mode", "euler"]),
+    "transfer_mls": (lambda raw: None, ["sim", "--transfer", "mls"]),
+    # keys that the block's type does not read
+    "solid_theta_c": (lambda raw: raw["objects"][0]["material"].update(theta_c=0.025),
+                      ["sim"]),
+    "solid_gamma": (lambda raw: raw["objects"][0]["material"].update(gamma=7.0), ["sim"]),
+    "solid_bulk": (lambda raw: raw["objects"][0]["material"].update(bulk=1e4), ["sim"]),
+    "fluid_youngs": (lambda raw: raw["objects"][0].update(material={
+        "type": "weakly_compressible_fluid", "density": 1000.0, "bulk": 1e4,
+        "youngs": 1e4}), ["sim"]),
+    "box_radius": (lambda raw: raw["objects"][0].update(shape={
+        "type": "box", "min": [0.4, 0.4], "max": [0.6, 0.6], "radius": 0.1}), ["sim"]),
+    "half_space_center": (lambda raw: raw.update(colliders=[{
+        "type": "half_space", "point": [0.0, 0.1], "normal": [0.0, 1.0],
+        "center": [0.5, 0.5]}]), ["sim"]),
+    "half_space_radius": (lambda raw: raw.update(colliders=[{
+        "type": "half_space", "point": [0.0, 0.1], "normal": [0.0, 1.0],
+        "radius": 0.1}]), ["sim"]),
 }
 
 # what the error line must name, where a case has one key or token at fault
@@ -137,7 +156,15 @@ NAMED = {"infinite_frame_dt": "Infinity", "nan_dt": "NaN", "nan_spacing": "NaN",
          "duration": "'duration'", "flip_blend": "'flip_blend'",
          "moving_collider": "'velocity'",
          "frame_dt_between_steps": "frame_dt", "frame_dt_under_one_step": "frame_dt",
-         "frames_not_dividing_steps": "4 frames do not divide the scene's 6 steps"}
+         "frames_not_dividing_steps": "4 frames do not divide the scene's 6 steps",
+         "mode_euler": "'euler'", "transfer_mls": "'mls'",
+         "solid_theta_c": "fixed_corotated material does not read 'theta_c'",
+         "solid_gamma": "fixed_corotated material does not read 'gamma'",
+         "solid_bulk": "fixed_corotated material does not read 'bulk'",
+         "fluid_youngs": "weakly_compressible_fluid material does not read 'youngs'",
+         "box_radius": "box shape does not read 'radius'",
+         "half_space_center": "half_space collider does not read 'center'",
+         "half_space_radius": "half_space collider does not read 'radius'"}
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -215,10 +242,10 @@ def test_verify_prints_each_line_as_its_check_finishes(monkeypatch, capsys):
 
     def probe():
         seen.append(capsys.readouterr().out)
-        return True, {}, "probe"
+        return {"calls": len(seen)}
 
     monkeypatch.setitem(verify.CHECKS, "probe",
-                        verify.Check(12, "probe", "probe", 5.0, probe))
+                        verify.Check(12, "probe", "probe", 5.0, probe, {"calls": (1, 1)}))
     assert main(["verify", "--only", "transfer_identity", "--only", "probe"]) == 0
     assert seen[0].startswith("criterion 10 ") and " PASS " in seen[0]
     assert capsys.readouterr().out.startswith("criterion 12 probe")

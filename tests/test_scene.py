@@ -4,11 +4,13 @@ import re
 from importlib import resources
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
 from aulmpm.errors import SceneError
-from aulmpm.scene import SolverConfig, bundled_scene, load_scene, sample_shape
+from aulmpm.scene import (_TYPE_KEYS, SolverConfig, bundled_scene, load_scene,
+                          sample_shape)
 
 
 def _minimal(**overrides):
@@ -70,6 +72,22 @@ def test_schema_solver_keys_are_the_solver_config_fields():
     keys = set(_schema()["properties"]["solver"]["properties"])
     fields = {f.name for f in dataclasses.fields(SolverConfig)}
     assert keys == fields
+
+
+def test_bundled_schema_is_a_valid_draft7_schema():
+    # load_scene builds its validator once and so never re-checks the schema
+    jsonschema.Draft7Validator.check_schema(_schema())
+
+
+def test_type_keys_are_the_schema_keys_of_their_block():
+    obj = _schema()["properties"]["objects"]["items"]["properties"]
+    blocks = [obj["material"], obj["shape"],
+              _schema()["properties"]["colliders"]["items"]]
+    for block in blocks:
+        types = block["properties"]["type"]["enum"]
+        keys = {"type"}.union(*(need + may for need, may in map(_TYPE_KEYS.get, types)))
+        assert keys == set(block["properties"])
+    assert sum(len(b["properties"]["type"]["enum"]) for b in blocks) == len(_TYPE_KEYS)
 
 
 def test_every_schema_key_is_documented():

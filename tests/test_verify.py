@@ -1,4 +1,6 @@
 import dataclasses
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,3 +216,56 @@ def test_overrun_budget_fails_the_check(monkeypatch, capsys):
     assert " FAIL " in res["line"] and res["line"].endswith("s < 0s")
     assert main(["verify", "--only", name]) == 3
     capsys.readouterr()
+
+
+def _probe(monkeypatch, metrics, bounds):
+    check = verify.Check(12, "probe", "probe", 5.0, lambda: dict(metrics), bounds)
+    monkeypatch.setitem(verify.CHECKS, "probe", check)
+    return run_property_checks(["probe"])["probe"]
+
+
+@pytest.mark.parametrize("metrics, shown", [
+    ({"x": 1.5, "flag": True}, "x=1.5"),
+    ({"x": None, "flag": True}, "x=n/a"),
+    ({"x": float("nan"), "flag": True}, "x=nan"),
+    ({"flag": True}, "x=n/a"),
+], ids=["out_of_range", "none", "nan", "missing"])
+def test_a_judged_metric_outside_its_bound_fails_and_is_named(monkeypatch, metrics, shown):
+    res = _probe(monkeypatch, metrics, {"x": (0, 1e-5), "flag": (True, True)})
+    assert res["passed"] is False
+    assert " FAIL " in res["line"] and f"{shown} in [0,1e-5]" in res["line"]
+
+
+def test_bounds_are_closed_and_true_counts_as_one(monkeypatch):
+    res = _probe(monkeypatch, {"x": 1e-5, "n": 14, "flag": True, "extra": None},
+                 {"x": (0, 1e-5), "n": (14, 14), "flag": (1, 1)})
+    assert res["passed"] is True and res["extra"] is None
+    assert res["line"].startswith("criterion 12 probe")
+    assert "  x=1e-5 in [0,1e-5] n=14 in [14,14] flag=1 in [1,1], " in res["line"]
+    assert "extra" not in res["line"]
+
+
+@pytest.mark.parametrize("name", list(verify.CHECKS))
+def test_every_judged_metric_is_in_its_line_with_its_range(monkeypatch, name):
+    check = verify.CHECKS[name]
+    at_low_end = {metric: lo for metric, (lo, hi) in check.bounds.items()}
+    monkeypatch.setitem(verify.CHECKS, name,
+                        dataclasses.replace(check, run=lambda: dict(at_low_end)))
+    res = run_property_checks([name])[name]
+    assert res["passed"] is True
+    for metric, (lo, hi) in check.bounds.items():
+        assert re.search(rf" {metric}=\S+ in \[{re.escape(verify._shown(lo))},"
+                         rf"{re.escape(verify._shown(hi))}\]", res["line"])
+
+
+def test_readme_scorecard_quotes_the_registered_bounds():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = re.findall(r"^criterion .*$", readme, flags=re.M)
+    assert lines
+    by_number = {c.number: c for c in verify.CHECKS.values()}
+    for line in lines:
+        check = by_number[int(line.split()[1])]
+        quoted = dict(re.findall(r" (\w+)=\S+ in (\[[^\]]*\])", line))
+        assert set(quoted) == set(check.bounds), line
+        for metric, text in quoted.items():
+            assert text == verify._judged(metric, None, check.bounds[metric]).split(" in ")[1]
