@@ -27,13 +27,14 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from .constitutive import FLUID, SNOW, det, inverse, matmul, plastic_project
-from .errors import NumericalError, SceneError
+from .errors import NumericalError, SceneError, SimulationError
 from .kinematics import (
     KERNEL,
     ConfigurationMap,
@@ -68,6 +69,9 @@ FRAME_CHUNK = 256
 
 @dataclass
 class StepRecord:
+    """One step's totals and counters, and one row of stats.csv: the
+    fields, in order, are the file's columns, an ndarray field one column
+    per axis (`momentum_x`, `momentum_y`)."""
     step: int
     time: float
     mass: float
@@ -77,8 +81,49 @@ class StepRecord:
     updates: int
     marked_fraction: float
     wall_ms: float
-    rebound: bool
-    rebind_ms: float = 0.0   # wall time of this step's rebinds, 0 without one
+    rebind_ms: float   # wall time of this step's rebinds, 0 without one
+
+
+# each StepRecord field's type and stats.csv columns, in column order: an
+# ndarray field takes one column per axis
+_KINDS = get_type_hints(StepRecord)
+_COLUMNS = {f.name: [f"{f.name}_{a}" for a in "xy"] if _KINDS[f.name] is np.ndarray
+            else [f.name] for f in fields(StepRecord)}
+STATS_HEADER = ",".join(sum(_COLUMNS.values(), []))
+_WIDTH = STATS_HEADER.count(",") + 1
+
+
+def write_stats_csv(path, records: list[StepRecord]) -> None:
+    """Write stats.csv: the header, then one row per record, every value at
+    %.17g, which writes a count as its digits and a float as the digits of
+    the same double."""
+    row = ",".join(["%.17g"] * _WIDTH) + "\n"
+    table = np.column_stack([[getattr(r, name) for r in records] for name in _COLUMNS])
+    with open(path, "w") as fh:
+        fh.write(STATS_HEADER + "\n" + "".join(row % tuple(vals) for vals in table.tolist()))
+
+
+def read_stats_csv(path) -> list[StepRecord]:
+    """Load a stats.csv written by a run back into step records, equal to
+    the run's bit for bit; a header-only file (a run of no steps) gives []."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    if lines[:1] != [STATS_HEADER]:
+        raise SimulationError(f"malformed stats file {path}: header is not {STATS_HEADER}")
+    records = []
+    for k, line in enumerate(lines[1:], start=2):
+        texts = line.split(",")
+        values = iter(texts)
+        try:
+            if len(texts) != _WIDTH:
+                raise ValueError(f"{len(texts)} values, not {_WIDTH}")
+            records.append(StepRecord(**{
+                name: np.array([float(next(values)) for _ in cols])
+                if _KINDS[name] is np.ndarray else _KINDS[name](next(values))
+                for name, cols in _COLUMNS.items()}))
+        except ValueError as exc:
+            raise SimulationError(f"malformed stats file {path}: line {k}: {exc}") from None
+    return records
 
 
 def _policy_for(obj, mode: str) -> UpdatePolicy | None:
@@ -213,7 +258,7 @@ class Simulation:
 
         self.time += dt
         self.steps_done += 1
-        self._record(total_marked, rebound, (time.perf_counter() - t0) * 1e3, rebind_ms)
+        self._record(total_marked, (time.perf_counter() - t0) * 1e3, rebind_ms)
         return rebound
 
     def _require_finite(self, name: str, finite: bool) -> None:
@@ -242,13 +287,12 @@ class Simulation:
         return {"mass": mass, "momentum": mom, "angular_momentum": ang,
                 "kinetic_energy": kin}
 
-    def _record(self, total_marked: int, rebound: bool, wall_ms: float,
-                rebind_ms: float) -> None:
+    def _record(self, total_marked: int, wall_ms: float, rebind_ms: float) -> None:
         self.records.append(StepRecord(
             step=self.steps_done, time=self.time, **self.totals(),
             updates=sum(b.cmap.epoch for b in self.bodies),
             marked_fraction=total_marked / self.n_particles,
-            wall_ms=wall_ms, rebound=rebound, rebind_ms=rebind_ms))
+            wall_ms=wall_ms, rebind_ms=rebind_ms))
 
     # ------------------------------------------------------------- output
 
@@ -281,19 +325,6 @@ class Simulation:
             # trip the cycle collector several times per frame
             for start in range(0, tab.shape[0], FRAME_CHUNK):
                 fh.write("".join(row % vals for vals in tab[start:start + FRAME_CHUNK].tolist()))
-
-    def _write_stats(self, out: Path) -> None:
-        cols = ["step", "time", "mass", "momentum_x", "momentum_y", "angular_momentum",
-                "kinetic_energy", "updates", "marked_fraction", "wall_ms", "rebind_ms"]
-        with (out / "stats.csv").open("w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for r in self.records:
-                vals = [str(r.step), f"{r.time:.17g}", f"{r.mass:.17g}"]
-                vals += [f"{v:.17g}" for v in r.momentum]
-                vals += [f"{r.angular_momentum:.17g}", f"{r.kinetic_energy:.17g}",
-                         str(r.updates), f"{r.marked_fraction:.17g}",
-                         f"{r.wall_ms:.6g}", f"{r.rebind_ms:.6g}"]
-                fh.write(",".join(vals) + "\n")
 
     def summary(self) -> dict:
         sol = self.scene.solver
@@ -366,6 +397,6 @@ class Simulation:
         info["wall_s"] = wall
         info["frames"] = frame
         if out is not None:
-            self._write_stats(out)
+            write_stats_csv(out / "stats.csv", self.records)
             (out / "summary.json").write_text(json.dumps(info, indent=2) + "\n")
         return info

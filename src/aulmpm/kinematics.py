@@ -195,11 +195,8 @@ def deformation_delta(state: DeformationState) -> np.ndarray:
 
 def should_update(delta: np.ndarray, policy: UpdatePolicy) -> tuple[int, bool]:
     """Marked-particle count and whether the rebinding criterion fires."""
-    n = delta.shape[0]
     marked = int(np.count_nonzero(delta >= policy.epsilon))
-    if n == 0:
-        return 0, False
-    return marked, (marked / n) >= policy.eta
+    return marked, (marked / delta.shape[0]) >= policy.eta
 
 
 def apply_update(state: DeformationState, positions: np.ndarray, grid,

@@ -335,8 +335,7 @@ def hessian_apply(bodies, u: np.ndarray, act: np.ndarray | None = None) -> np.nd
     return out
 
 
-def implicit_update(bodies, grid, dt: float, gravity: np.ndarray,
-                    tol: float = CG_TOL, max_iters: int = CG_MAX_ITERS) -> dict:
+def implicit_update(bodies, grid, dt: float, gravity: np.ndarray) -> dict:
     """One-Newton-step backward Euler velocity solve.
 
     Solves (M + dt^2 H) v = M v_hat with H the energy Hessian in the grid
@@ -359,13 +358,13 @@ def implicit_update(bodies, grid, dt: float, gravity: np.ndarray,
     b_norm = np.linalg.norm(b)
     r_start = float(np.linalg.norm(r) / b_norm) if b_norm > 0.0 else 0.0
     info = {"iterations": 0, "converged": True, "fallback": False, "residual": r_start}
-    if r_start <= tol:
+    if r_start <= CG_TOL:
         grid.velocity[:] = x
         return info
 
     p = r.copy()
     rr = float(np.vdot(r, r))
-    for it in range(1, max_iters + 1):
+    for it in range(1, CG_MAX_ITERS + 1):
         ap = a_mul(p)
         pap = float(np.vdot(p, ap))
         if pap <= 0.0:
@@ -378,7 +377,7 @@ def implicit_update(bodies, grid, dt: float, gravity: np.ndarray,
         r -= alpha * ap
         rr_new = float(np.vdot(r, r))
         info.update(iterations=it, residual=float(np.sqrt(rr_new) / b_norm))
-        if info["residual"] <= tol:
+        if info["residual"] <= CG_TOL:
             break
         p = r + (rr_new / rr) * p
         rr = rr_new

@@ -101,13 +101,14 @@ def convergence_study(scene: Scene, levels, bench: int) -> ConvergenceReport:
 
     `levels` and `bench` are cell counts along x; the count along y keeps
     the domain's aspect ratio (`Scene.with_cells` raises SceneError, before
-    anything runs, for a level where it is not whole).  Every run keeps the
+    anything runs, for a level where it is not whole; so does a `bench` not
+    above every level).  Every run keeps the
     scene's sampler seed and spacing, so particles align one-to-one and
     fields compare pointwise against the benchmark resolution.
     """
     levels = sorted(int(lv) for lv in levels)
     if bench <= levels[-1]:
-        raise SimulationError("benchmark resolution must exceed every level")
+        raise SceneError("benchmark resolution must exceed every level")
     subs = [scene.with_cells(lv) for lv in levels]
     bx, bv = _final_state(scene.with_cells(bench))
 
@@ -138,46 +139,18 @@ def convergence_study(scene: Scene, levels, bench: int) -> ConvergenceReport:
 
 def update_stats(records: list[StepRecord]) -> dict:
     """Rebind rate per UPDATE_WINDOW steps and `update_cost_ms`, the mean
-    recorded rebind time (`rebind_ms`) over the steps that rebound."""
+    recorded rebind time (`rebind_ms`) over the steps that rebound: those
+    whose `updates` count grew (the records start at a run's first step)."""
     if not records:
         raise SimulationError("no step records")
     steps = len(records)
     updates = records[-1].updates
     tau = updates * UPDATE_WINDOW / steps
-    rebind_times = [r.rebind_ms for r in records if r.rebound]
+    before = [0] + [r.updates for r in records[:-1]]
+    rebind_times = [r.rebind_ms for r, n in zip(records, before) if r.updates > n]
     cost = float(np.mean(rebind_times)) if rebind_times else 0.0
     return {"steps": steps, "updates": updates, "tau": tau,
             "update_cost_ms": cost}
-
-
-def read_stats_csv(path) -> list[StepRecord]:
-    """Load a stats.csv written by a run back into step records."""
-    records = []
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    if not rows:
-        raise SimulationError(f"empty stats file {path}")
-    prev_updates = 0
-    for row in rows:
-        try:
-            mom_keys = [k for k in row if k.startswith("momentum_")]
-            updates = int(row["updates"])
-            rec = StepRecord(
-                step=int(row["step"]), time=float(row["time"]),
-                mass=float(row["mass"]),
-                momentum=np.array([float(row[k]) for k in sorted(mom_keys)]),
-                angular_momentum=float(row["angular_momentum"]),
-                kinetic_energy=float(row["kinetic_energy"]),
-                updates=updates,
-                marked_fraction=float(row["marked_fraction"]),
-                wall_ms=float(row["wall_ms"]),
-                rebound=updates > prev_updates,
-                rebind_ms=float(row["rebind_ms"]))
-        except (KeyError, ValueError) as exc:
-            raise SimulationError(f"malformed stats file {path}: {exc}") from None
-        prev_updates = updates
-        records.append(rec)
-    return records
 
 
 # ------------------------------------------------------------ acceptance criteria

@@ -7,14 +7,14 @@ import pytest
 
 from aulmpm import verify
 from aulmpm.cli import main
-from aulmpm.engine import Simulation, StepRecord
-from aulmpm.errors import SimulationError
-from aulmpm.scene import load_scene
+from aulmpm.engine import (STATS_HEADER, Simulation, StepRecord, read_stats_csv,
+                           write_stats_csv)
+from aulmpm.errors import SceneError, SimulationError
+from aulmpm.scene import bundled_scene, load_scene
 from aulmpm.verify import (
     _fit_slope,
     convergence_study,
     error_norm,
-    read_stats_csv,
     run_property_checks,
     update_stats,
 )
@@ -50,24 +50,24 @@ def test_slope_fit_recovers_known_order():
     assert _fit_slope(dx, 100.0 * err) == pytest.approx(2.0, abs=1e-12)
 
 
-def _record(step, updates, wall, rebound, rebind_ms=0.0):
+def _record(step, updates, wall, rebind_ms=0.0):
     return StepRecord(step=step, time=step * 1e-3, mass=1.0,
                       momentum=np.zeros(2), angular_momentum=0.0,
                       kinetic_energy=0.0, updates=updates,
-                      marked_fraction=0.0, wall_ms=wall, rebound=rebound,
-                      rebind_ms=rebind_ms)
+                      marked_fraction=0.0, wall_ms=wall, rebind_ms=rebind_ms)
 
 
 def test_update_stats_forced_arithmetic():
-    # 52 rebinds in 208 steps -> 26 per 104-step window; the rebind steps
-    # record 1.0 or 2.0 ms of rebinding inside 3 ms steps, so the cost is
-    # their mean 1.5 ms, not the 2 ms whole-step difference
+    # 52 rebinds in 208 steps -> 26 per 104-step window; the steps whose
+    # update count grows record 1.0 or 2.0 ms of rebinding inside 3 ms
+    # steps, so the cost is their mean 1.5 ms, not the 2 ms whole-step
+    # difference
     recs = []
     ups = 0
     for k in range(1, 209):
         hit = k % 4 == 0
         ups += hit
-        recs.append(_record(k, ups, 3.0 if hit else 1.0, hit,
+        recs.append(_record(k, ups, 3.0 if hit else 1.0,
                             (1.0 if k % 8 else 2.0) if hit else 0.0))
     st = update_stats(recs)
     assert st["updates"] == 52
@@ -76,33 +76,25 @@ def test_update_stats_forced_arithmetic():
 
 
 def test_update_stats_zero_updates():
-    recs = [_record(k, 0, 1.0, False) for k in range(1, 11)]
+    recs = [_record(k, 0, 1.0) for k in range(1, 11)]
     st = update_stats(recs)
     assert st["tau"] == 0.0
     assert st["update_cost_ms"] == 0.0
 
 
 def test_stats_csv_roundtrip(tmp_path):
-    scene = load_scene({
-        "grid": {"origin": [0.0, 0.0], "size": [1.0, 1.0], "cells": [16, 16]},
-        "solver": {"dt": 1e-3, "steps": 6, "mode": "eulerian"},
-        "objects": [{
-            "shape": {"type": "disk", "center": [0.5, 0.5], "radius": 0.1},
-            "spacing": 0.02,
-            "material": {"type": "fixed_corotated", "density": 1000.0,
-                         "youngs": 1e4, "poisson": 0.3},
-            "velocity": [0.3, 0.1],
-        }],
-    })
-    sim = Simulation(scene)
+    # the bundled drop rebinds; every field reads back bit for bit, wall
+    # times included
+    sim = Simulation(bundled_scene("droplet"))
     sim.run(out_dir=tmp_path)
+    assert sim.records[-1].updates > 0
     back = read_stats_csv(tmp_path / "stats.csv")
-    assert len(back) == 6
-    assert back[-1].updates == sim.records[-1].updates
-    np.testing.assert_allclose(back[-1].momentum, sim.records[-1].momentum)
-    st_a = update_stats(back)
-    st_b = update_stats(sim.records)
-    assert st_a["tau"] == st_b["tau"]
+    assert len(back) == len(sim.records) == 104
+    for got, want in zip(back, sim.records):
+        assert np.array_equal(got.momentum, want.momentum)
+        assert (dataclasses.replace(got, momentum=None)
+                == dataclasses.replace(want, momentum=None))
+    assert update_stats(back) == update_stats(sim.records)
 
 
 def test_rebind_time_is_recorded_on_rebind_steps(tmp_path):
@@ -123,17 +115,16 @@ def test_rebind_time_is_recorded_on_rebind_steps(tmp_path):
                        "normal": [0.0, 1.0], "mode": "slip"}],
     })
     sim = Simulation(scene)
-    sim.run(out_dir=tmp_path)
-    rebound = [r.rebound for r in sim.records]
+    rebound = [sim.step() for _ in range(scene.solver.steps)]
+    ups = [0] + [r.updates for r in sim.records]
+    assert rebound == [b > a for a, b in zip(ups, ups[1:])]
     assert any(rebound) and not all(rebound)
-    for r in sim.records:
-        assert r.rebind_ms > 0.0 if r.rebound else r.rebind_ms == 0.0
+    for r, hit in zip(sim.records, rebound):
+        assert r.rebind_ms > 0.0 if hit else r.rebind_ms == 0.0
+    write_stats_csv(tmp_path / "stats.csv", sim.records)
     back = read_stats_csv(tmp_path / "stats.csv")
-    assert [r.rebound for r in back] == rebound
-    for got, want in zip(back, sim.records):
-        assert got.rebind_ms == pytest.approx(want.rebind_ms, rel=1e-5)
-    cost = np.mean([r.rebind_ms for r in sim.records if r.rebound])
-    assert update_stats(back)["update_cost_ms"] == pytest.approx(cost, rel=1e-5)
+    cost = np.mean([r.rebind_ms for r, hit in zip(sim.records, rebound) if hit])
+    assert update_stats(back)["update_cost_ms"] == cost
 
 
 def test_stats_csv_malformed(tmp_path):
@@ -141,6 +132,53 @@ def test_stats_csv_malformed(tmp_path):
     p.write_text("step,bogus\n1,2\n")
     with pytest.raises(SimulationError, match="malformed"):
         read_stats_csv(p)
+
+
+def _header_only_run(tmp_path):
+    sim = Simulation(_tiny_scene())
+    sim.run(out_dir=tmp_path, frames=0)
+    return tmp_path / "stats.csv"
+
+
+def test_stats_csv_of_no_steps_reads_empty(tmp_path):
+    path = _header_only_run(tmp_path)
+    assert read_stats_csv(path) == []
+    with pytest.raises(SimulationError, match="no step records"):
+        update_stats(read_stats_csv(path))
+    write_stats_csv(path, [_record(1, 0, 1.0)])
+    for text in ("", path.read_text().split("\n", 1)[1]):   # no header line
+        path.write_text(text)
+        with pytest.raises(SimulationError, match="malformed stats file"):
+            read_stats_csv(path)
+
+
+def test_stats_csv_short_or_bad_row_is_malformed(tmp_path):
+    # a row cut short (a run killed mid-write), one with too few values,
+    # one with a value that is not a number
+    path = tmp_path / "stats.csv"
+    write_stats_csv(path, [_record(1, 0, 1.0), _record(2, 1, 1.5, 0.5)])
+    full = path.read_text()
+    for text, line in ((full[:full.rindex(",")], 3), (full + "3,0.003\n", 4),
+                       (full + "3,x" + ",0" * 9 + "\n", 4)):
+        path.write_text(text)
+        with pytest.raises(SimulationError, match=f"malformed stats file .*: line {line}: "):
+            read_stats_csv(path)
+
+
+def test_readme_quotes_the_stats_header(tmp_path):
+    header = _header_only_run(tmp_path).read_text().splitlines()[0]
+    assert header == STATS_HEADER
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert f"`{header}`" in readme
+
+
+def test_convergence_bench_must_exceed_every_level(monkeypatch):
+    def no_run(scene):
+        raise AssertionError("ran a scene")
+
+    monkeypatch.setattr(verify, "_final_state", no_run)
+    with pytest.raises(SceneError, match="must exceed every level"):
+        convergence_study(_tiny_scene(), [16, 32], 32)
 
 
 def _tiny_scene(**solver):
