@@ -24,16 +24,6 @@ from .scene import SCHEMA, load_scene
 _OVERRIDES = ("mode", "integrator", "transfer")
 
 
-def _non_negative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be 0 or more, got {value}")
-    return value
-
-
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="aulmpm", description=__doc__,
                                   formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -42,7 +32,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("sim", help="run a scene")
     sim.add_argument("scene", help="scene JSON path")
     sim.add_argument("--out", help="output directory")
-    sim.add_argument("--frames", type=_non_negative_int, default=None,
+    sim.add_argument("--frames", type=int, default=None,
                      help="number of snapshots to emit after the initial one")
     for key in _OVERRIDES:
         sim.add_argument(f"--{key}", help=f"override the scene's solver {key}",

@@ -358,7 +358,10 @@ class Simulation:
         N snapshots after the initial one, each separated by frame_dt
         worth of steps, or else by steps / N steps, which must be whole
         (SceneError otherwise); `frames=0` writes the initial state and stops.
+        A negative `frames` raises SceneError before anything is written.
         """
+        if frames is not None and frames < 0:
+            raise SceneError(f"frames must be 0 or more, got {frames}")
         sol = self.scene.solver
         # a whole count >= 1 (load_scene), or 0 without frame_dt
         stride = 0 if sol.frame_dt is None else round(sol.frame_dt / sol.dt)

@@ -21,10 +21,12 @@ w part is the interpolated (PIC) velocity.  Deformation gradients are
 batches of 2x2 matrices, multiplied and reduced in closed form by the
 helpers in `constitutive`.
 
-The particle count never changes, so a rebind (`apply_update`) refills the
-old binding: the old map hands its stack, slots buffer and workspace over
-to the new one, which `ConfigurationMap.build` writes in place, and holds
-None in their place.  A steady rebind therefore allocates none of them.
+`ConfigurationMap.build` is the one place that allocates a binding's
+stack, slots buffer and workspace; `mls` only writes into the stack it is
+given.  The particle count never changes, so a rebind (`apply_update`)
+refills the old binding: the old map hands the three over to the new one,
+which `build` writes in place, and holds None in their place.  A steady
+rebind therefore allocates none of them.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 
 from .constitutive import det, matmul, pack
 from .errors import NumericalError
-from .mls import build_stencil, gradient_weights, moment_matrix
+from .mls import ENTRIES, build_stencil, gradient_weights, moment_matrix
 
 # transfer flavors: which gradient weights a binding carries
 LEAST_SQUARES = "least_squares"
@@ -96,19 +98,19 @@ class ConfigurationMap:
 
     `stack` is the (3, S, n) weight stack [G_x, G_y, w] that `mls` writes
     in place; w and G are views of it, and slots the transpose of an (S, n)
-    buffer (see the module docstring).  `work` is the workspace the
-    transfer phases write their per-entry temporaries into, allocated on
-    first use (see `transfers`) and handed on at a rebind.  Slots are
-    checked against the grid here, at bind time, so the gathers need not
-    check them again; they stay valid because the grid only grows.
+    buffer (see the module docstring).  `work` is the (2, S, n) workspace
+    the transfer phases write their per-entry temporaries into.  `build`
+    allocates all three, or takes them over at a rebind.  The slots come
+    from `SparseGrid.activate`, which only returns slots of the grid; they
+    stay valid because the grid only grows.
     """
 
     epoch: int
     ref_positions: np.ndarray
     stack: np.ndarray
     slots: np.ndarray
+    work: np.ndarray
     transfer: str = LEAST_SQUARES
-    work: np.ndarray | None = None
 
     @property
     def w(self) -> np.ndarray:
@@ -122,34 +124,33 @@ class ConfigurationMap:
     def build(cls, positions: np.ndarray, grid, epoch: int = 0,
               transfer: str = LEAST_SQUARES,
               reuse: "ConfigurationMap | None" = None) -> "ConfigurationMap":
-        """Bind `positions` to `grid`.  With `reuse`, a map of as many
-        particles, the new map takes over its stack, slots and workspace
-        and writes into them; `reuse` keeps its epoch and holds None there.
+        """Bind `positions` to `grid`, into a fresh stack, slots buffer and
+        workspace or, with `reuse`, a map of as many particles, into its
+        own: the new map takes them over and `reuse` keeps its epoch and
+        holds None there.
         """
         if transfer not in (LEAST_SQUARES, KERNEL):
             raise ValueError(f"unknown transfer {transfer!r}")
         positions = np.asarray(positions, dtype=np.float64)
-        stack = slots = work = None
-        if reuse is not None:
-            stack, slots, work = reuse.stack, reuse.slots, reuse.work
+        if reuse is None:
+            entries = (ENTRIES, positions.shape[0])
+            stack, nodes, work = (np.empty((3,) + entries), np.empty(entries, dtype=np.int64),
+                                  np.empty((2,) + entries))
+        else:
+            stack, nodes, work = reuse.stack, reuse.slots.T, reuse.work
             reuse.stack = reuse.slots = reuse.work = None
-        st = build_stencil(positions, grid.origin, grid.dx, grid.n_nodes,
-                           gradients=transfer == KERNEL, out=stack)
+        base, offsets = build_stencil(positions, grid.origin, grid.dx, grid.n_nodes,
+                                      stack, transfer == KERNEL)
         if transfer == LEAST_SQUARES:
-            gradient_weights(st, moment_matrix(grid.dx), st.stack[:2])
+            gradient_weights(offsets, stack, moment_matrix(grid.dx))
         # the lattice index of entry 3 i + j is the base node's plus
         # i ny + j: written into the (S, n) slots buffer and resolved there
         ny = grid.n_nodes[1]
-        base = st.nodes[0, 0] * ny + st.nodes[1, 0]
-        k = np.arange(st.nodes.shape[1])
-        shift = (k[:, None] * ny + k).reshape(-1, 1)
-        nodes = np.empty(st.w.T.shape, dtype=np.int64) if slots is None else slots.T
-        np.add(base, shift, out=nodes)
-        slots = grid.activate(nodes, out=nodes).T
-        if slots.size and (slots.min() < 0 or slots.max() >= grid.n_slots):
-            raise IndexError("grid slots out of range")
-        return cls(epoch=epoch, ref_positions=positions.copy(), stack=st.stack, slots=slots,
-                   transfer=transfer, work=work)
+        k = np.arange(offsets.shape[1])
+        np.add(base[0] * ny + base[1], (k[:, None] * ny + k).reshape(-1, 1), out=nodes)
+        grid.activate(nodes, out=nodes)
+        return cls(epoch=epoch, ref_positions=positions.copy(), stack=stack, slots=nodes.T,
+                   work=work, transfer=transfer)
 
 
 def contract(samples: np.ndarray, weights: np.ndarray) -> np.ndarray:

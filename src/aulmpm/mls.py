@@ -10,13 +10,13 @@ r = neighbor - center throughout.
 nodes of a center's support per axis sits on one fixed polynomial piece of
 the spline, so the windows and their slopes come in closed form without
 branching.  Only the products are laid out over the S = 9 stencil entries,
-as broadcasts over 3 x 3 views, into one (3, S, n) weight stack
-[g_x, g_y, w], fresh or the caller's: the windows fill its last row, and
-its first two take the window gradients or, through `gradient_weights`, the
-least-squares ones.  The node coordinates and the offsets stay per axis,
-(2, 3, n) each.  The tests check the stencils against an independent
-formula that evaluates the same spline piecewise in |x|
-(`tests/oracles.py`).
+as broadcasts over 3 x 3 views, into the (3, S, n) weight stack
+[g_x, g_y, w] that the caller passes (`ConfigurationMap.build` allocates
+it): the windows fill its last row, and its first two take the window
+gradients or, through `gradient_weights`, the least-squares ones.  The
+support's base node and the offsets stay per axis, (2, n) and (2, 3, n).
+The tests check the stencils against an independent formula that
+evaluates the same spline piecewise in |x| (`tests/oracles.py`).
 
 The least-squares gradient of a field phi sampled at the stencil nodes is
 
@@ -31,15 +31,13 @@ every position, so K is the constant (4 / dx^2) I of MLS-MPM (Hu et al.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import OutOfDomainError
 
-# nodes per axis covered by a window, and stencil entries
+# nodes per axis covered by a window, and stencil entries S per center
 _SUPPORT = 3
-_S = _SUPPORT * _SUPPORT
+ENTRIES = _SUPPORT * _SUPPORT
 
 
 def _windows(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -73,48 +71,23 @@ def _outer(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
-class Stencil:
-    """Bound neighborhoods of n centers against one uniform grid.
-
-    nodes   (2, 3, n) integer lattice coordinate along each axis, per node
-            of the support: nodes[:, 0] is the support's base node
-    w       (n, S)    window weights (each row sums to 1)
-    dw      (n, S, 2) window gradients wrt the center position, per length,
-            or None when they were not asked for
-    stack   (3, S, n) the weight stack w and dw are views of: dw.T is
-            stack[:2], w.T is stack[2]
-    offsets (2, 3, n) node - center along each axis, per node of the support
-
-    Nodes are numbered lexicographically, x-major: entry s = 3 i + j is
-    node (nodes[0, i], nodes[1, j]) of the 3 x 3 support, so S = 9.
-    `build_stencil` stores every array with the particle axis last: w.T and
-    dw.T are C-contiguous, so every pass over one entry runs over the long
-    particle axis.  Without gradients stack[:2] is left unset for the caller
-    to fill (`gradient_weights`).
-    """
-
-    nodes: np.ndarray
-    w: np.ndarray
-    dw: np.ndarray | None
-    stack: np.ndarray
-    offsets: np.ndarray
-
-
 def build_stencil(centers: np.ndarray, origin: np.ndarray, dx: float,
-                  n_nodes: np.ndarray, gradients: bool = True,
-                  out: np.ndarray | None = None) -> Stencil:
+                  n_nodes: np.ndarray, out: np.ndarray,
+                  gradients: bool) -> tuple[np.ndarray, np.ndarray]:
     """Bind each center to the grid nodes inside its window support.
 
-    n_nodes gives the node count per axis; a center whose support sticks out
-    of the node box raises OutOfDomainError (no one-sided stencils), before
-    anything is written.  With `gradients=False` the window gradients are
-    skipped (dw is None).
+    Writes the windows w into out[2] and, with `gradients`, the window
+    gradients wrt the center, per length, into out[:2]; `out` is the
+    C-contiguous float64 (3, S, n) stack [G_x, G_y, w], entry-major: entry
+    s = 3 i + j is node (base_x + i, base_y + j) of the 3 x 3 support, so
+    S = 9, and every pass over one entry runs over the long particle axis.
+    Without gradients out[:2] is left for the caller (`gradient_weights`).
 
-    Everything up to the tensor products runs per axis on (2, n) and
-    (2, 3, n) arrays, whose long axis is the particle axis; the products
-    then fill the entry-major (3, S, n) stack in place: `out`, a
-    C-contiguous float64 buffer of that shape, or a fresh one.
+    Returns the support's base node, integer lattice coordinates (2, n), and
+    the offsets node - center along each axis per node of the support,
+    (2, 3, n).  n_nodes gives the node count per axis; a center whose
+    support sticks out of the node box raises OutOfDomainError (no
+    one-sided stencils), before anything is written.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
     origin = np.asarray(origin, dtype=np.float64)
@@ -138,16 +111,12 @@ def build_stencil(centers: np.ndarray, origin: np.ndarray, dx: float,
     r1 = (node - u[:, None, :]) * dx
 
     # tensor products over the lexicographic (x-major) node order
-    stack = np.empty((3, _S, n)) if out is None else out
-    _outer(w1[0], w1[1], stack[2])
-    dw = None
+    _outer(w1[0], w1[1], out[2])
     if gradients:
-        dw = stack[:2]
-        _outer(dw1[0], w1[1], dw[0])
-        _outer(w1[0], dw1[1], dw[1])
-        dw /= dx
-        dw = dw.T
-    return Stencil(nodes=node, w=stack[2].T, dw=dw, stack=stack, offsets=r1)
+        _outer(dw1[0], w1[1], out[0])
+        _outer(w1[0], dw1[1], out[1])
+        out[:2] /= dx
+    return base, r1
 
 
 def moment_matrix(dx: float) -> float:
@@ -156,21 +125,16 @@ def moment_matrix(dx: float) -> float:
     return 4.0 / dx**2
 
 
-def gradient_weights(stencil: Stencil, c: float, out: np.ndarray | None = None) -> np.ndarray:
-    """Per-node gradient vectors g_j = c W_j r_j, shape (n, S, 2), with c
-    from `moment_matrix`.
+def gradient_weights(offsets: np.ndarray, stack: np.ndarray, c: float) -> None:
+    """Write the per-node gradient vectors g_j = c W_j r_j into stack[:2],
+    entry-major, from the windows in stack[2] and the per-axis offsets
+    (2, 3, n) that `build_stencil` returns, with c from `moment_matrix`.
 
     The least-squares gradient of any field is then sum_j (phi_j - phi_c) (x) g_j.
-    Written entry-major into `out`, a C-contiguous (2, S, n) buffer (a
-    binding passes its stack's rows [:2]; a fresh one by default), and
-    returned as its transpose.  The per-axis offsets are scaled once and
-    never laid out over the stencil.
+    The offsets are scaled once and never laid out over the stencil.
     """
-    rc = stencil.offsets * c
-    w = _lattice(stencil.w.T)
-    if out is None:
-        out = np.empty((2,) + stencil.w.T.shape)
-    lattice = _lattice(out)
+    rc = offsets * c
+    w = _lattice(stack[2])
+    lattice = _lattice(stack[:2])
     np.multiply(rc[0][:, None], w, out=lattice[0])
     np.multiply(rc[1][None], w, out=lattice[1])
-    return out.T

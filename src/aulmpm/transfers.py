@@ -53,12 +53,12 @@ FLIP's gathered velocity change read the stack's last row alone.
 Per-particle 2x2 matrices are (n, 2, 2) views of component-major
 (2, 2, n) buffers (see `constitutive.pack`).
 
-The per-entry temporaries go into the binding's workspace, allocated on
-first use and kept for the epoch: one (2, S, n) pair of planes, which the
-gathers fill and the scatters write their values into with `out=`.  A step
-between rebinds therefore allocates nothing of per-entry size.
-Gathers index with mode="clip" because `ConfigurationMap.build` checks
-the slots when it binds.
+The per-entry temporaries go into the binding's workspace, one (2, S, n)
+pair of planes that `ConfigurationMap.build` allocates with the stack:
+the gathers fill it and the scatters write their values into it with
+`out=`.  A step between rebinds therefore allocates nothing of per-entry
+size.  Gathers index with mode="clip" because the slots come from
+`SparseGrid.activate`, which only returns slots of the grid.
 """
 
 from __future__ import annotations
@@ -133,13 +133,6 @@ def mass_epsilon(bodies) -> float:
     return MASS_EPS_FACTOR * top
 
 
-def _workspace(cmap) -> np.ndarray:
-    """The binding's scratch pair of (S, n) planes, allocated on first use."""
-    if cmap.work is None:
-        cmap.work = np.empty((2,) + cmap.stack.shape[1:])
-    return cmap.work
-
-
 def _scatter(slots: np.ndarray, values: np.ndarray, out: np.ndarray) -> None:
     """Accumulate per-stencil-entry values (S, n), C-contiguous, into a node
     array (slots,); `slots` is the binding's slots.T raveled, a view."""
@@ -149,9 +142,8 @@ def _scatter(slots: np.ndarray, values: np.ndarray, out: np.ndarray) -> None:
 def _gather(field: np.ndarray, cmap) -> np.ndarray:
     """Node vectors (slots, 2) at the stencil entries, into the workspace
     pair: component k of entry s of particle p lands at [k, s, p]."""
-    out = _workspace(cmap)
-    np.take(np.ascontiguousarray(field.T), cmap.slots.T, axis=1, out=out, mode="clip")
-    return out
+    np.take(np.ascontiguousarray(field.T), cmap.slots.T, axis=1, out=cmap.work, mode="clip")
+    return cmap.work
 
 
 def _scatter_action(body: Body, A: np.ndarray, out: np.ndarray) -> None:
@@ -159,7 +151,7 @@ def _scatter_action(body: Body, A: np.ndarray, out: np.ndarray) -> None:
     with A given by rows, (2, 2, n): A[k] = [A_k0, A_k1]."""
     cmap = body.cmap
     slots = cmap.slots.T.ravel()
-    plane = _workspace(cmap)[0]
+    plane = cmap.work[0]
     for k in range(2):
         np.einsum("csn,cn->sn", cmap.stack[:2], A[k], out=plane)
         _scatter(slots, plane, out[:, k])
@@ -177,7 +169,7 @@ def epoch_grid_terms(bodies, grid, mass_eps: float) -> None:
     grid.mass[:] = 0.0
     for body in bodies:
         cmap = body.cmap
-        mw = np.multiply(cmap.stack[2], body.m, out=_workspace(cmap)[0])
+        mw = np.multiply(cmap.stack[2], body.m, out=cmap.work[0])
         _scatter(cmap.slots.T.ravel(), mw, grid.mass)
     np.greater(grid.mass, mass_eps, out=grid.active)
 
@@ -198,7 +190,7 @@ def p2g(body: Body, grid, dt: float | None = None) -> None:
     cmap = body.cmap
     slots = cmap.slots.T.ravel()
     w = cmap.stack[2]
-    mom, tmp = _workspace(cmap)
+    mom, tmp = cmap.work
     affine = cmap.transfer == LEAST_SQUARES
     m_c = body.m / moment_matrix(grid.dx)
     coef = np.empty((3, body.n))   # [A_k0, A_k1, m v_k], one component at a time
@@ -327,7 +319,7 @@ def hessian_apply(bodies, u: np.ndarray, act: np.ndarray | None = None) -> np.nd
         # into rows of the workspace's second plane (`_scatter_action`
         # writes only the first)
         x = np.moveaxis(dF_sn, 0, -1).reshape(4, -1)
-        dA = _workspace(body.cmap)[1, :4]
+        dA = body.cmap.work[1, :4]
         np.einsum("ijn,jn->in", _tangent(body), x, out=dA)
         _scatter_action(body, dA.reshape(2, 2, -1), out)
     if act is not None:

@@ -140,9 +140,13 @@ def convergence_study(scene: Scene, levels, bench: int) -> ConvergenceReport:
 def update_stats(records: list[StepRecord]) -> dict:
     """Rebind rate per UPDATE_WINDOW steps and `update_cost_ms`, the mean
     recorded rebind time (`rebind_ms`) over the steps that rebound: those
-    whose `updates` count grew (the records start at a run's first step)."""
+    whose `updates` count grew.  The records must start at a run's first
+    step, since `updates` counts from there; SimulationError otherwise."""
     if not records:
         raise SimulationError("no step records")
+    if records[0].step != 1:
+        raise SimulationError(f"step records start at step {records[0].step}, not at "
+                              "a run's first step")
     steps = len(records)
     updates = records[-1].updates
     tau = updates * UPDATE_WINDOW / steps

@@ -5,12 +5,16 @@ Each is written the direct way (piecewise in |x|, batched `np.linalg`-style
 algebra), not the way the library computes it, so agreement means
 something.  `stress_differential` is the directional derivative of the
 stress that the library applied on every Hessian product before it built a
-per-solve tangent; the tangent is now checked against it.  `stencil_offsets`
-and `slot_of` read a stencil's node offsets and a grid's slots, which only
-tests need.  None of them is part of the library.
+per-solve tangent; the tangent is now checked against it.  `stencil`
+binds centers into a fresh weight stack, and `stencil_offsets`,
+`stencil_coords` and `slot_of` lay out a stencil's node offsets and nodes
+and read a grid's slots, which only tests need.  None of them is part of
+the library.
 """
 
 import numpy as np
+
+from aulmpm.mls import build_stencil
 
 
 def _bspline_1d(x):
@@ -139,16 +143,25 @@ def _entries(per_axis):
     return out.reshape(n, 9, 2)
 
 
-def stencil_offsets(stencil):
+def stencil(centers, origin, dx, n_nodes, gradients=True):
+    """`build_stencil` into a fresh (3, S, n) stack, as a binding calls it;
+    returns the stack [G_x, G_y, w], the support's base node (2, n) and the
+    per-axis offsets (2, 3, n)."""
+    centers = np.atleast_2d(centers)
+    stack = np.empty((3, 9, centers.shape[0]))
+    return (stack,) + build_stencil(centers, origin, dx, n_nodes, stack, gradients)
+
+
+def stencil_offsets(offsets):
     """Physical offsets node - center of a stencil's entries, (n, S, 2),
     from its per-axis offsets (2, 3, n)."""
-    return _entries(stencil.offsets)
+    return _entries(offsets)
 
 
-def stencil_coords(stencil):
+def stencil_coords(base):
     """Integer lattice coordinates of a stencil's entries, (n, S, 2), from
-    its per-axis node coordinates (2, 3, n)."""
-    return _entries(stencil.nodes)
+    its support's base node (2, n)."""
+    return _entries(base[:, None, :] + np.arange(3)[:, None])
 
 
 def lattice_index(grid, coords):

@@ -605,6 +605,15 @@ def test_frames_argument_controls_run_length(tmp_path):
     assert info2["frames"] == 6
 
 
+@pytest.mark.parametrize("solver", [{}, {"frame_dt": 4e-3}])
+def test_negative_frames_are_rejected_before_any_output(tmp_path, solver):
+    sim = Simulation(_scene(steps=10, **solver))
+    with pytest.raises(SceneError, match="frames must be 0 or more, got -2"):
+        sim.run(out_dir=tmp_path / "out", frames=-2)
+    assert sim.steps_done == 0
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("frames", [3, 20])
 def test_frames_that_do_not_divide_the_steps_are_rejected(tmp_path, frames):
     # an even split of 10 steps into 3 or 20 frames would run 9 or 20 steps

@@ -24,8 +24,8 @@ from aulmpm.kinematics import (
     deformation_delta,
     should_update,
 )
-from aulmpm.mls import build_stencil, gradient_weights, moment_matrix
-from oracles import lattice_index, slot_of, stencil_coords, stencil_offsets
+from aulmpm.mls import gradient_weights, moment_matrix
+from oracles import lattice_index, slot_of, stencil, stencil_coords, stencil_offsets
 
 COMPOSE_RTOL = 1e-12
 ACCUM_RTOL = 1e-12
@@ -120,13 +120,13 @@ def test_configuration_map_binds_reference_geometry():
     assert cmap.epoch == 0
     np.testing.assert_allclose(cmap.ref_positions, pos)
     # bound slots agree with the grid's own lookup of the stencil's nodes
-    st = build_stencil(pos, grid.origin, grid.dx, grid.n_nodes)
-    nodes = stencil_coords(st)
+    stack, base, offsets = stencil(pos, grid.origin, grid.dx, grid.n_nodes)
+    nodes = stencil_coords(base)
     np.testing.assert_array_equal(
         cmap.slots, slot_of(grid, nodes.reshape(-1, 2)).reshape(cmap.slots.shape))
-    np.testing.assert_allclose(cmap.ref_positions[:, None] + stencil_offsets(st),
+    np.testing.assert_allclose(cmap.ref_positions[:, None] + stencil_offsets(offsets),
                                grid.position[cmap.slots], atol=1e-14)
-    np.testing.assert_array_equal(cmap.w, st.w)
+    np.testing.assert_array_equal(cmap.w, stack[2].T)
 
 
 def test_velocity_gradient_recovers_affine_grid_fields():
@@ -145,11 +145,12 @@ def test_binding_carries_the_gradient_weights_of_its_transfer():
     grid = _grid()
     rng = np.random.default_rng(14)
     pos = rng.uniform(0.3, 0.7, size=(25, 2))
-    st = build_stencil(pos, grid.origin, grid.dx, grid.n_nodes)
-    mls = ConfigurationMap.build(pos, grid)
-    np.testing.assert_array_equal(mls.G, gradient_weights(st, moment_matrix(grid.dx)))
+    stack, _, offsets = stencil(pos, grid.origin, grid.dx, grid.n_nodes)
     kernel = ConfigurationMap.build(pos, grid, transfer=KERNEL)
-    np.testing.assert_array_equal(kernel.G, st.dw)
+    np.testing.assert_array_equal(kernel.G, stack[:2].T)
+    mls = ConfigurationMap.build(pos, grid)
+    gradient_weights(offsets, stack, moment_matrix(grid.dx))
+    np.testing.assert_array_equal(mls.G, stack[:2].T)
     # spline gradients reproduce affine velocity fields too
     B = np.array([[0.4, -1.1], [0.9, 0.2]])
     v_nodes = grid.position[kernel.slots] @ B.T + [0.3, -0.2]
@@ -157,8 +158,8 @@ def test_binding_carries_the_gradient_weights_of_its_transfer():
     np.testing.assert_allclose(grad, np.broadcast_to(B, grad.shape), atol=AFFINE_ATOL)
     rebound = apply_update(DeformationState.identity(25), pos + 0.05, grid, kernel)
     assert rebound.transfer == KERNEL
-    moved = build_stencil(pos + 0.05, grid.origin, grid.dx, grid.n_nodes)
-    np.testing.assert_array_equal(rebound.G, moved.dw)
+    moved, _, _ = stencil(pos + 0.05, grid.origin, grid.dx, grid.n_nodes)
+    np.testing.assert_array_equal(rebound.G, moved[:2].T)
     with pytest.raises(ValueError, match="unknown transfer"):
         ConfigurationMap.build(pos, grid, transfer="pic")
 
@@ -169,24 +170,25 @@ def test_binding_holds_weights_gradients_and_slots(transfer):
     grid = _grid()
     pos = np.random.default_rng(17).uniform(0.3, 0.7, size=(40, 2))
     cmap = ConfigurationMap.build(pos, grid, transfer=transfer)
-    st = build_stencil(pos, grid.origin, grid.dx, grid.n_nodes, gradients=True)
+    stack, base, offsets = stencil(pos, grid.origin, grid.dx, grid.n_nodes,
+                                   gradients=transfer == KERNEL)
+    if transfer != KERNEL:
+        gradient_weights(offsets, stack, moment_matrix(grid.dx))
     assert not hasattr(cmap, "stencil") and not hasattr(cmap, "r")
     assert cmap.w.shape == cmap.slots.shape == (40, 9) and cmap.G.shape == (40, 9, 2)
     # stored entry-major: w and G are views of one C-contiguous (3, S, n)
     # stack [G_x, G_y, w], and slots of an (S, n) buffer, so every per-entry
     # pass runs over the particle axis
-    stack = cmap.stack
-    assert stack.shape == (3, 9, 40) and stack.flags.c_contiguous
-    for public, row in ((cmap.G.T, stack[:2]), (cmap.w.T, stack[2])):
+    assert cmap.stack.shape == (3, 9, 40) and cmap.stack.flags.c_contiguous
+    for public, row in ((cmap.G.T, cmap.stack[:2]), (cmap.w.T, cmap.stack[2])):
         assert (public.shape, public.strides) == (row.shape, row.strides)
         assert public.ctypes.data == row.ctypes.data
     assert cmap.slots.T.base is not None and cmap.slots.T.flags.c_contiguous
-    np.testing.assert_array_equal(cmap.w, st.w)
-    G = st.dw if transfer == KERNEL else gradient_weights(st, moment_matrix(grid.dx))
-    np.testing.assert_array_equal(cmap.G, G)
+    np.testing.assert_array_equal(cmap.w, stack[2].T)
+    np.testing.assert_array_equal(cmap.G, stack[:2].T)
     # each slot holds the node the stencil entry names
     np.testing.assert_array_equal(grid.position[cmap.slots],
-                                  grid.origin + stencil_coords(st) * grid.dx)
+                                  grid.origin + stencil_coords(base) * grid.dx)
 
 
 def test_binding_calls_the_mls_names_once_per_least_squares_build(monkeypatch):
@@ -238,8 +240,9 @@ def test_rebind_refills_the_old_binding_as_a_fresh_build(transfer):
     grid = _grid()
     pos = np.random.default_rng(21).uniform(0.3, 0.5, size=(60, 2))
     cmap = ConfigurationMap.build(pos, grid, transfer=transfer)
-    cmap.work = np.empty((2,) + cmap.stack.shape[1:])   # as the transfers allocate it
     stack, slots, work = cmap.stack, cmap.slots.base, cmap.work
+    # a fresh build allocates the workspace with the stack
+    assert work.shape == (2, 9, 60) and work.dtype == np.float64 and work.flags.c_contiguous
     state = DeformationState.identity(60)
     for moved, grows in ((0.4 + 0.9 * (pos - 0.4), False), (pos + 0.25, True)):
         copied = copy.deepcopy(grid)

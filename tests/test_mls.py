@@ -17,8 +17,9 @@ import pytest
 from aulmpm.errors import OutOfDomainError
 from aulmpm.grid import SparseGrid
 from aulmpm.kinematics import ConfigurationMap, contract
-from aulmpm.mls import build_stencil, gradient_weights, moment_matrix
-from oracles import _ref_moment_matrix, bspline_weight, stencil_coords, stencil_offsets
+from aulmpm.mls import gradient_weights, moment_matrix
+from oracles import (_ref_moment_matrix, bspline_weight, stencil, stencil_coords,
+                     stencil_offsets)
 
 WEIGHT_ATOL = 1e-12
 PARTITION_ATOL = 1e-12
@@ -68,37 +69,39 @@ def test_window_gradient_matches_finite_differences():
 def test_stencil_at_node_reproduces_eighth_three_quarter_pattern():
     origin, dx, n_nodes = _grid2d()
     center = np.array([[10 * dx, 7 * dx]])
-    st = build_stencil(center, origin, dx, n_nodes)
-    assert st.w.shape[1] == 9
+    stack, base, _ = stencil(center, origin, dx, n_nodes)
+    w = stack[2].T
+    assert w.shape[1] == 9
     w1 = np.array([0.125, 0.75, 0.125])
-    np.testing.assert_allclose(np.sort(st.w[0]), np.sort(np.outer(w1, w1).ravel()),
+    np.testing.assert_allclose(np.sort(w[0]), np.sort(np.outer(w1, w1).ravel()),
                                atol=WEIGHT_ATOL)
     # the node itself carries 0.75^2
-    at_node = np.all(stencil_coords(st)[0] == np.array([10, 7]), axis=1)
+    at_node = np.all(stencil_coords(base)[0] == np.array([10, 7]), axis=1)
     assert at_node.sum() == 1
-    np.testing.assert_allclose(st.w[0][at_node], 0.5625, atol=WEIGHT_ATOL)
+    np.testing.assert_allclose(w[0][at_node], 0.5625, atol=WEIGHT_ATOL)
 
 
 def test_stencil_partition_of_unity_and_first_moment():
     rng = np.random.default_rng(11)
     origin, dx, n_nodes = _grid2d()
     centers = rng.uniform(3 * dx, 1.0 - 3 * dx, size=(1000, 2))
-    st = build_stencil(centers, origin, dx, n_nodes)
-    np.testing.assert_allclose(st.w.sum(axis=1), 1.0, atol=PARTITION_ATOL)
-    first = np.einsum("ns,nsa->na", st.w, stencil_offsets(st))
+    stack, base, offsets = stencil(centers, origin, dx, n_nodes)
+    w = stack[2].T
+    np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=PARTITION_ATOL)
+    first = np.einsum("ns,nsa->na", w, stencil_offsets(offsets))
     np.testing.assert_allclose(first, 0.0, atol=FIRST_MOMENT_ATOL)
     # linear consistency: weighted node positions reproduce the center
-    nodes = origin + stencil_coords(st) * dx
-    np.testing.assert_allclose(np.einsum("ns,nsa->na", st.w, nodes),
+    nodes = origin + stencil_coords(base) * dx
+    np.testing.assert_allclose(np.einsum("ns,nsa->na", w, nodes),
                                centers, atol=FIRST_MOMENT_ATOL)
 
 
 def test_stencil_rejects_centers_near_the_boundary():
     origin, dx, n_nodes = _grid2d()
     with pytest.raises(OutOfDomainError):
-        build_stencil(np.array([[0.4 * dx, 0.5]]), origin, dx, n_nodes)
+        stencil(np.array([[0.4 * dx, 0.5]]), origin, dx, n_nodes)
     with pytest.raises(OutOfDomainError):
-        build_stencil(np.array([[0.5, 1.0 - 0.1 * dx]]), origin, dx, n_nodes)
+        stencil(np.array([[0.5, 1.0 - 0.1 * dx]]), origin, dx, n_nodes)
 
 
 def _domain(n_nodes, dx):
@@ -138,10 +141,10 @@ def test_stencil_matches_spline_oracle():
     rng = np.random.default_rng(5)
     centers = np.concatenate([rng.uniform(lo, hi, size=(20000, 2)),
                               _edge_centers(lo, hi, dx)])
-    st = build_stencil(centers, origin, dx, n_nodes)
+    stack, base, offsets = stencil(centers, origin, dx, n_nodes)
     coords, r, w, dw = _oracle_stencil(centers, dx)
-    np.testing.assert_array_equal(stencil_coords(st), coords)
-    for got, want in ((stencil_offsets(st), r), (st.w, w), (st.dw, dw)):
+    np.testing.assert_array_equal(stencil_coords(base), coords)
+    for got, want in ((stencil_offsets(offsets), r), (stack[2].T, w), (stack[:2].T, dw)):
         np.testing.assert_array_equal(_bits(got), _bits(want))
 
 
@@ -155,7 +158,7 @@ def test_one_ulp_outside_the_domain_is_rejected():
             bad = np.array([0.5, 0.5])
             bad[axis] = outside
             with pytest.raises(OutOfDomainError, match=f"^{re.escape(msg)}$"):
-                build_stencil(np.vstack([inside, bad]), origin, dx, n_nodes)
+                stencil(np.vstack([inside, bad]), origin, dx, n_nodes)
 
 
 # ------------------------------------------------------------ moment matrix
@@ -168,11 +171,12 @@ def test_moment_constant_and_gradient_weights_are_closed_form():
     lo, hi = _domain(n_nodes, dx)
     c = moment_matrix(dx)
     assert np.ndim(c) == 0 and c == 4.0 / dx**2 == 4096.0
-    st = build_stencil(rng.uniform(lo, hi, size=(200, 2)), origin, dx, n_nodes)
-    G = gradient_weights(st, c)
-    r = stencil_offsets(st)
+    stack, _, offsets = stencil(rng.uniform(lo, hi, size=(200, 2)), origin, dx, n_nodes,
+                                gradients=False)
+    gradient_weights(offsets, stack, c)
+    G, r = stack[:2].T, stencil_offsets(offsets)
     assert G.shape == r.shape
-    np.testing.assert_allclose(G, c * st.w[..., None] * r, rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(G, c * stack[2].T[..., None] * r, rtol=1e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("n_cells", [16, 32, 64])
@@ -206,13 +210,20 @@ def test_closed_form_moments_match_the_numeric_inverse(n_cells):
 # ----------------------------------------------------------------- gradient
 
 
-def _lstsq_gradient(phi_c, phi_n, st):
+def _least_squares(centers, origin, dx, n_nodes):
+    """Windows (n, S), least-squares gradient weights (n, S, 2), node
+    positions and offsets (n, S, 2) of the centers' stencils."""
+    stack, base, offsets = stencil(centers, origin, dx, n_nodes, gradients=False)
+    gradient_weights(offsets, stack, moment_matrix(dx))
+    return stack[2].T, stack[:2].T, origin + stencil_coords(base) * dx, stencil_offsets(offsets)
+
+
+def _lstsq_gradient(phi_c, phi_n, w, r):
     """Independent route: weighted least squares via lstsq per center."""
-    r = stencil_offsets(st)
     n, S, d = r.shape
     out = np.empty((n, d))
     for i in range(n):
-        sw = np.sqrt(st.w[i])
+        sw = np.sqrt(w[i])
         A = r[i] * sw[:, None]
         b = (phi_n[i] - phi_c[i]) * sw
         out[i] = np.linalg.lstsq(A, b, rcond=None)[0]
@@ -223,15 +234,13 @@ def test_mls_gradient_matches_weighted_lstsq_solve():
     rng = np.random.default_rng(19)
     origin, dx, n_nodes = _grid2d()
     centers = rng.uniform(3 * dx, 1.0 - 3 * dx, size=(50, 2))
-    st = build_stencil(centers, origin, dx, n_nodes)
-    G = gradient_weights(st, moment_matrix(dx))
-    nodes = origin + stencil_coords(st) * dx
+    w, G, nodes, r = _least_squares(centers, origin, dx, n_nodes)
 
     def field(x):
         return np.sin(3.0 * x[..., 0]) * np.cos(2.0 * x[..., 1])
 
     grad = np.einsum("ns,nsb->nb", field(nodes) - field(centers)[:, None], G)
-    ref = _lstsq_gradient(field(centers), field(nodes), st)
+    ref = _lstsq_gradient(field(centers), field(nodes), w, r)
     np.testing.assert_allclose(grad, ref, rtol=1e-9, atol=1e-9)
 
 
@@ -239,9 +248,7 @@ def test_mls_gradient_reproduces_affine_fields_exactly():
     rng = np.random.default_rng(23)
     origin, dx, n_nodes = _grid2d()
     centers = rng.uniform(3 * dx, 1.0 - 3 * dx, size=(1000, 2))
-    st = build_stencil(centers, origin, dx, n_nodes)
-    G = gradient_weights(st, moment_matrix(dx))
-    nodes = origin + stencil_coords(st) * dx
+    _, G, nodes, _ = _least_squares(centers, origin, dx, n_nodes)
     B = np.array([[0.3, -1.2], [0.7, 2.1]])
     c = np.array([0.1, -0.4])
     dv = (nodes @ B.T + c) - (centers @ B.T + c)[:, None]
@@ -254,9 +261,8 @@ def test_gradient_weights_scale_like_inverse_cell_size():
     origin = np.zeros(2)
     for dx in (1.0 / 16.0, 1.0 / 32.0):
         n = int(round(1.0 / dx))
-        st = build_stencil(np.array([[0.5 + 0.3 * dx, 0.5]]), origin, dx,
-                           np.array([n + 1, n + 1]))
-        g = gradient_weights(st, moment_matrix(dx))
+        _, g, _, _ = _least_squares(np.array([[0.5 + 0.3 * dx, 0.5]]), origin, dx,
+                                    np.array([n + 1, n + 1]))
         mag = np.abs(g).sum()
         if dx == 1.0 / 16.0:
             coarse = mag

@@ -82,6 +82,14 @@ def test_update_stats_zero_updates():
     assert st["update_cost_ms"] == 0.0
 
 
+def test_update_stats_rejects_records_after_a_runs_first_step():
+    # `updates` counts from step 1: over a tail the rate would count the
+    # rebinds before it, and its first record would count as a rebind step
+    recs = [_record(k, 20 + k // 4, 1.0, 0.5) for k in range(81, 105)]
+    with pytest.raises(SimulationError, match="start at step 81"):
+        update_stats(recs)
+
+
 def test_stats_csv_roundtrip(tmp_path):
     # the bundled drop rebinds; every field reads back bit for bit, wall
     # times included
