@@ -82,6 +82,8 @@ class StepRecord:
     marked_fraction: float
     wall_ms: float
     rebind_ms: float   # wall time of this step's rebinds, 0 without one
+    cg_iterations: int = 0     # this step's CG iterations, 0 without a solve
+    cg_residual: float = 0.0   # the relative residual the implicit update left
 
 
 # each StepRecord field's type and stats.csv columns, in column order: an
@@ -215,6 +217,7 @@ class Simulation:
             stress_pass(b)
             p2g(b, grid, dt)
         finalize_grid(grid)
+        info = None
         if sol.integrator == "implicit":
             info = implicit_update(self.bodies, grid, dt, self.gravity)
             self.cg_info = info
@@ -258,7 +261,7 @@ class Simulation:
 
         self.time += dt
         self.steps_done += 1
-        self._record(total_marked, (time.perf_counter() - t0) * 1e3, rebind_ms)
+        self._record(total_marked, (time.perf_counter() - t0) * 1e3, rebind_ms, info)
         return rebound
 
     def _require_finite(self, name: str, finite: bool) -> None:
@@ -287,12 +290,15 @@ class Simulation:
         return {"mass": mass, "momentum": mom, "angular_momentum": ang,
                 "kinetic_energy": kin}
 
-    def _record(self, total_marked: int, wall_ms: float, rebind_ms: float) -> None:
+    def _record(self, total_marked: int, wall_ms: float, rebind_ms: float,
+                cg_info: dict | None) -> None:
+        solve = {} if cg_info is None else {"cg_iterations": cg_info["iterations"],
+                                            "cg_residual": cg_info["residual"]}
         self.records.append(StepRecord(
             step=self.steps_done, time=self.time, **self.totals(),
             updates=sum(b.cmap.epoch for b in self.bodies),
             marked_fraction=total_marked / self.n_particles,
-            wall_ms=wall_ms, rebind_ms=rebind_ms))
+            wall_ms=wall_ms, rebind_ms=rebind_ms, **solve))
 
     # ------------------------------------------------------------- output
 

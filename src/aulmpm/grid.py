@@ -16,7 +16,9 @@ that keeps them for the FLIP blend.  Elsewhere they are None.
 
 `activate` takes lattice indices x * ny + y, of any shape, and returns the
 slots in the same shape; a binding writes its stencil's indices into its
-slots buffer and resolves them there.
+slots buffer and resolves them there.  `neighbours` reads the same table
+the other way, from slots to the slots of the lattice nodes around them,
+for the implicit solve's assembled operator.
 """
 
 from __future__ import annotations
@@ -93,6 +95,23 @@ class SparseGrid:
             self._grow(new_nodes)
             slot[missing] = self._slot[unbound]
         return slot
+
+    def neighbours(self) -> np.ndarray:
+        """The slots of the 5 x 5 lattice nodes around each bound node,
+        (25, n_slots): offset (di, dj), each in -2..2, in row
+        5 (di + 2) + dj + 2.  A node off the lattice or unbound reads
+        n_slots, never a wrapped lattice index."""
+        nx, ny = self.n_nodes
+        bound = np.flatnonzero(self._slot >= 0)
+        index = np.empty(self.n_slots, dtype=np.int64)
+        index[self._slot[bound]] = bound
+        x, y = np.divmod(index, ny)
+        d = np.arange(-2, 3)
+        xs = x + d[:, None, None]
+        ys = y + d[:, None]
+        inside = (xs >= 0) & (xs < nx) & (ys >= 0) & (ys < ny)
+        slot = np.take(self._slot, xs * ny + ys, mode="clip")
+        return np.where(inside & (slot >= 0), slot, self.n_slots).reshape(-1, self.n_slots)
 
     def zero_fields(self) -> None:
         """Reset the per-step accumulators; the per-epoch terms are kept."""

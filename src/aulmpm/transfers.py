@@ -19,10 +19,15 @@ the velocities before the update, p2g scatters the plain momentum a second
 time into them.  `grid_internal_forces` scatters f alone, for the checks.
 
 The grid phases read the active mask instead of re-deriving it.  What is
-fixed for one implicit solve is paid once per solve: the first Hessian
+fixed for one implicit solve is paid once per solve.  The first Hessian
 product after a stress pass builds each particle's tangent, a symmetric 4x4
-map from dF_sn to V0 dP B^T, and every CG product is then a gather, a
-contraction, one 4x4 product per particle and a scatter.
+map from dF_sn to V0 dP B^T; that product is matrix-free (`hessian_apply`:
+a gather, a contraction, one 4x4 product per particle and a scatter) and
+gives the start residual, where a free-flight step stops.  A solve that
+iterates then assembles the Hessian once into a node-stencil operator
+(`assemble_hessian`), 2x2 blocks that couple each node to the 5x5 nodes
+around it, and every CG product is a gather of those neighbours and one
+contraction, with no particle pass.
 
 Every phase contracts against the binding's one weight stack
 [G_x, G_y, w] (see `kinematics`), so the scatter, the internal force, its
@@ -80,7 +85,7 @@ from .constitutive import (
 )
 from .kinematics import (KERNEL, LEAST_SQUARES, ConfigurationMap, DeformationState,
                          UpdatePolicy, compose_total, contract)
-from .mls import moment_matrix
+from .mls import ENTRIES, moment_matrix
 
 # relative CG residual and iteration cap for the implicit velocity solve
 CG_TOL = 1e-7
@@ -91,6 +96,16 @@ MASS_EPS_FACTOR = 1e-12
 
 # weight of FLIP in a kernel binding's PIC/FLIP velocity blend
 FLIP_BLEND = 0.95
+
+# Two entries of one stencil couple nodes at most two apart on each axis,
+# so the assembled Hessian couples each node to the 5 x 5 nodes around it,
+# in the columns of `SparseGrid.neighbours()`.  Entry pair (s, t),
+# s = 3 i + j, couples node s to the node at offset (i_t - i_s, j_t - j_s):
+# column PAIR_COLUMN[s, t] of row s.  Column CENTER is the node itself, and
+# the pairs t >= s are those with PAIR_COLUMN[s, t] >= CENTER.
+_I, _J = np.divmod(np.arange(ENTRIES), 3)
+PAIR_COLUMN = (_I - _I[:, None] + 2) * 5 + _J - _J[:, None] + 2
+CENTER = 12
 
 
 @dataclass
@@ -327,26 +342,100 @@ def hessian_apply(bodies, u: np.ndarray, act: np.ndarray | None = None) -> np.nd
     return out
 
 
+@dataclass
+class NodeStencil:
+    """A grid operator that couples each node to the 5 x 5 lattice nodes
+    around it, slot axis innermost: `neighbours` (25, slots) holds the slot
+    of each row node's neighbour in column d (`SparseGrid.neighbours`) and
+    `blocks` (2, 2, 25, slots) the 2 x 2 blocks, [k, l, d, r] the coupling
+    of component k of row node r to component l of its column-d neighbour.
+    A column whose node is off the lattice, unbound or outside the
+    operator's restriction reads the sentinel slot n_slots, and its block
+    is zero.  `near` (2, 25, slots) holds the gathered neighbour values of
+    one product."""
+
+    blocks: np.ndarray
+    neighbours: np.ndarray
+    near: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.near = np.empty((2,) + self.neighbours.shape)
+
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        """The product with node vectors (slots, 2): a gather of every row's
+        neighbours into `near` and one contraction.  The gather clips the
+        sentinel to the last slot, which its zero block cancels."""
+        np.take(u.T, self.neighbours, axis=1, out=self.near, mode="clip")   # [l, d, r]
+        rows = self.neighbours.shape[1]
+        return np.einsum("kmr,mr->kr", self.blocks.reshape(2, -1, rows),
+                         self.near.reshape(-1, rows)).T
+
+
+def assemble_hessian(bodies, grid, act: np.ndarray | None = None) -> NodeStencil:
+    """The operator of `hessian_apply(bodies, u, act)`, sum_p G_p^T T_p G_p,
+    assembled over node pairs for the products of one solve.
+
+    Requires a prior `stress_pass` on each body and builds any tangent not
+    yet built.  Entry pair (s, t) of particle p adds the block
+    K[k, l] = sum_c,c' G_cs T[2k + c, 2l + c'] G_c't to row slot(p, s) at
+    column PAIR_COLUMN[s, t].  The tangent is symmetric, so the block of
+    pair (t, s) is K^T: only the 45 pairs t >= s are accumulated, one at a
+    time through the binding's workspace, and the other columns mirror
+    them.  With `act` given, rows and columns of the unflagged nodes read
+    the sentinel.
+    """
+    size = grid.n_slots
+    near = grid.neighbours()
+    if act is not None:
+        near[:, ~act] = size
+        near[~np.append(act, False)[near]] = size
+    blocks = np.zeros((2, 2, near.shape[0], size))
+    for body in bodies:
+        cmap = body.cmap
+        G = cmap.stack[:2]
+        T = _tangent(body).reshape(2, 2, 4, -1)   # [k, c, 2l + c']
+        planes = cmap.work.reshape(-1, body.n)
+        GT = planes[:8].reshape(2, 4, -1)        # [k, 2l + c'] of G_s^T T
+        K = planes[8:12].reshape(2, 2, -1)
+        index = np.empty((4, body.n), dtype=np.int64)   # (2k + l) slots + slot
+        for s in range(ENTRIES):
+            np.einsum("cn,kcmn->kmn", G[:, s], T, out=GT)
+            np.add(cmap.slots.T[s], size * np.arange(4)[:, None], out=index)
+            for t in range(s, ENTRIES):
+                np.einsum("klcn,cn->kln", GT.reshape(2, 2, 2, -1), G[:, t], out=K)
+                blocks[:, :, PAIR_COLUMN[s, t]] += np.bincount(
+                    index.ravel(), K.ravel(), 4 * size).reshape(2, 2, size)
+    # a sentinel column's mirror reads the clipped last slot's block; the
+    # zeroing after the mirror clears it
+    for d in range(CENTER):
+        np.take(blocks[:, :, 2 * CENTER - d].swapaxes(0, 1), near[d], axis=-1,
+                out=blocks[:, :, d], mode="clip")
+    blocks[:, :, near == size] = 0.0
+    return NodeStencil(blocks, near)
+
+
 def implicit_update(bodies, grid, dt: float, gravity: np.ndarray) -> dict:
     """One-Newton-step backward Euler velocity solve.
 
     Solves (M + dt^2 H) v = M v_hat with H the energy Hessian in the grid
     degrees of freedom, by conjugate gradients on the mass-weighted system.
-    Falls back to the explicit update if the operator loses positive
-    definiteness.  Returns the iteration count, whether the solve converged
-    or fell back, and `residual`, the relative residual |r| / |b| of the
-    velocities it leaves (0 when b = 0).
+    The start residual takes one matrix-free product of H; a solve that
+    iterates assembles H once and multiplies by the assembled operator in
+    every iteration.  Falls back to the explicit update if the operator
+    loses positive definiteness.  Returns the iteration count, whether the
+    solve converged or fell back, and `residual`, the relative residual
+    |r| / |b| of the velocities it leaves (0 when b = 0).
     """
     explicit_update(grid, dt, gravity)
     act = grid.active
     v_hat = grid.velocity.copy()
 
-    def a_mul(u: np.ndarray) -> np.ndarray:
-        return grid.mass[:, None] * u + dt * dt * hessian_apply(bodies, u, act)
+    def a_mul(u: np.ndarray, hessian) -> np.ndarray:
+        return grid.mass[:, None] * u + dt * dt * hessian(u)
 
     b = grid.mass[:, None] * v_hat
     x = v_hat.copy()
-    r = b - a_mul(x)
+    r = b - a_mul(x, lambda u: hessian_apply(bodies, u, act))
     b_norm = np.linalg.norm(b)
     r_start = float(np.linalg.norm(r) / b_norm) if b_norm > 0.0 else 0.0
     info = {"iterations": 0, "converged": True, "fallback": False, "residual": r_start}
@@ -354,10 +443,12 @@ def implicit_update(bodies, grid, dt: float, gravity: np.ndarray) -> dict:
         grid.velocity[:] = x
         return info
 
+    # the tangents are fixed for the rest of the solve
+    hessian = assemble_hessian(bodies, grid, act).apply
     p = r.copy()
     rr = float(np.vdot(r, r))
     for it in range(1, CG_MAX_ITERS + 1):
-        ap = a_mul(p)
+        ap = a_mul(p, hessian)
         pap = float(np.vdot(p, ap))
         if pap <= 0.0:
             # lost positive definiteness: keep the explicit velocities

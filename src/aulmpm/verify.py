@@ -37,8 +37,8 @@ from .kinematics import (ConfigurationMap, DeformationState, UpdatePolicy,
                          deformation_delta, should_update)
 from .mls import moment_matrix
 from .scene import Scene, bundled_scene, load_scene
-from .transfers import (Body, epoch_grid_terms, grid_internal_forces, hessian_apply,
-                        stress_pass)
+from .transfers import (Body, assemble_hessian, epoch_grid_terms, grid_internal_forces,
+                        hessian_apply, stress_pass)
 
 UPDATE_WINDOW = 104  # update counts are reported per this many steps
 
@@ -291,7 +291,7 @@ def check_variational_force():
 
 def check_hessian():
     """The force Hessian is symmetric and matches a central difference of
-    the forces."""
+    the forces, and the operator that CG assembles gives its products."""
     rng = np.random.default_rng(23)
     grid = SparseGrid(origin=(0.0, 0.0), dx=0.1, n_cells=(10, 10))
     body = _body(0.25 + 0.5 * rng.random((15, 2)), grid)
@@ -306,6 +306,7 @@ def check_hessian():
     sym_gap = abs(left - right) / max(abs(left), abs(right))
 
     hu = hessian_apply([body], u)
+    assembled = assemble_hessian([body], grid).apply(u)
     h = 1e-6
     dF = np.einsum("nsa,nsb->nab", u[body.cmap.slots], body.cmap.G)
     saved = body.state.F_sn.copy()
@@ -315,7 +316,8 @@ def check_hessian():
     f_minus = _forces(body, grid)
     fd = -(f_plus - f_minus) / (2 * h)
     return {"symmetry_gap": sym_gap,
-            "fd_gap": float(np.abs(hu - fd).max() / np.abs(fd).max())}
+            "fd_gap": float(np.abs(hu - fd).max() / np.abs(fd).max()),
+            "assembled_gap": float(np.abs(assembled - hu).max() / np.abs(hu).max())}
 
 
 def check_conservation():
@@ -512,7 +514,7 @@ CHECKS = {c.name: c for c in (
     Check(4, "gradient_consistency", "variational force", 5.0, check_variational_force,
           {"relative_gap_fresh": (0, 1e-5), "relative_gap_mid_epoch": (0, 1e-5)}),
     Check(5, "hessian_checks", "hessian checks", 5.0, check_hessian,
-          {"symmetry_gap": (0, 1e-9), "fd_gap": (0, 1e-5)}),
+          {"symmetry_gap": (0, 1e-9), "fd_gap": (0, 1e-5), "assembled_gap": (0, 1e-12)}),
     Check(6, "momentum_drift", "conservation", 30.0, check_conservation,
           {"mass_gap": (0, 1e-13), "per_step_drift": (0, 1e-12),
            "total_drift": (0, 1e-10), "spin_drift": (0, 1e-10)}),

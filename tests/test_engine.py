@@ -181,12 +181,32 @@ def test_every_binding_calls_the_mls_names_once(monkeypatch, transfer):
     assert calls == {"moment_matrix": n, "gradient_weights": n}
 
 
-# the per-entry phases a step runs, by (transfer, integrator): every
-# binding folds the forces into p2g's one momentum scatter, and an implicit
-# step applies the Hessian in every CG iteration
+# the phases a step runs, by (transfer, integrator): every binding folds
+# the forces into p2g's one momentum scatter, and an implicit step applies
+# the assembled Hessian, a `NodeStencil`, in every CG iteration
 _PHASES = {"least_squares": ("least_squares", "explicit", {"p2g", "g2p"}),
            "kernel": ("kernel", "explicit", {"p2g", "g2p"}),
-           "implicit": ("least_squares", "implicit", {"p2g", "g2p", "hessian_apply"})}
+           "implicit": ("least_squares", "implicit", {"p2g", "g2p", "apply"})}
+
+
+def _expanding_disk(**solver):
+    """A 12.9k-particle disk on a 128^2 grid, four particles per cell, that
+    expands, so its implicit solves iterate."""
+    sim = Simulation(load_scene({
+        "grid": {"origin": [0.0, 0.0], "size": [1.0, 1.0], "cells": [128, 128]},
+        "gravity": [0.0, -10.0],
+        "solver": {"dt": 1e-4, "steps": 3, **solver},
+        "objects": [{
+            "shape": {"type": "disk", "center": [0.5, 0.5], "radius": 0.25},
+            "spacing": 1 / 256, "jitter": 0.3,
+            "material": {"type": "fixed_corotated", "density": 1000.0,
+                         "youngs": 1e4, "poisson": 0.3},
+            "velocity": [0.1, -0.2],
+        }],
+    }))
+    body = sim.bodies[0]
+    body.v = body.v + 0.5 * (body.x - 0.5)
+    return sim
 
 
 def _arrays(value):
@@ -203,27 +223,13 @@ def _arrays(value):
 @pytest.mark.parametrize("case", sorted(_PHASES))
 def test_steady_steps_allocate_no_per_entry_arrays(monkeypatch, case):
     # Between rebinds the transfer phases write their per-entry temporaries
-    # into the binding's workspace: at its peak, each of p2g, g2p and every
-    # Hessian product after a solve's first (which builds the (4, 4, n)
-    # tangent) allocates less than one (n, S) float64 array.
+    # into the binding's workspace: at its peak, each of p2g, g2p, every
+    # matrix-free Hessian product after a solve's first (which builds the
+    # (4, 4, n) tangent) and every product with the assembled operator
+    # allocates less than one (n, S) float64 array.
     transfer, integrator, phases = _PHASES[case]
-    scene = load_scene({
-        "grid": {"origin": [0.0, 0.0], "size": [1.0, 1.0], "cells": [128, 128]},
-        "gravity": [0.0, -10.0],
-        "solver": {"dt": 1e-4, "steps": 3, "mode": "total_lagrangian",
-                   "transfer": transfer, "integrator": integrator},
-        "objects": [{
-            "shape": {"type": "disk", "center": [0.5, 0.5], "radius": 0.25},
-            "spacing": 1 / 256, "jitter": 0.3,
-            "material": {"type": "fixed_corotated", "density": 1000.0,
-                         "youngs": 1e4, "poisson": 0.3},
-            "velocity": [0.1, -0.2],
-        }],
-    })
-    sim = Simulation(scene)
-    # an expanding disk deforms, so the implicit solves iterate
-    body = sim.bodies[0]
-    body.v = body.v + 0.5 * (body.x - 0.5)
+    sim = _expanding_disk(mode="total_lagrangian", transfer=transfer, integrator=integrator)
+    entry_bytes = sim.bodies[0].cmap.slots.size * 8
     peaks = {}
 
     def traced(fn):
@@ -242,6 +248,7 @@ def test_steady_steps_allocate_no_per_entry_arrays(monkeypatch, case):
     for name in ("p2g", "g2p"):
         monkeypatch.setattr(engine, name, traced(getattr(engine, name)))
     monkeypatch.setattr(transfers, "hessian_apply", traced(transfers.hessian_apply))
+    monkeypatch.setattr(transfers.NodeStencil, "apply", traced(transfers.NodeStencil.apply))
     tracemalloc.start()
     try:
         # the last step is steady: the arrays it replaces were allocated
@@ -251,7 +258,6 @@ def test_steady_steps_allocate_no_per_entry_arrays(monkeypatch, case):
             sim.step()
     finally:
         tracemalloc.stop()
-    entry_bytes = sim.bodies[0].cmap.slots.size * 8
     assert set(peaks) == phases
     for name, calls in peaks.items():
         assert max(calls) < entry_bytes, (name, calls, entry_bytes)
@@ -361,8 +367,9 @@ def test_implicit_steps_compute_each_rotation_once(monkeypatch):
     ("least_squares", "explicit"), ("kernel", "explicit"), ("least_squares", "implicit")])
 def test_stress_states_live_for_one_step(monkeypatch, transfer, integrator):
     # a step drops its stress states, and the tangents built from them,
-    # before it returns; within an implicit step every Hessian product after
-    # the first uses the tangent array the first one built
+    # before it returns; within an implicit step the solve's assembly uses
+    # the tangent array that its one matrix-free product, the start
+    # residual, built
     scene = _scene(steps=3, transfer=transfer, integrator=integrator)
     snow = MaterialModel.from_youngs("snow", density=400.0, youngs=1e4, poisson=0.2)
     scene.objects.append(replace(scene.objects[0], material=snow, shape={
@@ -371,30 +378,86 @@ def test_stress_states_live_for_one_step(monkeypatch, transfer, integrator):
     # expanding disks deform, so every implicit solve iterates
     for b in sim.bodies:
         b.v = b.v + 0.5 * (b.x - b.x.mean(axis=0))
-    inner = transfers.hessian_apply
-    products = []   # per Hessian product, each body's tangent before and after it
+    calls = []   # per Hessian product or assembly, each body's tangents before and after it
 
-    def traced(bodies, *args, **kwargs):
-        before = [b.stress.tangent for b in bodies]
-        out = inner(bodies, *args, **kwargs)
-        products.append((before, [b.stress.tangent for b in bodies]))
-        return out
+    def traced(fn):
+        def call(bodies, *args, **kwargs):
+            before = [b.stress.tangent for b in bodies]
+            out = fn(bodies, *args, **kwargs)
+            calls.append((fn.__name__, before, [b.stress.tangent for b in bodies]))
+            return out
+        return call
 
-    monkeypatch.setattr(transfers, "hessian_apply", traced)
+    for name in ("hessian_apply", "assemble_hessian"):
+        monkeypatch.setattr(transfers, name, traced(getattr(transfers, name)))
     for _ in range(3):
-        products.clear()
+        calls.clear()
         sim.step()
         assert [b.stress for b in sim.bodies] == [None, None]
         if integrator == "explicit":
-            assert not products
+            assert not calls
             continue
-        assert len(products) > 2
-        (before, built), *rest = products
+        assert [name for name, _, _ in calls] == ["hessian_apply", "assemble_hessian"]
+        assert sim.cg_info["iterations"] > 2
+        (_, before, built), (_, tangents, after) = calls
         assert before == [None, None]
         assert all(t is b._tangent_buf for t, b in zip(built, sim.bodies))
-        for before, after in rest:
-            assert all(t is u for t, u in zip(before, built))
-            assert all(t is u for t, u in zip(after, built))
+        assert all(t is u for t, u in zip(tangents, built))
+        assert all(t is u for t, u in zip(after, built))
+
+
+def test_free_flight_steps_never_assemble(monkeypatch):
+    # a translating disk's start residual is at round-off, below CG_TOL, so
+    # each of its implicit steps stops after one matrix-free product; an
+    # expanding disk solves, and each of its steps takes that product and
+    # then one assembly for all of its CG iterations
+    calls = []
+    for name in ("hessian_apply", "assemble_hessian"):
+        inner = getattr(transfers, name)
+        monkeypatch.setattr(transfers, name, lambda *args, _inner=inner, **kwargs: (
+            calls.append(_inner.__name__) or _inner(*args, **kwargs)))
+    sim = Simulation(_scene(steps=3, integrator="implicit"))
+    sim.run()
+    assert calls == ["hessian_apply"] * 3
+    assert [r.cg_iterations for r in sim.records] == [0, 0, 0]
+    assert max(r.cg_residual for r in sim.records) <= transfers.CG_TOL
+
+    calls.clear()
+    sim = Simulation(_scene(steps=3, integrator="implicit"))
+    body = sim.bodies[0]
+    body.v = body.v + 0.5 * (body.x - body.x.mean(axis=0))
+    sim.run()
+    assert min(r.cg_iterations for r in sim.records) > 0
+    assert calls == ["hessian_apply", "assemble_hessian"] * 3
+
+
+def test_assembly_peaks_below_one_entry_array_plus_the_operator(monkeypatch):
+    # the assembly accumulates one entry pair at a time through the
+    # binding's workspace: beyond the operator it returns (its blocks,
+    # neighbour table and gather buffer) it allocates less than one (n, S)
+    # float64 array
+    sim = _expanding_disk(integrator="implicit")
+    entry_bytes = sim.bodies[0].cmap.slots.size * 8
+    calls = []
+    inner = transfers.assemble_hessian
+
+    def traced(*args):
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        op = inner(*args)
+        calls.append((tracemalloc.get_traced_memory()[1] - start,
+                      op.blocks.nbytes + op.neighbours.nbytes + op.near.nbytes))
+        return op
+
+    monkeypatch.setattr(transfers, "assemble_hessian", traced)
+    tracemalloc.start()
+    try:
+        sim.step()
+    finally:
+        tracemalloc.stop()
+    assert len(calls) == 1
+    (peak, operator_bytes), = calls
+    assert peak < operator_bytes + entry_bytes, (peak - operator_bytes) / entry_bytes
 
 
 def test_steps_never_evaluate_the_energy(monkeypatch):

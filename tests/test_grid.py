@@ -101,6 +101,23 @@ def test_activate_resolves_in_place_and_keeps_the_shape():
     np.testing.assert_array_equal(g.position, fresh.position)
 
 
+def test_neighbours_read_slots_and_never_wrap():
+    # every bound node of a grid whose first and last rows and columns are
+    # bound; an oracle by node coordinates: an offset off the lattice or at
+    # an unbound node reads n_slots, even where x * ny + y of the offset
+    # node is the index of a bound node on the next or previous column
+    g = SparseGrid(origin=(0.0, 0.0), dx=0.1, n_cells=(10, 10))
+    edge = [[x, y] for x in range(11) for y in (0, 1, 9, 10)]
+    g.activate(lattice_index(g, edge + [[y, x] for x, y in edge] + [[5, 5], [7, 3]]))
+    table = g.neighbours()
+    assert table.shape == (25, g.n_slots)
+    coords = np.rint((g.position - g.origin) / g.dx).astype(np.int64)
+    for slot, (x, y) in enumerate(coords):
+        for column, (dx, dy) in enumerate((a, b) for a in range(-2, 3) for b in range(-2, 3)):
+            want = slot_of(g, [[x + dx, y + dy]])[0] if 0 <= x + dx <= 10 and 0 <= y + dy <= 10 else -1
+            assert table[column, slot] == (g.n_slots if want < 0 else want), (x, y, dx, dy)
+
+
 def test_zero_fields_resets_accumulators():
     g = SparseGrid(origin=(0.0, 0.0), dx=0.1, n_cells=(10, 10),
                    track_positions=True, keep_velocity0=True)

@@ -8,6 +8,7 @@ from aulmpm.kinematics import (KERNEL, LEAST_SQUARES, ConfigurationMap, Deformat
                                apply_update)
 from aulmpm.transfers import (
     Body,
+    assemble_hessian,
     epoch_grid_terms,
     explicit_update,
     finalize_grid,
@@ -343,6 +344,57 @@ def test_hessian_operator_is_symmetric():
     left = float(np.vdot(w, hessian_apply([body], u)))
     right = float(np.vdot(u, hessian_apply([body], w)))
     assert np.isclose(left, right, rtol=1e-10)
+
+
+def _edge_ring(k=9):
+    # stencil centers half a cell inside the valid band of the 10-cell grid:
+    # the stencils reach its first and last node rows and columns
+    t = np.linspace(0.06, 0.94, k)
+    lo, hi = np.full(k, 0.06), np.full(k, 0.94)
+    return np.concatenate([np.c_[t, lo], np.c_[t, hi], np.c_[lo, t], np.c_[hi, t]])
+
+
+_ASSEMBLY_CASES = {
+    "one_body": lambda rng: [_cloud(rng)],
+    "two_bodies": lambda rng: [_cloud(rng), _cloud(rng, n=25, lo=0.4, hi=0.9)],
+    "grid_edges": lambda rng: [_edge_ring(), _cloud(rng, n=10)],
+}
+
+
+def _stressed_bodies(case, transfer, rng):
+    grid = _grid()
+    bodies = [_body(pos, grid, transfer=transfer) for pos in _ASSEMBLY_CASES[case](rng)]
+    for body in bodies:
+        body.state.F_sn += 0.15 * rng.normal(size=body.state.F_sn.shape)
+        body.state.F_0s += 0.1 * rng.normal(size=body.state.F_0s.shape)
+        stress_pass(body)
+    return bodies, grid
+
+
+@pytest.mark.parametrize("case", sorted(_ASSEMBLY_CASES))
+@pytest.mark.parametrize("transfer", [LEAST_SQUARES, KERNEL])
+def test_assembled_hessian_matches_the_matrix_free_product(case, transfer):
+    # with and without a restriction to flagged nodes, which unflags about
+    # a third of them, the first and last node rows and columns included
+    rng = np.random.default_rng(16)
+    bodies, grid = _stressed_bodies(case, transfer, rng)
+    for act in (None, rng.random(grid.n_slots) < 0.7):
+        op = assemble_hessian(bodies, grid, act)
+        for _ in range(3):
+            u = rng.normal(size=(grid.n_slots, 2))
+            ref = hessian_apply(bodies, u, act)
+            assert np.abs(op.apply(u) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("restricted", [False, True])
+def test_assembled_hessian_is_symmetric(restricted):
+    rng = np.random.default_rng(18)
+    bodies, grid = _stressed_bodies("grid_edges", LEAST_SQUARES, rng)
+    act = rng.random(grid.n_slots) < 0.7 if restricted else None
+    op = assemble_hessian(bodies, grid, act)
+    unit = np.eye(2 * grid.n_slots).reshape(-1, grid.n_slots, 2)
+    dense = np.stack([op.apply(e).ravel() for e in unit], axis=1)
+    assert np.abs(dense - dense.T).max() <= 1e-14 * np.abs(dense).max()
 
 
 def _one_velocity_update(positions, velocities, dt, implicit):

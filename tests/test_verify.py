@@ -105,6 +105,30 @@ def test_stats_csv_roundtrip(tmp_path):
     assert update_stats(back) == update_stats(sim.records)
 
 
+def test_stats_csv_roundtrip_records_each_solve(tmp_path):
+    # an implicit spinning disk, rigid at first and then deforming: its CG
+    # columns read back bit for bit, show that every step after the first
+    # solved and add up to the summary's totals; an explicit run's are 0
+    scene = bundled_scene("spinning_disk")
+    scene.solver.integrator, scene.solver.steps = "implicit", 6
+    sim = Simulation(scene)
+    summary = sim.run(out_dir=tmp_path)
+    back = read_stats_csv(tmp_path / "stats.csv")
+    assert len(back) == len(sim.records) == 6
+    for got, want in zip(back, sim.records):
+        assert np.array_equal(got.momentum, want.momentum)
+        assert (dataclasses.replace(got, momentum=None)
+                == dataclasses.replace(want, momentum=None))
+    assert [r.cg_iterations > 0 for r in back] == [False] + [True] * 5
+    assert sum(r.cg_iterations for r in back) == summary["cg_iterations"]
+    assert max(r.cg_residual for r in back) == summary["cg_residual_max"]
+
+    scene.solver.integrator = "explicit"
+    sim = Simulation(scene)
+    sim.run()
+    assert {(r.cg_iterations, r.cg_residual) for r in sim.records} == {(0, 0.0)}
+
+
 def test_rebind_time_is_recorded_on_rebind_steps(tmp_path):
     # a fluid drop that reaches the floor after 16 steps and then rebinds
     scene = load_scene({
