@@ -84,6 +84,7 @@ class StepRecord:
     rebind_ms: float   # wall time of this step's rebinds, 0 without one
     cg_iterations: int = 0     # this step's CG iterations, 0 without a solve
     cg_residual: float = 0.0   # the relative residual the implicit update left
+    inverted: int = 0          # particles with det F_sn <= 0 after this step's update
 
 
 # each StepRecord field's type and stats.csv columns, in column order: an
@@ -188,6 +189,7 @@ class Simulation:
         self.time = 0.0
         self.steps_done = 0
         self.records: list[StepRecord] = []
+        self.rebinds: list[dict] = []   # one event per rebind, for summary.json
         self.cg_info: dict | None = None   # the last step's implicit solve
         self.cg_iterations = 0      # CG iterations over the run's solves
         self.cg_residual_max = 0.0  # largest final relative residual of a solve
@@ -234,14 +236,17 @@ class Simulation:
         rebound = False
         rebind_ms = 0.0
         total_marked = 0
-        for b in self.bodies:
+        inverted = 0
+        for obj, b in zip(self.scene.objects, self.bodies):
             g2p(b, grid, dt)
             self._require_finite("particle state",
                                  np.isfinite(b.x).all() and np.isfinite(b.v).all())
             try:
-                b.inverted += advance_F_sn(b.state, b.C, dt)
+                count = advance_F_sn(b.state, b.C, dt)
             except NumericalError as err:
                 raise NumericalError(f"{err} at step {self.steps_done}") from None
+            b.inverted += count
+            inverted += count
             if b.material.kind == SNOW:
                 F_total = compose_total(b.state)
                 Fe = matmul(F_total, inverse(b.F_plastic))
@@ -256,12 +261,17 @@ class Simulation:
                     rebind_ms += (time.perf_counter() - t_bind) * 1e3
                     self._require_finite("F_0s", np.isfinite(b.state.F_0s).all())
                     rebound = True
+                    self.rebinds.append({"object": obj.name, "step": self.steps_done + 1,
+                                         "epoch": b.cmap.epoch,
+                                         "marked_fraction": marked / b.n,
+                                         "eta": b.policy.eta})
         if rebound:
             epoch_grid_terms(self.bodies, grid, self.mass_eps)
 
         self.time += dt
         self.steps_done += 1
-        self._record(total_marked, (time.perf_counter() - t0) * 1e3, rebind_ms, info)
+        self._record(total_marked, (time.perf_counter() - t0) * 1e3, rebind_ms, info,
+                     inverted)
         return rebound
 
     def _require_finite(self, name: str, finite: bool) -> None:
@@ -291,14 +301,14 @@ class Simulation:
                 "kinetic_energy": kin}
 
     def _record(self, total_marked: int, wall_ms: float, rebind_ms: float,
-                cg_info: dict | None) -> None:
+                cg_info: dict | None, inverted: int) -> None:
         solve = {} if cg_info is None else {"cg_iterations": cg_info["iterations"],
                                             "cg_residual": cg_info["residual"]}
         self.records.append(StepRecord(
             step=self.steps_done, time=self.time, **self.totals(),
             updates=sum(b.cmap.epoch for b in self.bodies),
             marked_fraction=total_marked / self.n_particles,
-            wall_ms=wall_ms, rebind_ms=rebind_ms, **solve))
+            wall_ms=wall_ms, rebind_ms=rebind_ms, inverted=inverted, **solve))
 
     # ------------------------------------------------------------- output
 
@@ -352,6 +362,7 @@ class Simulation:
                  "inverted": b.inverted}
                 for obj, b in zip(self.scene.objects, self.bodies)
             ],
+            "rebinds": self.rebinds,
         }
 
     def run(self, out_dir=None, frames: int | None = None, progress=None) -> dict:

@@ -22,11 +22,14 @@ batches of 2x2 matrices, multiplied and reduced in closed form by the
 helpers in `constitutive`.
 
 `ConfigurationMap.build` is the one place that allocates a binding's
-stack, slots buffer and workspace; `mls` only writes into the stack it is
-given.  The particle count never changes, so a rebind (`apply_update`)
-refills the old binding: the old map hands the three over to the new one,
-which `build` writes in place, and holds None in their place.  A steady
-rebind therefore allocates none of them.
+stack, slots buffer, workspace and reference positions; `mls` only writes
+into the stack and the scratch rows it is given, and `build` gives it the
+workspace as that scratch.  The particle count never changes, so a rebind
+(`apply_update`) refills the old binding: the old map hands the four over
+to the new one, which `build` writes in place, and holds None in their
+place.  The fold of F_sn into F_0s runs through the same workspace into
+F_0s's own buffer, and F_sn is reset in its own.  A steady rebind
+therefore allocates nothing of per-particle size.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import numpy as np
 
 from .constitutive import det, matmul, pack
 from .errors import NumericalError
-from .mls import ENTRIES, build_stencil, gradient_weights, moment_matrix
+from .mls import ENTRIES, SUPPORT, build_stencil, gradient_weights, moment_matrix
 
 # transfer flavors: which gradient weights a binding carries
 LEAST_SQUARES = "least_squares"
@@ -79,6 +82,9 @@ class DeformationState:
         return cls(F_0s=_identity(n), F_sn=_identity(n))
 
 
+_EYE = np.eye(2)[:, :, None]
+
+
 def _identity(n: int) -> np.ndarray:
     return pack(np.ones(n), np.zeros(n), np.zeros(n), np.ones(n))
 
@@ -99,8 +105,9 @@ class ConfigurationMap:
     `stack` is the (3, S, n) weight stack [G_x, G_y, w] that `mls` writes
     in place; w and G are views of it, and slots the transpose of an (S, n)
     buffer (see the module docstring).  `work` is the (2, S, n) workspace
-    the transfer phases write their per-entry temporaries into.  `build`
-    allocates all three, or takes them over at a rebind.  The slots come
+    the transfer phases write their per-entry temporaries into, and a bind
+    its per-axis pieces.  `build` allocates these three and the reference
+    positions, or takes them over at a rebind.  The slots come
     from `SparseGrid.activate`, which only returns slots of the grid; they
     stay valid because the grid only grows.
     """
@@ -124,32 +131,45 @@ class ConfigurationMap:
     def build(cls, positions: np.ndarray, grid, epoch: int = 0,
               transfer: str = LEAST_SQUARES,
               reuse: "ConfigurationMap | None" = None) -> "ConfigurationMap":
-        """Bind `positions` to `grid`, into a fresh stack, slots buffer and
-        workspace or, with `reuse`, a map of as many particles, into its
-        own: the new map takes them over and `reuse` keeps its epoch and
-        holds None there.
+        """Bind `positions` to `grid`, into a fresh stack, slots buffer,
+        workspace and reference positions or, with `reuse`, a map of as
+        many particles, into its own: the new map takes them over and
+        `reuse` keeps its epoch and holds None there.  A `reuse` of another
+        particle count raises ValueError, and one whose positions leave the
+        domain OutOfDomainError; either leaves `reuse` holding its arrays.
+        The stencil's per-axis pieces are computed in the workspace.
         """
         if transfer not in (LEAST_SQUARES, KERNEL):
             raise ValueError(f"unknown transfer {transfer!r}")
         positions = np.asarray(positions, dtype=np.float64)
+        n = positions.shape[0]
         if reuse is None:
-            entries = (ENTRIES, positions.shape[0])
-            stack, nodes, work = (np.empty((3,) + entries), np.empty(entries, dtype=np.int64),
-                                  np.empty((2,) + entries))
+            entries = (ENTRIES, n)
+            stack, nodes, work, ref = (np.empty((3,) + entries), np.empty(entries, dtype=np.int64),
+                                       np.empty((2,) + entries), np.empty((n, 2)))
         else:
-            stack, nodes, work = reuse.stack, reuse.slots.T, reuse.work
-            reuse.stack = reuse.slots = reuse.work = None
+            if reuse.ref_positions.shape[0] != n:
+                raise ValueError(f"cannot rebind {n} particles into a binding of "
+                                 f"{reuse.ref_positions.shape[0]}")
+            stack, nodes, work, ref = reuse.stack, reuse.slots.T, reuse.work, reuse.ref_positions
         base, offsets = build_stencil(positions, grid.origin, grid.dx, grid.n_nodes,
-                                      stack, transfer == KERNEL)
+                                      stack, work.reshape(-1, n), transfer == KERNEL)
         if transfer == LEAST_SQUARES:
             gradient_weights(offsets, stack, moment_matrix(grid.dx))
-        # the lattice index of entry 3 i + j is the base node's plus
-        # i ny + j: written into the (S, n) slots buffer and resolved there
+        # the lattice index of entry 3 i + j is the base node's (a whole
+        # number held as a float, cast exactly) plus i ny + j, which is 0
+        # for entry 0: written into the (S, n) slots buffer, resolved there
         ny = grid.n_nodes[1]
-        k = np.arange(offsets.shape[1])
-        np.add(base[0] * ny + base[1], (k[:, None] * ny + k).reshape(-1, 1), out=nodes)
+        k = np.arange(SUPPORT)
+        np.multiply(base[0], ny, out=base[0])
+        np.add(base[0], base[1], out=base[0])
+        np.copyto(nodes[0], base[0], casting="unsafe")
+        np.add(nodes[0], (k[:, None] * ny + k).reshape(-1, 1)[1:], out=nodes[1:])
         grid.activate(nodes, out=nodes)
-        return cls(epoch=epoch, ref_positions=positions.copy(), stack=stack, slots=nodes.T,
+        np.copyto(ref, positions)
+        if reuse is not None:
+            reuse.stack = reuse.slots = reuse.work = reuse.ref_positions = None
+        return cls(epoch=epoch, ref_positions=ref, stack=stack, slots=nodes.T,
                    work=work, transfer=transfer)
 
 
@@ -207,10 +227,17 @@ def apply_update(state: DeformationState, positions: np.ndarray, grid,
     Afterwards F_0s holds the old product F_sn F_0s, F_sn is the identity,
     and the returned map carries fresh window weights, gradient weights and
     slots of the same transfer flavor, with the epoch counter advanced by
-    one.  They are written into the old map's stack and slots, and the new
-    map keeps its workspace: the old map hands the three over and holds
-    None in their place, so a rebind allocates none of them.
+    one.  Everything is written in place: the product goes through the old
+    map's workspace into F_0s's buffer, F_sn is reset in its own, and the
+    old map hands its stack, slots, workspace and reference positions over
+    to the new one and holds None in their place, so a steady rebind
+    allocates nothing of per-particle size.
     """
-    state.F_0s = compose_total(state)
-    state.F_sn = _identity(state.F_sn.shape[0])
+    n = state.F_sn.shape[0]
+    # each (n, 2, 2) factor as its (2, 2, n) entries, whatever its layout
+    F_sn, F_0s = np.moveaxis(state.F_sn, 0, -1), np.moveaxis(state.F_0s, 0, -1)
+    folded = cmap.work[0, :4].reshape(2, 2, n)
+    np.einsum("ijn,jkn->ikn", F_sn, F_0s, out=folded)
+    np.copyto(F_0s, folded)
+    F_sn[...] = _EYE
     return ConfigurationMap.build(positions, grid, cmap.epoch + 1, cmap.transfer, reuse=cmap)

@@ -14,9 +14,14 @@ as broadcasts over 3 x 3 views, into the (3, S, n) weight stack
 [g_x, g_y, w] that the caller passes (`ConfigurationMap.build` allocates
 it): the windows fill its last row, and its first two take the window
 gradients or, through `gradient_weights`, the least-squares ones.  The
-support's base node and the offsets stay per axis, (2, n) and (2, 3, n).
-The tests check the stencils against an independent formula that
-evaluates the same spline piecewise in |x| (`tests/oracles.py`).
+per-axis pieces (the centers in cells, the support's base node, the
+windows, and the slopes or the offsets) are rows of n in a scratch that
+the caller passes too, a binding's workspace, so a build allocates
+nothing of per-particle size.  The kernel path scales its slopes by 1 / dx
+before the products and never forms the offsets; the least-squares path
+returns the offsets, per axis (2, 3, n), for `gradient_weights`.  The
+tests check the stencils against an independent formula that evaluates
+the same spline piecewise in |x| (`tests/oracles.py`).
 
 The least-squares gradient of a field phi sampled at the stencil nodes is
 
@@ -36,32 +41,34 @@ import numpy as np
 from .errors import OutOfDomainError
 
 # nodes per axis covered by a window, and stencil entries S per center
-_SUPPORT = 3
-ENTRIES = _SUPPORT * _SUPPORT
+SUPPORT = 3
+ENTRIES = SUPPORT * SUPPORT
 
 
-def _windows(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-axis window values and slopes over each center's support.
+def _windows(e: np.ndarray, w1: np.ndarray) -> None:
+    """Per-axis window values over each center's support, into w1.
 
-    f (2, n) is the center's offset from the first node of its support, in
-    cells, in [0.5, 1.5).  Returns w1 and dw1, both (2, 3, n), where entry
-    [k, s] belongs to node s of the support along axis k and dw1 is the
-    slope wrt the center.
+    e (2, 3, n) holds the center's offset from each node of its support, in
+    cells: f, f - 1 and f - 2 along axis k, for the center's offset f in
+    [0.5, 1.5) from the first node.  Writes w1 (2, 3, n), where entry
+    [k, s] belongs to node s of the support along axis k.
     """
-    # node offsets f, f - 1, f - 2 land on the pieces 0.5 (1.5 - |x|)^2,
-    # 0.75 - x^2 and 0.5 (1.5 - |x|)^2 (Hu et al. 2018); the last is taken
-    # at 1.5 + (f - 2), not f - 0.5, to round as the |x| form does
-    x1 = f - 1.0
-    x2 = f - 2.0
-    w1 = np.stack((0.5 * (1.5 - f) ** 2, 0.75 - x1 * x1, 0.5 * (1.5 + x2) ** 2), axis=1)
-    dw1 = np.stack((f - 1.5, -2.0 * x1, 1.5 + x2), axis=1)
-    return w1, dw1
+    # the offsets land on the pieces 0.5 (1.5 - |x|)^2, 0.75 - x^2 and
+    # 0.5 (1.5 - |x|)^2 (Hu et al. 2018); the last is taken at 1.5 + (f - 2),
+    # not f - 0.5, to round as the |x| form does
+    np.subtract(1.5, e[:, 0], out=w1[:, 0])
+    np.add(e[:, 2], 1.5, out=w1[:, 2])
+    ends = w1[:, ::2]
+    np.multiply(ends, ends, out=ends)
+    np.multiply(ends, 0.5, out=ends)
+    np.multiply(e[:, 1], e[:, 1], out=w1[:, 1])
+    np.subtract(0.75, w1[:, 1], out=w1[:, 1])
 
 
 def _lattice(out: np.ndarray) -> np.ndarray:
     """An entry-major (..., S, n) buffer, C-contiguous, as its (..., 3, 3, n)
     view: entry s = 3 i + j sits at [..., i, j, :]."""
-    return out.reshape(out.shape[:-2] + (_SUPPORT, _SUPPORT, out.shape[-1]))
+    return out.reshape(out.shape[:-2] + (SUPPORT, SUPPORT, out.shape[-1]))
 
 
 def _outer(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -72,8 +79,8 @@ def _outer(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def build_stencil(centers: np.ndarray, origin: np.ndarray, dx: float,
-                  n_nodes: np.ndarray, out: np.ndarray,
-                  gradients: bool) -> tuple[np.ndarray, np.ndarray]:
+                  n_nodes: np.ndarray, out: np.ndarray, scratch: np.ndarray,
+                  gradients: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """Bind each center to the grid nodes inside its window support.
 
     Writes the windows w into out[2] and, with `gradients`, the window
@@ -83,40 +90,65 @@ def build_stencil(centers: np.ndarray, origin: np.ndarray, dx: float,
     S = 9, and every pass over one entry runs over the long particle axis.
     Without gradients out[:2] is left for the caller (`gradient_weights`).
 
-    Returns the support's base node, integer lattice coordinates (2, n), and
-    the offsets node - center along each axis per node of the support,
-    (2, 3, n).  n_nodes gives the node count per axis; a center whose
+    The per-axis pieces are computed in `scratch`, float64 rows of n of
+    which the first 14 are written, each row C-contiguous; a binding
+    passes its workspace.  Returns views of it: the support's base
+    node, integer lattice coordinates held as floats (2, n), and, without
+    gradients, the offsets node - center along each axis per node of the
+    support (2, 3, n); with gradients nothing reads them, and None takes
+    their place.  n_nodes gives the node count per axis; a center whose
     support sticks out of the node box raises OutOfDomainError (no
-    one-sided stencils), before anything is written.
+    one-sided stencils), before anything is written to `out`.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
     origin = np.asarray(origin, dtype=np.float64)
     n_nodes = np.asarray(n_nodes, dtype=np.int64)
     n = centers.shape[0]
+    base = scratch[:2]
+    e = scratch[2:8].reshape(2, SUPPORT, n)     # per node offset, then slope or r
+    w1 = scratch[8:14].reshape(2, SUPPORT, n)
 
-    u = (np.ascontiguousarray(centers.T) - origin[:, None]) / dx    # (2, n)
-    base = np.floor(u - 0.5).astype(np.int64)
+    # the centers in cells from the origin, and their supports' base nodes
+    u = e[:, 0]
+    np.subtract(centers.T, origin[:, None], out=u)
+    np.divide(u, dx, out=u)
+    np.subtract(u, 0.5, out=base)
+    np.floor(base, out=base)
 
-    if n and ((base.min(axis=1) < 0).any() or (base.max(axis=1) + _SUPPORT > n_nodes).any()):
-        bad = np.any(base < 0, axis=0) | np.any(base + _SUPPORT > n_nodes[:, None], axis=0)
-        idx = np.flatnonzero(bad)
+    # compared so that a NaN center counts as outside
+    if n and not ((base.min(axis=1) >= 0).all()
+                  and (base.max(axis=1) + SUPPORT <= n_nodes).all()):
+        inside = (base >= 0) & (base + SUPPORT <= n_nodes[:, None])
+        idx = np.flatnonzero(~inside.all(axis=0))
         raise OutOfDomainError(
             f"{idx.size} stencil center(s) outside the valid domain, "
             f"first indices {idx[:8].tolist()}"
         )
 
-    # per axis: node lattice coordinate, window and slope, node - center
-    node = base[:, None, :] + np.arange(_SUPPORT)[:, None]  # (2, 3, n)
-    w1, dw1 = _windows(u - base)
-    r1 = (node - u[:, None, :]) * dx
+    # per axis: the center's offset from each node, in cells, f - s; each
+    # difference is exact up to the rounding of f - 2 that the |x| form of
+    # the spline shares
+    np.subtract(u, base, out=u)
+    np.subtract(u, 1.0, out=e[:, 1])
+    np.subtract(u, 2.0, out=e[:, 2])
+    _windows(e, w1)
 
     # tensor products over the lexicographic (x-major) node order
     _outer(w1[0], w1[1], out[2])
-    if gradients:
-        _outer(dw1[0], w1[1], out[0])
-        _outer(w1[0], dw1[1], out[1])
-        out[:2] /= dx
-    return base, r1
+    if not gradients:
+        # node - center = (s - f) dx, with f last, in place
+        for s in (2, 1, 0):
+            np.subtract(float(s), u, out=e[:, s])
+        np.multiply(e, dx, out=e)
+        return base, e
+    # the slopes wrt the center, per length, in place: f - 1.5, -2 (f - 1)
+    # and 1.5 + (f - 2), each times 1 / dx
+    np.subtract(e[:, 0], 1.5, out=e[:, 0])
+    np.add(e[:, 2], 1.5, out=e[:, 2])
+    np.multiply(e, np.array([[1.0], [-2.0], [1.0]]) / dx, out=e)
+    _outer(e[0], w1[1], out[0])
+    _outer(w1[0], e[1], out[1])
+    return base, None
 
 
 def moment_matrix(dx: float) -> float:
@@ -131,10 +163,11 @@ def gradient_weights(offsets: np.ndarray, stack: np.ndarray, c: float) -> None:
     (2, 3, n) that `build_stencil` returns, with c from `moment_matrix`.
 
     The least-squares gradient of any field is then sum_j (phi_j - phi_c) (x) g_j.
-    The offsets are scaled once and never laid out over the stencil.
+    The offsets are scaled to c r in place, once (they are the caller's
+    scratch), and never laid out over the stencil.
     """
-    rc = offsets * c
+    np.multiply(offsets, c, out=offsets)
     w = _lattice(stack[2])
     lattice = _lattice(stack[:2])
-    np.multiply(rc[0][:, None], w, out=lattice[0])
-    np.multiply(rc[1][None], w, out=lattice[1])
+    np.multiply(offsets[0][:, None], w, out=lattice[0])
+    np.multiply(offsets[1][None], w, out=lattice[1])

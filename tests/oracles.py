@@ -144,12 +144,14 @@ def _entries(per_axis):
 
 
 def stencil(centers, origin, dx, n_nodes, gradients=True):
-    """`build_stencil` into a fresh (3, S, n) stack, as a binding calls it;
-    returns the stack [G_x, G_y, w], the support's base node (2, n) and the
-    per-axis offsets (2, 3, n)."""
+    """`build_stencil` into a fresh (3, S, n) stack and a fresh (2, S, n)
+    workspace, as a binding calls it; returns the stack [G_x, G_y, w], the
+    support's base node (2, n) and, without gradients, the per-axis offsets
+    (2, 3, n) (None with gradients)."""
     centers = np.atleast_2d(centers)
     stack = np.empty((3, 9, centers.shape[0]))
-    return (stack,) + build_stencil(centers, origin, dx, n_nodes, stack, gradients)
+    scratch = np.empty((18, centers.shape[0]))
+    return (stack,) + build_stencil(centers, origin, dx, n_nodes, stack, scratch, gradients)
 
 
 def stencil_offsets(offsets):
@@ -160,8 +162,8 @@ def stencil_offsets(offsets):
 
 def stencil_coords(base):
     """Integer lattice coordinates of a stencil's entries, (n, S, 2), from
-    its support's base node (2, n)."""
-    return _entries(base[:, None, :] + np.arange(3)[:, None])
+    its support's base node (2, n), which `build_stencil` holds as floats."""
+    return _entries(base.astype(np.int64)[:, None, :] + np.arange(3)[:, None])
 
 
 def lattice_index(grid, coords):

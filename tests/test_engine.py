@@ -273,9 +273,11 @@ def test_steady_steps_allocate_no_per_entry_arrays(monkeypatch, case):
 
 @pytest.mark.parametrize("transfer", ["least_squares", "kernel"])
 def test_steady_rebinds_allocate_no_binding(monkeypatch, transfer):
-    # An Eulerian rebind refills the old binding's stack, slots and
-    # workspace: it keeps less than one (n, S) float64 array more than it
-    # frees, and its temporaries peak below four of them.
+    # An Eulerian rebind refills the old binding's stack, slots, workspace
+    # and reference positions, and computes its per-axis pieces and the
+    # F fold in the workspace: it allocates nothing of per-particle size,
+    # so it keeps, and its temporaries peak at, less than one float64 per
+    # particle, a ninth of one (n, S) float64 array.
     scene = load_scene({
         "grid": {"origin": [0.0, 0.0], "size": [1.0, 1.0], "cells": [128, 128]},
         "gravity": [0.0, -10.0],
@@ -309,11 +311,11 @@ def test_steady_rebinds_allocate_no_binding(monkeypatch, transfer):
             sim.step()
     finally:
         tracemalloc.stop()
-    entry_bytes = sim.bodies[0].cmap.slots.size * 8
+    column_bytes = sim.bodies[0].n * 8
     retained, peak = calls[-1]
     assert len(calls) == 3
-    assert retained < entry_bytes, (retained / entry_bytes)
-    assert peak < 4 * entry_bytes, (peak / entry_bytes)
+    assert retained < column_bytes, (retained / column_bytes)
+    assert peak < column_bytes, (peak / column_bytes)
 
 
 @pytest.mark.parametrize("transfer", ["least_squares", "kernel"])

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from aulmpm import kinematics
+from aulmpm.errors import OutOfDomainError
 from aulmpm.grid import SparseGrid
 from aulmpm.kinematics import (
     KERNEL,
@@ -120,7 +121,7 @@ def test_configuration_map_binds_reference_geometry():
     assert cmap.epoch == 0
     np.testing.assert_allclose(cmap.ref_positions, pos)
     # bound slots agree with the grid's own lookup of the stencil's nodes
-    stack, base, offsets = stencil(pos, grid.origin, grid.dx, grid.n_nodes)
+    stack, base, offsets = stencil(pos, grid.origin, grid.dx, grid.n_nodes, gradients=False)
     nodes = stencil_coords(base)
     np.testing.assert_array_equal(
         cmap.slots, slot_of(grid, nodes.reshape(-1, 2)).reshape(cmap.slots.shape))
@@ -145,10 +146,11 @@ def test_binding_carries_the_gradient_weights_of_its_transfer():
     grid = _grid()
     rng = np.random.default_rng(14)
     pos = rng.uniform(0.3, 0.7, size=(25, 2))
-    stack, _, offsets = stencil(pos, grid.origin, grid.dx, grid.n_nodes)
+    stack, _, _ = stencil(pos, grid.origin, grid.dx, grid.n_nodes)
     kernel = ConfigurationMap.build(pos, grid, transfer=KERNEL)
     np.testing.assert_array_equal(kernel.G, stack[:2].T)
     mls = ConfigurationMap.build(pos, grid)
+    stack, _, offsets = stencil(pos, grid.origin, grid.dx, grid.n_nodes, gradients=False)
     gradient_weights(offsets, stack, moment_matrix(grid.dx))
     np.testing.assert_array_equal(mls.G, stack[:2].T)
     # spline gradients reproduce affine velocity fields too
@@ -261,3 +263,72 @@ def test_rebind_refills_the_old_binding_as_a_fresh_build(transfer):
     coords = np.rint((grid.position[before:] - grid.origin) / grid.dx)
     assert (np.diff(lattice_index(grid, coords)) > 0).all()
     assert set(range(before, grid.n_slots)) <= set(cmap.slots.ravel().tolist())
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def test_apply_update_folds_in_place():
+    # F_0s takes the product bit for bit, F_sn becomes exactly the identity,
+    # and both stay in the buffers they were in
+    grid = _grid()
+    rng = np.random.default_rng(31)
+    pos = rng.uniform(0.3, 0.7, size=(50, 2))
+    cmap = ConfigurationMap.build(pos, grid)
+    state = DeformationState.identity(50)
+    for _ in range(3):
+        advance_F_sn(state, rng.normal(scale=2.0, size=(50, 2, 2)), 0.1)
+    state.F_0s[:] = state.F_sn
+    advance_F_sn(state, rng.normal(scale=2.0, size=(50, 2, 2)), 0.1)
+    F_0s, F_sn = state.F_0s, state.F_sn
+    total = compose_total(state)
+    apply_update(state, pos + 0.01, grid, cmap)
+    assert state.F_0s is F_0s and state.F_sn is F_sn
+    assert np.shares_memory(state.F_0s, F_0s) and np.shares_memory(state.F_sn, F_sn)
+    np.testing.assert_array_equal(_bits(state.F_0s), _bits(total))
+    np.testing.assert_array_equal(_bits(state.F_sn), _bits(np.broadcast_to(np.eye(2), F_sn.shape)))
+
+
+@pytest.mark.parametrize("transfer", ["least_squares", KERNEL])
+def test_build_through_the_workspace_matches_a_fresh_build(transfer):
+    # the per-axis pieces go through the old map's workspace, whatever it
+    # holds; the stack (and a least-squares G) equals a build into fresh
+    # buffers bit for bit, and a center outside the domain raises before
+    # the stack is written, leaving the old map its arrays
+    grid = _grid()
+    pos = np.random.default_rng(33).uniform(0.3, 0.7, size=(40, 2))
+    cmap = ConfigurationMap.build(pos, grid, transfer=transfer)
+    moved = pos + 0.02
+    stack, _, offsets = stencil(moved, grid.origin, grid.dx, grid.n_nodes,
+                                gradients=transfer == KERNEL)
+    if transfer != KERNEL:
+        gradient_weights(offsets, stack, moment_matrix(grid.dx))
+    cmap.work[...] = np.nan
+    cmap.stack[...] = np.inf
+    rebound = ConfigurationMap.build(moved, grid, 1, transfer, reuse=cmap)
+    assert rebound.stack.tobytes() == stack.tobytes()
+    assert rebound.G.tobytes() == stack[:2].T.tobytes()
+
+    before = rebound.stack.tobytes()
+    held = (rebound.stack, rebound.slots, rebound.work, rebound.ref_positions)
+    outside = moved.copy()
+    outside[7] = [0.5, 1.0]
+    with pytest.raises(OutOfDomainError, match=r"first indices \[7\]"):
+        ConfigurationMap.build(outside, grid, 2, transfer, reuse=rebound)
+    assert rebound.stack.tobytes() == before
+    assert all(a is b for a, b in zip(
+        (rebound.stack, rebound.slots, rebound.work, rebound.ref_positions), held))
+
+
+def test_reuse_of_another_particle_count_is_rejected_before_the_handover():
+    grid = _grid()
+    pos = np.random.default_rng(35).uniform(0.3, 0.7, size=(30, 2))
+    cmap = ConfigurationMap.build(pos, grid)
+    held = (cmap.stack, cmap.slots, cmap.work, cmap.ref_positions)
+    before = [a.tobytes() for a in held]
+    with pytest.raises(ValueError, match="cannot rebind 29 particles into a binding of 30"):
+        ConfigurationMap.build(pos[:29], grid, reuse=cmap)
+    now = (cmap.stack, cmap.slots, cmap.work, cmap.ref_positions)
+    assert all(a is b for a, b in zip(now, held))
+    assert [a.tobytes() for a in now] == before

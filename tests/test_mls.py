@@ -85,7 +85,8 @@ def test_stencil_partition_of_unity_and_first_moment():
     rng = np.random.default_rng(11)
     origin, dx, n_nodes = _grid2d()
     centers = rng.uniform(3 * dx, 1.0 - 3 * dx, size=(1000, 2))
-    stack, base, offsets = stencil(centers, origin, dx, n_nodes)
+    # the least-squares build returns the offsets
+    stack, base, offsets = stencil(centers, origin, dx, n_nodes, gradients=False)
     w = stack[2].T
     np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=PARTITION_ATOL)
     first = np.einsum("ns,nsa->na", w, stencil_offsets(offsets))
@@ -141,10 +142,15 @@ def test_stencil_matches_spline_oracle():
     rng = np.random.default_rng(5)
     centers = np.concatenate([rng.uniform(lo, hi, size=(20000, 2)),
                               _edge_centers(lo, hi, dx)])
-    stack, base, offsets = stencil(centers, origin, dx, n_nodes)
+    # the kernel build gives the window gradients, the least-squares one
+    # the offsets; both give the windows and the base node
+    stack, base, _ = stencil(centers, origin, dx, n_nodes)
+    ls, ls_base, offsets = stencil(centers, origin, dx, n_nodes, gradients=False)
     coords, r, w, dw = _oracle_stencil(centers, dx)
     np.testing.assert_array_equal(stencil_coords(base), coords)
-    for got, want in ((stencil_offsets(offsets), r), (stack[2].T, w), (stack[:2].T, dw)):
+    np.testing.assert_array_equal(stencil_coords(ls_base), coords)
+    for got, want in ((stencil_offsets(offsets), r), (stack[2].T, w), (ls[2].T, w),
+                      (stack[:2].T, dw)):
         np.testing.assert_array_equal(_bits(got), _bits(want))
 
 
@@ -173,8 +179,9 @@ def test_moment_constant_and_gradient_weights_are_closed_form():
     assert np.ndim(c) == 0 and c == 4.0 / dx**2 == 4096.0
     stack, _, offsets = stencil(rng.uniform(lo, hi, size=(200, 2)), origin, dx, n_nodes,
                                 gradients=False)
+    r = stencil_offsets(offsets)   # before gradient_weights scales them in place
     gradient_weights(offsets, stack, c)
-    G, r = stack[:2].T, stencil_offsets(offsets)
+    G = stack[:2].T
     assert G.shape == r.shape
     np.testing.assert_allclose(G, c * stack[2].T[..., None] * r, rtol=1e-15, atol=0.0)
 
@@ -214,8 +221,9 @@ def _least_squares(centers, origin, dx, n_nodes):
     """Windows (n, S), least-squares gradient weights (n, S, 2), node
     positions and offsets (n, S, 2) of the centers' stencils."""
     stack, base, offsets = stencil(centers, origin, dx, n_nodes, gradients=False)
+    r = stencil_offsets(offsets)   # before gradient_weights scales them in place
     gradient_weights(offsets, stack, moment_matrix(dx))
-    return stack[2].T, stack[:2].T, origin + stencil_coords(base) * dx, stencil_offsets(offsets)
+    return stack[2].T, stack[:2].T, origin + stencil_coords(base) * dx, r
 
 
 def _lstsq_gradient(phi_c, phi_n, w, r):

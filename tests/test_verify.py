@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import re
 from pathlib import Path
 
@@ -157,6 +158,79 @@ def test_rebind_time_is_recorded_on_rebind_steps(tmp_path):
     back = read_stats_csv(tmp_path / "stats.csv")
     cost = np.mean([r.rebind_ms for r, hit in zip(sim.records, rebound) if hit])
     assert update_stats(back)["update_cost_ms"] == cost
+
+
+def test_inverted_column_sums_to_the_objects_counts(tmp_path):
+    # a soft disk driven into a sticky floor inverts from the ninth step on;
+    # the per-step column reads back and adds up to each object's total
+    scene = load_scene({
+        "grid": {"origin": [0.0, 0.0], "size": [1.0, 1.0], "cells": [32, 32]},
+        "gravity": [0.0, -9.81],
+        "solver": {"dt": 5e-4, "steps": 12, "mode": "total_lagrangian"},
+        "objects": [{
+            "shape": {"type": "disk", "center": [0.5, 0.27], "radius": 0.06},
+            "spacing": 0.01,
+            "material": {"type": "fixed_corotated", "density": 1000.0,
+                         "youngs": 1e3, "poisson": 0.3},
+            "velocity": [0.0, -20.0],
+        }],
+        "colliders": [{"type": "half_space", "point": [0.0, 0.2],
+                       "normal": [0.0, 1.0], "mode": "sticky"}],
+    })
+    sim = Simulation(scene)
+    summary = sim.run(out_dir=tmp_path)
+    column = [r.inverted for r in read_stats_csv(tmp_path / "stats.csv")]
+    assert column == [r.inverted for r in sim.records]
+    assert column[0] == 0 and column[-1] > 0
+    assert sum(column) == sum(obj["inverted"] for obj in summary["objects"])
+    assert sum(column) == sum(b.inverted for b in sim.bodies)
+
+
+def test_summary_lists_each_rebind(tmp_path):
+    # a fluid drop on a floor and a spinning solid disk rebind, each under
+    # its own policy; summary.json lists every rebind once, in step
+    # order, at a marked fraction no lower than its object's eta
+    scene = load_scene({
+        "grid": {"origin": [0.0, 0.0], "size": [1.0, 1.0], "cells": [32, 32]},
+        "gravity": [0.0, -9.81],
+        "solver": {"dt": 5e-4, "steps": 20, "mode": "adaptive"},
+        "objects": [{
+            "name": "drop",
+            "shape": {"type": "disk", "center": [0.5, 0.27], "radius": 0.06},
+            "spacing": 0.01,
+            "material": {"type": "weakly_compressible_fluid", "density": 1000.0,
+                         "bulk": 1e4},
+            "velocity": [0.0, -2.0],
+            "update": {"epsilon": 0.001, "eta": 0.05},
+        }, {
+            "name": "ball",
+            "shape": {"type": "disk", "center": [0.25, 0.5], "radius": 0.06},
+            "spacing": 0.01,
+            "material": {"type": "fixed_corotated", "density": 1000.0,
+                         "youngs": 1e4, "poisson": 0.3},
+            "angular_velocity": 3.0,
+            "update": {"epsilon": 1e-5, "eta": 0.5},
+        }],
+        "colliders": [{"type": "half_space", "point": [0.0, 0.2],
+                       "normal": [0.0, 1.0], "mode": "slip"}],
+    })
+    sim = Simulation(scene)
+    sim.run(out_dir=tmp_path)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    events = summary["rebinds"]
+    assert len(events) == summary["updates_total"]
+    assert {e["object"] for e in events} == {"drop", "ball"}
+    grew = [r.step for r, prev in zip(sim.records, [0] + [r.updates for r in sim.records])
+            if r.updates > prev]
+    assert sorted({e["step"] for e in events}) == grew
+    assert [e["step"] for e in events] == sorted(e["step"] for e in events)
+    for obj in summary["objects"]:
+        mine = [e for e in events if e["object"] == obj["name"]]
+        assert [e["epoch"] for e in mine] == list(range(1, obj["epoch"] + 1))
+    eta = {"drop": 0.05, "ball": 0.5}
+    for e in events:
+        assert e["eta"] == eta[e["object"]]
+        assert e["marked_fraction"] >= e["eta"]
 
 
 def test_stats_csv_malformed(tmp_path):
