@@ -44,6 +44,7 @@ from .kinematics import (
     apply_update,
     compose_total,
     deformation_delta,
+    identity_batch,
     should_update,
 )
 from .grid import SparseGrid
@@ -180,8 +181,7 @@ class Simulation:
                 state=DeformationState.identity(n),
                 cmap=ConfigurationMap.build(pts, self.grid, transfer=scene.solver.transfer),
                 policy=_policy_for(obj, scene.solver.mode),
-                F_plastic=(np.tile(np.eye(2), (n, 1, 1))
-                           if obj.material.kind == SNOW else None),
+                F_plastic=identity_batch(n) if obj.material.kind == SNOW else None,
             )
             self.bodies.append(body)
         self.mass_eps = mass_epsilon(self.bodies)

@@ -16,9 +16,10 @@ that keeps them for the FLIP blend.  Elsewhere they are None.
 
 `activate` takes lattice indices x * ny + y, of any shape, and returns the
 slots in the same shape; a binding writes its stencil's indices into its
-slots buffer and resolves them there.  `neighbours` reads the same table
-the other way, from slots to the slots of the lattice nodes around them,
-for the implicit solve's assembled operator.
+slots buffer and resolves them there, by linear passes over the indices
+and the lattice, without a sort.  `neighbours` reads the same table the
+other way, from slots to the slots of the lattice nodes around them, for
+the implicit solve's assembled operator.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ class SparseGrid:
     lattice maps each index to its slot, or, while the node is unbound, to
     ~index = -1 - index, so a lookup that hits an unbound node still names
     it; the nodes that one `activate` call binds first get the next slots in
-    lattice-index order.
+    lattice-index order: `activate` marks them in a bool array over the
+    lattice and reads the marks in order.
     """
 
     def __init__(self, origin, dx: float, n_cells,
@@ -77,8 +79,11 @@ class SparseGrid:
         `nodes` itself, an int64 C-contiguous buffer, resolved in place).
         """
         nodes = np.asarray(nodes)
+        if nodes.dtype.kind not in "iu":
+            raise TypeError(f"lattice indices must be integers, not {nodes.dtype}")
         size = self._slot.size
-        if nodes.size and (nodes.min() < 0 or nodes.max() >= size):
+        # one pass: read as unsigned, a negative index is at least 2**(bits - 1)
+        if nodes.size and nodes.view(f"u{nodes.dtype.itemsize}").max() >= size:
             bad = nodes[(nodes < 0) | (nodes >= size)]
             raise OutOfDomainError(
                 f"{bad.size} node index(es) outside the grid of {size} nodes, "
@@ -88,12 +93,20 @@ class SparseGrid:
         # an `out` that overlaps `nodes`)
         slot = np.take(self._slot, nodes, out=out, mode="clip")
         if slot.size and slot.min() < 0:
-            missing = slot < 0
-            unbound = ~slot[missing]
-            new_nodes = np.unique(unbound)
-            self._slot[new_nodes] = self.n_slots + np.arange(new_nodes.size)
+            # one cell per bound slot, then the lattice backwards: an entry
+            # marks cell `slot`, so an unbound one, slot = ~index < 0, marks
+            # cell n_slots + size - 1 - index counting from the end, and a
+            # bound one never marks a lattice node
+            bound = self.n_slots
+            marks = np.zeros(bound + size, dtype=bool)
+            marks[slot] = True
+            new_nodes = np.flatnonzero(marks[::-1][:size])
+            self._slot[new_nodes] = bound + np.arange(new_nodes.size)
             self._grow(new_nodes)
-            slot[missing] = self._slot[unbound]
+            # the same cells hold each entry's slot: its own where it was
+            # bound, the table read backwards where it was not
+            cells = np.concatenate([np.arange(bound), self._slot[::-1]])
+            np.take(cells, slot, out=slot, mode="wrap")
         return slot
 
     def neighbours(self) -> np.ndarray:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constitutive import det, matmul, pack
+from .constitutive import det, matmul
 from .errors import NumericalError
 from .mls import ENTRIES, SUPPORT, build_stencil, gradient_weights, moment_matrix
 
@@ -79,14 +79,17 @@ class DeformationState:
 
     @classmethod
     def identity(cls, n: int) -> "DeformationState":
-        return cls(F_0s=_identity(n), F_sn=_identity(n))
+        return cls(F_0s=identity_batch(n), F_sn=identity_batch(n))
 
 
 _EYE = np.eye(2)[:, :, None]
 
 
-def _identity(n: int) -> np.ndarray:
-    return pack(np.ones(n), np.zeros(n), np.zeros(n), np.ones(n))
+def identity_batch(n: int) -> np.ndarray:
+    """n identity matrices, an (n, 2, 2) view of a (2, 2, n) buffer."""
+    out = np.empty((2, 2, n))
+    out[...] = _EYE
+    return np.moveaxis(out, (0, 1), (-2, -1))
 
 
 @dataclass

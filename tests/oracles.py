@@ -8,12 +8,15 @@ stress that the library applied on every Hessian product before it built a
 per-solve tangent; the tangent is now checked against it.  `stencil`
 binds centers into a fresh weight stack, and `stencil_offsets`,
 `stencil_coords` and `slot_of` lay out a stencil's node offsets and nodes
-and read a grid's slots, which only tests need.  None of them is part of
-the library.
+and read a grid's slots, which only tests need.  `activate_by_unique` is
+`SparseGrid.activate` as it was before it found new nodes through the
+lattice table: by `np.unique` over the unbound entries.  None of them is
+part of the library.
 """
 
 import numpy as np
 
+from aulmpm.errors import OutOfDomainError
 from aulmpm.mls import build_stencil
 
 
@@ -178,3 +181,26 @@ def slot_of(grid, coords):
     want = grid.origin + np.atleast_2d(np.asarray(coords, dtype=np.int64)) * grid.dx
     hit = (grid.position == want[:, None, :]).all(axis=-1)   # (m, slots)
     return np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
+
+
+def activate_by_unique(grid, nodes, out=None):
+    """`grid.activate(nodes, out)` by the direct route: check the range with
+    a min and a max, look every index up, and bind the sorted distinct
+    unbound nodes (`np.unique`) to the next slots in that order."""
+    nodes = np.asarray(nodes)
+    size = grid._slot.size
+    if nodes.size and (nodes.min() < 0 or nodes.max() >= size):
+        bad = nodes[(nodes < 0) | (nodes >= size)]
+        raise OutOfDomainError(
+            f"{bad.size} node index(es) outside the grid of {size} nodes, "
+            f"first {int(bad[0])}"
+        )
+    slot = np.take(grid._slot, nodes, out=out, mode="clip")
+    if slot.size and slot.min() < 0:
+        missing = slot < 0
+        unbound = ~slot[missing]
+        new_nodes = np.unique(unbound)
+        grid._slot[new_nodes] = grid.n_slots + np.arange(new_nodes.size)
+        grid._grow(new_nodes)
+        slot[missing] = grid._slot[unbound]
+    return slot

@@ -9,6 +9,7 @@ from aulmpm import constitutive, engine, kinematics, transfers
 from aulmpm.constitutive import MaterialModel
 from aulmpm.engine import Simulation
 from aulmpm.errors import NumericalError, SceneError
+from aulmpm.grid import SparseGrid
 from aulmpm.kinematics import compose_total
 from aulmpm.scene import load_scene
 from oracles import _ref_signed_svd
@@ -179,6 +180,45 @@ def test_every_binding_calls_the_mls_names_once(monkeypatch, transfer):
     assert sim.summary()["updates_total"] == 4
     n = 6 if transfer == "least_squares" else 0
     assert calls == {"moment_matrix": n, "gradient_weights": n}
+
+
+@pytest.mark.parametrize("transfer", ["least_squares", "kernel"])
+def test_every_bind_calls_activate_once(monkeypatch, transfer):
+    # perfbench's grid.activate span and grid.activate_calls count binds:
+    # the two initial bindings and each of the mover's four rebinds call
+    # SparseGrid.activate once, and nothing else calls it
+    calls = []
+    inner = SparseGrid.activate
+
+    def counted(grid, *args, **kwargs):
+        calls.append(grid)
+        return inner(grid, *args, **kwargs)
+
+    monkeypatch.setattr(SparseGrid, "activate", counted)
+    scene = _mover_and_still_scene()
+    scene.solver.transfer = transfer
+    sim = Simulation(scene)
+    assert len(calls) == 2
+    for _ in range(4):
+        sim.step()
+    assert sim.summary()["updates_total"] == 4
+    assert len(calls) == 6 and all(grid is sim.grid for grid in calls)
+
+
+def test_fresh_deformation_factors_are_component_major():
+    # every 2x2 factor of a fresh Simulation, snow's F_plastic too, is an
+    # (n, 2, 2) view of a C-contiguous (2, 2, n) buffer holding identities
+    scene = _scene()
+    snow = MaterialModel.from_youngs("snow", density=400.0, youngs=1e4, poisson=0.2)
+    scene.objects.append(replace(scene.objects[0], material=snow, shape={
+        "type": "disk", "center": [0.2, 0.3], "radius": 0.06}))
+    sim = Simulation(scene)
+    snow_body = sim.bodies[1]
+    factors = [snow_body.state.F_0s, snow_body.state.F_sn, snow_body.F_plastic]
+    for F in factors + [sim.bodies[0].state.F_0s, sim.bodies[0].state.F_sn]:
+        assert np.moveaxis(F, 0, -1).flags.c_contiguous
+        np.testing.assert_array_equal(F, np.broadcast_to(np.eye(2), F.shape))
+    assert sim.bodies[0].F_plastic is None
 
 
 # the phases a step runs, by (transfer, integrator): every binding folds

@@ -8,7 +8,7 @@ from aulmpm.errors import OutOfDomainError
 from aulmpm.grid import HalfSpace, SparseGrid, SphereObstacle
 from aulmpm.kinematics import ConfigurationMap, DeformationState
 from aulmpm.transfers import Body, epoch_grid_terms, mass_epsilon
-from oracles import lattice_index, slot_of
+from oracles import activate_by_unique, lattice_index, slot_of
 
 
 def test_activation_is_idempotent_and_returns_stable_slots():
@@ -99,6 +99,66 @@ def test_activate_resolves_in_place_and_keeps_the_shape():
     assert g.activate(buf, out=buf) is buf
     np.testing.assert_array_equal(buf, want)
     np.testing.assert_array_equal(g.position, fresh.position)
+
+
+def test_activate_matches_the_unique_oracle():
+    # a library grid and an oracle grid take the same calls; after each the
+    # returned slots, the slot count, the slot table, the node positions
+    # and the length of every field agree exactly
+    lib, ref = (SparseGrid(origin=(0.0, 0.0), dx=0.1, n_cells=(10, 10)) for _ in range(2))
+    size, ny = lib._slot.size, lib.n_nodes[1]
+    rng = np.random.default_rng(11)
+    k = np.arange(3)
+    support = (k[:, None] * ny + k).reshape(-1, 1)
+
+    def stencils(lo, hi, m):
+        """(S, m) full 3 x 3 supports with base coordinates in [lo, hi)."""
+        return lattice_index(lib, rng.integers(lo, hi, size=(m, 2))) + support
+
+    def check(nodes, in_place=False):
+        a, b = nodes.copy(order="K"), nodes.copy(order="K")
+        got = lib.activate(a, out=a if in_place else None)
+        want = activate_by_unique(ref, b, out=b if in_place else None)
+        assert got is a or not in_place
+        np.testing.assert_array_equal(got, want)
+        assert lib.n_slots == ref.n_slots
+        np.testing.assert_array_equal(lib._slot, ref._slot)
+        np.testing.assert_array_equal(lib.position, ref.position)
+        for name, _, _ in lib._fields:
+            assert len(getattr(lib, name)) == lib.n_slots
+
+    def bound(m):
+        return rng.choice(np.flatnonzero(lib._slot >= 0), m)
+
+    # a first bind of full supports that miss lattice nodes 0 and size - 1
+    check(stencils(1, 8, 6))
+    # duplicate indices, of bound and of unbound nodes
+    some = rng.integers(1, size - 1, 30)
+    check(np.concatenate([some, some[::-1], some[:7]]))
+    # partly bound; nodes 0 and size - 1 are neither bound nor asked for, so
+    # they stay unbound although slot 0 is bound
+    assert lib._slot[0] < 0 and lib._slot[-1] < 0 and 0 in lib._slot
+    check(np.stack([bound(20), rng.integers(1, size - 1, 20)]))
+    assert lib._slot[0] < 0 and lib._slot[-1] < 0
+    # the first and last lattice nodes, among bound ones
+    check(np.array([size - 1, bound(1)[0], 0, 0, size - 1]))
+    # all bound, which binds nothing
+    check(bound(25).reshape(5, 5))
+    # in place in an (S, m) int64 buffer, as a binding resolves its slots
+    check(stencils(0, 9, 12), in_place=True)
+    # int32 and Fortran-order input, partly bound
+    check(stencils(0, 9, 8).astype(np.int32))
+    check(np.asfortranarray(np.concatenate([stencils(0, 9, 8), bound(9)[:, None]], axis=1)))
+    # an empty input
+    check(np.empty((0, 9), dtype=np.int64))
+    assert 0 < lib.n_slots < size
+
+
+def test_activate_rejects_non_integer_indices():
+    g = SparseGrid(origin=(0.0, 0.0), dx=0.1, n_cells=(10, 10))
+    with pytest.raises(TypeError, match="must be integers"):
+        g.activate(np.array([3.0]))
+    assert g.n_slots == 0
 
 
 def test_neighbours_read_slots_and_never_wrap():
