@@ -1,7 +1,9 @@
 """Sparse background grid and static collision geometry.
 
 Nodes live on a uniform 2-D lattice; a node gets a storage slot the first
-time a stencil binds it, and activation is idempotent.
+time a stencil binds it, and activation is idempotent.  Every node array
+keeps its slot axis last: a scalar field is (n_slots,) and a vector field
+(2, n_slots), one C-contiguous row per component.
 
 The node arrays fall in two groups.  `mass` and the `active` mask (nodes
 carrying mass) are per-epoch terms: `transfers.epoch_grid_terms` sets them
@@ -50,7 +52,7 @@ class SparseGrid:
         self.n_nodes = self.n_cells + 1
         self._slot = ~np.arange(int(np.prod(self.n_nodes)), dtype=np.int64)
 
-        # per-node arrays: (name, trailing shape, dtype)
+        # per-node arrays, slot axis last: (name, leading shape, dtype)
         self._fields = [("mass", (), np.float64), ("active", (), bool)]
         self._fields += [(name, (2,), np.float64) for name in
                          ("momentum", "velocity", "position")]
@@ -62,15 +64,15 @@ class SparseGrid:
 
         self.n_slots = 0
         for name, shape, dtype in self._fields:
-            setattr(self, name, np.zeros((0,) + shape, dtype=dtype))
+            setattr(self, name, np.zeros(shape + (0,), dtype=dtype))
 
     def _grow(self, new_nodes: np.ndarray) -> None:
         """Append storage for the nodes with the given lattice indices, in order."""
         for name, shape, dtype in self._fields:
             setattr(self, name, np.concatenate(
-                [getattr(self, name), np.zeros(new_nodes.shape + shape, dtype=dtype)]))
-        coords = np.stack(np.divmod(new_nodes, self.n_nodes[1]), axis=-1)
-        self.position[self.n_slots:] = self.origin + coords * self.dx
+                [getattr(self, name), np.zeros(shape + new_nodes.shape, dtype=dtype)], axis=-1))
+        coords = np.stack(np.divmod(new_nodes, self.n_nodes[1]))
+        self.position[:, self.n_slots:] = self.origin[:, None] + coords * self.dx
         self.n_slots += new_nodes.size
 
     def activate(self, nodes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -103,7 +103,7 @@ class ConfigurationMap:
     uses G_j = c W_j r_j with c = 4 / dx^2 (`mls.moment_matrix`); `kernel`
     (PIC/FLIP MPM) uses the window gradients grad W_j.  No phase reads the
     node offsets r, so the binding does not keep them; where they are
-    wanted they are grid.position[slots] - ref_positions[:, None].
+    wanted they are grid.position.T[slots] - ref_positions[:, None].
 
     `stack` is the (3, S, n) weight stack [G_x, G_y, w] that `mls` writes
     in place; w and G are views of it, and slots the transpose of an (S, n)

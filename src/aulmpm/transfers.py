@@ -56,7 +56,8 @@ innermost:
 The node mass, the pre-update momentum w (m v), the positions w (m x) and
 FLIP's gathered velocity change read the stack's last row alone.
 Per-particle 2x2 matrices are (n, 2, 2) views of component-major
-(2, 2, n) buffers (see `constitutive.pack`).
+(2, 2, n) buffers (see `constitutive.pack`), and node vectors are the
+grid's component-major (2, slots) arrays, read and written whole.
 
 The per-entry temporaries go into the binding's workspace, one (2, S, n)
 pair of planes that `ConfigurationMap.build` allocates with the stack:
@@ -155,9 +156,9 @@ def _scatter(slots: np.ndarray, values: np.ndarray, out: np.ndarray) -> None:
 
 
 def _gather(field: np.ndarray, cmap) -> np.ndarray:
-    """Node vectors (slots, 2) at the stencil entries, into the workspace
+    """Node vectors (2, slots) at the stencil entries, into the workspace
     pair: component k of entry s of particle p lands at [k, s, p]."""
-    np.take(np.ascontiguousarray(field.T), cmap.slots.T, axis=1, out=cmap.work, mode="clip")
+    np.take(field, cmap.slots.T, axis=1, out=cmap.work, mode="clip")
     return cmap.work
 
 
@@ -169,7 +170,7 @@ def _scatter_action(body: Body, A: np.ndarray, out: np.ndarray) -> None:
     plane = cmap.work[0]
     for k in range(2):
         np.einsum("csn,cn->sn", cmap.stack[:2], A[k], out=plane)
-        _scatter(slots, plane, out[:, k])
+        _scatter(slots, plane, out[k])
 
 
 # ------------------------------------------------------------ per epoch
@@ -218,11 +219,11 @@ def p2g(body: Body, grid, dt: float | None = None) -> None:
             _fold_stress(body, k, coef, dt)
         np.multiply(body.m, body.v[:, k], out=coef[2])
         np.einsum("csn,cn->sn", cmap.stack, coef, out=mom)
-        _scatter(slots, mom, grid.momentum[:, k])
+        _scatter(slots, mom, grid.momentum[k])
         if grid.momentum0 is not None:
-            _scatter(slots, np.multiply(w, coef[2], out=tmp), grid.momentum0[:, k])
+            _scatter(slots, np.multiply(w, coef[2], out=tmp), grid.momentum0[k])
         if grid.pos_accum is not None:
-            _scatter(slots, np.multiply(w, body.m * body.x[:, k], out=tmp), grid.pos_accum[:, k])
+            _scatter(slots, np.multiply(w, body.m * body.x[:, k], out=tmp), grid.pos_accum[k])
 
 
 def finalize_grid(grid) -> None:
@@ -235,11 +236,8 @@ def finalize_grid(grid) -> None:
     for scattered, out in ((grid.momentum, grid.velocity), (grid.momentum0, grid.velocity0),
                            (grid.pos_accum, grid.current)):
         if out is not None:
-            # column by column: a masked (slots, 2) divide broadcasts over
-            # rows of two
-            for k in range(2):
-                np.divide(scattered[:, k], grid.mass, out=out[:, k], where=grid.active)
-                np.copyto(out[:, k], 0.0, where=idle)
+            np.divide(scattered, grid.mass, out=out, where=grid.active)
+            np.copyto(out, 0.0, where=idle)
 
 
 # ------------------------------------------------------------------ stress
@@ -292,12 +290,12 @@ def _fold_stress(body: Body, k: int, A: np.ndarray, scale: float = 1.0) -> None:
 
 def grid_internal_forces(body: Body, grid) -> np.ndarray:
     """The internal forces f_i = -sum_p V0 P B^T G_i on the grid's slots,
-    (slots, 2), from the body's stress state.  A step does not call it:
+    (2, slots), from the body's stress state.  A step does not call it:
     p2g deposits dt f with the momentum."""
     A = np.zeros((2, 2, body.n))
     for k in range(2):
         _fold_stress(body, k, A[k])
-    f = np.zeros((grid.n_slots, 2))
+    f = np.zeros((2, grid.n_slots))
     _scatter_action(body, A, f)
     return f
 
@@ -309,10 +307,8 @@ def explicit_update(grid, dt: float, gravity: np.ndarray) -> None:
     """Symplectic Euler velocity update on the active nodes, v += dt g; p2g
     has already deposited dt f.  Inactive nodes keep zero velocity.
     """
-    # column by column and through the mask as a factor: a masked (slots, 2)
-    # add broadcasts over rows of two
-    for k in range(2):
-        grid.velocity[:, k] += (dt * gravity[k]) * grid.active
+    # through the mask as a factor, which costs a third of a masked add
+    grid.velocity += (dt * gravity)[:, None] * grid.active
 
 
 def hessian_apply(bodies, u: np.ndarray, act: np.ndarray | None = None) -> np.ndarray:
@@ -325,8 +321,8 @@ def hessian_apply(bodies, u: np.ndarray, act: np.ndarray | None = None) -> np.nd
     symmetric on that subspace.
     """
     if act is not None:
-        u = np.where(act[:, None], u, 0.0)
-    out = np.zeros_like(u)
+        u = np.where(act, u, 0.0)
+    out = np.zeros(u.shape)
     for body in bodies:
         # the gather fills the workspace, free again once contracted
         dF_sn = contract(_gather(u, body.cmap), body.cmap.stack[:2])
@@ -338,7 +334,7 @@ def hessian_apply(bodies, u: np.ndarray, act: np.ndarray | None = None) -> np.nd
         np.einsum("ijn,jn->in", _tangent(body), x, out=dA)
         _scatter_action(body, dA.reshape(2, 2, -1), out)
     if act is not None:
-        out[~act] = 0.0
+        out[:, ~act] = 0.0
     return out
 
 
@@ -362,13 +358,13 @@ class NodeStencil:
         self.near = np.empty((2,) + self.neighbours.shape)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        """The product with node vectors (slots, 2): a gather of every row's
+        """The product with node vectors (2, slots): a gather of every row's
         neighbours into `near` and one contraction.  The gather clips the
         sentinel to the last slot, which its zero block cancels."""
-        np.take(u.T, self.neighbours, axis=1, out=self.near, mode="clip")   # [l, d, r]
+        np.take(u, self.neighbours, axis=1, out=self.near, mode="clip")   # [l, d, r]
         rows = self.neighbours.shape[1]
         return np.einsum("kmr,mr->kr", self.blocks.reshape(2, -1, rows),
-                         self.near.reshape(-1, rows)).T
+                         self.near.reshape(-1, rows))
 
 
 def assemble_hessian(bodies, grid, act: np.ndarray | None = None) -> NodeStencil:
@@ -431,9 +427,9 @@ def implicit_update(bodies, grid, dt: float, gravity: np.ndarray) -> dict:
     v_hat = grid.velocity.copy()
 
     def a_mul(u: np.ndarray, hessian) -> np.ndarray:
-        return grid.mass[:, None] * u + dt * dt * hessian(u)
+        return grid.mass * u + dt * dt * hessian(u)
 
-    b = grid.mass[:, None] * v_hat
+    b = grid.mass * v_hat
     x = v_hat.copy()
     r = b - a_mul(x, lambda u: hessian_apply(bodies, u, act))
     b_norm = np.linalg.norm(b)
@@ -466,8 +462,7 @@ def implicit_update(bodies, grid, dt: float, gravity: np.ndarray) -> dict:
         rr = rr_new
     else:
         info["converged"] = False
-    grid.velocity[:] = x
-    grid.velocity[~act] = 0.0
+    grid.velocity[:] = np.where(act, x, 0.0)
     return info
 
 
@@ -486,7 +481,8 @@ def grid_collisions(grid, colliders, dt: float) -> int:
     idx = np.flatnonzero(grid.active)
     if idx.size == 0:
         return 0
-    x_pred = grid.current[idx] + dt * grid.velocity[idx]
+    # the colliders take points as rows, (m, 2): transposed views
+    x_pred = (grid.current[:, idx] + dt * grid.velocity[:, idx]).T
     touched = 0
     for col in colliders:
         inside = col.signed_distance(x_pred) < 0.0
@@ -494,18 +490,18 @@ def grid_collisions(grid, colliders, dt: float) -> int:
             continue
         sub = idx[inside]
         n = col.normal_at(x_pred[inside])
-        vn = np.einsum("na,na->n", grid.velocity[sub], n)
+        vn = np.einsum("na,na->n", grid.velocity[:, sub].T, n)
         approaching = vn < 0.0
         sub = sub[approaching]
         if sub.size == 0:
             continue
         touched += sub.size
         if col.mode == "sticky":
-            grid.velocity[sub] = 0.0
+            grid.velocity[:, sub] = 0.0
         else:
             n = n[approaching]
             vn = vn[approaching]
-            grid.velocity[sub] -= vn[:, None] * n
+            grid.velocity[:, sub] -= vn * n.T
     return touched
 
 

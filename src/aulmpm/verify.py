@@ -201,8 +201,9 @@ def _body(positions, grid) -> Body:
 
 
 def _forces(body, grid) -> np.ndarray:
+    """The internal forces as node rows, (slots, 2)."""
     stress_pass(body)
-    return grid_internal_forces(body, grid)
+    return grid_internal_forces(body, grid).T
 
 
 def _patch_energy(body, dF_sn) -> float:
@@ -254,7 +255,7 @@ def check_mls_consistency():
     cmap = ConfigurationMap.build(x, grid)
     A = rng.normal(size=(2, 2))
     b = rng.normal(size=2)
-    nodes = grid.position[cmap.slots]
+    nodes = grid.position.T[cmap.slots]
     vn = nodes @ A.T + b
     grad = contract(vn.T, cmap.G.T)
     r = nodes - x[:, None, :]
@@ -299,14 +300,14 @@ def check_hessian():
     body.state.F_0s += 0.1 * rng.normal(size=body.state.F_0s.shape)
     stress_pass(body)
 
+    # node fields as rows (slots, 2), passed as the grid's (2, slots)
     u = rng.normal(size=(grid.n_slots, 2))
     w = rng.normal(size=(grid.n_slots, 2))
-    left = float(np.vdot(w, hessian_apply([body], u)))
-    right = float(np.vdot(u, hessian_apply([body], w)))
+    hu = hessian_apply([body], u.T).T
+    left = float(np.vdot(w, hu))
+    right = float(np.vdot(u, hessian_apply([body], w.T).T))
     sym_gap = abs(left - right) / max(abs(left), abs(right))
-
-    hu = hessian_apply([body], u)
-    assembled = assemble_hessian([body], grid).apply(u)
+    assembled = assemble_hessian([body], grid).apply(u.T).T
     h = 1e-6
     dF = np.einsum("nsa,nsb->nab", u[body.cmap.slots], body.cmap.G)
     saved = body.state.F_sn.copy()
@@ -452,7 +453,7 @@ def check_transfer_identity():
     body = sim.bodies[0]
     rng = np.random.default_rng(3)
     w, G, slots = body.cmap.w, body.cmap.G, body.cmap.slots
-    r = sim.grid.position[slots] - body.cmap.ref_positions[:, None, :]
+    r = sim.grid.position.T[slots] - body.cmap.ref_positions[:, None, :]
     vn = rng.normal(size=(sim.grid.n_slots, 2))[slots]
     v_p = np.einsum("ns,nsa->na", w, vn)
     centered = np.einsum("nsa,nsb->nab", vn - v_p[:, None, :], G)

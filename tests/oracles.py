@@ -10,8 +10,9 @@ binds centers into a fresh weight stack, and `stencil_offsets`,
 `stencil_coords` and `slot_of` lay out a stencil's node offsets and nodes
 and read a grid's slots, which only tests need.  `activate_by_unique` is
 `SparseGrid.activate` as it was before it found new nodes through the
-lattice table: by `np.unique` over the unbound entries.  None of them is
-part of the library.
+lattice table: by `np.unique` over the unbound entries.  `textbook_mpm`
+is a whole explicit run, written from scratch on a dense node grid.  None
+of them is part of the library.
 """
 
 import numpy as np
@@ -179,7 +180,7 @@ def slot_of(grid, coords):
     """Storage slots of lattice coordinates (m, 2), -1 where the node was
     never bound: the slot whose stored node position is origin + coords dx."""
     want = grid.origin + np.atleast_2d(np.asarray(coords, dtype=np.int64)) * grid.dx
-    hit = (grid.position == want[:, None, :]).all(axis=-1)   # (m, slots)
+    hit = (grid.position.T == want[:, None, :]).all(axis=-1)   # (m, slots)
     return np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
 
 
@@ -204,3 +205,73 @@ def activate_by_unique(grid, nodes, out=None):
         grid._grow(new_nodes)
         slot[missing] = grid._slot[unbound]
     return slot
+
+
+def _piola(F, material):
+    """First Piola stress of fixed-corotated or weakly compressible fluid
+    material, the textbook way: the polar rotation from an SVD, J F^-T
+    from an inverse."""
+    J = np.linalg.det(F)
+    JF_invT = J[:, None, None] * np.linalg.inv(F).transpose(0, 2, 1)
+    if material.kind == "weakly_compressible_fluid":
+        return (material.bulk * (1.0 - J ** -material.gamma))[:, None, None] * JF_invT
+    U, _, Vt = np.linalg.svd(F)
+    return 2.0 * material.mu * (F - U @ Vt) + (material.lam * (J - 1.0))[:, None, None] * JF_invT
+
+
+def textbook_mpm(x, v, C, m, V0, material, dx, cells, dt, gravity, steps,
+                 eulerian, least_squares, flip=0.95):
+    """Explicit MPM from scratch on a dense (cells + 1)^2 node grid with its
+    origin at 0, no colliders; returns the final positions, velocities and
+    deformation gradients.
+
+    Eulerian: quadratic B-spline weights at the current positions, stress
+    P F^T and F <- (I + dt C) F.  Total-Lagrangian: weights at the initial
+    positions, stress P and F <- F + dt C, C the velocity gradient in them.
+    Least squares is MLS-MPM: affine momentum Q r with
+    Q = m C - dt V0 (4 / dx^2) P B^T, and C = (4 / dx^2) sum w v (x) r.
+    Otherwise the force is -V0 P B^T grad w, C = sum v (x) grad w, and the
+    particle velocity blends PIC with FLIP at `flip`."""
+    x, v, C = x.copy(), v.copy(), C.copy()
+    X0, F, eye = x.copy(), np.tile(np.eye(2), (len(x), 1, 1)), np.eye(2)
+    D = 4.0 / dx ** 2
+    i, j = np.divmod(np.arange(9), 3)
+    for _ in range(steps):
+        xb = x if eulerian else X0
+        base = np.floor(xb / dx - 0.5).astype(np.int64)
+        f = xb / dx - base                                            # (n, 2)
+        w1 = np.stack([0.5 * (1.5 - f) ** 2, 0.75 - (f - 1.0) ** 2, 0.5 * (f - 0.5) ** 2])
+        dw1 = np.stack([f - 1.5, -2.0 * (f - 1.0), f - 0.5]) / dx     # (3, n, 2)
+        w = (w1[i, :, 0] * w1[j, :, 1]).T                             # (n, 9)
+        nx, ny = base[:, None, 0] + i, base[:, None, 1] + j           # (n, 9)
+        r = np.stack([nx, ny], -1) * dx - xb[:, None]                 # (n, 9, 2)
+        grad = np.stack([dw1[i, :, 0] * w1[j, :, 1], w1[i, :, 0] * dw1[j, :, 1]], -1)
+        grad = grad.transpose(1, 0, 2)                                # (n, 9, 2)
+        PB = _piola(F, material) @ (F.transpose(0, 2, 1) if eulerian else eye)
+        mv = m[:, None] * v
+        if least_squares:
+            Q = m[:, None, None] * C - (dt * D * V0)[:, None, None] * PB
+            entry = w[..., None] * (mv[:, None] + np.einsum("nab,nsb->nsa", Q, r))
+        else:
+            entry = w[..., None] * mv[:, None] - np.einsum(
+                "nab,nsb->nsa", (dt * V0)[:, None, None] * PB, grad)
+        shape = (cells[0] + 1, cells[1] + 1)
+        mass, mom, mom0 = np.zeros(shape), np.zeros(shape + (2,)), np.zeros(shape + (2,))
+        np.add.at(mass, (nx, ny), m[:, None] * w)
+        np.add.at(mom, (nx, ny), entry)
+        np.add.at(mom0, (nx, ny), w[..., None] * mv[:, None])
+        act = mass > 1e-12 * m.max()
+        vg, vg0 = np.zeros_like(mom), np.zeros_like(mom)
+        vg[act] = mom[act] / mass[act, None] + dt * np.asarray(gravity)
+        vg0[act] = mom0[act] / mass[act, None]
+        vn = vg[nx, ny]                                               # (n, 9, 2)
+        v_pic = np.einsum("ns,nsa->na", w, vn)
+        if least_squares:
+            C = D * np.einsum("ns,nsa,nsb->nab", w, vn, r)
+            v = v_pic
+        else:
+            C = np.einsum("nsa,nsb->nab", vn, grad)
+            v = (1.0 - flip) * v_pic + flip * (v + np.einsum("ns,nsa->na", w, vn - vg0[nx, ny]))
+        x = x + dt * v_pic
+        F = (eye + dt * C) @ F if eulerian else F + dt * C
+    return x, v, F

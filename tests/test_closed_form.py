@@ -172,7 +172,7 @@ def _body(kind, transfer, seed=0, n=60):
 def _offsets(body, grid):
     """Node offsets r = node - reference position, (n, S, 2), from the
     grid's node positions."""
-    return grid.position[body.cmap.slots] - body.cmap.ref_positions[:, None, :]
+    return grid.position.T[body.cmap.slots] - body.cmap.ref_positions[:, None, :]
 
 
 CASES = [(k, t) for t in (LEAST_SQUARES, KERNEL) for k in MATERIALS]
@@ -194,8 +194,8 @@ def test_p2g_matches_reference(kind, transfer):
     if transfer == LEAST_SQUARES:
         vel = vel + np.einsum("nab,nsb->nsa", body.C, r)
     _assert_close(grid.mass, np.bincount(slots.ravel(), mw.ravel(), size))
-    _assert_close(grid.momentum, _ref_scatter(slots, mw[:, :, None] * vel, size))
-    _assert_close(grid.pos_accum, _ref_scatter(slots, mw[:, :, None] * body.x[:, None, :], size))
+    _assert_close(grid.momentum.T, _ref_scatter(slots, mw[:, :, None] * vel, size))
+    _assert_close(grid.pos_accum.T, _ref_scatter(slots, mw[:, :, None] * body.x[:, None, :], size))
 
 
 @pytest.mark.parametrize("kind, transfer", CASES, ids=IDS)
@@ -207,7 +207,7 @@ def test_internal_forces_match_reference(kind, transfer):
     PF = np.einsum("nab,ncb->nac", P0, body.state.F_0s)
     contrib = -body.V0[:, None, None] * np.einsum("nac,nsc->nsa", PF, body.cmap.G)
     _assert_close(np.einsum("nab,ncb->nac", body.stress.law.P, body.stress.B), PF)
-    _assert_close(f, _ref_scatter(body.cmap.slots, contrib, grid.n_slots))
+    _assert_close(f.T, _ref_scatter(body.cmap.slots, contrib, grid.n_slots))
 
 
 def _ref_hessian_apply(body, u, differential=_ref_hessian_action):
@@ -234,7 +234,7 @@ def test_hessian_apply_matches_reference(kind, transfer):
     body, grid, rng = _body(kind, transfer)
     stress_pass(body)
     u = rng.normal(size=(grid.n_slots, 2))
-    _assert_close(hessian_apply([body], u), _ref_hessian_apply(body, u))
+    _assert_close(hessian_apply([body], u.T).T, _ref_hessian_apply(body, u))
 
 
 @pytest.mark.parametrize("kind", list(MATERIALS))
@@ -244,10 +244,10 @@ def test_hessian_apply_rebuilds_its_tangent_after_each_stress_pass(kind):
     body, grid, rng = _body(kind, LEAST_SQUARES)
     u = rng.normal(size=(grid.n_slots, 2))
     stress_pass(body)
-    first = hessian_apply([body], u)
+    first = hessian_apply([body], u.T).T
     body.state.F_sn = body.state.F_sn + 0.2 * rng.normal(size=body.state.F_sn.shape)
     stress_pass(body)
-    second = hessian_apply([body], u)
+    second = hessian_apply([body], u.T).T
     ref = _ref_hessian_apply(body, u)
     _assert_close(second, ref)
     assert np.abs(first - ref).max() > 1e-3 * np.abs(ref).max()
@@ -259,16 +259,16 @@ def test_g2p_matches_reference(transfer):
     epoch_grid_terms([body], grid, mass_epsilon([body]))
     p2g(body, grid)
     finalize_grid(grid)
-    grid.velocity[:] = rng.normal(size=grid.velocity.shape)
+    grid.velocity.T[:] = rng.normal(size=grid.velocity.T.shape)
     x0, v0 = body.x.copy(), body.v.copy()
     g2p(body, grid, dt=0.01)
 
     w, slots = body.cmap.w, body.cmap.slots
-    vn = grid.velocity[slots]
+    vn = grid.velocity.T[slots]
     v_pic = np.einsum("ns,nsa->na", w, vn)
     C = np.einsum("nsa,nsb->nab", vn - v_pic[:, None, :], body.cmap.G)
     if transfer == KERNEL:
-        delta = np.einsum("ns,nsa->na", w, vn - grid.velocity0[slots])
+        delta = np.einsum("ns,nsa->na", w, vn - grid.velocity0.T[slots])
         v = (1.0 - FLIP_BLEND) * v_pic + FLIP_BLEND * (v0 + delta)
     else:
         v = v_pic
@@ -296,11 +296,11 @@ def test_weight_stack_transfers_match_an_einsum_over_w_and_G():
     momentum = np.stack([np.bincount(slots.T.ravel(), entry[..., k].T.ravel(), grid.n_slots)
                          for k in range(2)], -1)
     assert np.abs(body.C).max() > 0.1 and np.abs(PF).max() > 0.1
-    _assert_close(grid.momentum, momentum, rtol=1e-15)
+    _assert_close(grid.momentum.T, momentum, rtol=1e-15)
 
-    grid.velocity[:] = rng.normal(size=grid.velocity.shape)
+    grid.velocity.T[:] = rng.normal(size=grid.velocity.T.shape)
     g2p(body, grid, dt=0.0)
-    vn = grid.velocity[slots]
+    vn = grid.velocity.T[slots]
     _assert_close(body.C, np.einsum("nsa,nsb->nab", vn, G), rtol=1e-15)
     _assert_close(body.v, np.einsum("ns,nsa->na", w, vn), rtol=1e-15)
 
@@ -387,7 +387,7 @@ def test_tangent_matches_the_stress_differential_on_edge_cases(kind, transfer):
 
     stress_pass(body)
     u = rng.normal(size=(grid.n_slots, 2))
-    _assert_close(hessian_apply([body], u),
+    _assert_close(hessian_apply([body], u.T).T,
                   _ref_hessian_apply(body, u, differential=stress_differential))
 
 

@@ -7,7 +7,8 @@ from aulmpm.constitutive import MaterialModel
 from aulmpm.errors import OutOfDomainError
 from aulmpm.grid import HalfSpace, SparseGrid, SphereObstacle
 from aulmpm.kinematics import ConfigurationMap, DeformationState
-from aulmpm.transfers import Body, epoch_grid_terms, mass_epsilon
+from aulmpm.transfers import (Body, epoch_grid_terms, finalize_grid, grid_internal_forces,
+                              hessian_apply, mass_epsilon, p2g, stress_pass)
 from oracles import activate_by_unique, lattice_index, slot_of
 
 
@@ -45,7 +46,7 @@ def test_each_bound_node_gets_one_slot_in_lattice_order():
     assert g.n_slots == 5
     np.testing.assert_array_equal(slot_of(g, first), [2, 1, 2, 0])
     np.testing.assert_array_equal(g.mass, [1.0, 2.0, 3.0, 0.0, 0.0])
-    np.testing.assert_allclose(g.position, 0.1 * np.array(
+    np.testing.assert_allclose(g.position.T, 0.1 * np.array(
         [[0, 1], [0, 2], [3, 7], [5, 0], [10, 10]]))
 
 
@@ -53,7 +54,7 @@ def test_node_positions_follow_the_lattice():
     g = SparseGrid(origin=(-0.5, 0.25), dx=0.05, n_cells=(20, 20))
     coords = np.array([[4, 9], [17, 2]])
     slots = g.activate(lattice_index(g, coords))
-    np.testing.assert_allclose(g.position[slots],
+    np.testing.assert_allclose(g.position.T[slots],
                                np.array([-0.5, 0.25]) + coords * 0.05)
 
 
@@ -125,7 +126,7 @@ def test_activate_matches_the_unique_oracle():
         np.testing.assert_array_equal(lib._slot, ref._slot)
         np.testing.assert_array_equal(lib.position, ref.position)
         for name, _, _ in lib._fields:
-            assert len(getattr(lib, name)) == lib.n_slots
+            assert getattr(lib, name).shape[-1] == lib.n_slots
 
     def bound(m):
         return rng.choice(np.flatnonzero(lib._slot >= 0), m)
@@ -171,7 +172,7 @@ def test_neighbours_read_slots_and_never_wrap():
     g.activate(lattice_index(g, edge + [[y, x] for x, y in edge] + [[5, 5], [7, 3]]))
     table = g.neighbours()
     assert table.shape == (25, g.n_slots)
-    coords = np.rint((g.position - g.origin) / g.dx).astype(np.int64)
+    coords = np.rint((g.position.T - g.origin) / g.dx).astype(np.int64)
     for slot, (x, y) in enumerate(coords):
         for column, (dx, dy) in enumerate((a, b) for a in range(-2, 3) for b in range(-2, 3)):
             want = slot_of(g, [[x + dx, y + dy]])[0] if 0 <= x + dx <= 10 and 0 <= y + dy <= 10 else -1
@@ -189,14 +190,50 @@ def test_zero_fields_resets_accumulators():
     epoch_grid_terms([body], g, mass_epsilon([body]))
     s = g.activate(lattice_index(g, [[5, 5]]))
     for acc in (g.momentum, g.momentum0, g.pos_accum):
-        acc[s] = [1.0, 2.0]
+        acc.T[s] = [1.0, 2.0]
     g.zero_fields()
     # the per-epoch mass survives and still equals a fresh scatter
     fresh = np.bincount(body.cmap.slots.ravel(),
                         (body.m[:, None] * body.cmap.w).ravel(), g.n_slots)
     np.testing.assert_array_equal(g.mass, fresh)
     for acc in (g.momentum, g.momentum0, g.pos_accum):
-        np.testing.assert_array_equal(acc[s[0]], [0.0, 0.0])
+        np.testing.assert_array_equal(acc.T[s[0]], [0.0, 0.0])
+
+
+def test_node_vectors_are_component_major():
+    # after binds that grow the grid, on a grid that tracks positions and
+    # keeps the pre-update velocities, every node vector field, the force
+    # and the Hessian product is one C-contiguous (2, n_slots) array
+    g = SparseGrid(origin=(0.0, 0.0), dx=0.1, n_cells=(10, 10),
+                   track_positions=True, keep_velocity0=True)
+    rng = np.random.default_rng(9)
+    mat = MaterialModel.from_youngs("fixed_corotated", density=1000.0, youngs=1e4, poisson=0.3)
+    bodies, sizes = [], []
+    for lo in (0.25, 0.5):
+        x = lo + 0.2 * rng.random((12, 2))
+        bodies.append(Body(material=mat, x=x, v=rng.normal(size=(12, 2)),
+                           m=np.full(12, 2.5), V0=np.full(12, 2.5e-3),
+                           C=np.zeros((12, 2, 2)), state=DeformationState.identity(12),
+                           cmap=ConfigurationMap.build(x, g)))
+        sizes.append(g.n_slots)
+    assert 0 < sizes[0] < sizes[1]
+    epoch_grid_terms(bodies, g, mass_epsilon(bodies))
+    for body in bodies:
+        body.state.F_sn += 0.1 * rng.normal(size=body.state.F_sn.shape)
+        stress_pass(body)
+        p2g(body, g, 1e-3)
+    finalize_grid(g)
+
+    def check(name, a):
+        assert a.shape == (2, g.n_slots) and a.dtype == np.float64, name
+        assert a.flags.c_contiguous, name
+
+    for name in ("momentum", "velocity", "position", "pos_accum", "current", "momentum0",
+                 "velocity0"):
+        check(name, getattr(g, name))
+    check("forces", grid_internal_forces(bodies[0], g))
+    check("hessian", hessian_apply(bodies, rng.normal(size=(2, g.n_slots))))
+    check("restricted hessian", hessian_apply(bodies, rng.normal(size=(2, g.n_slots)), g.active))
 
 
 def test_half_space_distance_and_normal():

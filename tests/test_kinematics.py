@@ -126,7 +126,7 @@ def test_configuration_map_binds_reference_geometry():
     np.testing.assert_array_equal(
         cmap.slots, slot_of(grid, nodes.reshape(-1, 2)).reshape(cmap.slots.shape))
     np.testing.assert_allclose(cmap.ref_positions[:, None] + stencil_offsets(offsets),
-                               grid.position[cmap.slots], atol=1e-14)
+                               grid.position.T[cmap.slots], atol=1e-14)
     np.testing.assert_array_equal(cmap.w, stack[2].T)
 
 
@@ -137,7 +137,7 @@ def test_velocity_gradient_recovers_affine_grid_fields():
     cmap = ConfigurationMap.build(pos, grid)
     B = np.array([[0.4, -1.1], [0.9, 0.2]])
     c = np.array([0.3, -0.2])
-    v_nodes = grid.position[cmap.slots] @ B.T + c
+    v_nodes = grid.position.T[cmap.slots] @ B.T + c
     grad = contract(v_nodes.T, cmap.G.T)
     np.testing.assert_allclose(grad, np.broadcast_to(B, grad.shape), atol=AFFINE_ATOL)
 
@@ -155,7 +155,7 @@ def test_binding_carries_the_gradient_weights_of_its_transfer():
     np.testing.assert_array_equal(mls.G, stack[:2].T)
     # spline gradients reproduce affine velocity fields too
     B = np.array([[0.4, -1.1], [0.9, 0.2]])
-    v_nodes = grid.position[kernel.slots] @ B.T + [0.3, -0.2]
+    v_nodes = grid.position.T[kernel.slots] @ B.T + [0.3, -0.2]
     grad = contract(v_nodes.T, kernel.G.T)
     np.testing.assert_allclose(grad, np.broadcast_to(B, grad.shape), atol=AFFINE_ATOL)
     rebound = apply_update(DeformationState.identity(25), pos + 0.05, grid, kernel)
@@ -189,7 +189,7 @@ def test_binding_holds_weights_gradients_and_slots(transfer):
     np.testing.assert_array_equal(cmap.w, stack[2].T)
     np.testing.assert_array_equal(cmap.G, stack[:2].T)
     # each slot holds the node the stencil entry names
-    np.testing.assert_array_equal(grid.position[cmap.slots],
+    np.testing.assert_array_equal(grid.position.T[cmap.slots],
                                   grid.origin + stencil_coords(base) * grid.dx)
 
 
@@ -260,7 +260,7 @@ def test_rebind_refills_the_old_binding_as_a_fresh_build(transfer):
         assert old.epoch == cmap.epoch - 1
         assert old.stack is None and old.slots is None and old.work is None
     # the appended nodes, all bound by the last rebind, in lattice order
-    coords = np.rint((grid.position[before:] - grid.origin) / grid.dx)
+    coords = np.rint((grid.position.T[before:] - grid.origin) / grid.dx)
     assert (np.diff(lattice_index(grid, coords)) > 0).all()
     assert set(range(before, grid.n_slots)) <= set(cmap.slots.ravel().tolist())
 

@@ -203,7 +203,7 @@ def test_closed_form_moments_match_the_numeric_inverse(n_cells):
     assert np.any(f == 0.5) and np.any(f == np.nextafter(1.5, 0.0))
     assert np.any(w == 0.0)
 
-    r = grid.position[cmap.slots] - centers[:, None, :]
+    r = grid.position.T[cmap.slots] - centers[:, None, :]
     c = moment_matrix(dx)
     eye = np.broadcast_to(np.eye(2), (centers.shape[0], 2, 2))
     second = np.einsum("ns,nsa,nsb->nab", w, r, r)

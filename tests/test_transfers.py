@@ -80,7 +80,7 @@ def test_p2g_conserves_mass_and_momentum():
     assert np.isclose(grid.mass.sum(), body.m.sum(), rtol=1e-13)
     # the affine term has zero first moment, so it adds no net momentum
     np.testing.assert_allclose(
-        grid.momentum.sum(axis=0), (body.m[:, None] * body.v).sum(axis=0),
+        grid.momentum.T.sum(axis=0), (body.m[:, None] * body.v).sum(axis=0),
         rtol=1e-12, atol=1e-14)
 
 
@@ -105,7 +105,7 @@ def test_rasterized_positions_single_particle():
     finalize_grid(grid)
     assert grid.active.sum() == 9
     np.testing.assert_allclose(
-        grid.current[grid.active], np.tile([0.52, 0.47], (9, 1)), atol=1e-14)
+        grid.current.T[grid.active], np.tile([0.52, 0.47], (9, 1)), atol=1e-14)
 
 
 def test_node_positions_are_mass_averages():
@@ -129,7 +129,7 @@ def test_node_positions_are_mass_averages():
     shared = np.intersect1d(light.cmap.slots, heavy.cmap.slots)
     assert shared.size > 0 and grid.active[shared].all()
     act = grid.active
-    np.testing.assert_allclose(grid.current[act], mwx[act] / mw[act, None], rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(grid.current.T[act], mwx[act] / mw[act, None], rtol=0.0, atol=1e-14)
 
 
 def test_g2p_recovers_affine_field():
@@ -141,7 +141,7 @@ def test_g2p_recovers_affine_field():
     finalize_grid(grid)
     B = np.array([[0.3, -1.1], [0.7, 0.2]])
     c = np.array([0.4, -0.9])
-    grid.velocity[:] = grid.position @ B.T + c
+    grid.velocity.T[:] = grid.position.T @ B.T + c
     x0 = body.x.copy()
     g2p(body, grid, dt=0.0)
     np.testing.assert_allclose(body.v, x0 @ B.T + c, atol=1e-12)
@@ -161,8 +161,9 @@ def _total_energy(body, dF_sn):
 
 
 def _forces(body, grid):
+    """The internal forces as node rows, (slots, 2)."""
     stress_pass(body)
-    return grid_internal_forces(body, grid)
+    return grid_internal_forces(body, grid).T
 
 
 _KINDS = ["solid", "solid_mid_epoch", "fluid", "snow"]
@@ -281,9 +282,9 @@ def test_kernel_grid_keeps_the_velocities_before_the_impulse():
     p2g(body, grid, dt)
     finalize_grid(grid)
     assert grid.velocity0.tobytes() == plain.tobytes()
-    impulse = dt * f[act] / grid.mass[act, None]
+    impulse = dt * f[:, act] / grid.mass[act]
     assert np.abs(impulse).max() > 0.1 * np.abs(plain).max()
-    gap = np.abs(grid.velocity[act] - grid.velocity0[act] - impulse).max()
+    gap = np.abs(grid.velocity[:, act] - grid.velocity0[:, act] - impulse).max()
     scale = np.abs(grid.velocity).max() + np.abs(plain).max()
     assert gap <= 1e-14 * scale, gap / scale
 
@@ -318,7 +319,7 @@ def test_hessian_matches_force_differences(transfer):
     body.state.F_0s += 0.1 * rng.normal(size=body.state.F_0s.shape)
     stress_pass(body)
     u = rng.normal(size=(grid.n_slots, 2))
-    hu = hessian_apply([body], u)
+    hu = hessian_apply([body], u.T).T
 
     h = 1e-6
     dF_sn_dir = np.einsum("nsa,nsb->nab", u[body.cmap.slots], body.cmap.G)
@@ -341,8 +342,8 @@ def test_hessian_operator_is_symmetric():
     stress_pass(body)
     u = rng.normal(size=(grid.n_slots, 2))
     w = rng.normal(size=(grid.n_slots, 2))
-    left = float(np.vdot(w, hessian_apply([body], u)))
-    right = float(np.vdot(u, hessian_apply([body], w)))
+    left = float(np.vdot(w, hessian_apply([body], u.T).T))
+    right = float(np.vdot(u, hessian_apply([body], w.T).T))
     assert np.isclose(left, right, rtol=1e-10)
 
 
@@ -382,8 +383,8 @@ def test_assembled_hessian_matches_the_matrix_free_product(case, transfer):
         op = assemble_hessian(bodies, grid, act)
         for _ in range(3):
             u = rng.normal(size=(grid.n_slots, 2))
-            ref = hessian_apply(bodies, u, act)
-            assert np.abs(op.apply(u) - ref).max() <= 1e-14 * np.abs(ref).max()
+            ref = hessian_apply(bodies, u.T, act).T
+            assert np.abs(op.apply(u.T).T - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("restricted", [False, True])
@@ -393,7 +394,7 @@ def test_assembled_hessian_is_symmetric(restricted):
     act = rng.random(grid.n_slots) < 0.7 if restricted else None
     op = assemble_hessian(bodies, grid, act)
     unit = np.eye(2 * grid.n_slots).reshape(-1, grid.n_slots, 2)
-    dense = np.stack([op.apply(e).ravel() for e in unit], axis=1)
+    dense = np.stack([op.apply(e.T).T.ravel() for e in unit], axis=1)
     assert np.abs(dense - dense.T).max() <= 1e-14 * np.abs(dense).max()
 
 
@@ -469,8 +470,8 @@ def test_explicit_update_applies_gravity_only_to_massive_nodes():
     finalize_grid(grid)
     explicit_update(grid, 0.1, np.array([0.0, -10.0]))
     act = grid.mass > eps
-    np.testing.assert_allclose(grid.velocity[act, 1], -1.0, atol=1e-13)
-    np.testing.assert_allclose(grid.velocity[~act], 0.0, atol=0.0)
+    np.testing.assert_allclose(grid.velocity.T[act, 1], -1.0, atol=1e-13)
+    np.testing.assert_allclose(grid.velocity.T[~act], 0.0, atol=0.0)
 
 
 def test_slip_collision_removes_normal_component():
@@ -484,8 +485,8 @@ def test_slip_collision_removes_normal_component():
     touched = grid_collisions(grid, [floor], dt=0.05)
     assert touched > 0
     act = grid.mass > eps
-    assert grid.velocity[act, 1].min() >= -1e-14
-    assert np.allclose(grid.velocity[act, 0], 0.4)
+    assert grid.velocity.T[act, 1].min() >= -1e-14
+    assert np.allclose(grid.velocity.T[act, 0], 0.4)
 
 
 def test_sticky_collision_pins_to_collider_velocity():
@@ -498,9 +499,9 @@ def test_sticky_collision_pins_to_collider_velocity():
     floor = HalfSpace(point=[0.0, 0.15], normal=[0.0, 1.0], mode="sticky")
     grid_collisions(grid, [floor], dt=0.05)
     act = grid.mass > eps
-    inside = (grid.current[act, 1] + 0.05 * grid.velocity0[act, 1]) < 0.15
+    inside = (grid.current.T[act, 1] + 0.05 * grid.velocity0.T[act, 1]) < 0.15
     assert inside.any()
-    np.testing.assert_allclose(grid.velocity[act][inside], 0.0, atol=1e-14)
+    np.testing.assert_allclose(grid.velocity.T[act][inside], 0.0, atol=1e-14)
 
 
 def test_separating_nodes_are_left_alone():
