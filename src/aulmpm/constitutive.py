@@ -13,6 +13,11 @@ All stresses are measured per unit initial volume (first Piola wrt the
 initial configuration).  Inverted elements are handled through a signed
 SVD convention: U and V are proper rotations and the smallest singular
 value carries the sign of det F.
+
+A batch of 2x2 matrices, one per particle, is a (2, 2, n) array, so entry
+[i, j] is one (n,) row.  The code unpacks a batch with (a, b), (c, d) = F,
+builds one with np.array([[a, b], [c, d]]) and reads inputs of any memory
+layout.
 """
 
 from __future__ import annotations
@@ -72,7 +77,7 @@ class MaterialModel:
 
 @dataclass
 class StressState:
-    """First Piola stress (n, 2, 2) at the gradients F (n, 2, 2) of one
+    """First Piola stress (2, 2, n) at the gradients F (2, 2, n) of one
     material, and the energy density (n,) there, evaluated on first read.
 
     For the corotated kinds it also keeps the factors `hessian_action` reuses
@@ -93,51 +98,29 @@ class StressState:
 
 
 # ------------------------------------------------------------ linear algebra
-#
-# Batches of 2x2 matrices are (n, 2, 2) arrays of any memory layout; the
-# helpers below read them entry by entry and return (n, 2, 2) views of
-# component-major (2, 2, n) buffers, so every entry downstream is one
-# contiguous (n,) array.
-
-
-def entries(F: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The entries F00, F01, F10, F11 of a batch of 2x2 matrices."""
-    return F[..., 0, 0], F[..., 0, 1], F[..., 1, 0], F[..., 1, 1]
-
-
-def pack(a, b, c, d) -> np.ndarray:
-    """Batch [[a, b], [c, d]] as an (n, 2, 2) view of a (2, 2, n) buffer."""
-    out = np.empty((2, 2) + np.shape(a))
-    out[0, 0] = a
-    out[0, 1] = b
-    out[1, 0] = c
-    out[1, 1] = d
-    return np.moveaxis(out, (0, 1), (-2, -1))
 
 
 def det(F: np.ndarray) -> np.ndarray:
-    a, b, c, d = entries(F)
+    (a, b), (c, d) = F
     return a * d - b * c
 
 
 def inverse(F: np.ndarray) -> np.ndarray:
-    a, b, c, d = entries(F)
+    (a, b), (c, d) = F
     j = a * d - b * c
-    return pack(d / j, -b / j, -c / j, a / j)
+    return np.array([[d / j, -b / j], [-c / j, a / j]])
 
 
 def matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """A B per matrix of the batch."""
-    a, b, c, d = entries(A)
-    e, f, g, h = entries(B)
-    return pack(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+    return np.einsum("ijn,jkn->ikn", A, B)
 
 
 def _svd_angles(F: np.ndarray):
     """Signed SVD F = U(tu) diag(s1, s2) U(tv)^T with rotations U(t).
 
     The smallest singular value s2 carries the sign of det F."""
-    a, b, c, d = entries(np.asarray(F, dtype=np.float64))
+    (a, b), (c, d) = np.asarray(F, dtype=np.float64)
     x1, y1 = a + d, c - b
     x2, y2 = a - d, b + c
     h1 = np.hypot(x1, y1)
@@ -160,20 +143,20 @@ def _rotation(x1, y1):
 
 
 def _corotated(F, mu, lam):
-    a, b, c, d = entries(F)
+    (a, b), (c, d) = F
     rotation = cs, sn, _ = _rotation(a + d, c - b)
     # P = 2 mu (F - R) + lam (J - 1) cof(F)
     m2 = 2.0 * mu
     k = lam * (a * d - b * c - 1.0)
-    P = pack(m2 * (a - cs) + k * d, m2 * (b + sn) - k * c,
-             m2 * (c - sn) - k * b, m2 * (d - cs) + k * a)
+    P = np.array([[m2 * (a - cs) + k * d, m2 * (b + sn) - k * c],
+                  [m2 * (c - sn) - k * b, m2 * (d - cs) + k * a]])
     return P, rotation
 
 
 def _energy(ss: StressState) -> np.ndarray:
     """The energy density of a stress state, from its gradients and, for the
     corotated kinds, its moduli and tr(R^T F) = s1 + s2."""
-    a, b, c, d = entries(ss.F)
+    (a, b), (c, d) = ss.F
     J = a * d - b * c
     if ss.model.kind == FLUID:
         J = np.maximum(J, J_FLOOR)
@@ -208,10 +191,10 @@ def energy_and_piola(F: np.ndarray, model: MaterialModel,
     """
     F = np.asarray(F, dtype=np.float64)
     if model.kind == FLUID:
-        a, b, c, d = entries(F)
+        (a, b), (c, d) = F
         J = np.maximum(a * d - b * c, J_FLOOR)
         p = model.bulk * (1.0 - J ** (-model.gamma))
-        return StressState(P=pack(p * d, -p * c, -p * b, p * a), F=F, model=model)
+        return StressState(P=np.array([[p * d, -p * c], [-p * b, p * a]]), F=F, model=model)
     mu, lam = _moduli(model, J_plastic)
     P, rotation = _corotated(F, mu, lam)
     return StressState(P=P, F=F, model=model, moduli=(mu, lam), rotation=rotation)
@@ -240,8 +223,8 @@ def hessian_action(stress: StressState, B: np.ndarray, volume=1.0,
     is the elastic factor and the moduli are the hardened ones.
     """
     model = stress.model
-    a, b, c, d = entries(stress.F)
-    p, q, r, s = entries(np.asarray(B, dtype=np.float64))
+    (a, b), (c, d) = stress.F
+    (p, q), (r, s) = np.asarray(B, dtype=np.float64)
     if out is None:
         out = np.empty((4, 4) + a.shape)
     upper = [out[i, j] for i, j in _UPPER]
@@ -284,24 +267,19 @@ def hessian_action(stress: StressState, B: np.ndarray, volume=1.0,
 
 
 def plastic_project(F_elastic: np.ndarray, F_plastic: np.ndarray,
-                    model: MaterialModel) -> tuple[np.ndarray, np.ndarray]:
-    """Clamp the elastic singular values and push the excess into the
-    plastic factor; the product F_elastic F_plastic is preserved."""
+                    model: MaterialModel) -> np.ndarray:
+    """The plastic factor after clamping the elastic singular values: the
+    excess goes into it, so that the product F_elastic F_plastic is
+    preserved.  Other kinds than snow keep F_plastic."""
     if model.kind != SNOW:
-        return F_elastic, F_plastic
-    tu, tv, s1, s2 = _svd_angles(F_elastic)
+        return F_plastic
+    _, tv, s1, s2 = _svd_angles(F_elastic)
     lo, hi = 1.0 - model.theta_c, 1.0 + model.theta_s
-    c1 = np.clip(s1, lo, hi)
-    c2 = np.clip(s2, lo, hi)
-    cu, su = np.cos(tu), np.sin(tu)
+    # F_p' = V diag(s1 / c1, s2 / c2) V^T F_p with the clamped c = clip(s),
+    # so that F_e' = U diag(c1, c2) V^T keeps F_e' F_p' = F_e F_p
+    k1 = s1 / np.clip(s1, lo, hi)
+    k2 = s2 / np.clip(s2, lo, hi)
     cv, sv = np.cos(tv), np.sin(tv)
-    # F_e' = U diag(c1, c2) V^T
-    Fe = pack(cu * c1 * cv + su * c2 * sv, cu * c1 * sv - su * c2 * cv,
-              su * c1 * cv - cu * c2 * sv, su * c1 * sv + cu * c2 * cv)
-    # F_p' = V diag(s1 / c1, s2 / c2) V^T F_p keeps the total product fixed
-    k1 = s1 / c1
-    k2 = s2 / c2
     m01 = (k1 - k2) * cv * sv
-    M = pack(k1 * cv * cv + k2 * sv * sv, m01, m01, k1 * sv * sv + k2 * cv * cv)
-    return Fe, matmul(M, F_plastic)
-
+    M = np.array([[k1 * cv * cv + k2 * sv * sv, m01], [m01, k1 * sv * sv + k2 * cv * cv]])
+    return matmul(M, F_plastic)

@@ -164,14 +164,14 @@ class Simulation:
             n = pts.shape[0]
             vol = obj.spacing ** 2
             vel = np.tile(obj.velocity, (n, 1))
-            C = np.zeros((n, 2, 2))
+            C = np.zeros((2, 2, n))
             if obj.angular_velocity != 0.0:
                 shape = obj.shape   # a disk spins about its center, a box about its midpoint
                 c = np.asarray(shape["center"] if shape["type"] == "disk"
                                else 0.5 * np.add(shape["min"], shape["max"]), dtype=np.float64)
                 spin = _spin_matrix(obj.angular_velocity)
                 vel = vel + (pts - c) @ spin.T
-                C[:] = spin
+                C[:] = spin[:, :, None]
             body = Body(
                 material=obj.material,
                 x=pts, v=vel,
@@ -250,7 +250,7 @@ class Simulation:
             if b.material.kind == SNOW:
                 F_total = compose_total(b.state)
                 Fe = matmul(F_total, inverse(b.F_plastic))
-                _, b.F_plastic = plastic_project(Fe, b.F_plastic, b.material)
+                b.F_plastic = plastic_project(Fe, b.F_plastic, b.material)
                 self._require_finite("F_plastic", np.isfinite(b.F_plastic).all())
             if b.policy is not None:
                 marked, fire = should_update(deformation_delta(b.state), b.policy)

@@ -18,8 +18,9 @@ all of [G_x, G_y, w] at once.  `contract` is that einsum on the gather side:
 sum_j v_j (x) [G_j, w_j] over the node samples of a stencil, whose G part is
 the velocity gradient, the affine velocity C of APIC and MLS-MPM, and whose
 w part is the interpolated (PIC) velocity.  Deformation gradients are
-batches of 2x2 matrices, multiplied and reduced in closed form by the
-helpers in `constitutive`.
+batches of 2x2 matrices, (2, 2, n) arrays like every per-particle matrix
+(see `constitutive`), and `contract` returns its (2, c, n) result in the
+same layout.
 
 `ConfigurationMap.build` is the one place that allocates a binding's
 stack, slots buffer, workspace and reference positions; `mls` only writes
@@ -72,7 +73,7 @@ class UpdatePolicy:
 
 @dataclass
 class DeformationState:
-    """Per-particle deformation factors, both (n, 2, 2)."""
+    """Per-particle deformation factors, both (2, 2, n)."""
 
     F_0s: np.ndarray
     F_sn: np.ndarray
@@ -86,10 +87,8 @@ _EYE = np.eye(2)[:, :, None]
 
 
 def identity_batch(n: int) -> np.ndarray:
-    """n identity matrices, an (n, 2, 2) view of a (2, 2, n) buffer."""
-    out = np.empty((2, 2, n))
-    out[...] = _EYE
-    return np.moveaxis(out, (0, 1), (-2, -1))
+    """n identity matrices, (2, 2, n)."""
+    return np.repeat(_EYE, n, axis=-1)
 
 
 @dataclass
@@ -147,9 +146,9 @@ class ConfigurationMap:
         positions = np.asarray(positions, dtype=np.float64)
         n = positions.shape[0]
         if reuse is None:
-            entries = (ENTRIES, n)
-            stack, nodes, work, ref = (np.empty((3,) + entries), np.empty(entries, dtype=np.int64),
-                                       np.empty((2,) + entries), np.empty((n, 2)))
+            shape = (ENTRIES, n)
+            stack, nodes, work, ref = (np.empty((3,) + shape), np.empty(shape, dtype=np.int64),
+                                       np.empty((2,) + shape), np.empty((n, 2)))
         else:
             if reuse.ref_positions.shape[0] != n:
                 raise ValueError(f"cannot rebind {n} particles into a binding of "
@@ -177,20 +176,18 @@ class ConfigurationMap:
 
 
 def contract(samples: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_j p_j (x) q_j per particle, (n, 2, c), from node samples of a
+    """sum_j p_j (x) q_j per particle, (2, c, n), from node samples of a
     vector field, entry-major (2, S, n), and weight rows (c, S, n).
 
     Against a binding's stack [G_x, G_y, w] and the gathered grid velocities
     this gives, in one einsum, the velocity gradient wrt the reference
-    configuration, the affine velocity C of APIC and MLS-MPM, as [..., :2]
-    and the interpolated velocity as [..., 2]; against stack[:2] it is the
+    configuration, the affine velocity C of APIC and MLS-MPM, as [:, :2]
+    and the interpolated velocity as [:, 2]; against stack[:2] it is the
     gradient alone.  Each sum runs over the stencil entries in order, with
-    the particle axis innermost.  The result is an (n, 2, c) view of a
-    (2, c, n) buffer.
+    the particle axis innermost.
     """
     out = np.empty((2, weights.shape[0], samples.shape[-1]))
-    np.einsum("ksn,csn->kcn", samples, weights, out=out)
-    return np.moveaxis(out, -1, 0)
+    return np.einsum("ksn,csn->kcn", samples, weights, out=out)
 
 
 def advance_F_sn(state: DeformationState, grad_v: np.ndarray, dt: float) -> int:
@@ -208,7 +205,7 @@ def advance_F_sn(state: DeformationState, grad_v: np.ndarray, dt: float) -> int:
 
 
 def compose_total(state: DeformationState) -> np.ndarray:
-    """Total deformation gradient F_sn F_0s, (n, 2, 2)."""
+    """Total deformation gradient F_sn F_0s, (2, 2, n)."""
     return matmul(state.F_sn, state.F_0s)
 
 
@@ -236,11 +233,8 @@ def apply_update(state: DeformationState, positions: np.ndarray, grid,
     to the new one and holds None in their place, so a steady rebind
     allocates nothing of per-particle size.
     """
-    n = state.F_sn.shape[0]
-    # each (n, 2, 2) factor as its (2, 2, n) entries, whatever its layout
-    F_sn, F_0s = np.moveaxis(state.F_sn, 0, -1), np.moveaxis(state.F_0s, 0, -1)
-    folded = cmap.work[0, :4].reshape(2, 2, n)
-    np.einsum("ijn,jkn->ikn", F_sn, F_0s, out=folded)
-    np.copyto(F_0s, folded)
-    F_sn[...] = _EYE
+    folded = cmap.work[0, :4].reshape(state.F_sn.shape)
+    np.einsum("ijn,jkn->ikn", state.F_sn, state.F_0s, out=folded)
+    np.copyto(state.F_0s, folded)
+    state.F_sn[...] = _EYE
     return ConfigurationMap.build(positions, grid, cmap.epoch + 1, cmap.transfer, reuse=cmap)

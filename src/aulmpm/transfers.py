@@ -55,9 +55,9 @@ innermost:
 
 The node mass, the pre-update momentum w (m v), the positions w (m x) and
 FLIP's gathered velocity change read the stack's last row alone.
-Per-particle 2x2 matrices are (n, 2, 2) views of component-major
-(2, 2, n) buffers (see `constitutive.pack`), and node vectors are the
-grid's component-major (2, slots) arrays, read and written whole.
+Per-particle 2x2 matrices are (2, 2, n) arrays (see `constitutive`), so
+row k of C or P is a (2, n) block of contiguous rows, and node vectors are
+the grid's component-major (2, slots) arrays, read and written whole.
 
 The per-entry temporaries go into the binding's workspace, one (2, S, n)
 pair of planes that `ConfigurationMap.build` allocates with the stack:
@@ -79,7 +79,6 @@ from .constitutive import (
     StressState,
     det,
     energy_and_piola,
-    entries,
     hessian_action,
     inverse,
     matmul,
@@ -130,7 +129,7 @@ class Body:
     v: np.ndarray             # (n, 2) velocities
     m: np.ndarray             # (n,) masses
     V0: np.ndarray            # (n,) initial volumes
-    C: np.ndarray             # (n, 2, 2) velocity gradient wrt the binding
+    C: np.ndarray             # (2, 2, n) velocity gradient wrt the binding
     state: DeformationState
     cmap: ConfigurationMap
     policy: UpdatePolicy | None = None   # None: never rebind
@@ -212,7 +211,7 @@ def p2g(body: Body, grid, dt: float | None = None) -> None:
     coef = np.empty((3, body.n))   # [A_k0, A_k1, m v_k], one component at a time
     for k in range(2):
         if affine:
-            np.multiply(body.C[:, k].T, m_c, out=coef[:2])
+            np.multiply(body.C[k], m_c, out=coef[:2])
         else:
             coef[:2] = 0.0
         if dt is not None:
@@ -277,13 +276,12 @@ def _fold_stress(body: Body, k: int, A: np.ndarray, scale: float = 1.0) -> None:
     """Subtract row k of scale V0 P B^T per particle, from the body's stress
     state, in place from the rows A (2, n) = [A_k0, A_k1]: the action of
     -V0 P B^T on G_i is the internal force on node i."""
-    P = entries(body.stress.law.P)
-    B = entries(body.stress.B)
+    P, B = body.stress.law.P, body.stress.B
     s = scale * body.V0
     for j in range(2):
         # in place, so that p2g's (3, n) block and two (n,) rows suffice
-        t = np.multiply(P[2 * k], B[2 * j])
-        t += P[2 * k + 1] * B[2 * j + 1]
+        t = np.multiply(P[k, 0], B[j, 0])
+        t += P[k, 1] * B[j, 1]
         t *= s
         A[j] -= t
 
@@ -326,12 +324,11 @@ def hessian_apply(bodies, u: np.ndarray, act: np.ndarray | None = None) -> np.nd
     for body in bodies:
         # the gather fills the workspace, free again once contracted
         dF_sn = contract(_gather(u, body.cmap), body.cmap.stack[:2])
-        # the tangent product on the (4, n) entry rows of (2, 2, n) buffers,
-        # into rows of the workspace's second plane (`_scatter_action`
-        # writes only the first)
-        x = np.moveaxis(dF_sn, 0, -1).reshape(4, -1)
+        # the tangent product on the (4, n) entry rows of dF_sn, into rows
+        # of the workspace's second plane (`_scatter_action` writes only
+        # the first)
         dA = body.cmap.work[1, :4]
-        np.einsum("ijn,jn->in", _tangent(body), x, out=dA)
+        np.einsum("ijn,jn->in", _tangent(body), dF_sn.reshape(4, -1), out=dA)
         _scatter_action(body, dA.reshape(2, 2, -1), out)
     if act is not None:
         out[:, ~act] = 0.0
@@ -519,8 +516,8 @@ def g2p(body: Body, grid, dt: float) -> None:
     """
     cmap = body.cmap
     gathered = contract(_gather(grid.velocity, cmap), cmap.stack)
-    body.C = gathered[..., :2]
-    v_pic = gathered[..., 2]
+    body.C = gathered[:, :2]
+    v_pic = gathered[:, 2].T   # as the particle rows (n, 2)
     if cmap.transfer == KERNEL:
         # the gathered change, then the FLIP velocity
         change = _gather(grid.velocity - grid.velocity0, cmap)

@@ -34,7 +34,7 @@ from .errors import SceneError, SimulationError
 from .grid import SparseGrid
 from .kinematics import (ConfigurationMap, DeformationState, UpdatePolicy,
                          advance_F_sn, apply_update, compose_total, contract,
-                         deformation_delta, should_update)
+                         deformation_delta, identity_batch, should_update)
 from .mls import moment_matrix
 from .scene import Scene, bundled_scene, load_scene
 from .transfers import (Body, assemble_hessian, epoch_grid_terms, grid_internal_forces,
@@ -195,7 +195,7 @@ def _body(positions, grid) -> Body:
     n = positions.shape[0]
     V0 = np.full(n, (grid.dx / 2.0) ** 2)
     return Body(material=_SOLID, x=positions.copy(), v=np.zeros((n, 2)),
-                m=_SOLID.density * V0, V0=V0, C=np.zeros((n, 2, 2)),
+                m=_SOLID.density * V0, V0=V0, C=np.zeros((2, 2, n)),
                 state=DeformationState.identity(n),
                 cmap=ConfigurationMap.build(positions, grid))
 
@@ -206,8 +206,14 @@ def _forces(body, grid) -> np.ndarray:
     return grid_internal_forces(body, grid).T
 
 
+def _perturbation(rng, scale: float, n: int) -> np.ndarray:
+    """scale times n random 2x2 matrices, drawn matrix by matrix, as a
+    (2, 2, n) batch."""
+    return (scale * rng.normal(size=(n, 2, 2))).transpose(1, 2, 0)
+
+
 def _patch_energy(body, dF_sn) -> float:
-    F_total = np.einsum("nab,nbc->nac", body.state.F_sn + dF_sn,
+    F_total = np.einsum("abn,bcn->acn", body.state.F_sn + dF_sn,
                         body.state.F_0s)
     return float(np.sum(body.V0 * energy_and_piola(F_total, body.material).energy))
 
@@ -260,7 +266,7 @@ def check_mls_consistency():
     grad = contract(vn.T, cmap.G.T)
     r = nodes - x[:, None, :]
     second_moment = np.einsum("ns,nsa,nsb->nab", cmap.w, r, r)
-    return {"affine_grad_gap": float(np.abs(grad - A).max()),
+    return {"affine_grad_gap": float(np.abs(grad - A[:, :, None]).max()),
             "moment_gap": float(np.abs(moment_matrix(grid.dx) * second_moment
                                        - np.eye(2)).max())}
 
@@ -274,15 +280,15 @@ def check_variational_force():
     gaps = {}
     for label in ("fresh", "mid_epoch"):
         body = _body(pts, grid)
-        body.state.F_sn += 0.15 * rng.normal(size=body.state.F_sn.shape)
+        body.state.F_sn += _perturbation(rng, 0.15, body.n)
         if label == "mid_epoch":
             moved = body.x + 0.02 * rng.normal(size=body.x.shape)
             body.cmap = apply_update(body.state, moved, grid, body.cmap)
             body.x = moved
-            body.state.F_sn += 0.1 * rng.normal(size=body.state.F_sn.shape)
+            body.state.F_sn += _perturbation(rng, 0.1, body.n)
         f = _forces(body, grid)
         u = rng.normal(size=f.shape)
-        dF = np.einsum("nsa,nsb->nab", u[body.cmap.slots], body.cmap.G)
+        dF = np.einsum("nsa,nsb->abn", u[body.cmap.slots], body.cmap.G)
         h = 1e-6
         dU = (_patch_energy(body, h * dF) - _patch_energy(body, -h * dF)) / (2 * h)
         work = float(np.sum(f * u))
@@ -296,8 +302,8 @@ def check_hessian():
     rng = np.random.default_rng(23)
     grid = SparseGrid(origin=(0.0, 0.0), dx=0.1, n_cells=(10, 10))
     body = _body(0.25 + 0.5 * rng.random((15, 2)), grid)
-    body.state.F_sn += 0.1 * rng.normal(size=body.state.F_sn.shape)
-    body.state.F_0s += 0.1 * rng.normal(size=body.state.F_0s.shape)
+    body.state.F_sn += _perturbation(rng, 0.1, body.n)
+    body.state.F_0s += _perturbation(rng, 0.1, body.n)
     stress_pass(body)
 
     # node fields as rows (slots, 2), passed as the grid's (2, slots)
@@ -309,7 +315,7 @@ def check_hessian():
     sym_gap = abs(left - right) / max(abs(left), abs(right))
     assembled = assemble_hessian([body], grid).apply(u.T).T
     h = 1e-6
-    dF = np.einsum("nsa,nsb->nab", u[body.cmap.slots], body.cmap.G)
+    dF = np.einsum("nsa,nsb->abn", u[body.cmap.slots], body.cmap.G)
     saved = body.state.F_sn.copy()
     body.state.F_sn = saved + h * dF
     f_plus = _forces(body, grid)
@@ -362,7 +368,7 @@ def check_rigid_silence():
     the force a real stretch produces, and mark no particles."""
     sim = Simulation(_ball_scene(steps=1))
     body = sim.bodies[0]
-    eye = np.tile(np.eye(2), (body.n, 1, 1))
+    eye = identity_batch(body.n)
     state = body.state
     state.F_sn = 1.1 * eye
     f_ref = float(np.abs(_forces(body, sim.grid)).max())
@@ -377,9 +383,7 @@ def check_rigid_silence():
 
     rng = np.random.default_rng(20)
     th = rng.uniform(-np.pi, np.pi, body.n)
-    state.F_sn = np.stack([
-        np.stack([np.cos(th), -np.sin(th)], axis=-1),
-        np.stack([np.sin(th), np.cos(th)], axis=-1)], axis=-2)
+    state.F_sn = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
     f_rot = float(np.abs(_forces(body, sim.grid)).max())
 
     delta = deformation_delta(body.state)
@@ -456,9 +460,9 @@ def check_transfer_identity():
     r = sim.grid.position.T[slots] - body.cmap.ref_positions[:, None, :]
     vn = rng.normal(size=(sim.grid.n_slots, 2))[slots]
     v_p = np.einsum("ns,nsa->na", w, vn)
-    centered = np.einsum("nsa,nsb->nab", vn - v_p[:, None, :], G)
+    centered = np.einsum("nsa,nsb->abn", vn - v_p[:, None, :], G)
     library = contract(vn.T, G.T)
-    uncentered = moment_matrix(sim.grid.dx) * np.einsum("ns,nsa,nsb->nab", w, vn, r)
+    uncentered = moment_matrix(sim.grid.dx) * np.einsum("ns,nsa,nsb->abn", w, vn, r)
     return {"max_gap": max(float(np.abs(centered - library).max()),
                            float(np.abs(centered - uncentered).max()))}
 
@@ -478,7 +482,7 @@ def check_composition_invariance():
     x = body.x.copy()
     for k in range(100):
         for st in (folding, plain):
-            grad = np.einsum("ab,nbc->nac", L, st.F_sn)
+            grad = np.einsum("ab,bcn->acn", L, st.F_sn)
             advance_F_sn(st, grad, dt)
         x = x + dt * (x @ L.T)
         if k % 7 == 6:

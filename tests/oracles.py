@@ -13,6 +13,10 @@ and read a grid's slots, which only tests need.  `activate_by_unique` is
 lattice table: by `np.unique` over the unbound entries.  `textbook_mpm`
 is a whole explicit run, written from scratch on a dense node grid.  None
 of them is part of the library.
+
+The references keep 2x2 matrices particle-major, (n, 2, 2); the library
+keeps them as (2, 2, n) batches.  `batch` and `unbatch` convert between
+the two at the boundary.
 """
 
 import numpy as np
@@ -48,6 +52,18 @@ def bspline_weight(offset):
                 prod = prod * w1[..., j]
         dw[..., k] = dw1[..., k] * prod
     return w, dw
+
+
+def batch(F):
+    """Particle-major 2x2 matrices (n, 2, 2) as a fresh, C-contiguous
+    (2, 2, n) batch of the library."""
+    return np.asarray(F, dtype=np.float64).transpose(1, 2, 0).copy()
+
+
+def unbatch(F):
+    """A (2, 2, n) batch of the library as particle-major (n, 2, 2)
+    matrices: a view, so writing into it writes into the batch."""
+    return F.transpose(2, 0, 1)
 
 
 def _ref_moment_matrix(w, r):

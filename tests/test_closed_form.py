@@ -18,8 +18,11 @@ from aulmpm.constitutive import (
     J_FLOOR,
     SNOW,
     MaterialModel,
+    det,
     energy_and_piola,
     hessian_action,
+    inverse,
+    matmul,
     plastic_project,
 )
 from aulmpm.grid import SparseGrid
@@ -43,8 +46,8 @@ from aulmpm.transfers import (
     p2g,
     stress_pass,
 )
-from oracles import (_ref_cofactor, _ref_moment_matrix, _ref_rot, _ref_signed_svd,
-                     stencil, stress_differential, tangent_by_probing)
+from oracles import (_ref_cofactor, _ref_moment_matrix, _ref_rot, _ref_signed_svd, batch,
+                     stencil, stress_differential, tangent_by_probing, unbatch)
 
 RTOL = 1e-12
 
@@ -119,11 +122,11 @@ def _ref_plastic_project(Fe, Fp, model):
 
 
 def _ref_stress(body):
-    """P0 and the factors of the pre-closed-form stress pass."""
-    F_total = np.einsum("nab,nbc->nac", body.state.F_sn, body.state.F_0s)
+    """P0 and the factors of the pre-closed-form stress pass, (n, 2, 2)."""
+    F_total = np.einsum("nab,nbc->nac", unbatch(body.state.F_sn), unbatch(body.state.F_0s))
     if body.material.kind == SNOW:
-        Fp_inv = np.linalg.inv(body.F_plastic)
-        Jp = np.linalg.det(body.F_plastic)
+        Fp_inv = np.linalg.inv(unbatch(body.F_plastic))
+        Jp = np.linalg.det(unbatch(body.F_plastic))
         Fe = np.einsum("nab,nbc->nac", F_total, Fp_inv)
         _, P = _ref_energy_and_piola(Fe, body.material, Jp)
         return np.einsum("nac,nbc->nab", P, Fp_inv), (Fe, Fp_inv, Jp)
@@ -161,11 +164,11 @@ def _body(kind, transfer, seed=0, n=60):
     mat = MATERIALS[kind]
     body = Body(material=mat, x=x, v=rng.normal(size=(n, 2)),
                 m=mat.density * np.full(n, 2.5e-3), V0=np.full(n, 2.5e-3),
-                C=rng.normal(size=(n, 2, 2)),
-                state=DeformationState(F_0s=_gradients(rng, n, 0.2, 0),
-                                       F_sn=_gradients(rng, n, 0.3, 5)),
+                C=batch(rng.normal(size=(n, 2, 2))),
+                state=DeformationState(F_0s=batch(_gradients(rng, n, 0.2, 0)),
+                                       F_sn=batch(_gradients(rng, n, 0.3, 5))),
                 cmap=ConfigurationMap.build(x, grid, transfer=transfer),
-                F_plastic=_gradients(rng, n, 0.05, 0) if kind == "snow" else None)
+                F_plastic=batch(_gradients(rng, n, 0.05, 0)) if kind == "snow" else None)
     return body, grid, rng
 
 
@@ -192,7 +195,7 @@ def test_p2g_matches_reference(kind, transfer):
     mw = body.m[:, None] * body.cmap.w
     vel = body.v[:, None, :]
     if transfer == LEAST_SQUARES:
-        vel = vel + np.einsum("nab,nsb->nsa", body.C, r)
+        vel = vel + np.einsum("nab,nsb->nsa", unbatch(body.C), r)
     _assert_close(grid.mass, np.bincount(slots.ravel(), mw.ravel(), size))
     _assert_close(grid.momentum.T, _ref_scatter(slots, mw[:, :, None] * vel, size))
     _assert_close(grid.pos_accum.T, _ref_scatter(slots, mw[:, :, None] * body.x[:, None, :], size))
@@ -204,9 +207,9 @@ def test_internal_forces_match_reference(kind, transfer):
     stress_pass(body)
     f = grid_internal_forces(body, grid)
     P0, _ = _ref_stress(body)
-    PF = np.einsum("nab,ncb->nac", P0, body.state.F_0s)
+    PF = np.einsum("nab,ncb->nac", P0, unbatch(body.state.F_0s))
     contrib = -body.V0[:, None, None] * np.einsum("nac,nsc->nsa", PF, body.cmap.G)
-    _assert_close(np.einsum("nab,ncb->nac", body.stress.law.P, body.stress.B), PF)
+    _assert_close(np.einsum("abn,cbn->nac", body.stress.law.P, body.stress.B), PF)
     _assert_close(f.T, _ref_scatter(body.cmap.slots, contrib, grid.n_slots))
 
 
@@ -215,7 +218,7 @@ def _ref_hessian_apply(body, u, differential=_ref_hessian_action):
     tangent: dF_sn = sum_j u_j (x) G_j, then dP0 along dF_sn F_0s, then the
     scatter of V0 dP0 F_0s^T G_j."""
     _, (F, Fp_inv, Jp) = _ref_stress(body)
-    G, F_0s = body.cmap.G, body.state.F_0s
+    G, F_0s = body.cmap.G, unbatch(body.state.F_0s)
     dF_total = np.einsum("nab,nbc->nac",
                          np.einsum("nsa,nsb->nab", u[body.cmap.slots], G), F_0s)
     if Fp_inv is None:
@@ -245,7 +248,7 @@ def test_hessian_apply_rebuilds_its_tangent_after_each_stress_pass(kind):
     u = rng.normal(size=(grid.n_slots, 2))
     stress_pass(body)
     first = hessian_apply([body], u.T).T
-    body.state.F_sn = body.state.F_sn + 0.2 * rng.normal(size=body.state.F_sn.shape)
+    body.state.F_sn = body.state.F_sn + batch(0.2 * rng.normal(size=(body.n, 2, 2)))
     stress_pass(body)
     second = hessian_apply([body], u.T).T
     ref = _ref_hessian_apply(body, u)
@@ -272,7 +275,7 @@ def test_g2p_matches_reference(transfer):
         v = (1.0 - FLIP_BLEND) * v_pic + FLIP_BLEND * (v0 + delta)
     else:
         v = v_pic
-    _assert_close(body.C, C)
+    _assert_close(unbatch(body.C), C)
     _assert_close(body.v, v)
     _assert_close(body.x, x0 + 0.01 * v_pic)
 
@@ -289,8 +292,8 @@ def test_weight_stack_transfers_match_an_einsum_over_w_and_G():
     epoch_grid_terms([body], grid, mass_epsilon([body]))
     stress_pass(body)
     p2g(body, grid, dt)
-    PF = np.einsum("nab,ncb->nac", body.stress.law.P, body.stress.B)
-    A = (body.m / moment_matrix(grid.dx))[:, None, None] * body.C \
+    PF = np.einsum("abn,cbn->nac", body.stress.law.P, body.stress.B)
+    A = (body.m / moment_matrix(grid.dx))[:, None, None] * unbatch(body.C) \
         - (dt * body.V0)[:, None, None] * PF
     entry = np.einsum("nab,nsb->nsa", A, G) + (body.m[:, None] * w)[..., None] * body.v[:, None]
     momentum = np.stack([np.bincount(slots.T.ravel(), entry[..., k].T.ravel(), grid.n_slots)
@@ -301,17 +304,39 @@ def test_weight_stack_transfers_match_an_einsum_over_w_and_G():
     grid.velocity.T[:] = rng.normal(size=grid.velocity.T.shape)
     g2p(body, grid, dt=0.0)
     vn = grid.velocity.T[slots]
-    _assert_close(body.C, np.einsum("nsa,nsb->nab", vn, G), rtol=1e-15)
+    _assert_close(unbatch(body.C), np.einsum("nsa,nsb->nab", vn, G), rtol=1e-15)
     _assert_close(body.v, np.einsum("ns,nsa->na", w, vn), rtol=1e-15)
 
 
 # ------------------------------------------------------- per-particle
 
 
+def _laid_out(F, layout):
+    """Particle-major matrices (n, 2, 2) as a (2, 2, n) batch: a C-contiguous
+    array, or the [:, :2] slice of a (2, 3, n) buffer, as g2p leaves C."""
+    if layout == "contiguous":
+        return batch(F)
+    buf = np.full((2, 3, F.shape[0]), np.nan)
+    buf[:, :2] = batch(F)
+    return buf[:, :2]
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "sliced"])
+def test_det_inverse_matmul_match_linalg(layout):
+    rng = np.random.default_rng(4)
+    A = _gradients(rng, 200, 0.3, 40)
+    B = _gradients(rng, 200, 0.3, 0)
+    a, b = _laid_out(A, layout), _laid_out(B, layout)
+    assert a.flags.c_contiguous == (layout == "contiguous")
+    _assert_close(det(a), np.linalg.det(A))
+    _assert_close(unbatch(inverse(a)), np.linalg.inv(A))
+    _assert_close(unbatch(matmul(a, b)), A @ B)
+
+
 def test_compose_total_matches_reference():
     body, _, _ = _body("solid", LEAST_SQUARES)
-    _assert_close(compose_total(body.state),
-                  np.einsum("nab,nbc->nac", body.state.F_sn, body.state.F_0s))
+    _assert_close(unbatch(compose_total(body.state)),
+                  np.einsum("nab,nbc->nac", unbatch(body.state.F_sn), unbatch(body.state.F_0s)))
 
 
 @pytest.mark.parametrize("kind", list(MATERIALS))
@@ -321,10 +346,10 @@ def test_energy_and_piola_matches_reference(kind):
     if kind == "fluid":
         F = np.abs(F)  # the equation of state floors J at 1e-6
     jp = 0.9 + 0.2 * rng.random(200)
-    ss = energy_and_piola(F, MATERIALS[kind], jp)
+    ss = energy_and_piola(batch(F), MATERIALS[kind], jp)
     psi, P = _ref_energy_and_piola(F, MATERIALS[kind], jp)
     _assert_close(ss.energy, psi)
-    _assert_close(ss.P, P)
+    _assert_close(unbatch(ss.P), P)
 
 
 def _dense(T):
@@ -341,7 +366,8 @@ def test_hessian_action_matches_reference(kind):
     B = _gradients(rng, 200, 0.3, 0)
     vol = rng.uniform(0.5, 2.0, 200)
     jp = 0.9 + 0.2 * rng.random(200)
-    _assert_close(_dense(hessian_action(energy_and_piola(F, MATERIALS[kind], jp), B, vol)),
+    _assert_close(_dense(hessian_action(energy_and_piola(batch(F), MATERIALS[kind], jp),
+                                        batch(B), vol)),
                   tangent_by_probing(F, B, MATERIALS[kind], jp, vol, _ref_hessian_action))
 
 
@@ -351,18 +377,19 @@ def _edge_body(kind, transfer):
     diagonal, non-identity F_0s and F_plastic; for particles 0 to 2 these
     are powers of two, so Fe comes out exactly as written."""
     body, grid, rng = _body(kind, transfer)
-    st = body.state
-    st.F_0s[:4] = np.diag([2.0, 0.5])
+    # particle-major views, written through into the body's batches
+    F_0s, F_sn = unbatch(body.state.F_0s), unbatch(body.state.F_sn)
+    F_0s[:4] = np.diag([2.0, 0.5])
     Fp = np.tile(np.diag([0.5, 2.0]), (4, 1, 1))
     Fp[3] = np.diag([2.5, 2.0])   # det 5: hardening 10 (1 - 5) = -40 hits the cap
     if body.F_plastic is not None:
-        body.F_plastic[:4] = Fp
+        unbatch(body.F_plastic)[:4] = Fp
     Fe = np.array([[[0.8, 0.3], [0.3, -0.8]],          # tr(R^T Fe) = 0
                    [[-1.1, 0.0], [0.0, 0.9]],          # inverted
                    [[1e-4, 2e-5], [1e-5, 1e-4]],       # 0 < det < J_FLOOR
                    [[1.05, 0.1], [-0.05, 0.97]]])
-    B = st.F_0s[:4] @ np.linalg.inv(Fp) if body.F_plastic is not None else st.F_0s[:4]
-    st.F_sn[:4] = Fe @ np.linalg.inv(B)
+    B = F_0s[:4] @ np.linalg.inv(Fp) if body.F_plastic is not None else F_0s[:4]
+    F_sn[:4] = Fe @ np.linalg.inv(B)
     return body, grid, rng
 
 
@@ -370,7 +397,8 @@ def _edge_body(kind, transfer):
 def test_tangent_matches_the_stress_differential_on_edge_cases(kind, transfer):
     body, grid, rng = _edge_body(kind, transfer)
     _, (Fe, Fp_inv, Jp) = _ref_stress(body)
-    B = body.state.F_0s if Fp_inv is None else np.einsum("nab,nbc->nac", body.state.F_0s, Fp_inv)
+    F_0s = unbatch(body.state.F_0s)
+    B = F_0s if Fp_inv is None else np.einsum("nab,nbc->nac", F_0s, Fp_inv)
     # the edge cases are really hit
     assert np.hypot(Fe[0, 0, 0] + Fe[0, 1, 1], Fe[0, 1, 0] - Fe[0, 0, 1]) < 1e-10
     assert np.linalg.det(Fe[1]) < 0.0 < np.linalg.det(Fe[2]) < J_FLOOR
@@ -378,7 +406,7 @@ def test_tangent_matches_the_stress_differential_on_edge_cases(kind, transfer):
         assert body.material.hardening * (1.0 - Jp[3]) < -HARDENING_CAP
     assert np.abs(B[:4] - np.eye(2)).max() >= 0.5
 
-    T = _dense(hessian_action(energy_and_piola(Fe, body.material, Jp), B, body.V0))
+    T = _dense(hessian_action(energy_and_piola(batch(Fe), body.material, Jp), batch(B), body.V0))
     ref = tangent_by_probing(Fe, B, body.material, Jp, body.V0)
     gap = np.abs(T - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))
     assert gap.max() <= RTOL, f"particle {gap.argmax()}: relative gap {gap.max():.3e}"
@@ -395,10 +423,11 @@ def test_plastic_project_matches_reference():
     rng = np.random.default_rng(3)
     Fe = _gradients(rng, 200, 0.1, 0)
     Fp = _gradients(rng, 200, 0.05, 0)
-    got = plastic_project(Fe, Fp, MATERIALS["snow"])
+    Fp2 = unbatch(plastic_project(batch(Fe), batch(Fp), MATERIALS["snow"]))
     ref = _ref_plastic_project(Fe, Fp, MATERIALS["snow"])
-    _assert_close(got[0], ref[0])
-    _assert_close(got[1], ref[1])
+    # the clamped elastic factor keeps the product: Fe' = Fe Fp Fp'^-1
+    _assert_close(Fe @ Fp @ np.linalg.inv(Fp2), ref[0])
+    _assert_close(Fp2, ref[1])
 
 
 # --------------------------------------------------------------- rebind

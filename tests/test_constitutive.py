@@ -4,7 +4,9 @@ Stress is validated against central finite differences of the energy
 density, and the implicit tangent and the stress-differential oracle
 against finite differences of the stress, so the analytic derivatives
 never certify themselves.  A handful of closed
-states (uniaxial stretch, pure compression) are frozen by hand.
+states (uniaxial stretch, pure compression) are frozen by hand.  The tests
+write gradients particle-major, (n, 2, 2), as the oracles do, and hand the
+library (2, 2, n) batches through `batch` and `unbatch`.
 """
 
 import numpy as np
@@ -20,7 +22,7 @@ from aulmpm.constitutive import (
     plastic_project,
 )
 from aulmpm.errors import SceneError
-from oracles import _ref_signed_svd, stress_differential
+from oracles import _ref_signed_svd, batch, stress_differential, unbatch
 
 GRAD_RTOL = 1e-5
 HESS_RTOL = 1e-5
@@ -43,6 +45,13 @@ def _random_gradients(rng, n, dim, spread=0.35):
     return np.eye(dim) + rng.uniform(-spread, spread, (n, dim, dim))
 
 
+def _stress(F, model, jp=None):
+    """energy_and_piola at particle-major gradients (n, 2, 2): the energy
+    density (n,) and the stress, particle-major."""
+    st = energy_and_piola(batch(F), model, jp)
+    return st.energy, unbatch(st.P)
+
+
 # ------------------------------------------------------- energy consistency
 
 
@@ -55,8 +64,8 @@ def _fd_piola(F, model, jp=None, h=1e-6):
             Fp[:, a, b] += h
             Fm = F.copy()
             Fm[:, a, b] -= h
-            ep = energy_and_piola(Fp, model, jp).energy
-            em = energy_and_piola(Fm, model, jp).energy
+            ep, _ = _stress(Fp, model, jp)
+            em, _ = _stress(Fm, model, jp)
             out[:, a, b] = (ep - em) / (2 * h)
     return out
 
@@ -70,7 +79,7 @@ def test_piola_matches_energy_finite_differences():
     ]
     for model, jp in cases:
         F = _random_gradients(rng, 16, 2, spread=0.2)
-        got = energy_and_piola(F, model, jp).P
+        _, got = _stress(F, model, jp)
         ref = _fd_piola(F, model, jp)
         scale = np.abs(ref).max()
         np.testing.assert_allclose(got, ref, rtol=GRAD_RTOL, atol=GRAD_RTOL * scale)
@@ -79,9 +88,9 @@ def test_piola_matches_energy_finite_differences():
 def test_rest_state_is_stress_and_energy_free():
     eye = np.broadcast_to(np.eye(2), (4, 2, 2)).copy()
     for model in (_corotated(), _fluid(), _snow()):
-        st = energy_and_piola(eye, model)
-        np.testing.assert_allclose(st.energy, 0.0, atol=1e-14)
-        np.testing.assert_allclose(st.P, 0.0, atol=1e-14)
+        energy, P = _stress(eye, model)
+        np.testing.assert_allclose(energy, 0.0, atol=1e-14)
+        np.testing.assert_allclose(P, 0.0, atol=1e-14)
 
 
 def test_pure_rotation_is_stress_free_and_energy_is_objective():
@@ -89,15 +98,15 @@ def test_pure_rotation_is_stress_free_and_energy_is_objective():
     t = rng.uniform(-3, 3, 8)
     R = np.stack([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]], axis=0).transpose(2, 0, 1)
     model = _corotated(mu=11.0, lam=3.0)
-    st = energy_and_piola(R, model)
-    np.testing.assert_allclose(st.energy, 0.0, atol=1e-12)
-    np.testing.assert_allclose(st.P, 0.0, atol=1e-12)
+    energy, P = _stress(R, model)
+    np.testing.assert_allclose(energy, 0.0, atol=1e-12)
+    np.testing.assert_allclose(P, 0.0, atol=1e-12)
 
     F = _random_gradients(rng, 8, 2, spread=0.3)
-    base = energy_and_piola(F, model)
-    rot = energy_and_piola(np.einsum("nab,nbc->nac", R, F), model)
-    np.testing.assert_allclose(rot.energy, base.energy, rtol=1e-10)
-    np.testing.assert_allclose(rot.P, np.einsum("nab,nbc->nac", R, base.P), rtol=1e-9,
+    base_energy, base_P = _stress(F, model)
+    rot_energy, rot_P = _stress(np.einsum("nab,nbc->nac", R, F), model)
+    np.testing.assert_allclose(rot_energy, base_energy, rtol=1e-10)
+    np.testing.assert_allclose(rot_P, np.einsum("nab,nbc->nac", R, base_P), rtol=1e-9,
                                atol=1e-9)
 
 
@@ -106,37 +115,37 @@ def test_fixed_corotated_uniaxial_stretch_frozen_values():
     #   psi = mu (2-1)^2 + lam/2 (2-1)^2 = 5.5
     #   P = 2 mu (F - I) + lam (J-1) cof(F) = diag(6, 0) + diag(5, 10)
     F = np.array([np.diag([2.0, 1.0])])
-    st = energy_and_piola(F, _corotated(mu=3.0, lam=5.0))
-    np.testing.assert_allclose(st.energy, [5.5], rtol=1e-14)
-    np.testing.assert_allclose(st.P[0], np.diag([11.0, 10.0]), rtol=1e-14)
+    energy, P = _stress(F, _corotated(mu=3.0, lam=5.0))
+    np.testing.assert_allclose(energy, [5.5], rtol=1e-14)
+    np.testing.assert_allclose(P[0], np.diag([11.0, 10.0]), rtol=1e-14)
 
 
 def test_fluid_compression_frozen_values():
     # J = 0.8, bulk = 2, gamma = 7: p = 2 ((1/0.8)^7 - 1) = 7.5367431640625
     model = _fluid(bulk=2.0, gamma=7.0)
     F = np.array([np.diag([0.8, 1.0])])
-    st = energy_and_piola(F, model)
-    np.testing.assert_allclose(st.P[0], np.diag([-7.5367431640625, -6.02939453125]),
+    _, P = _stress(F, model)
+    np.testing.assert_allclose(P[0], np.diag([-7.5367431640625, -6.02939453125]),
                                rtol=1e-13)
     # deviatoric silence: shear at J = 1 carries no stress
     F = np.array([[[1.0, 0.7], [0.0, 1.0]]])
-    st = energy_and_piola(F, model)
-    np.testing.assert_allclose(st.energy, 0.0, atol=1e-14)
-    np.testing.assert_allclose(st.P, 0.0, atol=1e-13)
+    energy, P = _stress(F, model)
+    np.testing.assert_allclose(energy, 0.0, atol=1e-14)
+    np.testing.assert_allclose(P, 0.0, atol=1e-13)
 
 
 def test_fluid_rest_state_is_pressure_free():
     model = _fluid()
-    st = energy_and_piola(np.array([np.eye(2)]), model)
-    np.testing.assert_allclose(st.P, 0.0, atol=1e-15)
+    _, P = _stress(np.array([np.eye(2)]), model)
+    np.testing.assert_allclose(P, 0.0, atol=1e-15)
 
 
 # ------------------------------------------------------------------ hessian
 
 
 def _fd_stress_differential(F, dF, model, jp=None, h=1e-6):
-    p = energy_and_piola(F + h * dF, model, jp).P
-    m = energy_and_piola(F - h * dF, model, jp).P
+    _, p = _stress(F + h * dF, model, jp)
+    _, m = _stress(F - h * dF, model, jp)
     return (p - m) / (2 * h)
 
 
@@ -166,7 +175,7 @@ def test_hessian_action_matches_stress_finite_differences():
                                    rtol=HESS_RTOL, atol=HESS_RTOL * scale)
         ref = vol[:, None, None] * fd @ np.swapaxes(B, -1, -2)
         scale = max(np.abs(ref).max(), 1.0)
-        T = hessian_action(energy_and_piola(F, model, jp), B, vol)
+        T = hessian_action(energy_and_piola(batch(F), model, jp), batch(B), vol)
         np.testing.assert_allclose(_apply(T, dX), ref, rtol=HESS_RTOL, atol=HESS_RTOL * scale)
 
 
@@ -180,11 +189,19 @@ def test_hessian_action_is_a_symmetric_bilinear_form():
         uy = np.einsum("nab,nab->n", u, stress_differential(F, v, model, jp))
         vy = np.einsum("nab,nab->n", v, stress_differential(F, u, model, jp))
         np.testing.assert_allclose(uy, vy, rtol=SYM_RTOL, atol=SYM_RTOL * np.abs(uy).max())
-        T = hessian_action(energy_and_piola(F, model, jp), _random_gradients(rng, 12, 2))
+        T = hessian_action(energy_and_piola(batch(F), model, jp),
+                           batch(_random_gradients(rng, 12, 2)))
         np.testing.assert_array_equal(T, np.swapaxes(T, 0, 1))
 
 
 # --------------------------------------------------------------- plasticity
+
+
+def _project(Fe, Fp, model):
+    """plastic_project on particle-major factors (n, 2, 2): the clamped
+    elastic factor, derived as Fe Fp Fp'^-1, and the new plastic factor Fp'."""
+    Fp2 = unbatch(plastic_project(batch(Fe), batch(Fp), model))
+    return Fe @ Fp @ np.linalg.inv(Fp2), Fp2
 
 
 def test_plastic_projection_clamps_and_preserves_the_product():
@@ -193,7 +210,7 @@ def test_plastic_projection_clamps_and_preserves_the_product():
     Fe = _random_gradients(rng, 30, 2, spread=0.2)
     Fp = _random_gradients(rng, 30, 2, spread=0.05)
     total = np.einsum("nab,nbc->nac", Fe, Fp)
-    Fe2, Fp2 = plastic_project(Fe, Fp, model)
+    Fe2, Fp2 = _project(Fe, Fp, model)
     _, sig, _ = _ref_signed_svd(Fe2)
     assert np.all(sig >= 1.0 - model.theta_c - 1e-12)
     assert np.all(sig <= 1.0 + model.theta_s + 1e-12)
@@ -205,7 +222,7 @@ def test_plastic_projection_uniaxial_frozen_values():
     model = _snow()
     Fe = np.array([np.diag([1.1, 1.0])])
     Fp = np.array([np.eye(2)])
-    Fe2, Fp2 = plastic_project(Fe, Fp, model)
+    Fe2, Fp2 = _project(Fe, Fp, model)
     s_max = 1.0 + model.theta_s
     np.testing.assert_allclose(Fe2[0], np.diag([s_max, 1.0]), rtol=1e-12)
     np.testing.assert_allclose(Fp2[0], np.diag([1.1 / s_max, 1.0]), rtol=1e-12)
@@ -215,7 +232,7 @@ def test_plastic_projection_inside_the_yield_surface_is_identity():
     model = _snow()
     Fe = np.array([np.diag([1.002, 0.999])])
     Fp = np.array([np.eye(2)])
-    Fe2, Fp2 = plastic_project(Fe, Fp, model)
+    Fe2, Fp2 = _project(Fe, Fp, model)
     np.testing.assert_allclose(Fe2, Fe, atol=1e-13)
     np.testing.assert_allclose(Fp2, Fp, atol=1e-13)
 
@@ -223,15 +240,15 @@ def test_plastic_projection_inside_the_yield_surface_is_identity():
 def test_hardening_scales_stress_exponentially():
     model = _snow()
     F = np.array([np.diag([1.005, 1.0])])
-    soft = energy_and_piola(F, model, np.array([1.0]))
-    hard = energy_and_piola(F, model, np.array([0.9]))  # exp(10 * 0.1) = e
-    np.testing.assert_allclose(hard.P, np.e * soft.P, rtol=1e-12)
+    _, soft = _stress(F, model, np.array([1.0]))
+    _, hard = _stress(F, model, np.array([0.9]))  # exp(10 * 0.1) = e
+    np.testing.assert_allclose(hard, np.e * soft, rtol=1e-12)
 
 
 def test_non_snow_projection_is_a_passthrough():
     F = np.array([np.diag([1.5, 1.0])])
     Fp = np.array([np.eye(2)])
-    Fe2, Fp2 = plastic_project(F, Fp, _corotated())
+    Fe2, Fp2 = _project(F, Fp, _corotated())
     np.testing.assert_allclose(Fe2, F)
     np.testing.assert_allclose(Fp2, Fp)
 

@@ -12,7 +12,9 @@ from aulmpm.errors import NumericalError, SceneError
 from aulmpm.grid import SparseGrid
 from aulmpm.kinematics import compose_total
 from aulmpm.scene import load_scene
-from oracles import _ref_signed_svd
+from oracles import _ref_signed_svd, unbatch
+
+EYE = np.eye(2)[:, :, None]   # identities broadcast over a (2, 2, n) batch
 
 
 def _scene(**solver):
@@ -64,8 +66,7 @@ def test_free_fall_velocity_is_exact():
     np.testing.assert_allclose(sim.bodies[0].v, np.tile(expect, (sim.n_particles, 1)),
                                rtol=1e-12)
     np.testing.assert_allclose(compose_total(sim.bodies[0].state),
-                               np.tile(np.eye(2), (sim.n_particles, 1, 1)),
-                               atol=1e-13)
+                               np.broadcast_to(EYE, (2, 2, sim.n_particles)), atol=1e-13)
 
 
 def test_rest_state_is_fixed_point():
@@ -206,8 +207,8 @@ def test_every_bind_calls_activate_once(monkeypatch, transfer):
 
 
 def test_fresh_deformation_factors_are_component_major():
-    # every 2x2 factor of a fresh Simulation, snow's F_plastic too, is an
-    # (n, 2, 2) view of a C-contiguous (2, 2, n) buffer holding identities
+    # every 2x2 factor of a fresh Simulation, snow's F_plastic too, is a
+    # C-contiguous (2, 2, n) array holding identities
     scene = _scene()
     snow = MaterialModel.from_youngs("snow", density=400.0, youngs=1e4, poisson=0.2)
     scene.objects.append(replace(scene.objects[0], material=snow, shape={
@@ -216,8 +217,9 @@ def test_fresh_deformation_factors_are_component_major():
     snow_body = sim.bodies[1]
     factors = [snow_body.state.F_0s, snow_body.state.F_sn, snow_body.F_plastic]
     for F in factors + [sim.bodies[0].state.F_0s, sim.bodies[0].state.F_sn]:
-        assert np.moveaxis(F, 0, -1).flags.c_contiguous
-        np.testing.assert_array_equal(F, np.broadcast_to(np.eye(2), F.shape))
+        assert F.shape == (2, 2, F.shape[-1]) and F.flags.c_contiguous
+        np.testing.assert_array_equal(F, np.broadcast_to(EYE, F.shape))
+    assert [F.shape[-1] for F in factors] == [snow_body.n] * 3
     assert sim.bodies[0].F_plastic is None
 
 
@@ -564,7 +566,8 @@ def test_spin_seeds_affine_state():
         scene.objects[0].velocity = velocity
         sim = Simulation(scene)
         body = sim.bodies[0]
-        np.testing.assert_allclose(body.C, np.tile(spin, (body.n, 1, 1)), atol=0.0)
+        np.testing.assert_allclose(body.C, np.broadcast_to(spin[:, :, None], (2, 2, body.n)),
+                                   atol=0.0)
         np.testing.assert_allclose(body.v, velocity + (body.x - c) @ spin.T, atol=1e-15)
         sim.step()
         assert np.isfinite(body.x).all() and np.isfinite(body.v).all()
@@ -587,16 +590,16 @@ def _poison_F_sn(real):
 def _poison_F_0s(real):
     def call(state, positions, grid, cmap):
         out = real(state, positions, grid, cmap)
-        state.F_0s[0, 1, 1] = np.nan
+        state.F_0s[1, 1, 0] = np.nan
         return out
     return call
 
 
 def _poison_F_plastic(real):
     def call(Fe, Fp, material):
-        Fe, Fp = real(Fe, Fp, material)
-        Fp[0, 1, 0] = np.inf
-        return Fe, Fp
+        Fp = real(Fe, Fp, material)
+        Fp[1, 0, 0] = np.inf
+        return Fp
     return call
 
 
@@ -672,7 +675,7 @@ def test_summary_counts_cg_trouble(tmp_path, monkeypatch):
 
     # a body crushed to 5% over a 10 s step loses positive definiteness
     sim = Simulation(_scene(steps=1, integrator="implicit", mode="total_lagrangian"))
-    sim.bodies[0].state.F_sn[:] = 0.05 * np.eye(2)
+    sim.bodies[0].state.F_sn[:] = 0.05 * EYE
     sim.step(dt=10.0)
     assert sim.cg_info["fallback"]
     assert sim.cg_info["residual"] > transfers.CG_TOL   # of the kept explicit velocities
@@ -786,11 +789,11 @@ def test_snow_run_projects_plasticity():
     body = sim.bodies[0]
     assert np.isfinite(body.x).all()
     # impact must push some deformation into the plastic factor
-    dev = np.abs(body.F_plastic - np.eye(2)).max()
+    dev = np.abs(body.F_plastic - EYE).max()
     assert dev > 1e-4
     # elastic factor stays inside the singular value yield box
-    Fe = np.einsum("nab,nbc->nac", compose_total(body.state),
-                   np.linalg.inv(body.F_plastic))
+    Fe = np.einsum("nab,nbc->nac", unbatch(compose_total(body.state)),
+                   np.linalg.inv(unbatch(body.F_plastic)))
     _, sig, _ = _ref_signed_svd(Fe)
     assert sig.max() <= 1.0 + body.material.theta_s + 1e-8
     assert sig.min() >= 1.0 - body.material.theta_c - 1e-8

@@ -9,7 +9,7 @@ from aulmpm.grid import HalfSpace, SparseGrid, SphereObstacle
 from aulmpm.kinematics import ConfigurationMap, DeformationState
 from aulmpm.transfers import (Body, epoch_grid_terms, finalize_grid, grid_internal_forces,
                               hessian_apply, mass_epsilon, p2g, stress_pass)
-from oracles import activate_by_unique, lattice_index, slot_of
+from oracles import activate_by_unique, batch, lattice_index, slot_of
 
 
 def test_activation_is_idempotent_and_returns_stable_slots():
@@ -213,13 +213,13 @@ def test_node_vectors_are_component_major():
         x = lo + 0.2 * rng.random((12, 2))
         bodies.append(Body(material=mat, x=x, v=rng.normal(size=(12, 2)),
                            m=np.full(12, 2.5), V0=np.full(12, 2.5e-3),
-                           C=np.zeros((12, 2, 2)), state=DeformationState.identity(12),
+                           C=np.zeros((2, 2, 12)), state=DeformationState.identity(12),
                            cmap=ConfigurationMap.build(x, g)))
         sizes.append(g.n_slots)
     assert 0 < sizes[0] < sizes[1]
     epoch_grid_terms(bodies, g, mass_epsilon(bodies))
     for body in bodies:
-        body.state.F_sn += 0.1 * rng.normal(size=body.state.F_sn.shape)
+        body.state.F_sn += batch(0.1 * rng.normal(size=(12, 2, 2)))
         stress_pass(body)
         p2g(body, g, 1e-3)
     finalize_grid(g)

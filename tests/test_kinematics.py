@@ -3,6 +3,8 @@
 The accumulation tests use an independent reference: the product of the
 per-step increments is recomputed in the test with plain matmuls, so any
 bookkeeping error in the split F_total = F_sn F_0s shows up as a mismatch.
+Deformation factors are the library's (2, 2, n) batches: matrix p is
+[..., p].
 """
 
 import copy
@@ -26,8 +28,9 @@ from aulmpm.kinematics import (
     should_update,
 )
 from aulmpm.mls import gradient_weights, moment_matrix
-from oracles import lattice_index, slot_of, stencil, stencil_coords, stencil_offsets
+from oracles import batch, lattice_index, slot_of, stencil, stencil_coords, stencil_offsets
 
+EYE = np.eye(2)[:, :, None]
 COMPOSE_RTOL = 1e-12
 ACCUM_RTOL = 1e-12
 AFFINE_ATOL = 1e-10
@@ -42,16 +45,16 @@ def _grid(n_cells=32, dx=1.0 / 32.0):
 
 def test_compose_total_multiplies_in_map_order():
     state = DeformationState.identity(1)
-    state.F_0s[0] = [[2.0, 0.0], [0.0, 1.0]]   # applied first
-    state.F_sn[0] = [[1.0, 0.5], [0.0, 1.0]]   # applied second
+    state.F_0s[..., 0] = [[2.0, 0.0], [0.0, 1.0]]   # applied first
+    state.F_sn[..., 0] = [[1.0, 0.5], [0.0, 1.0]]   # applied second
     expect = np.array([[1.0, 0.5], [0.0, 1.0]]) @ np.array([[2.0, 0.0], [0.0, 1.0]])
-    np.testing.assert_allclose(compose_total(state)[0], expect, rtol=COMPOSE_RTOL)
+    np.testing.assert_allclose(compose_total(state)[..., 0], expect, rtol=COMPOSE_RTOL)
 
 
 def test_deformation_delta_measures_volume_change_since_binding():
     state = DeformationState.identity(3)
-    state.F_sn[1] = [[1.2, 0.0], [0.0, 1.0]]
-    state.F_sn[2] = [[0.0, 1.0], [-1.0, 0.0]]  # rotation, det = 1
+    state.F_sn[..., 1] = [[1.2, 0.0], [0.0, 1.0]]
+    state.F_sn[..., 2] = [[0.0, 1.0], [-1.0, 0.0]]  # rotation, det = 1
     np.testing.assert_allclose(deformation_delta(state), [0.0, 0.2, 0.0], atol=1e-14)
 
 
@@ -91,14 +94,14 @@ def test_accumulation_is_independent_of_rebinding_schedule():
     plain = DeformationState.identity(1)
     for k, L in enumerate(Ls):
         for state in (folding, plain):
-            grad = np.einsum("ab,nbc->nac", L, state.F_sn)
+            grad = np.einsum("ab,bcn->acn", L, state.F_sn)
             advance_F_sn(state, grad, dt)
         if (k + 1) % 7 == 0:
             folding.F_0s = compose_total(folding)
-            folding.F_sn = np.broadcast_to(np.eye(2), folding.F_sn.shape).copy()
+            folding.F_sn = np.broadcast_to(EYE, folding.F_sn.shape).copy()
 
-    np.testing.assert_allclose(compose_total(plain)[0], ref, rtol=ACCUM_RTOL)
-    np.testing.assert_allclose(compose_total(folding)[0], ref, rtol=ACCUM_RTOL)
+    np.testing.assert_allclose(compose_total(plain)[..., 0], ref, rtol=ACCUM_RTOL)
+    np.testing.assert_allclose(compose_total(folding)[..., 0], ref, rtol=ACCUM_RTOL)
     np.testing.assert_allclose(compose_total(folding), compose_total(plain),
                                rtol=ACCUM_RTOL)
 
@@ -106,7 +109,7 @@ def test_accumulation_is_independent_of_rebinding_schedule():
 def test_advance_reports_inverted_elements():
     state = DeformationState.identity(2)
     grad = np.zeros((2, 2, 2))
-    grad[0] = [[-3.0, 0.0], [0.0, 0.0]]  # drives det negative at dt = 1
+    grad[..., 0] = [[-3.0, 0.0], [0.0, 0.0]]  # drives det negative at dt = 1
     assert advance_F_sn(state, grad, 1.0) == 1
 
 
@@ -139,7 +142,8 @@ def test_velocity_gradient_recovers_affine_grid_fields():
     c = np.array([0.3, -0.2])
     v_nodes = grid.position.T[cmap.slots] @ B.T + c
     grad = contract(v_nodes.T, cmap.G.T)
-    np.testing.assert_allclose(grad, np.broadcast_to(B, grad.shape), atol=AFFINE_ATOL)
+    np.testing.assert_allclose(grad, np.broadcast_to(B[:, :, None], grad.shape),
+                               atol=AFFINE_ATOL)
 
 
 def test_binding_carries_the_gradient_weights_of_its_transfer():
@@ -157,7 +161,8 @@ def test_binding_carries_the_gradient_weights_of_its_transfer():
     B = np.array([[0.4, -1.1], [0.9, 0.2]])
     v_nodes = grid.position.T[kernel.slots] @ B.T + [0.3, -0.2]
     grad = contract(v_nodes.T, kernel.G.T)
-    np.testing.assert_allclose(grad, np.broadcast_to(B, grad.shape), atol=AFFINE_ATOL)
+    np.testing.assert_allclose(grad, np.broadcast_to(B[:, :, None], grad.shape),
+                               atol=AFFINE_ATOL)
     rebound = apply_update(DeformationState.identity(25), pos + 0.05, grid, kernel)
     assert rebound.transfer == KERNEL
     moved, _, _ = stencil(pos + 0.05, grid.origin, grid.dx, grid.n_nodes)
@@ -221,7 +226,8 @@ def test_apply_update_folds_and_rebinds():
     pos = rng.uniform(0.3, 0.7, size=(25, 2))
     cmap = ConfigurationMap.build(pos, grid)
     state = DeformationState.identity(25)
-    state.F_sn = np.broadcast_to(np.array([[1.1, 0.2], [0.0, 0.9]]), (25, 2, 2)).copy()
+    state.F_sn = np.broadcast_to(np.array([[1.1, 0.2], [0.0, 0.9]])[:, :, None],
+                                 (2, 2, 25)).copy()
     total_before = compose_total(state)
 
     moved = pos + 0.05
@@ -229,7 +235,7 @@ def test_apply_update_folds_and_rebinds():
 
     assert new_map.epoch == cmap.epoch + 1
     np.testing.assert_allclose(new_map.ref_positions, moved)
-    np.testing.assert_allclose(state.F_sn, np.broadcast_to(np.eye(2), (25, 2, 2)))
+    np.testing.assert_allclose(state.F_sn, np.broadcast_to(EYE, (2, 2, 25)))
     np.testing.assert_allclose(compose_total(state), total_before, rtol=1e-15)
 
 
@@ -278,16 +284,16 @@ def test_apply_update_folds_in_place():
     cmap = ConfigurationMap.build(pos, grid)
     state = DeformationState.identity(50)
     for _ in range(3):
-        advance_F_sn(state, rng.normal(scale=2.0, size=(50, 2, 2)), 0.1)
+        advance_F_sn(state, batch(rng.normal(scale=2.0, size=(50, 2, 2))), 0.1)
     state.F_0s[:] = state.F_sn
-    advance_F_sn(state, rng.normal(scale=2.0, size=(50, 2, 2)), 0.1)
+    advance_F_sn(state, batch(rng.normal(scale=2.0, size=(50, 2, 2))), 0.1)
     F_0s, F_sn = state.F_0s, state.F_sn
     total = compose_total(state)
     apply_update(state, pos + 0.01, grid, cmap)
     assert state.F_0s is F_0s and state.F_sn is F_sn
     assert np.shares_memory(state.F_0s, F_0s) and np.shares_memory(state.F_sn, F_sn)
     np.testing.assert_array_equal(_bits(state.F_0s), _bits(total))
-    np.testing.assert_array_equal(_bits(state.F_sn), _bits(np.broadcast_to(np.eye(2), F_sn.shape)))
+    np.testing.assert_array_equal(_bits(state.F_sn), _bits(np.broadcast_to(EYE, F_sn.shape)))
 
 
 @pytest.mark.parametrize("transfer", ["least_squares", KERNEL])

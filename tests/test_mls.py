@@ -261,7 +261,8 @@ def test_mls_gradient_reproduces_affine_fields_exactly():
     c = np.array([0.1, -0.4])
     dv = (nodes @ B.T + c) - (centers @ B.T + c)[:, None]
     grad = contract(dv.T, G.T)
-    np.testing.assert_allclose(grad, np.broadcast_to(B, grad.shape), atol=AFFINE_ATOL)
+    np.testing.assert_allclose(grad, np.broadcast_to(B[:, :, None], grad.shape),
+                               atol=AFFINE_ATOL)
 
 
 def test_gradient_weights_scale_like_inverse_cell_size():

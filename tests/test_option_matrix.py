@@ -3,7 +3,8 @@
 The solver options form a closed set: mode x transfer x integrator x
 material, 36 cells.  Each cell drifts and spins one disk of about 450
 particles with no gravity and no colliders, so nothing outside the
-particles exchanges momentum with them.
+particles exchanges momentum with them, and leaves every 2x2 field of the
+body a (2, 2, n) batch.
 """
 
 import itertools
@@ -60,3 +61,9 @@ def test_option_cell_conserves_mass_and_momentum(mode, transfer, integrator, mat
             assert np.linalg.norm(p - p0) <= MOMENTUM_RTOL * np.linalg.norm(p0)
     if integrator == "implicit":
         assert sim.cg_unconverged == 0 and sim.cg_fallbacks == 0
+    # every 2x2 field is still a float64 (2, 2, n) batch
+    fields = {"C": body.C, "F_0s": body.state.F_0s, "F_sn": body.state.F_sn}
+    if material == "snow":
+        fields["F_plastic"] = body.F_plastic
+    for name, F in fields.items():
+        assert F.shape == (2, 2, body.n) and F.dtype == np.float64, name

@@ -17,7 +17,7 @@ import pytest
 from aulmpm.engine import Simulation
 from aulmpm.kinematics import compose_total
 from aulmpm.scene import load_scene
-from oracles import textbook_mpm
+from oracles import textbook_mpm, unbatch
 
 MATERIALS = {
     "solid": {"type": "fixed_corotated", "density": 1000.0, "youngs": 1e4, "poisson": 0.3},
@@ -44,12 +44,14 @@ def test_explicit_run_matches_the_textbook_method(transfer, mode, material):
     })
     sim = Simulation(scene)
     body = sim.bodies[0]
-    start = (body.x.copy(), body.v.copy(), body.C.copy(), body.m.copy(), body.V0.copy())
+    start = (body.x.copy(), body.v.copy(), unbatch(body.C).copy(), body.m.copy(),
+             body.V0.copy())
     for _ in range(STEPS):
         sim.step()
     want = textbook_mpm(*start, body.material, scene.dx, scene.cells, scene.solver.dt,
                         scene.gravity, STEPS, eulerian=mode == "eulerian",
                         least_squares=transfer == "least_squares")
-    for name, got, ref in zip("xvF", (body.x, body.v, compose_total(body.state)), want):
+    F = unbatch(compose_total(body.state))
+    for name, got, ref in zip("xvF", (body.x, body.v, F), want):
         gap = np.abs(got - ref).max() / np.abs(ref).max()
         assert gap <= RTOL, f"{name}: relative gap {gap:.3e}"

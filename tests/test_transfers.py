@@ -5,7 +5,7 @@ from aulmpm import transfers
 from aulmpm.constitutive import MaterialModel, energy_and_piola
 from aulmpm.grid import HalfSpace, SparseGrid
 from aulmpm.kinematics import (KERNEL, LEAST_SQUARES, ConfigurationMap, DeformationState,
-                               apply_update)
+                               apply_update, identity_batch)
 from aulmpm.transfers import (
     Body,
     assemble_hessian,
@@ -21,7 +21,7 @@ from aulmpm.transfers import (
     p2g,
     stress_pass,
 )
-from oracles import slot_of
+from oracles import batch, slot_of, unbatch
 
 SOLID = MaterialModel.from_youngs("fixed_corotated", density=1000.0, youngs=1e4, poisson=0.3)
 
@@ -43,10 +43,10 @@ def _body(positions, grid, material=SOLID, velocity=None, F_plastic=False,
         v=np.zeros((n, d)) if velocity is None else np.asarray(velocity, dtype=np.float64).copy(),
         m=material.density * V0,
         V0=V0,
-        C=np.zeros((n, d, d)),
+        C=np.zeros((d, d, n)),
         state=DeformationState.identity(n),
         cmap=ConfigurationMap.build(positions, grid, transfer=transfer),
-        F_plastic=np.tile(np.eye(d), (n, 1, 1)) if F_plastic else None,
+        F_plastic=identity_batch(n) if F_plastic else None,
     )
     return body
 
@@ -74,7 +74,7 @@ def test_p2g_conserves_mass_and_momentum():
     rng = np.random.default_rng(3)
     grid = _grid()
     body = _body(_cloud(rng), grid, velocity=rng.normal(size=(40, 2)))
-    body.C = rng.normal(size=(40, 2, 2))
+    body.C = batch(rng.normal(size=(40, 2, 2)))
     epoch_grid_terms([body], grid, mass_epsilon([body]))
     p2g(body, grid)
     assert np.isclose(grid.mass.sum(), body.m.sum(), rtol=1e-13)
@@ -145,18 +145,19 @@ def test_g2p_recovers_affine_field():
     x0 = body.x.copy()
     g2p(body, grid, dt=0.0)
     np.testing.assert_allclose(body.v, x0 @ B.T + c, atol=1e-12)
-    np.testing.assert_allclose(body.C, np.tile(B, (body.n, 1, 1)), atol=1e-10)
+    np.testing.assert_allclose(unbatch(body.C), np.tile(B, (body.n, 1, 1)), atol=1e-10)
 
 
 def _total_energy(body, dF_sn):
-    F_sn = body.state.F_sn + dF_sn
-    F_total = np.einsum("nab,nbc->nac", F_sn, body.state.F_0s)
+    """The body's elastic energy at F_sn + dF_sn, with dF_sn (n, 2, 2)."""
+    F_sn = unbatch(body.state.F_sn) + dF_sn
+    F_total = np.einsum("nab,nbc->nac", F_sn, unbatch(body.state.F_0s))
     if body.F_plastic is not None:
-        Fp_inv = np.linalg.inv(body.F_plastic)
-        Fe = np.einsum("nab,nbc->nac", F_total, Fp_inv)
-        ss = energy_and_piola(Fe, body.material, np.linalg.det(body.F_plastic))
+        Fp = unbatch(body.F_plastic)
+        Fe = np.einsum("nab,nbc->nac", F_total, np.linalg.inv(Fp))
+        ss = energy_and_piola(batch(Fe), body.material, np.linalg.det(Fp))
     else:
-        ss = energy_and_piola(F_total, body.material)
+        ss = energy_and_piola(batch(F_total), body.material)
     return float(np.sum(body.V0 * ss.energy))
 
 
@@ -181,19 +182,19 @@ def test_forces_are_energy_gradient(kind, transfer):
     if kind == "fluid":
         mat = MaterialModel.fluid(density=1000.0, bulk=100.0)
         body = _body(_cloud(rng), grid, material=mat, transfer=transfer)
-        body.state.F_sn += 0.1 * rng.normal(size=body.state.F_sn.shape)
+        body.state.F_sn += batch(0.1 * rng.normal(size=(body.n, 2, 2)))
     elif kind == "snow":
         mat = MaterialModel.from_youngs("snow", density=400.0, youngs=1e4, poisson=0.2)
         body = _body(_cloud(rng), grid, material=mat, F_plastic=True, transfer=transfer)
         body.F_plastic += np.einsum(
-            "ab,n->nab", np.eye(2), 0.02 * rng.standard_normal(body.n))
-        body.state.F_sn += 0.05 * rng.normal(size=body.state.F_sn.shape)
+            "ab,n->abn", np.eye(2), 0.02 * rng.standard_normal(body.n))
+        body.state.F_sn += batch(0.05 * rng.normal(size=(body.n, 2, 2)))
     else:
         body = _body(_cloud(rng), grid, material=SOLID, transfer=transfer)
-        body.state.F_sn += 0.1 * rng.normal(size=body.state.F_sn.shape)
+        body.state.F_sn += batch(0.1 * rng.normal(size=(body.n, 2, 2)))
         if kind == "solid_mid_epoch":
-            body.state.F_0s += 0.2 * rng.normal(size=body.state.F_0s.shape)
-            assert np.all(np.linalg.det(body.state.F_0s) > 0.1)
+            body.state.F_0s += batch(0.2 * rng.normal(size=(body.n, 2, 2)))
+            assert np.all(np.linalg.det(unbatch(body.state.F_0s)) > 0.1)
     f = _forces(body, grid)
     u = rng.normal(size=f.shape)
     dF_dir = np.einsum("nsa,nsb->nab", u[body.cmap.slots], body.cmap.G)
@@ -221,14 +222,14 @@ def test_fused_scatter_equals_momentum_plus_impulse(kind, transfer):
                                              poisson=0.2)}[kind]
     body = _body(_cloud(rng), grid, material=mat, velocity=rng.normal(size=(40, 2)),
                  F_plastic=kind == "snow", transfer=transfer)
-    body.C = rng.normal(size=(body.n, 2, 2))
-    body.state.F_sn += 0.1 * rng.normal(size=body.state.F_sn.shape)
+    body.C = batch(rng.normal(size=(body.n, 2, 2)))
+    body.state.F_sn += batch(0.1 * rng.normal(size=(body.n, 2, 2)))
     body.x += 0.01 * rng.normal(size=body.x.shape)
     body.cmap = apply_update(body.state, body.x, grid, body.cmap)
-    body.state.F_sn += 0.1 * rng.normal(size=body.state.F_sn.shape)
+    body.state.F_sn += batch(0.1 * rng.normal(size=(body.n, 2, 2)))
     if kind == "snow":
-        body.F_plastic += np.einsum("ab,n->nab", np.eye(2), 0.02 * rng.standard_normal(body.n))
-    assert np.abs(body.state.F_0s - np.eye(2)).max() > 0.05
+        body.F_plastic += np.einsum("ab,n->abn", np.eye(2), 0.02 * rng.standard_normal(body.n))
+    assert np.abs(body.state.F_0s - np.eye(2)[:, :, None]).max() > 0.05
     epoch_grid_terms([body], grid, mass_epsilon([body]))
     stress_pass(body)
     p2g(body, grid)
@@ -249,7 +250,7 @@ def test_finalize_grid_is_idempotent():
     rng = np.random.default_rng(29)
     grid = _grid()
     body = _body(_cloud(rng), grid, velocity=rng.normal(size=(40, 2)), transfer=KERNEL)
-    body.state.F_sn += 0.1 * rng.normal(size=body.state.F_sn.shape)
+    body.state.F_sn += batch(0.1 * rng.normal(size=(body.n, 2, 2)))
     epoch_grid_terms([body], grid, mass_epsilon([body]))
     stress_pass(body)
     p2g(body, grid, 1e-3)
@@ -268,7 +269,7 @@ def test_kernel_grid_keeps_the_velocities_before_the_impulse():
     rng = np.random.default_rng(17)
     grid = _grid()
     body = _body(_cloud(rng), grid, velocity=rng.normal(size=(40, 2)), transfer=KERNEL)
-    body.state.F_sn += 0.1 * rng.normal(size=body.state.F_sn.shape)
+    body.state.F_sn += batch(0.1 * rng.normal(size=(body.n, 2, 2)))
     epoch_grid_terms([body], grid, mass_epsilon([body]))
     stress_pass(body)
     p2g(body, grid)
@@ -294,7 +295,7 @@ def test_internal_forces_sum_to_zero(transfer):
     rng = np.random.default_rng(11)
     grid = _grid()
     body = _body(_cloud(rng), grid, transfer=transfer)
-    body.state.F_sn += 0.2 * rng.normal(size=body.state.F_sn.shape)
+    body.state.F_sn += batch(0.2 * rng.normal(size=(body.n, 2, 2)))
     f = _forces(body, grid)
     scale = np.abs(f).max()
     np.testing.assert_allclose(f.sum(axis=0), 0.0, atol=1e-12 * max(scale, 1.0))
@@ -305,7 +306,7 @@ def test_rotation_produces_no_force():
     body = _body([[0.45, 0.5], [0.55, 0.5], [0.5, 0.58]], grid)
     th = 0.7
     R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-    body.state.F_sn[:] = R
+    body.state.F_sn[:] = R[:, :, None]
     f = _forces(body, grid)
     assert np.abs(f).max() < 1e-9
 
@@ -315,14 +316,14 @@ def test_hessian_matches_force_differences(transfer):
     rng = np.random.default_rng(12)
     grid = _grid()
     body = _body(_cloud(rng, n=15), grid, transfer=transfer)
-    body.state.F_sn += 0.1 * rng.normal(size=body.state.F_sn.shape)
-    body.state.F_0s += 0.1 * rng.normal(size=body.state.F_0s.shape)
+    body.state.F_sn += batch(0.1 * rng.normal(size=(body.n, 2, 2)))
+    body.state.F_0s += batch(0.1 * rng.normal(size=(body.n, 2, 2)))
     stress_pass(body)
     u = rng.normal(size=(grid.n_slots, 2))
     hu = hessian_apply([body], u.T).T
 
     h = 1e-6
-    dF_sn_dir = np.einsum("nsa,nsb->nab", u[body.cmap.slots], body.cmap.G)
+    dF_sn_dir = np.einsum("nsa,nsb->abn", u[body.cmap.slots], body.cmap.G)
     saved = body.state.F_sn.copy()
     body.state.F_sn = saved + h * dF_sn_dir
     f_plus = _forces(body, grid)
@@ -338,7 +339,7 @@ def test_hessian_operator_is_symmetric():
     rng = np.random.default_rng(13)
     grid = _grid()
     body = _body(_cloud(rng, n=20), grid)
-    body.state.F_sn += 0.15 * rng.normal(size=body.state.F_sn.shape)
+    body.state.F_sn += batch(0.15 * rng.normal(size=(body.n, 2, 2)))
     stress_pass(body)
     u = rng.normal(size=(grid.n_slots, 2))
     w = rng.normal(size=(grid.n_slots, 2))
@@ -366,8 +367,8 @@ def _stressed_bodies(case, transfer, rng):
     grid = _grid()
     bodies = [_body(pos, grid, transfer=transfer) for pos in _ASSEMBLY_CASES[case](rng)]
     for body in bodies:
-        body.state.F_sn += 0.15 * rng.normal(size=body.state.F_sn.shape)
-        body.state.F_0s += 0.1 * rng.normal(size=body.state.F_0s.shape)
+        body.state.F_sn += batch(0.15 * rng.normal(size=(body.n, 2, 2)))
+        body.state.F_0s += batch(0.1 * rng.normal(size=(body.n, 2, 2)))
         stress_pass(body)
     return bodies, grid
 
@@ -451,7 +452,7 @@ def test_implicit_falls_back_when_indefinite():
     stiff = MaterialModel.from_youngs("fixed_corotated", density=1.0, youngs=1e6, poisson=0.45)
     body = _body([[0.5, 0.5], [0.53, 0.5]], grid, material=stiff,
                  velocity=[[1.0, 0.0], [-1.0, 0.0]])
-    body.state.F_sn[:] = 0.05 * np.eye(2)
+    body.state.F_sn[:] = 0.05 * np.eye(2)[:, :, None]
     eps = mass_epsilon([body])
     epoch_grid_terms([body], grid, eps)
     stress_pass(body)
@@ -522,7 +523,7 @@ def test_kernel_path_translates_exactly():
     rng = np.random.default_rng(16)
     grid = _grid()
     body = _body(_cloud(rng), grid, velocity=np.tile([0.3, -0.2], (40, 1)), transfer=KERNEL)
-    body.C = rng.normal(size=(40, 2, 2))  # a kernel binding scatters no affine momentum
+    body.C = batch(rng.normal(size=(40, 2, 2)))  # a kernel binding scatters no affine momentum
     eps = mass_epsilon([body])
     x0 = body.x.copy()
     epoch_grid_terms([body], grid, eps)
