@@ -184,7 +184,8 @@ def contract(samples: np.ndarray, weights: np.ndarray) -> np.ndarray:
     configuration, the affine velocity C of APIC and MLS-MPM, as [:, :2]
     and the interpolated velocity as [:, 2]; against stack[:2] it is the
     gradient alone.  Each sum runs over the stencil entries in order, with
-    the particle axis innermost.
+    the particle axis innermost; g2p runs the same sums one component at a
+    time (see `transfers`), with the same bits.
     """
     out = np.empty((2, weights.shape[0], samples.shape[-1]))
     return np.einsum("ksn,csn->kcn", samples, weights, out=out)

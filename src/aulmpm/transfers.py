@@ -49,9 +49,10 @@ innermost:
         in order, so each entry is (A_k0 G_x + A_k1 G_y) + w m v_k
     forces and Hessian:    the same over stack[:2] and [A_k0, A_k1]
         (`_scatter_action`), A = -V0 P B^T or the tangent's product
-    g2p:                   einsum("ksn,csn->kcn", gathered, stack)
-        (`kinematics.contract`), whose [:, :2] is C and [:, 2] the PIC
-        velocity; the Hessian's dF_sn is the same over stack[:2]
+    g2p, per component k:  einsum("sn,csn->cn", gathered_k, stack), whose
+        [:2] is row k of C and [2] the PIC velocity's component k; the
+        Hessian's dF_sn is `kinematics.contract` over both components and
+        stack[:2]
 
 The node mass, the pre-update momentum w (m v), the positions w (m x) and
 FLIP's gathered velocity change read the stack's last row alone.
@@ -65,10 +66,24 @@ the gathers fill it and the scatters write their values into it with
 `out=`.  A step between rebinds therefore allocates nothing of per-entry
 size.  Gathers index with mode="clip" because the slots come from
 `SparseGrid.activate`, which only returns slots of the grid.
+
+p2g and g2p run each velocity component as one task that reads the
+binding and writes only that component's rows, node row and workspace
+plane.  On a body of SPLIT_MIN_PARTICLES or more, in a process that may
+use two CPUs, component 1 runs on one worker thread, made on first use,
+while component 0 runs on the calling thread (`_by_component`); numpy
+releases the interpreter lock in these passes, so the two overlap.
+Either way each value is computed by the same operations in the same
+order, so a split run is bit-identical to an inline one.  The tasks call
+only numpy and this module's private helpers, never a name the
+benchmark's tracer wraps, and the stress pass before p2g stays serial.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,6 +111,11 @@ MASS_EPS_FACTOR = 1e-12
 
 # weight of FLIP in a kernel binding's PIC/FLIP velocity blend
 FLIP_BLEND = 0.95
+
+# bodies of at least this many particles run p2g's and g2p's two velocity
+# components on two threads when the process may use two CPUs; below it
+# the hand-off to the worker (about 70 us) costs more than it saves
+SPLIT_MIN_PARTICLES = 16_384
 
 # Two entries of one stencil couple nodes at most two apart on each axis,
 # so the assembled Hessian couples each node to the 5 x 5 nodes around it,
@@ -137,6 +157,7 @@ class Body:
     inverted: int = 0
     stress: StepStress | None = field(default=None, repr=False)   # this step's, else None
     _tangent_buf: np.ndarray | None = field(default=None, repr=False)   # (4, 4, n)
+    _coef_buf: np.ndarray | None = field(default=None, repr=False)      # (2, 3, n), p2g's
 
     @property
     def n(self) -> int:
@@ -154,11 +175,57 @@ def _scatter(slots: np.ndarray, values: np.ndarray, out: np.ndarray) -> None:
     out += np.bincount(slots, weights=values.ravel(), minlength=out.shape[0])
 
 
-def _gather(field: np.ndarray, cmap) -> np.ndarray:
-    """Node vectors (2, slots) at the stencil entries, into the workspace
-    pair: component k of entry s of particle p lands at [k, s, p]."""
-    np.take(field, cmap.slots.T, axis=1, out=cmap.work, mode="clip")
-    return cmap.work
+def _gather(field: np.ndarray, cmap, out: np.ndarray) -> np.ndarray:
+    """Node values (..., slots) at the stencil entries, into `out`
+    (..., S, n): entry s of particle p lands at [..., s, p]."""
+    np.take(field, cmap.slots.T, axis=-1, out=out, mode="clip")
+    return out
+
+
+# the one worker thread of `_by_component`, made on first use; a forked
+# child has no thread behind its parent's, so it makes its own
+_worker: ThreadPoolExecutor | None = None
+_worker_lock = threading.Lock()
+
+
+def _forget_worker() -> None:
+    global _worker
+    _worker = None
+
+
+os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _by_component(body: Body, task) -> None:
+    """Run task(0) and task(1), the two velocity components of a transfer.
+
+    For a body of SPLIT_MIN_PARTICLES or more in a process that may use two
+    CPUs, component 1 runs on the worker thread while component 0 runs on
+    this one; else they run one after the other here.  Each task writes only
+    its own component's rows and workspace plane, so both ways give the same
+    bits.  The call returns, or raises a task's exception, only once both
+    tasks have stopped.  A task calls no name that the benchmark's tracer
+    wraps: its span stack is not thread-safe.
+    """
+    global _worker
+    if body.n < SPLIT_MIN_PARTICLES or _cpus() < 2:
+        task(0)
+        task(1)
+        return
+    with _worker_lock:
+        if _worker is None:
+            _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="aulmpm-transfer")
+        second = _worker.submit(task, 1)
+    try:
+        task(0)
+    finally:
+        second.result()
 
 
 def _scatter_action(body: Body, A: np.ndarray, out: np.ndarray) -> None:
@@ -205,24 +272,30 @@ def p2g(body: Body, grid, dt: float | None = None) -> None:
     cmap = body.cmap
     slots = cmap.slots.T.ravel()
     w = cmap.stack[2]
-    mom, tmp = cmap.work
-    affine = cmap.transfer == LEAST_SQUARES
-    m_c = body.m / moment_matrix(grid.dx)
-    coef = np.empty((3, body.n))   # [A_k0, A_k1, m v_k], one component at a time
-    for k in range(2):
-        if affine:
+    m_c = body.m / moment_matrix(grid.dx) if cmap.transfer == LEAST_SQUARES else None
+    if body._coef_buf is None:
+        body._coef_buf = np.empty((2, 3, body.n))
+
+    def component(k: int) -> None:
+        # [A_k0, A_k1, m v_k] into the body's rows; the per-entry values
+        # into workspace plane k, one scatter at a time
+        coef, plane = body._coef_buf[k], cmap.work[k]
+        if m_c is not None:
             np.multiply(body.C[k], m_c, out=coef[:2])
         else:
             coef[:2] = 0.0
         if dt is not None:
             _fold_stress(body, k, coef, dt)
         np.multiply(body.m, body.v[:, k], out=coef[2])
-        np.einsum("csn,cn->sn", cmap.stack, coef, out=mom)
-        _scatter(slots, mom, grid.momentum[k])
+        np.einsum("csn,cn->sn", cmap.stack, coef, out=plane)
+        _scatter(slots, plane, grid.momentum[k])
         if grid.momentum0 is not None:
-            _scatter(slots, np.multiply(w, coef[2], out=tmp), grid.momentum0[k])
+            _scatter(slots, np.multiply(w, coef[2], out=plane), grid.momentum0[k])
         if grid.pos_accum is not None:
-            _scatter(slots, np.multiply(w, body.m * body.x[:, k], out=tmp), grid.pos_accum[k])
+            mx = np.multiply(body.m, body.x[:, k], out=coef[0])
+            _scatter(slots, np.multiply(w, mx, out=plane), grid.pos_accum[k])
+
+    _by_component(body, component)
 
 
 def finalize_grid(grid) -> None:
@@ -323,7 +396,7 @@ def hessian_apply(bodies, u: np.ndarray, act: np.ndarray | None = None) -> np.nd
     out = np.zeros(u.shape)
     for body in bodies:
         # the gather fills the workspace, free again once contracted
-        dF_sn = contract(_gather(u, body.cmap), body.cmap.stack[:2])
+        dF_sn = contract(_gather(u, body.cmap, body.cmap.work), body.cmap.stack[:2])
         # the tangent product on the (4, n) entry rows of dF_sn, into rows
         # of the workspace's second plane (`_scatter_action` writes only
         # the first)
@@ -515,13 +588,26 @@ def g2p(body: Body, grid, dt: float) -> None:
     keeps the pre-update velocities.
     """
     cmap = body.cmap
-    gathered = contract(_gather(grid.velocity, cmap), cmap.stack)
+    body.C = None   # read by p2g alone: its buffer goes before the new one comes
+    gathered = np.empty((2, 3, body.n))   # [k, c]: C as c < 2, the PIC velocity as c = 2
+    kernel = cmap.transfer == KERNEL
+    if kernel:
+        change = grid.velocity - grid.velocity0
+        flip = np.empty((2, body.n))
+
+    def component(k: int) -> None:
+        plane = cmap.work[k]
+        np.einsum("sn,csn->cn", _gather(grid.velocity[k], cmap, plane), cmap.stack,
+                  out=gathered[k])
+        if kernel:
+            # the gathered change
+            np.einsum("sn,sn->n", _gather(change[k], cmap, plane), cmap.stack[2], out=flip[k])
+
+    _by_component(body, component)
     body.C = gathered[:, :2]
     v_pic = gathered[:, 2].T   # as the particle rows (n, 2)
-    if cmap.transfer == KERNEL:
-        # the gathered change, then the FLIP velocity
-        change = _gather(grid.velocity - grid.velocity0, cmap)
-        flip = np.einsum("ksn,sn->nk", change, cmap.stack[2])
+    if kernel:
+        flip = flip.T   # the FLIP velocity, as rows
         flip += body.v
         flip *= FLIP_BLEND
         flip += (1.0 - FLIP_BLEND) * v_pic

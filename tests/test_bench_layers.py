@@ -8,18 +8,23 @@ for every span that feeds a declared time or count metric, at least one
 wrapped name must resolve in the library.  The per-layer byte counts
 take (n, S, d) from a body through `layers._shape`, so a live body must
 give (n, 9, 2) there whatever the storage layout.  It reads `layers.py`
-without changing it.
+without changing it.  Its tracer keeps one span stack, so every name it
+wraps must be called from the thread that steps, also while p2g and g2p
+run a component on their worker thread.
 """
 
 import importlib
 import importlib.util
 import json
+import threading
 from pathlib import Path
 
 import pytest
 
+from aulmpm import transfers
 from aulmpm.engine import Simulation
 from aulmpm.scene import load_scene
+from test_threads import CELLS, TWO_CPUS, _sim
 
 ROOT = Path(__file__).resolve().parent.parent
 DECLARED = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
@@ -72,3 +77,33 @@ def test_layer_shape_reads_entries_per_particle():
     }))
     body = sim.bodies[0]
     assert LAYERS._shape(body) == (body.n, 9, 2)
+
+
+@pytest.mark.parametrize("cell", sorted(CELLS))
+def test_wrapped_names_run_on_the_main_thread(monkeypatch, cell):
+    # with the split forced on every body, the worker thread runs half of
+    # p2g and g2p; a wrapped name called there would interleave spans
+    monkeypatch.setattr(transfers, "SPLIT_MIN_PARTICLES", 0)
+    monkeypatch.setattr(transfers, "_worker", None)
+    calls = []
+    for owner_path, attr, _, _ in LAYERS.WRAPS:
+        mod_name, _, cls_name = owner_path.partition(":")
+        owner = importlib.import_module(mod_name)
+        if cls_name:
+            owner = getattr(owner, cls_name)
+        raw = vars(owner).get(attr) if cls_name else getattr(owner, attr, None)
+        if raw is None:
+            continue
+        is_cm = isinstance(raw, classmethod)
+
+        def checked(*args, _fn=raw.__func__ if is_cm else raw, _name=f"{owner_path}.{attr}",
+                    **kwargs):
+            calls.append((_name, threading.current_thread()))
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, classmethod(checked) if is_cm else checked)
+    _sim(cell).run()
+    assert (transfers._worker is not None) == TWO_CPUS
+    assert {"aulmpm.engine.p2g", "aulmpm.engine.g2p"} <= {name for name, _ in calls}
+    off_main = {name for name, thread in calls if thread is not threading.main_thread()}
+    assert not off_main
