@@ -49,6 +49,7 @@ from .kinematics import (
 )
 from .grid import SparseGrid
 from .scene import Scene, sample_shape
+from .textout import write_rows
 from .transfers import (
     Body,
     epoch_grid_terms,
@@ -64,8 +65,8 @@ from .transfers import (
 )
 
 
-# particle rows formatted per write in frame output
-FRAME_CHUNK = 256
+# table rows formatted per write in frame and stats.csv output
+FRAME_CHUNK = 1024
 
 
 @dataclass
@@ -101,10 +102,11 @@ def write_stats_csv(path, records: list[StepRecord]) -> None:
     """Write stats.csv: the header, then one row per record, every value at
     %.17g, which writes a count as its digits and a float as the digits of
     the same double."""
-    row = ",".join(["%.17g"] * _WIDTH) + "\n"
     table = np.column_stack([[getattr(r, name) for r in records] for name in _COLUMNS])
-    with open(path, "w") as fh:
-        fh.write(STATS_HEADER + "\n" + "".join(row % tuple(vals) for vals in table.tolist()))
+    with open(path, "wb") as fh:
+        fh.write(STATS_HEADER.encode() + b"\n")
+        # without records an ndarray field stacks as one empty column, not two
+        write_rows(fh, table.reshape(-1, _WIDTH), FRAME_CHUNK)
 
 
 def read_stats_csv(path) -> list[StepRecord]:
@@ -333,14 +335,11 @@ class Simulation:
         tab = self.particle_table()
         names = tab.dtype.names
         path = out / "frames" / f"frame_{index:06d}.csv"
-        # id and epoch as integers, every other column at full precision
-        row = "%d," + "%.17g," * (len(names) - 2) + "%d\n"
-        with path.open("w") as fh:
-            fh.write(",".join(names) + "\n")
-            # a few hundred row tuples at a time: a whole frame's worth would
-            # trip the cycle collector several times per frame
-            for start in range(0, tab.shape[0], FRAME_CHUNK):
-                fh.write("".join(row % vals for vals in tab[start:start + FRAME_CHUNK].tolist()))
+        # every column at %.17g, which writes the whole id and epoch as
+        # their digits
+        with path.open("wb") as fh:
+            fh.write(",".join(names).encode() + b"\n")
+            write_rows(fh, tab.view(np.float64).reshape(-1, len(names)), FRAME_CHUNK)
 
     def summary(self) -> dict:
         sol = self.scene.solver

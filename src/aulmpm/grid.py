@@ -68,11 +68,14 @@ class SparseGrid:
 
     def _grow(self, new_nodes: np.ndarray) -> None:
         """Append storage for the nodes with the given lattice indices, in order."""
+        bound = self.n_slots
         for name, shape, dtype in self._fields:
-            setattr(self, name, np.concatenate(
-                [getattr(self, name), np.zeros(shape + new_nodes.shape, dtype=dtype)], axis=-1))
+            grown = np.empty(shape + (bound + new_nodes.size,), dtype=dtype)
+            grown[..., :bound] = getattr(self, name)
+            grown[..., bound:] = 0
+            setattr(self, name, grown)
         coords = np.stack(np.divmod(new_nodes, self.n_nodes[1]))
-        self.position[:, self.n_slots:] = self.origin[:, None] + coords * self.dx
+        self.position[:, bound:] = self.origin[:, None] + coords * self.dx
         self.n_slots += new_nodes.size
 
     def activate(self, nodes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -5,13 +5,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from aulmpm import constitutive, engine, kinematics, transfers
+from aulmpm import constitutive, engine, kinematics, textout, transfers
 from aulmpm.constitutive import MaterialModel
 from aulmpm.engine import Simulation
 from aulmpm.errors import NumericalError, SceneError
 from aulmpm.grid import SparseGrid
 from aulmpm.kinematics import compose_total
-from aulmpm.scene import load_scene
+from aulmpm.scene import bundled_scene, load_scene
 from oracles import _ref_signed_svd, unbatch
 
 EYE = np.eye(2)[:, :, None]   # identities broadcast over a (2, 2, n) batch
@@ -767,6 +767,52 @@ def test_frame_writer_matches_per_value_formatting(tmp_path):
     sim._write_frame(tmp_path, 4)
     text = (tmp_path / "frames" / "frame_000004.csv").read_text()
     assert text == _per_value_frame(sim.particle_table())
+
+
+def test_droplet_frames_take_the_vector_path_and_match_per_value_text(tmp_path,
+                                                                    monkeypatch):
+    # the bundled drop's nine frames, 13 steps apart: none sends a value to
+    # the per-value path, and those at steps 0, 13 and 104 equal the
+    # per-value text; at step 13 every |vx| is round-off, 1e-20..1e-15
+    per_value = []
+    monkeypatch.setattr(textout, "_per_value",
+                        lambda x: per_value.append(x) or b"%.17g" % x)
+    sim = Simulation(bundled_scene("droplet"))
+    tables = []
+    table = sim.particle_table
+    monkeypatch.setattr(sim, "particle_table", lambda: tables.append(table()) or tables[-1])
+    sim.run(out_dir=tmp_path, frames=8)
+    assert per_value == [] and len(tables) == 9
+    assert 0 < np.abs(tables[1]["vx"]).max() < 1e-12
+    for k in (0, 1, 8):
+        text = (tmp_path / "frames" / f"frame_{k:06d}.csv").read_text()
+        assert text == _per_value_frame(tables[k])
+
+
+def test_plate_sized_frame_is_written_a_chunk_at_a_time(tmp_path, monkeypatch):
+    # 42k rows: the whole frame's template rows and keep mask would take
+    # 28 MB; written FRAME_CHUNK rows at a time the writer's peak stays
+    # under 4 MB
+    sim = Simulation(_scene(steps=1))
+    n = 42_000
+    tab = np.zeros(n, dtype=sim.particle_table().dtype)
+    for name, col in zip(tab.dtype.names, np.random.default_rng(0).standard_normal((7, n))):
+        tab[name] = col
+    tab["id"] = np.arange(n)
+    tab["epoch"] = 3
+    monkeypatch.setattr(sim, "particle_table", lambda: tab)
+    (tmp_path / "frames").mkdir()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        sim._write_frame(tmp_path, 0)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    lines = (tmp_path / "frames" / "frame_000000.csv").read_text().splitlines()
+    assert len(lines) == n + 1
+    assert lines[-1] == _per_value_frame(tab[-1:]).splitlines()[-1]
 
 
 def test_snow_run_projects_plasticity():

@@ -106,6 +106,21 @@ def test_stats_csv_roundtrip(tmp_path):
     assert update_stats(back) == update_stats(sim.records)
 
 
+def test_stats_csv_matches_per_value_formatting(tmp_path):
+    # every value as '%.17g' % value, odd values included: the text the
+    # row-by-row writer gave
+    recs = [_record(1, 0, 2.5), dataclasses.replace(
+        _record(2, 1, 5e-324, rebind_ms=1e-7), momentum=np.array([-0.0, 1e300]),
+        angular_momentum=-1.2345678901234567e-19, cg_residual=np.inf, kinetic_energy=np.nan,
+        inverted=12)]
+    write_stats_csv(tmp_path / "stats.csv", recs)
+    rows = [",".join("%.17g" % v for f in dataclasses.fields(r)
+                     for v in np.atleast_1d(getattr(r, f.name))) for r in recs]
+    assert (tmp_path / "stats.csv").read_text() == "\n".join([STATS_HEADER, *rows]) + "\n"
+    write_stats_csv(tmp_path / "stats.csv", [])
+    assert (tmp_path / "stats.csv").read_text() == STATS_HEADER + "\n"
+
+
 def test_stats_csv_roundtrip_records_each_solve(tmp_path):
     # an implicit spinning disk, rigid at first and then deforming: its CG
     # columns read back bit for bit, show that every step after the first
