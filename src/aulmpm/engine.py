@@ -18,6 +18,12 @@ current particle positions; total deformation gradients are unchanged
 by it.  The grid's per-epoch terms (node mass and active nodes) are set
 at construction and again after any binding changes, not on every step.
 
+A dense body (`transfers.dense_order`) is kept in cell order: it is sorted by
+stencil base node at construction and again at each of its rebinds, and
+`Body.ids` holds each row's sampled index.  Frames and `particle_table`
+list particles by that index, so their layout does not depend on the order
+the rows are kept in.
+
 A step raises NumericalError naming the field and the step when the
 particle state (x, v), F_sn, F_0s after a rebind or F_plastic after the
 plastic projection turns non-finite.
@@ -52,6 +58,7 @@ from .scene import Scene, sample_shape
 from .textout import write_rows
 from .transfers import (
     Body,
+    dense_order,
     epoch_grid_terms,
     explicit_update,
     finalize_grid,
@@ -164,6 +171,10 @@ class Simulation:
         for obj in scene.objects:
             pts = sample_shape(obj.shape, obj.spacing, obj.jitter, rng)
             n = pts.shape[0]
+            order = dense_order(pts, obj.spacing, self.grid)
+            dense = order is not None
+            ids = order if dense else np.arange(n)
+            pts = np.take(pts, ids, axis=0) if dense else pts
             vol = obj.spacing ** 2
             vel = np.tile(obj.velocity, (n, 1))
             C = np.zeros((2, 2, n))
@@ -181,9 +192,11 @@ class Simulation:
                 V0=np.full(n, vol),
                 C=C,
                 state=DeformationState.identity(n),
-                cmap=ConfigurationMap.build(pts, self.grid, transfer=scene.solver.transfer),
+                cmap=ConfigurationMap.build(pts, self.grid, transfer=scene.solver.transfer,
+                                            runs=dense),
                 policy=_policy_for(obj, scene.solver.mode),
                 F_plastic=identity_batch(n) if obj.material.kind == SNOW else None,
+                ids=ids,
             )
             self.bodies.append(body)
         self.mass_eps = mass_epsilon(self.bodies)
@@ -213,7 +226,7 @@ class Simulation:
         released = [b for b in self.bodies if b.cmap.stack is None]  # by the end of a run
         for b in released:
             b.cmap = ConfigurationMap.build(b.cmap.ref_positions, grid, b.cmap.epoch,
-                                            b.cmap.transfer)
+                                            b.cmap.transfer, runs=b.cmap.starts is not None)
         if released:
             epoch_grid_terms(self.bodies, grid, self.mass_eps)
         grid.zero_fields()
@@ -259,7 +272,8 @@ class Simulation:
                 total_marked += marked
                 if fire:
                     t_bind = time.perf_counter()
-                    b.cmap = apply_update(b.state, b.x, grid, b.cmap)
+                    carried = None if b.cmap.starts is None else b.carried()
+                    b.cmap = apply_update(b.state, b.x, grid, b.cmap, carried)
                     rebind_ms += (time.perf_counter() - t_bind) * 1e3
                     self._require_finite("F_0s", np.isfinite(b.state.F_0s).all())
                     rebound = True
@@ -315,7 +329,9 @@ class Simulation:
     # ------------------------------------------------------------- output
 
     def particle_table(self) -> np.ndarray:
-        """Structured snapshot: id, position, velocity, total J, epoch."""
+        """Structured snapshot: id, position, velocity, total J, epoch, one
+        row per particle in sampling order, whatever order the bodies keep
+        their rows in."""
         names = ["id", "x", "y", "vx", "vy", "J", "epoch"]
         rows = []
         offset = 0
@@ -323,9 +339,9 @@ class Simulation:
             tab = np.zeros(b.n, dtype=[(nm, np.float64) for nm in names])
             tab["id"] = offset + np.arange(b.n)
             for k, a in enumerate("xy"):
-                tab[a] = b.x[:, k]
-                tab["v" + a] = b.v[:, k]
-            tab["J"] = det(compose_total(b.state))
+                tab[a][b.ids] = b.x[:, k]
+                tab["v" + a][b.ids] = b.v[:, k]
+            tab["J"][b.ids] = det(compose_total(b.state))
             tab["epoch"] = b.cmap.epoch
             rows.append(tab)
             offset += b.n
@@ -375,6 +391,8 @@ class Simulation:
         worth of steps, or else by steps / N steps, which must be whole
         (SceneError otherwise); `frames=0` writes the initial state and stops.
         A negative `frames` raises SceneError before anything is written.
+        Frame files an earlier run left in `out_dir/frames` are deleted
+        before the first frame is written; nothing else there is touched.
         """
         if frames is not None and frames < 0:
             raise SceneError(f"frames must be 0 or more, got {frames}")
@@ -392,6 +410,8 @@ class Simulation:
         if out_dir is not None:
             out = Path(out_dir)
             (out / "frames").mkdir(parents=True, exist_ok=True)
+            for stale in (out / "frames").glob("frame_*.csv"):
+                stale.unlink()
         frame = 0
         if out is not None:
             self._write_frame(out, frame)

@@ -31,6 +31,16 @@ to the new one, which `build` writes in place, and holds None in their
 place.  The fold of F_sn into F_0s runs through the same workspace into
 F_0s's own buffer, and F_sn is reset in its own.  A steady rebind
 therefore allocates nothing of per-particle size.
+
+A binding in cell order also records its runs: where each run of
+particles that share a stencil base node starts, and the slots of that
+run's S nodes.  The transfers then sum every run per stencil entry before
+they touch the grid (see `transfers`).  A body that keeps such a binding
+is put in cell order at every rebind (`apply_update` with `carried`): the
+particles are stable-sorted by the lattice index of their new base node
+(`cell_keys`), and every per-particle array is permuted through the old
+binding's workspace and slots rows, which are free until the build.  The
+sort allocates only its order.
 """
 
 from __future__ import annotations
@@ -41,7 +51,7 @@ import numpy as np
 
 from .constitutive import det, matmul
 from .errors import NumericalError
-from .mls import ENTRIES, SUPPORT, build_stencil, gradient_weights, moment_matrix
+from .mls import ENTRIES, SUPPORT, base_nodes, build_stencil, gradient_weights, moment_matrix
 
 # transfer flavors: which gradient weights a binding carries
 LEAST_SQUARES = "least_squares"
@@ -112,6 +122,12 @@ class ConfigurationMap:
     positions, or takes them over at a rebind.  The slots come
     from `SparseGrid.activate`, which only returns slots of the grid; they
     stay valid because the grid only grows.
+
+    A binding built with `runs` holds `starts` (R,), the first particle of
+    each run of equal base nodes, and `run_slots` (S, R), the slots of each
+    run's stencil; elsewhere both are None.  Any split into runs of equal
+    base nodes gives the same node sums; cell order makes R the number of
+    occupied cells.
     """
 
     epoch: int
@@ -120,6 +136,8 @@ class ConfigurationMap:
     slots: np.ndarray
     work: np.ndarray
     transfer: str = LEAST_SQUARES
+    starts: np.ndarray | None = None
+    run_slots: np.ndarray | None = None
 
     @property
     def w(self) -> np.ndarray:
@@ -132,14 +150,16 @@ class ConfigurationMap:
     @classmethod
     def build(cls, positions: np.ndarray, grid, epoch: int = 0,
               transfer: str = LEAST_SQUARES,
-              reuse: "ConfigurationMap | None" = None) -> "ConfigurationMap":
+              reuse: "ConfigurationMap | None" = None,
+              runs: bool = False) -> "ConfigurationMap":
         """Bind `positions` to `grid`, into a fresh stack, slots buffer,
         workspace and reference positions or, with `reuse`, a map of as
         many particles, into its own: the new map takes them over and
         `reuse` keeps its epoch and holds None there.  A `reuse` of another
         particle count raises ValueError, and one whose positions leave the
         domain OutOfDomainError; either leaves `reuse` holding its arrays.
-        The stencil's per-axis pieces are computed in the workspace.
+        The stencil's per-axis pieces are computed in the workspace.  With
+        `runs`, the map records its runs of equal base nodes.
         """
         if transfer not in (LEAST_SQUARES, KERNEL):
             raise ValueError(f"unknown transfer {transfer!r}")
@@ -169,10 +189,60 @@ class ConfigurationMap:
         np.add(nodes[0], (k[:, None] * ny + k).reshape(-1, 1)[1:], out=nodes[1:])
         grid.activate(nodes, out=nodes)
         np.copyto(ref, positions)
+        starts = run_slots = None
+        if runs:
+            # a run starts at particle 0 and wherever the base node changes
+            starts = np.flatnonzero(nodes[0, 1:] != nodes[0, :-1])
+            starts = np.concatenate(([0], starts + 1))
+            run_slots = nodes[:, starts]
         if reuse is not None:
             reuse.stack = reuse.slots = reuse.work = reuse.ref_positions = None
         return cls(epoch=epoch, ref_positions=ref, stack=stack, slots=nodes.T,
-                   work=work, transfer=transfer)
+                   work=work, transfer=transfer, starts=starts, run_slots=run_slots)
+
+
+def cell_keys(positions: np.ndarray, grid, scratch: np.ndarray | None = None) -> np.ndarray:
+    """The lattice index of each particle's stencil base node, the node of
+    entry 0, as whole numbers held as floats (n,), computed in `scratch`
+    (2, n) float rows if given, row 0 of which it returns, from the base
+    nodes `build_stencil` takes (`mls.base_nodes`), so equal keys mean
+    equal stencils.  Positions outside the grid give keys outside the
+    lattice; the bind reports them."""
+    u = np.empty((2, positions.shape[0])) if scratch is None else scratch
+    base_nodes(positions, grid.origin, grid.dx, u, u)
+    np.multiply(u[0], grid.n_nodes[1], out=u[0])
+    np.add(u[0], u[1], out=u[0])
+    return u[0]
+
+
+def _cell_order(positions: np.ndarray, grid, cmap: ConfigurationMap) -> np.ndarray | None:
+    """The stable order of the particles by the lattice index of their base
+    node at `positions`, keyed in `cmap`'s workspace; None when they are in
+    that order already."""
+    key = cell_keys(positions, grid, cmap.work.reshape(-1, positions.shape[0])[:2])
+    if not (key[1:] < key[:-1]).any():
+        return None
+    return np.argsort(key, kind="stable")
+
+
+def _permute(order: np.ndarray, positions: np.ndarray, arrays, cmap: ConfigurationMap) -> None:
+    """Permute the rows (n, 2) of `positions` and every array of `arrays`
+    (particle axis last and contiguous, other axes of any strides) by
+    `order`, in place, through the rows of `cmap`'s workspace (floats) and
+    slots buffer (integers).  Each take reads one contiguous row, or the
+    rows of 2, in mode "clip" (the order is a permutation): a strided
+    source would be copied first, and mode "raise" buffers the output."""
+    n = positions.shape[0]
+    floats = cmap.work.reshape(-1, n)
+    # whole rows of 2: a gather of (n, 2) columns would stride
+    np.take(positions, order, axis=0, out=floats[:2].reshape(n, 2), mode="clip")
+    np.copyto(positions, floats[:2].reshape(n, 2))
+    for a in arrays:
+        buf = (cmap.slots.T if a.dtype.kind in "iu" else floats)[:a.size // n]
+        buf = buf.reshape(a.shape)
+        for row in np.ndindex(a.shape[:-1]):
+            np.take(a[row], order, out=buf[row], mode="clip")
+        np.copyto(a, buf)
 
 
 def contract(samples: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -222,7 +292,7 @@ def should_update(delta: np.ndarray, policy: UpdatePolicy) -> tuple[int, bool]:
 
 
 def apply_update(state: DeformationState, positions: np.ndarray, grid,
-                 cmap: ConfigurationMap) -> ConfigurationMap:
+                 cmap: ConfigurationMap, carried=None) -> ConfigurationMap:
     """Rebind at the current positions and fold F_sn into F_0s.
 
     Afterwards F_0s holds the old product F_sn F_0s, F_sn is the identity,
@@ -233,9 +303,22 @@ def apply_update(state: DeformationState, positions: np.ndarray, grid,
     old map hands its stack, slots, workspace and reference positions over
     to the new one and holds None in their place, so a steady rebind
     allocates nothing of per-particle size.
+
+    With `carried`, the body's other per-particle arrays (particle axis
+    last), the binding stays in cell order: the particles are stable-sorted
+    by their new base node, the fold writes its product in that order, and
+    `positions` and every carried array are permuted in place (F_sn, the
+    identity, need not move); nothing moves when the particles are in order
+    already.  The new map records its runs.
     """
+    order = None if carried is None else _cell_order(positions, grid, cmap)
     folded = cmap.work[0, :4].reshape(state.F_sn.shape)
     np.einsum("ijn,jkn->ikn", state.F_sn, state.F_0s, out=folded)
-    np.copyto(state.F_0s, folded)
+    if order is None:
+        np.copyto(state.F_0s, folded)
+    else:
+        np.take(folded, order, axis=-1, out=state.F_0s, mode="clip")
+        _permute(order, positions, carried, cmap)
     state.F_sn[...] = _EYE
-    return ConfigurationMap.build(positions, grid, cmap.epoch + 1, cmap.transfer, reuse=cmap)
+    return ConfigurationMap.build(positions, grid, cmap.epoch + 1, cmap.transfer, reuse=cmap,
+                                  runs=carried is not None)

@@ -78,6 +78,17 @@ def _outer(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def base_nodes(centers: np.ndarray, origin: np.ndarray, dx: float, u: np.ndarray,
+               base: np.ndarray) -> None:
+    """The centers (n, 2) in cells from the origin, into u (2, n), and the
+    base nodes of their supports, floor(u - 0.5) as floats, into base (2, n),
+    which may be u itself."""
+    np.subtract(centers.T, origin[:, None], out=u)
+    np.divide(u, dx, out=u)
+    np.subtract(u, 0.5, out=base)
+    np.floor(base, out=base)
+
+
 def build_stencil(centers: np.ndarray, origin: np.ndarray, dx: float,
                   n_nodes: np.ndarray, out: np.ndarray, scratch: np.ndarray,
                   gradients: bool) -> tuple[np.ndarray, np.ndarray | None]:
@@ -108,12 +119,8 @@ def build_stencil(centers: np.ndarray, origin: np.ndarray, dx: float,
     e = scratch[2:8].reshape(2, SUPPORT, n)     # per node offset, then slope or r
     w1 = scratch[8:14].reshape(2, SUPPORT, n)
 
-    # the centers in cells from the origin, and their supports' base nodes
     u = e[:, 0]
-    np.subtract(centers.T, origin[:, None], out=u)
-    np.divide(u, dx, out=u)
-    np.subtract(u, 0.5, out=base)
-    np.floor(base, out=base)
+    base_nodes(centers, origin, dx, u, base)
 
     # compared so that a NaN center counts as outside
     if n and not ((base.min(axis=1) >= 0).all()

@@ -36,8 +36,17 @@ On a least-squares binding G_j = c W_j r_j with c = 4 / dx^2 and p2g
 scatters affine momentum (MLS-MPM / APIC), whose term m W_j C r_j is
 (m / c) C G_j; on a kernel binding G_j = grad W_j, p2g scatters plain
 momentum and g2p blends PIC with FLIP velocities (standard MPM).
-Scatter-adds are bincount-based and run in entry order (stencil entry,
-then particle), then body order, which keeps runs bit-reproducible.
+
+Scatter-adds run in a fixed order, then body order, which keeps runs
+bit-reproducible.  A body of at least DENSE_MIN_PER_CELL particles per
+occupied cell is kept in cell order (see `kinematics`), and every scatter
+over its binding sums each run of particles that share a stencil with one
+np.add.reduceat along the particle axis, then adds the per-run sums to the
+nodes with one small bincount (`_scatter`, and `assemble_hessian`'s pair
+scatters).  On any other binding a scatter is one bincount over every
+stencil entry, in entry order (stencil entry, then particle): consecutive
+particles of a sparse body rarely share nodes, and there a per-run sum
+costs more than it saves.
 
 The arithmetic is written out for 2x2 blocks, entry by entry, and every
 per-entry pass is one einsum over the stack, with the particle axis
@@ -99,7 +108,7 @@ from .constitutive import (
     matmul,
 )
 from .kinematics import (KERNEL, LEAST_SQUARES, ConfigurationMap, DeformationState,
-                         UpdatePolicy, compose_total, contract)
+                         UpdatePolicy, cell_keys, compose_total, contract)
 from .mls import ENTRIES, moment_matrix
 
 # relative CG residual and iteration cap for the implicit velocity solve
@@ -116,6 +125,11 @@ FLIP_BLEND = 0.95
 # components on two threads when the process may use two CPUs; below it
 # the hand-off to the worker (about 70 us) costs more than it saves
 SPLIT_MIN_PARTICLES = 16_384
+
+# bodies with at least this many particles per occupied cell are kept in
+# cell order and scatter per-run sums; the per-run path overtakes the plain
+# bincount at about 8 per cell
+DENSE_MIN_PER_CELL = 10
 
 # Two entries of one stencil couple nodes at most two apart on each axis,
 # so the assembled Hessian couples each node to the 5 x 5 nodes around it,
@@ -158,10 +172,21 @@ class Body:
     stress: StepStress | None = field(default=None, repr=False)   # this step's, else None
     _tangent_buf: np.ndarray | None = field(default=None, repr=False)   # (4, 4, n)
     _coef_buf: np.ndarray | None = field(default=None, repr=False)      # (2, 3, n), p2g's
+    ids: np.ndarray | None = None   # (n,) sampled index of each row; None: arange
+
+    def __post_init__(self):
+        if self.ids is None:
+            self.ids = np.arange(self.n)
 
     @property
     def n(self) -> int:
         return self.x.shape[0]
+
+    def carried(self) -> list[np.ndarray]:
+        """The per-particle arrays a rebind in cell order permutes besides
+        the positions and F_0s, particle axis last."""
+        rows = [self.v.T, self.m, self.V0, self.C, self.ids]
+        return rows if self.F_plastic is None else rows + [self.F_plastic]
 
 
 def mass_epsilon(bodies) -> float:
@@ -169,10 +194,47 @@ def mass_epsilon(bodies) -> float:
     return MASS_EPS_FACTOR * top
 
 
-def _scatter(slots: np.ndarray, values: np.ndarray, out: np.ndarray) -> None:
+def dense_order(points: np.ndarray, spacing: float, grid) -> np.ndarray | None:
+    """The stable order of a body's sampled points by the lattice index of
+    their stencil base node (`kinematics.cell_keys`) when they hold at
+    least DENSE_MIN_PER_CELL per occupied cell, else None.  Points sampled
+    on a lattice of pitch `spacing` and jittered by at most half of it put
+    at most (ceil(dx / spacing) + 1)^2 in one cell, so below the threshold
+    that bound decides without looking at them; points off the lattice
+    count as sparse (the bind rejects them)."""
+    if (np.ceil(grid.dx / spacing) + 1) ** 2 < DENSE_MIN_PER_CELL:
+        return None
+    keys = cell_keys(points, grid)
+    size = int(np.prod(grid.n_nodes))
+    if not (keys.min() >= 0 and keys.max() < size):
+        return None
+    occupied = np.zeros(size, dtype=bool)
+    occupied[keys.astype(np.int64)] = True
+    if keys.size < DENSE_MIN_PER_CELL * np.count_nonzero(occupied):
+        return None
+    return np.argsort(keys, kind="stable")
+
+
+def _cell_sums(cmap, values: np.ndarray) -> np.ndarray:
+    """Per-particle values (c, n), C-contiguous, summed over each run of a
+    binding with runs, (c, R), or as they are on any other binding."""
+    if cmap.starts is None:
+        return values
+    return np.add.reduceat(values, cmap.starts, axis=1)
+
+
+def _cell_slots(cmap) -> np.ndarray:
+    """The slots (S, R) of each run's stencil on a binding with runs, else
+    those (S, n) of each particle's: the bins of `_cell_sums`' columns."""
+    return cmap.slots.T if cmap.starts is None else cmap.run_slots
+
+
+def _scatter(cmap, values: np.ndarray, out: np.ndarray) -> None:
     """Accumulate per-stencil-entry values (S, n), C-contiguous, into a node
-    array (slots,); `slots` is the binding's slots.T raveled, a view."""
-    out += np.bincount(slots, weights=values.ravel(), minlength=out.shape[0])
+    array (slots,): one bincount, over the per-run sums on a binding with
+    runs."""
+    out += np.bincount(_cell_slots(cmap).ravel(), weights=_cell_sums(cmap, values).ravel(),
+                       minlength=out.shape[0])
 
 
 def _gather(field: np.ndarray, cmap, out: np.ndarray) -> np.ndarray:
@@ -232,11 +294,10 @@ def _scatter_action(body: Body, A: np.ndarray, out: np.ndarray) -> None:
     """out[slot_j] += A_p G_j for every stencil entry j of every particle p,
     with A given by rows, (2, 2, n): A[k] = [A_k0, A_k1]."""
     cmap = body.cmap
-    slots = cmap.slots.T.ravel()
     plane = cmap.work[0]
     for k in range(2):
         np.einsum("csn,cn->sn", cmap.stack[:2], A[k], out=plane)
-        _scatter(slots, plane, out[k])
+        _scatter(cmap, plane, out[k])
 
 
 # ------------------------------------------------------------ per epoch
@@ -252,7 +313,7 @@ def epoch_grid_terms(bodies, grid, mass_eps: float) -> None:
     for body in bodies:
         cmap = body.cmap
         mw = np.multiply(cmap.stack[2], body.m, out=cmap.work[0])
-        _scatter(cmap.slots.T.ravel(), mw, grid.mass)
+        _scatter(cmap, mw, grid.mass)
     np.greater(grid.mass, mass_eps, out=grid.active)
 
 
@@ -270,7 +331,6 @@ def p2g(body: Body, grid, dt: float | None = None) -> None:
     (`epoch_grid_terms`).
     """
     cmap = body.cmap
-    slots = cmap.slots.T.ravel()
     w = cmap.stack[2]
     m_c = body.m / moment_matrix(grid.dx) if cmap.transfer == LEAST_SQUARES else None
     if body._coef_buf is None:
@@ -288,12 +348,12 @@ def p2g(body: Body, grid, dt: float | None = None) -> None:
             _fold_stress(body, k, coef, dt)
         np.multiply(body.m, body.v[:, k], out=coef[2])
         np.einsum("csn,cn->sn", cmap.stack, coef, out=plane)
-        _scatter(slots, plane, grid.momentum[k])
+        _scatter(cmap, plane, grid.momentum[k])
         if grid.momentum0 is not None:
-            _scatter(slots, np.multiply(w, coef[2], out=plane), grid.momentum0[k])
+            _scatter(cmap, np.multiply(w, coef[2], out=plane), grid.momentum0[k])
         if grid.pos_accum is not None:
             mx = np.multiply(body.m, body.x[:, k], out=coef[0])
-            _scatter(slots, np.multiply(w, mx, out=plane), grid.pos_accum[k])
+            _scatter(cmap, np.multiply(w, mx, out=plane), grid.pos_accum[k])
 
     _by_component(body, component)
 
@@ -446,9 +506,9 @@ def assemble_hessian(bodies, grid, act: np.ndarray | None = None) -> NodeStencil
     K[k, l] = sum_c,c' G_cs T[2k + c, 2l + c'] G_c't to row slot(p, s) at
     column PAIR_COLUMN[s, t].  The tangent is symmetric, so the block of
     pair (t, s) is K^T: only the 45 pairs t >= s are accumulated, one at a
-    time through the binding's workspace, and the other columns mirror
-    them.  With `act` given, rows and columns of the unflagged nodes read
-    the sentinel.
+    time through the binding's workspace (per run on a binding with runs),
+    and the other columns mirror them.  With `act` given, rows and columns
+    of the unflagged nodes read the sentinel.
     """
     size = grid.n_slots
     near = grid.neighbours()
@@ -463,14 +523,16 @@ def assemble_hessian(bodies, grid, act: np.ndarray | None = None) -> NodeStencil
         planes = cmap.work.reshape(-1, body.n)
         GT = planes[:8].reshape(2, 4, -1)        # [k, 2l + c'] of G_s^T T
         K = planes[8:12].reshape(2, 2, -1)
-        index = np.empty((4, body.n), dtype=np.int64)   # (2k + l) slots + slot
+        slots = _cell_slots(cmap)
+        index = np.empty((4, slots.shape[1]), dtype=np.int64)   # (2k + l) slots + slot
         for s in range(ENTRIES):
             np.einsum("cn,kcmn->kmn", G[:, s], T, out=GT)
-            np.add(cmap.slots.T[s], size * np.arange(4)[:, None], out=index)
+            np.add(slots[s], size * np.arange(4)[:, None], out=index)
             for t in range(s, ENTRIES):
                 np.einsum("klcn,cn->kln", GT.reshape(2, 2, 2, -1), G[:, t], out=K)
                 blocks[:, :, PAIR_COLUMN[s, t]] += np.bincount(
-                    index.ravel(), K.ravel(), 4 * size).reshape(2, 2, size)
+                    index.ravel(), _cell_sums(cmap, K.reshape(4, -1)).ravel(),
+                    4 * size).reshape(2, 2, size)
     # a sentinel column's mirror reads the clipped last slot's block; the
     # zeroing after the mirror clears it
     for d in range(CENTER):

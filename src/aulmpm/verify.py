@@ -88,12 +88,18 @@ def _fit_slope(dx: np.ndarray, err: np.ndarray) -> float:
     return float(coef[0])
 
 
+def _by_id(sim: Simulation) -> tuple[np.ndarray, np.ndarray]:
+    """Positions and velocities (n, 2) in sampling order, which a dense
+    body's rows need not keep, so that two runs' particles line up."""
+    tab = sim.particle_table()
+    return (np.stack([tab["x"], tab["y"]], axis=1),
+            np.stack([tab["vx"], tab["vy"]], axis=1))
+
+
 def _final_state(scene: Scene) -> tuple[np.ndarray, np.ndarray]:
     sim = Simulation(scene)
     sim.run()
-    x = np.concatenate([b.x for b in sim.bodies])
-    v = np.concatenate([b.v for b in sim.bodies])
-    return x, v
+    return _by_id(sim)
 
 
 def convergence_study(scene: Scene, levels, bench: int) -> ConvergenceReport:
@@ -235,7 +241,7 @@ def check_mode_recovery():
             {"never": never, "tl": tl, "always": always, "euler": euler}.items()}
     for sim in runs.values():
         sim.run()
-    x = {k: sim.bodies[0].x for k, sim in runs.items()}
+    x = {k: _by_id(sim)[0] for k, sim in runs.items()}
     return {"tl_gap": float(np.abs(x["never"] - x["tl"]).max()),
             "euler_gap": float(np.abs(x["always"] - x["euler"]).max()),
             "euler_updates": runs["euler"].bodies[0].cmap.epoch}

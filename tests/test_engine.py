@@ -42,12 +42,16 @@ def _spin_scene(**solver):
 
 def _fresh_grid_terms(sim):
     """Node mass and active mask from a scatter of every body at its
-    current binding, in the library's entry order (stencil entry, then
-    particle)."""
+    current binding, in the library's order: stencil entry, then particle,
+    or, on a binding with runs, the sum of each run first."""
     size = sim.grid.n_slots
     mass = np.zeros(size)
     for b in sim.bodies:
-        mass += np.bincount(b.cmap.slots.T.ravel(), (b.cmap.w.T * b.m).ravel(), size)
+        cmap = b.cmap
+        mw, slots = cmap.w.T * b.m, cmap.slots.T
+        if cmap.starts is not None:
+            mw, slots = np.add.reduceat(mw, cmap.starts, axis=1), slots[:, cmap.starts]
+        mass += np.bincount(slots.ravel(), mw.ravel(), size)
     return mass, mass > sim.mass_eps
 
 
@@ -90,21 +94,35 @@ def test_deterministic_rerun_bitwise():
     assert [r.kinetic_energy for r in a.records] == [r.kinetic_energy for r in b.records]
 
 
+def _dense_spin_scene(**solver):
+    """The spinning disk at dx / 8 spacing, about 40 particles per occupied
+    cell: a dense body, kept in cell order."""
+    scene = _spin_scene(**solver)
+    scene.objects[0].spacing = 0.05 / 8
+    return scene
+
+
 @pytest.mark.parametrize("mode", ["adaptive", "eulerian"])
-def test_stepping_on_after_run_is_bitwise_unchanged(mode):
+@pytest.mark.parametrize("make", [_spin_scene, _dense_spin_scene], ids=["sparse", "dense"])
+def test_stepping_on_after_run_is_bitwise_unchanged(mode, make):
     # run() releases the binding arrays; step() rebuilds them from the
-    # reference positions, so continuing equals stepping straight through
-    a = Simulation(_spin_scene(steps=6, mode=mode))
+    # reference positions, so continuing equals stepping straight through,
+    # and a dense body's rebuilt binding finds the same runs
+    a = Simulation(make(steps=6, mode=mode))
     a.run()
     assert a.bodies[0].cmap.stack is None
     a.step()
-    b = Simulation(_spin_scene(steps=6, mode=mode))
+    b = Simulation(make(steps=6, mode=mode))
     for _ in range(7):
         b.step()
-    for name in ("x", "v", "C"):
+    for name in ("x", "v", "C", "ids"):
         np.testing.assert_array_equal(getattr(a.bodies[0], name), getattr(b.bodies[0], name))
     assert a.bodies[0].cmap.epoch == b.bodies[0].cmap.epoch
     np.testing.assert_array_equal(a.bodies[0].cmap.G, b.bodies[0].cmap.G)
+    assert (a.bodies[0].cmap.starts is None) == (make is _spin_scene)
+    for name in ("starts", "run_slots"):
+        np.testing.assert_array_equal(getattr(a.bodies[0].cmap, name),
+                                      getattr(b.bodies[0].cmap, name))
     # the rebuilt per-epoch grid terms match too
     _assert_grid_terms_fresh(a)
     for name in ("mass", "active"):
@@ -313,26 +331,42 @@ def test_steady_steps_allocate_no_per_entry_arrays(monkeypatch, case):
         assert not held, held
 
 
-@pytest.mark.parametrize("transfer", ["least_squares", "kernel"])
-def test_steady_rebinds_allocate_no_binding(monkeypatch, transfer):
+@pytest.mark.parametrize("transfer, dense", [
+    pytest.param("least_squares", False, id="least_squares"),
+    pytest.param("kernel", False, id="kernel"),
+    pytest.param("least_squares", True, id="dense-least_squares"),
+])
+def test_steady_rebinds_allocate_no_binding(monkeypatch, transfer, dense):
     # An Eulerian rebind refills the old binding's stack, slots, workspace
     # and reference positions, and computes its per-axis pieces and the
     # F fold in the workspace: it allocates nothing of per-particle size,
     # so it keeps, and its temporaries peak at, less than one float64 per
-    # particle, a ninth of one (n, S) float64 array.
+    # particle, a ninth of one (n, S) float64 array.  A dense body's rebind
+    # also sorts it back into cell order through the same buffers: on top
+    # it allocates the sort's order (one int64 per particle), the in-order
+    # test (one bool) and the new binding's runs (10 int64 per occupied
+    # cell, a third of a column at this disk's 31 per cell), and it keeps
+    # only the runs; measured 1.40 and 0.34 columns.
+    disk = {"center": [0.5, 0.5], "radius": 0.25}
+    spin = {}
+    if dense:
+        # spinning, so that particles change cells inside the disk while
+        # its outline binds no new node
+        disk, spin = {"center": [0.5, 0.5], "radius": 0.06}, {"angular_velocity": 20.0}
     scene = load_scene({
         "grid": {"origin": [0.0, 0.0], "size": [1.0, 1.0], "cells": [128, 128]},
         "gravity": [0.0, -10.0],
         "solver": {"dt": 1e-4, "steps": 3, "mode": "eulerian", "transfer": transfer},
         "objects": [{
-            "shape": {"type": "disk", "center": [0.5, 0.5], "radius": 0.25},
-            "spacing": 1 / 256, "jitter": 0.3,
+            "shape": {"type": "disk", **disk},
+            "spacing": 1 / 768 if dense else 1 / 256, "jitter": 0.3,
             "material": {"type": "fixed_corotated", "density": 1000.0,
                          "youngs": 1e4, "poisson": 0.3},
-            "velocity": [0.1, -0.2],
+            "velocity": [0.1, -0.2], **spin,
         }],
     })
     sim = Simulation(scene)
+    assert (sim.bodies[0].cmap.starts is not None) == dense
     calls = []
     inner = engine.apply_update
 
@@ -349,15 +383,23 @@ def test_steady_rebinds_allocate_no_binding(monkeypatch, transfer):
     try:
         # the last rebind is steady: the arrays it replaces were allocated
         # while tracing
-        for _ in range(3):
+        for _ in range(2):
             sim.step()
+        ids = sim.bodies[0].ids.copy()
+        slots = sim.grid.n_slots
+        sim.step()
     finally:
         tracemalloc.stop()
     column_bytes = sim.bodies[0].n * 8
     retained, peak = calls[-1]
     assert len(calls) == 3
     assert retained < column_bytes, (retained / column_bytes)
-    assert peak < column_bytes, (peak / column_bytes)
+    if dense:
+        # the last rebind did sort, on a grid that did not grow
+        assert (sim.bodies[0].ids != ids).any() and sim.grid.n_slots == slots
+        assert peak < 1.5 * column_bytes, (peak / column_bytes)
+    else:
+        assert peak < column_bytes, (peak / column_bytes)
 
 
 @pytest.mark.parametrize("transfer", ["least_squares", "kernel"])
@@ -588,8 +630,8 @@ def _poison_F_sn(real):
 
 
 def _poison_F_0s(real):
-    def call(state, positions, grid, cmap):
-        out = real(state, positions, grid, cmap)
+    def call(state, *args):
+        out = real(state, *args)
         state.F_0s[1, 1, 0] = np.nan
         return out
     return call
@@ -700,6 +742,26 @@ def test_output_files(tmp_path):
     assert summary["particles"] == sim.n_particles
 
 
+def test_a_run_replaces_the_frames_of_an_earlier_run(tmp_path):
+    # an 8-step disk run twice into one directory, 8 frames then 2: only
+    # the second run's frames remain, and a file that is not a frame stays
+    Simulation(_scene(steps=8)).run(out_dir=tmp_path, frames=8)
+    assert len(list((tmp_path / "frames").glob("frame_*.csv"))) == 9
+    (tmp_path / "frames" / "notes.txt").write_text("kept\n")
+    second = Simulation(_scene(steps=8))
+    tables = []
+    table = second.particle_table
+    second.particle_table = lambda: tables.append(table()) or tables[-1]
+    info = second.run(out_dir=tmp_path, frames=2)
+    names = sorted(p.name for p in (tmp_path / "frames").iterdir())
+    assert names == [f"frame_{k:06d}.csv" for k in range(3)] + ["notes.txt"]
+    assert info["frames"] == 3
+    for k, tab in enumerate(tables):
+        text = (tmp_path / "frames" / f"frame_{k:06d}.csv").read_text()
+        assert text == _per_value_frame(tab)
+    assert (tmp_path / "frames" / "notes.txt").read_text() == "kept\n"
+
+
 def test_frames_argument_controls_run_length(tmp_path):
     sim = Simulation(_scene(steps=10))
     info = sim.run(out_dir=tmp_path, frames=0)
@@ -741,8 +803,9 @@ def test_frame_numbers_parse_back(tmp_path):
     last = sorted((tmp_path / "frames").glob("*.csv"))[-1]
     rows = np.genfromtxt(last, delimiter=",", names=True)
     assert rows.shape[0] == sim.n_particles
-    np.testing.assert_allclose(
-        np.stack([rows["x"], rows["y"]], axis=1), sim.bodies[0].x, rtol=0, atol=0)
+    tab = sim.particle_table()
+    for name in ("x", "y"):
+        np.testing.assert_array_equal(rows[name], tab[name])
 
 
 def _per_value_frame(tab) -> str:
@@ -772,8 +835,8 @@ def test_frame_writer_matches_per_value_formatting(tmp_path):
 def test_droplet_frames_take_the_vector_path_and_match_per_value_text(tmp_path,
                                                                     monkeypatch):
     # the bundled drop's nine frames, 13 steps apart: none sends a value to
-    # the per-value path, and those at steps 0, 13 and 104 equal the
-    # per-value text; at step 13 every |vx| is round-off, 1e-20..1e-15
+    # the per-value path, and those at steps 0, 13, 26 and 104 equal the
+    # per-value text; at step 26 every |vx| is round-off, 1e-28..1e-18
     per_value = []
     monkeypatch.setattr(textout, "_per_value",
                         lambda x: per_value.append(x) or b"%.17g" % x)
@@ -783,8 +846,8 @@ def test_droplet_frames_take_the_vector_path_and_match_per_value_text(tmp_path,
     monkeypatch.setattr(sim, "particle_table", lambda: tables.append(table()) or tables[-1])
     sim.run(out_dir=tmp_path, frames=8)
     assert per_value == [] and len(tables) == 9
-    assert 0 < np.abs(tables[1]["vx"]).max() < 1e-12
-    for k in (0, 1, 8):
+    assert 0 < np.abs(tables[2]["vx"]).max() < 1e-12
+    for k in (0, 1, 2, 8):
         text = (tmp_path / "frames" / f"frame_{k:06d}.csv").read_text()
         assert text == _per_value_frame(tables[k])
 
