@@ -102,8 +102,12 @@ def _dense_spin_scene(**solver):
     return scene
 
 
-@pytest.mark.parametrize("mode", ["adaptive", "eulerian"])
-@pytest.mark.parametrize("make", [_spin_scene, _dense_spin_scene], ids=["sparse", "dense"])
+@pytest.mark.parametrize("mode, make", [
+    pytest.param("adaptive", _spin_scene, id="adaptive"),
+    pytest.param("eulerian", _spin_scene, id="eulerian"),
+    pytest.param("adaptive", _dense_spin_scene, id="dense-adaptive"),
+    pytest.param("eulerian", _dense_spin_scene, id="dense-eulerian"),
+])
 def test_stepping_on_after_run_is_bitwise_unchanged(mode, make):
     # run() releases the binding arrays; step() rebuilds them from the
     # reference positions, so continuing equals stepping straight through,
